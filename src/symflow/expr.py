@@ -41,13 +41,20 @@ _Scalar = Union[int, Fraction, "ComplexRational"]
 
 
 class ComplexRational:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational real and imaginary parts.
+
+    Each part is an ``int`` when it is integral and a ``Fraction``
+    otherwise; ``__init__`` normalises, so ``re`` and ``im`` are always of
+    type ``int | Fraction``.  Gaussian-integer arithmetic therefore never
+    builds a ``Fraction``.  Callers that take a part out and divide it must
+    divide exactly (``Fraction(c.re) / d``): ``int / int`` is a float.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = re if type(re) is int else _rational(re)
+        self.im = im if type(im) is int else _rational(im)
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other: _Scalar) -> "ComplexRational":
@@ -71,7 +78,7 @@ class ComplexRational:
         norm = self.re * self.re + self.im * self.im
         if norm == 0:
             raise ZeroDivisionError("inverse of zero")
-        return ComplexRational(self.re / norm, -self.im / norm)
+        return ComplexRational(Fraction(self.re) / norm, Fraction(-self.im) / norm)
 
     def __pow__(self, n: int) -> "ComplexRational":
         if n < 0:
@@ -88,9 +95,6 @@ class ComplexRational:
     # -- predicates ---------------------------------------------------------
     def is_zero(self) -> bool:
         return not self.re and not self.im
-
-    def is_integer(self) -> bool:
-        return self.im == 0 and self.re.denominator == 1
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -118,6 +122,13 @@ class ComplexRational:
 
     def __str__(self):
         return _const_text(self)
+
+
+def _rational(value) -> int | Fraction:
+    """``value`` as an exact rational: ``int`` when integral, else ``Fraction``."""
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 def _as_scalar(value: _Scalar) -> ComplexRational:
@@ -267,6 +278,35 @@ def _assemble_mono(counts: dict, exp_argument: "Expr | None") -> Monomial:
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    # An Exp factor sorts last; without one, merge the two sorted tuples.
+    if type(m1[-1][0]) is ExpFactor or type(m2[-1][0]) is ExpFactor:
+        return _mono_mul_exp(m1, m2)
+    out = []
+    i = j = 0
+    while i < len(m1) and j < len(m2):
+        a, n = m1[i]
+        b, k = m2[j]
+        if a._key == b._key:
+            if n + k:
+                out.append((a, n + k))
+            i += 1
+            j += 1
+        elif a._key < b._key:
+            out.append(m1[i])
+            i += 1
+        else:
+            out.append(m2[j])
+            j += 1
+    out.extend(m1[i:])
+    out.extend(m2[j:])
+    return tuple(out)
+
+
+def _mono_mul_exp(m1: Monomial, m2: Monomial) -> Monomial:
     counts: dict = {}
     exp_argument = None
     for a, n in itertools.chain(m1, m2):
@@ -432,12 +472,7 @@ class Expr:
         if self.is_zero() or o.is_zero():
             return Expr.ZERO
         acc: dict = {}
-        for m1, c1 in self._terms:
-            for m2, c2 in o._terms:
-                m = _mono_mul(m1, m2)
-                c = c1 * c2
-                prev = acc.get(m)
-                acc[m] = c if prev is None else prev + c
+        _acc_products(acc, self._terms, o._terms)
         return Expr._from_map(acc)
 
     __rmul__ = __mul__
@@ -524,25 +559,40 @@ class Expr:
         return Expr._from_map(acc)
 
     def substitute(self, mapping: Mapping[Atom, _Coercible]) -> "Expr":
-        """Simultaneous, non-recursive replacement of atoms, then renormalize."""
+        """Simultaneous, non-recursive replacement of atoms, then renormalize.
+
+        One pass: each ``base**n`` is computed once per call, the atoms a
+        term keeps stay a ready-made sorted sub-monomial, and every product
+        lands in one accumulator that is sorted once at the end.
+        """
         if not mapping:
             return self
-        result = Expr.ZERO
+        # (atom, n) -> terms of base**n; None marks an atom kept as it is
+        powers: dict = {}
+        acc: dict = {}
         for mono, coeff in self._terms:
-            term = Expr((((), coeff),))
+            kept = []
+            factors = []
             for a, n in mono:
-                repl = mapping.get(a)
-                if repl is None:
-                    if type(a) is ExpFactor:
-                        new_arg = a.argument.substitute(mapping)
-                        base = exp_of(new_arg)
-                    else:
-                        base = Expr.atom(a)
+                key = (a, n)
+                if key in powers:
+                    terms = powers[key]
                 else:
-                    base = _coerce(repl)
-                term = term * base**n
-            result = result + term
-        return result
+                    terms = powers[key] = _replacement_power(a, n, mapping)
+                if terms is None:
+                    kept.append(key)
+                else:
+                    factors.append(terms)
+            if not factors:
+                _acc_add(acc, mono, coeff)
+                continue
+            partial = ((tuple(kept), coeff),)
+            for terms in factors[:-1]:
+                step: dict = {}
+                _acc_products(step, partial, terms)
+                partial = [(m, c) for m, c in step.items() if not c.is_zero()]
+            _acc_products(acc, partial, factors[-1])
+        return Expr._from_map(acc)
 
     def eval_numeric(self, assignment: Mapping[Atom, complex]) -> complex:
         """Complex floating evaluation; every occurring atom needs a value."""
@@ -576,6 +626,28 @@ Expr.I = Expr((((), CR_I),))
 def _acc_add(acc: dict, mono: Monomial, coeff: ComplexRational) -> None:
     prev = acc.get(mono)
     acc[mono] = coeff if prev is None else prev + coeff
+
+
+def _acc_products(acc: dict, terms1, terms2) -> None:
+    """Add every product of a term of ``terms1`` and one of ``terms2``."""
+    for m1, c1 in terms1:
+        for m2, c2 in terms2:
+            m = _mono_mul(m1, m2)
+            c = c1 * c2
+            prev = acc.get(m)
+            acc[m] = c if prev is None else prev + c
+
+
+def _replacement_power(a: Atom, n: int, mapping: Mapping) -> tuple | None:
+    """Terms of ``a**n`` after substitution, or None when ``a`` is unchanged."""
+    repl = mapping.get(a)
+    if repl is not None:
+        return (_coerce(repl) ** n)._terms
+    if type(a) is ExpFactor:
+        argument = a.argument.substitute(mapping)
+        if argument != a.argument:
+            return (exp_of(argument) ** n)._terms
+    return None
 
 
 def _coerce(value: _Coercible):

@@ -372,7 +372,10 @@ def consistent_assignment(
                 pending.extend(rule.atoms())
         else:
             free.add(a)
-    assignment: dict[Atom, complex] = {a: _random_complex(rng) for a in free}
+    # Draw in atom order, not set order: set order follows PYTHONHASHSEED.
+    assignment: dict[Atom, complex] = {
+        a: _random_complex(rng) for a in sorted(free, key=Atom.sort_key)
+    }
     for a, rule in sorted(reducible.items(), key=lambda item: item[0].sort_key()):
         assignment[a] = rule.eval_numeric(assignment)
     return assignment

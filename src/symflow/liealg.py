@@ -442,7 +442,7 @@ def _killing_on_span(table: StructureTable, triple: Sequence[Fraction]) -> Fract
     value = table.killing(coords, coords)
     if value.im != 0:
         raise ExprError("Killing value of a real triple must be real")
-    return value.re
+    return Fraction(value.re)
 
 
 def _apply_adjoint_rational(
@@ -461,7 +461,7 @@ def _apply_adjoint_rational(
         c = value.constant_value()
         if c.im != 0:
             raise ExprError("rational normalization produced a complex coordinate")
-        out.append(c.re)
+        out.append(Fraction(c.re))
     if any(not series.coords[k].substitute(mapping).is_zero() for k in range(3, len(series.coords))):
         raise ExprError("normalization left the g1,g2,g3 span")
     return tuple(out)

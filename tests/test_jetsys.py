@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -138,6 +141,29 @@ def test_consistent_points_differ_between_seeds(prolonged):
     p1 = consistent_point(prolonged, seed=1, max_order=1)
     p2 = consistent_point(prolonged, seed=2, max_order=1)
     assert p1[u] != p2[u]
+
+
+_POINT_SCRIPT = """
+from symflow.jetsys import builtin_prolonged, consistent_point
+point = consistent_point(builtin_prolonged(), 5)
+for atom in sorted(point, key=lambda a: a.sort_key()):
+    print(atom, repr(point[atom]))
+"""
+
+
+def test_consistent_point_ignores_string_hash_seed():
+    import symflow
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(symflow.__file__)))
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", _POINT_SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.append(run.stdout)
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------

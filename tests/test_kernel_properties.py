@@ -1,0 +1,267 @@
+"""Property tests for the kernel's fast paths against reference versions.
+
+``Expr.substitute`` is checked against a per-term reference substitution
+kept here, and ``ComplexRational`` against plain ``(Fraction, Fraction)``
+arithmetic.  The profile is derandomised, so every run draws the same
+examples.
+"""
+
+import cmath
+import random
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from symflow.expr import (  # noqa: E402
+    ComplexRational,
+    Expr,
+    ExpFactor,
+    ExprError,
+    IndependentVariable,
+    JetCoordinate,
+    Parameter,
+    exp_of,
+    indep,
+    jet,
+)
+
+settings.register_profile(
+    "kernel", derandomize=True, database=None, deadline=None, max_examples=100
+)
+settings.load_profile("kernel")
+
+
+# ---------------------------------------------------------------------------
+# strategies
+# ---------------------------------------------------------------------------
+
+# Atoms that may carry negative exponents; they are only ever replaced by
+# nonzero monomials, which stay invertible.
+INVERTIBLE = (Parameter("alpha"), IndependentVariable("x"), JetCoordinate("u"))
+POLYNOMIAL = (
+    IndependentVariable("t"),
+    JetCoordinate("v"),
+    JetCoordinate("u", ("x",)),
+    JetCoordinate("phi"),
+)
+ATOMS = INVERTIBLE + POLYNOMIAL
+
+rationals = st.one_of(
+    st.integers(-12, 12),
+    st.fractions(min_value=-12, max_value=12, max_denominator=6),
+)
+scalars = st.builds(ComplexRational, rationals, rationals)
+nonzero_scalars = scalars.filter(lambda c: not c.is_zero())
+small_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+atom_lists = st.lists(st.sampled_from(ATOMS), max_size=3)
+signed_exponents = st.sampled_from((-2, -1, 1, 2))
+positive_exponents = st.sampled_from((1, 2))
+
+
+@st.composite
+def linear_forms(draw):
+    """Exp arguments: small rational combinations of x and t."""
+    return draw(small_rationals) * indep("x") + draw(small_rationals) * indep("t")
+
+
+@st.composite
+def monomials(draw, negative=True):
+    term = Expr.from_scalar(draw(nonzero_scalars))
+    for atom in draw(atom_lists):
+        signed = negative and atom in INVERTIBLE
+        term = term * Expr.atom(atom) ** draw(signed_exponents if signed else positive_exponents)
+    if draw(st.booleans()):
+        term = term * exp_of(draw(linear_forms()))
+    return term
+
+
+@st.composite
+def expressions(draw, negative=True, max_terms=4):
+    total = Expr.ZERO
+    for term in draw(st.lists(monomials(negative), max_size=max_terms)):
+        total = total + term
+    return total
+
+
+polynomial_replacements = st.one_of(
+    st.just(Expr.ZERO),
+    expressions(negative=False, max_terms=3),
+    st.builds(exp_of, linear_forms()),
+)
+invertible_replacements = monomials(negative=False)
+replaced_atoms = st.lists(st.sampled_from(ATOMS), unique=True, max_size=4)
+
+
+@st.composite
+def mappings(draw):
+    """Replacements for a subset of ATOMS, including 0 and Exp factors."""
+    return {
+        atom: draw(invertible_replacements if atom in INVERTIBLE else polynomial_replacements)
+        for atom in draw(replaced_atoms)
+    }
+
+
+# ---------------------------------------------------------------------------
+# substitution
+# ---------------------------------------------------------------------------
+
+
+def reference_substitute(e: Expr, mapping) -> Expr:
+    """Term by term: rebuild every factor, multiply, and add up the terms."""
+    result = Expr.ZERO
+    for mono, coeff in e.terms:
+        term = Expr.from_scalar(coeff)
+        for a, n in mono:
+            repl = mapping.get(a)
+            if repl is not None:
+                base = repl
+            elif isinstance(a, ExpFactor):
+                base = exp_of(reference_substitute(a.argument, mapping))
+            else:
+                base = Expr.atom(a)
+            term = term * base**n
+        result = result + term
+    return result
+
+
+def assert_canonical(e: Expr):
+    """Sorted distinct monomials, nonzero coefficients and exponents, and
+    at most one Exp factor per monomial, to the power 1, with a nonzero
+    canonical argument."""
+    keys = [tuple((a.sort_key(), n) for a, n in mono) for mono, _ in e.terms]
+    assert keys == sorted(set(keys))
+    for mono, coeff in e.terms:
+        assert not coeff.is_zero()
+        atom_keys = [a.sort_key() for a, _ in mono]
+        assert atom_keys == sorted(set(atom_keys))
+        assert all(n != 0 for _, n in mono)
+        exps = [(a, n) for a, n in mono if isinstance(a, ExpFactor)]
+        assert len(exps) <= 1
+        for a, n in exps:
+            assert n == 1 and not a.argument.is_zero()
+            assert_canonical(a.argument)
+
+
+@pytest.mark.parametrize(
+    "e, mapping, expected",
+    [
+        (exp_of(indep("x")) * jet("u"), {JetCoordinate("u"): exp_of(indep("t"))},
+         exp_of(indep("t") + indep("x"))),
+        (exp_of(indep("x")) * jet("u"), {JetCoordinate("u"): exp_of(-indep("x"))},
+         Expr.ONE),
+        (exp_of(indep("x")) * jet("v"), {IndependentVariable("x"): Expr.ZERO},
+         jet("v")),
+        (jet("u") ** -2 * jet("v"), {JetCoordinate("u"): 3 * indep("t")},
+         Fraction(1, 9) * indep("t") ** -2 * jet("v")),
+        (jet("u") * jet("v") + jet("v"), {JetCoordinate("u"): Expr.ZERO}, jet("v")),
+        (indep("x") ** -1 * indep("t"), {IndependentVariable("t"): indep("x") + 1},
+         1 + indep("x") ** -1),
+    ],
+)
+def test_substitute_exp_and_zero_cases(e, mapping, expected):
+    assert_canonical(e.substitute(mapping))
+    assert e.substitute(mapping) == expected
+    assert reference_substitute(e, mapping) == expected
+
+
+def test_substitute_zero_into_negative_power_is_an_error():
+    e = jet("u") ** -1 * jet("v")
+    with pytest.raises(ExprError):
+        e.substitute({JetCoordinate("u"): Expr.ZERO})
+
+
+_rng = random.Random(11)
+VALUES = {
+    a: cmath.rect(0.6 + 0.6 * _rng.random(), 6.283185307179586 * _rng.random())
+    for a in ATOMS
+}
+
+
+@settings(max_examples=200)
+@given(expressions(), mappings())
+def test_substitute_matches_reference_and_evaluation(e, mapping):
+    substituted = e.substitute(mapping)
+    assert_canonical(substituted)
+    assert substituted == reference_substitute(e, mapping)
+
+    # eval(e.substitute(m)) is e evaluated at the values of m
+    at_replacements = dict(VALUES)
+    at_replacements.update({a: r.eval_numeric(VALUES) for a, r in mapping.items()})
+    expected = e.eval_numeric(at_replacements)
+    got = substituted.eval_numeric(VALUES)
+    # Terms may cancel, so the rounding error scales with their sizes.
+    size = sum(abs(Expr((t,)).eval_numeric(VALUES)) for t in substituted.terms)
+    size += sum(abs(Expr((t,)).eval_numeric(at_replacements)) for t in e.terms)
+    assert abs(got - expected) <= 1e-12 * (1 + size)
+
+
+# ---------------------------------------------------------------------------
+# coefficients
+# ---------------------------------------------------------------------------
+
+
+def parts(c: ComplexRational) -> tuple[Fraction, Fraction]:
+    return Fraction(c.re), Fraction(c.im)
+
+
+def assert_normalised(c: ComplexRational):
+    for part in (c.re, c.im):
+        assert type(part) is int or (type(part) is Fraction and part.denominator != 1)
+
+
+def ref_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+@given(scalars, scalars)
+def test_coefficient_ring_operations(a, b):
+    ra, rb = parts(a), parts(b)
+    for got, want in (
+        (a + b, (ra[0] + rb[0], ra[1] + rb[1])),
+        (a - b, (ra[0] - rb[0], ra[1] - rb[1])),
+        (a * b, ref_mul(ra, rb)),
+        (-a, (-ra[0], -ra[1])),
+    ):
+        assert_normalised(got)
+        assert parts(got) == want
+
+
+@given(scalars, rationals)
+def test_coefficient_mixes_with_plain_rationals(a, q):
+    ra = parts(a)
+    assert parts(a + q) == (ra[0] + q, ra[1])
+    assert parts(a * q) == (ra[0] * q, ra[1] * q)
+    assert (ComplexRational(q) == q) and (a == q) == (ra == (Fraction(q), 0))
+
+
+@given(nonzero_scalars, st.integers(-3, 4))
+def test_coefficient_inverse_and_powers(a, n):
+    ra = parts(a)
+    norm = ra[0] ** 2 + ra[1] ** 2
+    inverse = a.inverse()
+    assert_normalised(inverse)
+    assert parts(inverse) == (ra[0] / norm, -ra[1] / norm)
+    want = (Fraction(1), Fraction(0))
+    base = ra if n >= 0 else parts(inverse)
+    for _ in range(abs(n)):
+        want = ref_mul(want, base)
+    power = a**n
+    assert_normalised(power)
+    assert parts(power) == want
+
+
+@given(scalars, scalars)
+def test_coefficient_equality_hash_and_key(a, b):
+    ra, rb = parts(a), parts(b)
+    assert (a == b) == (ra == rb)
+    assert hash(a) == hash(ra)
+    assert a.key() == (ra[0].numerator, ra[0].denominator, ra[1].numerator, ra[1].denominator)
+    assert ComplexRational(*ra) == a and hash(ComplexRational(*ra)) == hash(a)
+
+
+def test_coefficient_inverse_of_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        ComplexRational(0).inverse()

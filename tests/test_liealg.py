@@ -197,6 +197,19 @@ def test_killing_form_on_family(table):
         assert _killing_on_span(table, triple) == 2 * a1**2 - 8 * a2 * a3
 
 
+@pytest.mark.parametrize("triple", [(2, 1, 0), (1, 0, 3), (0, 2, 5), (0, 0, 2), (3, 1, -2)])
+def test_normalization_of_integer_triples_stays_exact(table, triple):
+    # The kernel stores integral coefficient parts as int; dividing one of
+    # them must still give an exact rational, never a float.
+    from symflow.liealg import _killing_on_span
+
+    assert type(_killing_on_span(table, triple)) is Fraction
+    record = normalize_triple(table, triple)
+    assert type(record.scale) is Fraction
+    assert record.alpha is None or type(record.alpha) is Fraction
+    assert record.verified
+
+
 def test_full_classification_report():
     report = verify_optimal_system(samples=100, seed=7)
     assert report.all_verified
