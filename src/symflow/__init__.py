@@ -16,7 +16,6 @@ from .expr import (
     Vocabulary,
     canonicalize,
     diff,
-    eval_numeric,
     exp_of,
     indep,
     integer,

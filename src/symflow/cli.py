@@ -8,6 +8,7 @@ content is deterministic apart from the timing fields.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -15,9 +16,21 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from . import conslaw, grpflow, jetsys, liealg, linsym, numcheck
-from .expr import Expr, parse, to_text
+from .expr import Expr, ExprError, parse, to_text
 
 REPORT_SCHEMA = 1
+
+
+class InputError(Exception):
+    """A file named on the command line is missing or malformed."""
+
+
+def _read_input(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as err:
+        raise InputError(f"cannot read {path}: {err.strerror}") from err
 
 
 @dataclass
@@ -124,8 +137,10 @@ _FAMILIES = {
 def cmd_verify_symmetry(args, runner: Runner):
     system = jetsys.builtin_prolonged()
     if args.manifest:
-        text = open(args.manifest, encoding="utf-8").read()
-        sigma = _sigma_from_manifest(text, system)
+        try:
+            sigma = _sigma_from_manifest(_read_input(args.manifest), system)
+        except (ExprError, ValueError) as err:
+            raise InputError(f"{args.manifest}: {err}") from err
         runner.run(
             "manifest-characteristic",
             lambda: _residual_summary(
@@ -189,24 +204,26 @@ def _sigma_from_manifest(text: str, system) -> linsym.SymmetryCandidate:
 
 
 def cmd_finite_transform(args, runner: Runner):
-    flow = grpflow.closed_form_flow()
     for check in grpflow.verify_flow_properties(seed=args.seed):
         runner.run(check.name, lambda c=check: (c.ok, c.detail, None))
     if args.check_group_law:
         law = grpflow.flow_group_law()
         runner.run("group-law-recheck", lambda: (all(law.values()), str(law), None))
     if args.grid:
-        grid = numcheck.read_grid(open(args.grid, encoding="utf-8").read())
-        barred = grpflow.map_solution(grid.fields, args.epsilon)
-        moved = numcheck.Grid(
-            x0=grid.x0, dx=grid.dx, nx=grid.nx, t0=grid.t0, dt=grid.dt, nt=grid.nt,
-            fields=barred, params=grid.params or {"alpha": 1.0, "beta": 0.5},
-        )
+        try:
+            grid = numcheck.read_grid(_read_input(args.grid))
+            moved = dataclasses.replace(
+                grid, fields=grpflow.map_solution(grid.fields, args.epsilon)
+            )
+            residual = numcheck.pde_residual(moved, "u")
+        except KeyError as err:
+            raise InputError(f"{args.grid}: no field {err}") from err
+        except (ExprError, ValueError) as err:
+            raise InputError(f"{args.grid}: {err}") from err
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(numcheck.write_grid(moved))
             runner.info("transformed-grid-written", args.out)
-        residual = numcheck.pde_residual(moved, "u")
         runner.info("transformed-grid-residual", f"{residual:.3e}")
     else:
         residuals, orders = numcheck.transformed_residual_orders(epsilon=args.epsilon)
@@ -288,8 +305,10 @@ def cmd_conservation(args, runner: Runner):
         runner.run(f"divergence-{name}", check)
 
     if args.diagnose_transcription:
-        text = open(args.diagnose_transcription, encoding="utf-8").read()
-        residuals = conslaw.transcription_residual(text)
+        try:
+            residuals = conslaw.transcription_residual(_read_input(args.diagnose_transcription))
+        except ExprError as err:
+            raise InputError(f"{args.diagnose_transcription}: {err}") from err
         for key, residual in residuals.items():
             status = "matches" if residual.is_zero() else f"differs: {to_text(residual)[:80]}"
             runner.info(f"transcription-{key}", status)
@@ -389,6 +408,13 @@ def cmd_all(args, runner: Runner):
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", metavar="PATH", help="write a JSON report")
@@ -398,8 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="consistent points per numeric divergence check",
     )
     common.add_argument(
-        "--max-order", type=int, default=200,
-        help="reduction pass cap (guards against ill-formed solved forms)",
+        "--max-passes", type=_positive_int, default=jetsys.DEFAULT_MAX_PASSES,
+        help="substitution passes one on-shell reduction may make "
+        "(guards against ill-formed solved forms)",
     )
 
     parser = argparse.ArgumentParser(
@@ -460,11 +487,16 @@ _DISPATCH = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.max_order != 200:
-        jetsys.set_default_pass_cap(args.max_order)
-    report = Report(command=args.command, inputs=_inputs_digest())
-    runner = Runner(report)
-    _DISPATCH[args.command](args, runner)
+    default_cap = jetsys.DEFAULT_MAX_PASSES
+    jetsys.DEFAULT_MAX_PASSES = args.max_passes
+    try:
+        report = Report(command=args.command, inputs=_inputs_digest())
+        _DISPATCH[args.command](args, Runner(report))
+    except InputError as err:
+        print(f"symflow: error: {err}", file=sys.stderr)
+        return 2
+    finally:
+        jetsys.DEFAULT_MAX_PASSES = default_cap
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             handle.write(report.to_json())

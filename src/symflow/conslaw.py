@@ -10,13 +10,12 @@ on-shell divergence that reduces to the zero expression.
 
 from __future__ import annotations
 
+import functools
 import random
-import threading
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping
 
 from .expr import (
-    Atom,
     Expr,
     ExprError,
     JetCoordinate,
@@ -28,6 +27,7 @@ from .jetsys import (
     builtin_prolonged,
     consistent_assignment,
 )
+from .linsym import evolutionary_from_point
 
 MULTIPLIERS = tuple(f"m{i}" for i in range(1, 9))
 FIELD_DEPENDENTS = ("u", "v", "phi", "psi", "f")
@@ -77,10 +77,7 @@ class FormalLagrangian:
         return True
 
 
-_lock = threading.Lock()
-_cache: dict[str, object] = {}
-
-
+@functools.cache
 def formal_lagrangian() -> FormalLagrangian:
     """L = sum of multiplier times equation over the prolonged corpus.
 
@@ -88,10 +85,6 @@ def formal_lagrangian() -> FormalLagrangian:
     on-shell and contains no mixed (x,t)-derivative of the field variables;
     the conserved-vector instantiation below relies on both facts.
     """
-    with _lock:
-        cached = _cache.get("lagrangian")
-        if cached is not None:
-            return cached
     system = builtin_prolonged()
     total = Expr.ZERO
     for name, equation in zip(MULTIPLIERS, system.equations):
@@ -102,8 +95,6 @@ def formal_lagrangian() -> FormalLagrangian:
     for a in lagrangian.expr.jet_atoms():
         if a.name in FIELD_DEPENDENTS and "x" in a.index and "t" in a.index:
             raise ExprError(f"formal Lagrangian contains mixed derivative {a}")
-    with _lock:
-        _cache["lagrangian"] = lagrangian
     return lagrangian
 
 
@@ -128,12 +119,9 @@ _ADJOINT_TARGETS = (
 )
 
 
-def adjoint_system(lagrangian: FormalLagrangian | None = None) -> AdjointSystem:
-    with _lock:
-        cached = _cache.get("adjoint")
-        if cached is not None and lagrangian is None:
-            return cached
-    L = (lagrangian or formal_lagrangian()).expr
+@functools.cache
+def adjoint_system() -> AdjointSystem:
+    L = formal_lagrangian().expr
     equations = []
     solved: dict[JetCoordinate, Expr] = {}
     leading = []
@@ -150,27 +138,15 @@ def adjoint_system(lagrangian: FormalLagrangian | None = None) -> AdjointSystem:
         solved[target] = -rest / Expr.from_scalar(c)
         equations.append(equation)
         leading.append(target)
-    result = AdjointSystem(tuple(equations), solved, tuple(leading))
-    if lagrangian is None:
-        with _lock:
-            _cache["adjoint"] = result
-    return result
+    return AdjointSystem(tuple(equations), solved, tuple(leading))
 
 
+@functools.cache
 def combined_closure() -> SolvedFormClosure:
     """System solved forms merged with the adjoint multiplier rules."""
-    with _lock:
-        cached = _cache.get("closure")
-        if cached is not None:
-            return cached
-    system = builtin_prolonged()
-    adjoint = adjoint_system()
-    merged = dict(system.solved_forms)
-    merged.update(adjoint.solved_forms)
-    closure = SolvedFormClosure(merged)
-    with _lock:
-        _cache["closure"] = closure
-    return closure
+    merged = dict(builtin_prolonged().solved_forms)
+    merged.update(adjoint_system().solved_forms)
+    return SolvedFormClosure(merged)
 
 
 # ---------------------------------------------------------------------------
@@ -186,17 +162,6 @@ class ConservedVector:
     notes: str = ""
 
 
-def _characteristic_w(coeffs: Mapping[str, Expr], name: str) -> Expr:
-    xi_x = coeffs.get("x", Expr.ZERO)
-    xi_t = coeffs.get("t", Expr.ZERO)
-    eta = coeffs.get(name, Expr.ZERO)
-    return (
-        eta
-        - xi_t * Expr.atom(JetCoordinate(name, ("t",)))
-        - xi_x * Expr.atom(JetCoordinate(name, ("x",)))
-    )
-
-
 def conserved_vector(vf, lagrangian: FormalLagrangian | None = None) -> ConservedVector:
     """Instantiate the conserved-vector formula for a point generator.
 
@@ -209,8 +174,8 @@ def conserved_vector(vf, lagrangian: FormalLagrangian | None = None) -> Conserve
               + sum_w D_x(W^w) [dL/dw_xx - D_x(dL/dw_xxx)]
               + sum_w D_x^2(W^w) dL/dw_xxx
 
-    with W^w = eta^w - xi^t w_t - xi^x w_x ranging over the field
-    dependents only (multipliers carry no characteristic).
+    with W^w = eta^w - xi^t w_t - xi^x w_x = -sigma_w ranging over the
+    field dependents only (multipliers carry no characteristic).
     """
     lagrangian = lagrangian or formal_lagrangian()
     L = lagrangian.expr
@@ -219,13 +184,12 @@ def conserved_vector(vf, lagrangian: FormalLagrangian | None = None) -> Conserve
         for a in coefficient.jet_atoms():
             if a.index:
                 raise ExprError(f"generator coefficient for {name} contains {a}")
-    xi_x = coeffs.get("x", Expr.ZERO)
-    xi_t = coeffs.get("t", Expr.ZERO)
+    sigma = evolutionary_from_point(coeffs, lagrangian.system)
 
-    Tt = xi_t * L
-    Tx = xi_x * L
+    Tt = coeffs.get("t", Expr.ZERO) * L
+    Tx = coeffs.get("x", Expr.ZERO) * L
     for name in FIELD_DEPENDENTS:
-        W = _characteristic_w(coeffs, name)
+        W = -sigma.component(name)
         dW = W.total_derivative("x")
         ddW = dW.total_derivative("x")
         d_t = L.diff(JetCoordinate(name, ("t",)))
@@ -262,7 +226,7 @@ class DivergenceCheck:
     holds: bool
     residual: Expr
     numeric_max: float
-    nontrivial: str = "not assessed"
+    nontrivial: str
 
 
 def verify_divergence(
@@ -285,8 +249,9 @@ def verify_divergence(
         rng = random.Random(seed * 10007 + k)
         point = consistent_assignment(closure, [divergence], rng)
         numeric_max = max(numeric_max, abs(divergence.eval_numeric(point)))
-    nontrivial = "not assessed"
-    if not closure.reduce(cv.Tt).is_zero() or not closure.reduce(cv.Tx).is_zero():
+    if closure.reduce(cv.Tt).is_zero() and closure.reduce(cv.Tx).is_zero():
+        nontrivial = "trivial (both components vanish on-shell)"
+    else:
         nontrivial = "components nonzero on-shell"
     return DivergenceCheck(
         holds=residual.is_zero(),

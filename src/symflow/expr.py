@@ -6,16 +6,17 @@ atoms (parameters, independent variables, jet coordinates, exponential
 factors) with integer exponents.  Exponential factors are merged
 (``Exp(a)*Exp(b) -> Exp(a+b)``, ``Exp(0) -> 1``) so every monomial
 carries at most one of them.  All arithmetic is exact; floating point
-enters only through :func:`eval_numeric`.
+enters only through :meth:`Expr.eval_numeric`.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
+
+import numpy as np
 
 
 class ExprError(Exception):
@@ -594,8 +595,12 @@ class Expr:
             _acc_products(acc, partial, factors[-1])
         return Expr._from_map(acc)
 
-    def eval_numeric(self, assignment: Mapping[Atom, complex]) -> complex:
-        """Complex floating evaluation; every occurring atom needs a value."""
+    def eval_numeric(self, assignment: Mapping[Atom, complex | np.ndarray]):
+        """Complex floating evaluation; every occurring atom needs a value.
+
+        Values may be Python scalars or numpy arrays, which broadcast
+        together; the result is a complex scalar or a complex array.
+        """
         total = 0j
         for mono, coeff in self._terms:
             value = coeff.to_complex()
@@ -603,11 +608,11 @@ class Expr:
                 v = assignment.get(a)
                 if v is None:
                     if type(a) is ExpFactor:
-                        v = cmath.exp(a.argument.eval_numeric(assignment))
+                        v = np.exp(a.argument.eval_numeric(assignment))
                     else:
                         raise EvaluationError(f"no value assigned for atom '{a}'")
-                value *= complex(v) ** n
-            total += value
+                value = value * v**n
+            total = total + value
         return total
 
     # -- presentation --------------------------------------------------------
@@ -717,10 +722,6 @@ def total_derivative(e: Expr, direction: str) -> Expr:
 
 def substitute(e: Expr, rules: Mapping[Atom, _Coercible]) -> Expr:
     return e.substitute(rules)
-
-
-def eval_numeric(e: Expr, assignment: Mapping[Atom, complex]) -> complex:
-    return e.eval_numeric(assignment)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,10 @@ eliminable jet coordinate remains.
 
 from __future__ import annotations
 
+import itertools
 import random
-import threading
 from collections import Counter
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Mapping
 
 from .expr import (
@@ -42,15 +42,10 @@ class ManifestError(ExprError):
 # ---------------------------------------------------------------------------
 
 
+# Substitution passes a closure without its own cap may make in one
+# ``reduce``; read at each call, so a caller may set it for one run and
+# restore it afterwards.
 DEFAULT_MAX_PASSES = 200
-
-
-def set_default_pass_cap(n: int) -> None:
-    """Override the reduction pass cap used by closures built afterwards."""
-    global DEFAULT_MAX_PASSES
-    if n < 1:
-        raise ValueError("pass cap must be positive")
-    DEFAULT_MAX_PASSES = n
 
 
 class SolvedFormClosure:
@@ -67,10 +62,9 @@ class SolvedFormClosure:
 
     def __init__(self, solved: Mapping[JetCoordinate, Expr], max_passes: int | None = None):
         self._solved = dict(solved)
-        self._max_passes = DEFAULT_MAX_PASSES if max_passes is None else max_passes
+        self._max_passes = max_passes
         self._rules: dict[JetCoordinate, Expr] = {}
         self._in_progress: set[JetCoordinate] = set()
-        self._lock = threading.RLock()
         self._by_name: dict[str, list[JetCoordinate]] = {}
         for key in self._solved:
             self._by_name.setdefault(key.name, []).append(key)
@@ -97,42 +91,43 @@ class SolvedFormClosure:
         return self.base_key(coordinate) is not None
 
     def rule(self, coordinate: JetCoordinate) -> Expr | None:
-        with self._lock:
-            cached = self._rules.get(coordinate)
-            if cached is not None:
-                return cached
-            base = self.base_key(coordinate)
-            if base is None:
-                return None
-            if coordinate in self._in_progress:
-                raise ReductionError(
-                    f"cyclic solved-form dependency at {coordinate}"
-                )
-            self._in_progress.add(coordinate)
-            try:
-                expr = self.reduce(self._solved[base])
-                extra = Counter(coordinate.index) - Counter(base.index)
-                directions = sorted(extra.elements(), key=lambda d: d != "x")
-                for direction in directions:
-                    expr = self.reduce(expr.total_derivative(direction))
-            finally:
-                self._in_progress.discard(coordinate)
-            self._rules[coordinate] = expr
-            return expr
+        cached = self._rules.get(coordinate)
+        if cached is not None:
+            return cached
+        base = self.base_key(coordinate)
+        if base is None:
+            return None
+        if coordinate in self._in_progress:
+            raise ReductionError(f"cyclic solved-form dependency at {coordinate}")
+        self._in_progress.add(coordinate)
+        try:
+            expr = self.reduce(self._solved[base])
+            extra = Counter(coordinate.index) - Counter(base.index)
+            directions = sorted(extra.elements(), key=lambda d: d != "x")
+            for direction in directions:
+                expr = self.reduce(expr.total_derivative(direction))
+        finally:
+            self._in_progress.discard(coordinate)
+        self._rules[coordinate] = expr
+        return expr
 
     def reduce(self, e: Expr) -> Expr:
-        for _ in range(self._max_passes):
+        """Substitute rules until no reducible jet is left, in at most the
+        pass cap of substitution passes."""
+        cap = DEFAULT_MAX_PASSES if self._max_passes is None else self._max_passes
+        for passes in itertools.count():
             mapping = {}
             for a in e.atoms():
                 if isinstance(a, JetCoordinate) and self.is_reducible(a):
                     mapping[a] = self.rule(a)
             if not mapping:
                 return e
+            if passes == cap:
+                raise ReductionError(
+                    f"no fixed point after {cap} substitution passes; "
+                    "the solved-form set does not terminate"
+                )
             e = e.substitute(mapping)
-        raise ReductionError(
-            f"no fixed point after {self._max_passes} passes; "
-            "the solved-form set does not terminate"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +235,6 @@ _LINEAR_SOLVED = {
     "Diff(f,t)": POTENTIAL_T_RHS,
 }
 
-_cache_lock = threading.Lock()
-_builtin_cache: dict[str, PdeSystem] = {}
-
 
 def _solved_key(text: str) -> JetCoordinate:
     e = parse(text)
@@ -255,35 +247,26 @@ def _solved_key(text: str) -> JetCoordinate:
     return a
 
 
+@cache
 def builtin_hirota() -> PdeSystem:
     """The coupled third-order evolution system with dependents u, v."""
-    with _cache_lock:
-        cached = _builtin_cache.get("hirota")
-        if cached is None:
-            cached = PdeSystem(
-                name="hirota",
-                independents=("t", "x"),
-                dependents=(("u", 3), ("v", 3)),
-                parameters=("alpha", "beta"),
-                equations=[parse(s) for s in _EVOLUTION_EQUATIONS],
-                solved_forms={
-                    _solved_key(k): parse(v) for k, v in _EVOLUTION_SOLVED.items()
-                },
-            )
-            _builtin_cache["hirota"] = cached
-        return cached
+    return PdeSystem(
+        name="hirota",
+        independents=("t", "x"),
+        dependents=(("u", 3), ("v", 3)),
+        parameters=("alpha", "beta"),
+        equations=[parse(s) for s in _EVOLUTION_EQUATIONS],
+        solved_forms={_solved_key(k): parse(v) for k, v in _EVOLUTION_SOLVED.items()},
+    )
 
 
+@cache
 def builtin_prolonged() -> PdeSystem:
     """hirota extended with the eigenfunction pair and the potential f.
 
     The eight equations are the two evolution equations followed by each
     auxiliary solved form in leading-derivative-minus-rhs orientation.
     """
-    with _cache_lock:
-        cached = _builtin_cache.get("prolonged")
-        if cached is not None:
-            return cached
     base = builtin_hirota()
     solved = dict(base.solved_forms)
     equations = list(base.equations)
@@ -292,7 +275,7 @@ def builtin_prolonged() -> PdeSystem:
         rhs = parse(rhs_text)
         solved[key] = rhs
         equations.append(Expr.atom(key) - rhs)
-    system = PdeSystem(
+    return PdeSystem(
         name="prolonged",
         independents=("t", "x"),
         dependents=(("u", 3), ("v", 3), ("phi", 1), ("psi", 1), ("f", 1)),
@@ -300,9 +283,6 @@ def builtin_prolonged() -> PdeSystem:
         equations=equations,
         solved_forms=solved,
     )
-    with _cache_lock:
-        _builtin_cache["prolonged"] = system
-    return system
 
 
 def lax_entries() -> dict[str, Expr]:

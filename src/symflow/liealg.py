@@ -9,6 +9,8 @@ brackets live on the first three: [g1,g2] = g2, [g1,g3] = -g3,
 
 from __future__ import annotations
 
+import functools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -195,7 +197,6 @@ class StructureTable:
     basis: tuple[VectorField, ...]
     labels: tuple[str, ...]
     table: dict  # (i, j) -> tuple[ComplexRational, ...] for i < j
-    closed: bool
 
     def bracket_coords(self, i: int, j: int) -> tuple[ComplexRational, ...]:
         if i == j:
@@ -214,30 +215,32 @@ class StructureTable:
                 matrix[k][j] = coords[k]
         return matrix
 
-    def killing(self, a: Sequence, b: Sequence) -> ComplexRational:
-        """Trace form tr(ad_a ad_b) on coordinate vectors."""
+    @functools.cached_property
+    def gram(self) -> tuple[tuple[ComplexRational, ...], ...]:
+        """Gram matrix tr(ad_i ad_j) of the trace form on the basis."""
         n = len(self.basis)
         ads = [self.adjoint_matrix(i) for i in range(n)]
-        mat_a = _mat_comb(ads, a)
-        mat_b = _mat_comb(ads, b)
-        total = ComplexRational(0)
-        for r in range(n):
-            for s in range(n):
-                total = total + mat_a[r][s] * mat_b[s][r]
-        return total
+        return tuple(
+            tuple(
+                sum(
+                    (ads[i][r][s] * ads[j][s][r] for r in range(n) for s in range(n)),
+                    ComplexRational(0),
+                )
+                for j in range(n)
+            )
+            for i in range(n)
+        )
 
+    def killing(self, a: Sequence, b: Sequence):
+        """Trace form tr(ad_a ad_b) = sum a_i b_j tr(ad_i ad_j).
 
-def _mat_comb(mats, weights):
-    n = len(mats[0])
-    out = [[ComplexRational(0)] * n for _ in range(n)]
-    for mat, w in zip(mats, weights):
-        cw = w if isinstance(w, ComplexRational) else ComplexRational(w)
-        if cw.is_zero():
-            continue
-        for r in range(n):
-            for s in range(n):
-                out[r][s] = out[r][s] + cw * mat[r][s]
-    return out
+        Coordinates are ``ComplexRational`` (the value is one) or ``Expr``
+        (the value is an ``Expr``, for symbolic coordinates).
+        """
+        return functools.reduce(
+            operator.add,
+            (a[i] * b[j] * g for i, row in enumerate(self.gram) for j, g in enumerate(row)),
+        )
 
 
 def structure_table(basis: Sequence[VectorField], labels=None) -> StructureTable:
@@ -245,7 +248,6 @@ def structure_table(basis: Sequence[VectorField], labels=None) -> StructureTable
     basis = tuple(basis)
     labels = tuple(labels or (f"g{i+1}" for i in range(len(basis))))
     table = {}
-    closed = True
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             coords = express_in_basis(commutator(basis[i], basis[j]), basis)
@@ -254,7 +256,7 @@ def structure_table(basis: Sequence[VectorField], labels=None) -> StructureTable
                     f"[{labels[i]},{labels[j]}] lies outside the span of the basis"
                 )
             table[(i, j)] = tuple(coords)
-    result = StructureTable(basis=basis, labels=labels, table=table, closed=closed)
+    result = StructureTable(basis=basis, labels=labels, table=table)
     _check_jacobi(result)
     return result
 
@@ -550,8 +552,8 @@ def verify_optimal_system(samples: int = 100, seed: int = 7) -> OptimalSystemRep
             central.append(table.labels[i])
 
     alpha = Parameter("alpha")
-    rep_family = [Expr.ZERO, Expr.ONE, Expr.atom(alpha)]
-    killing_family = _symbolic_killing(table, rep_family)
+    rep_family = [Expr.ZERO, Expr.ONE, Expr.atom(alpha)] + [Expr.ZERO] * (n - 3)
+    killing_family = table.killing(rep_family, rep_family)
     representative_killing = {
         "g1": _killing_on_span(table, (1, 0, 0)),
         "g3": _killing_on_span(table, (0, 0, 1)),
@@ -581,22 +583,3 @@ def verify_optimal_system(samples: int = 100, seed: int = 7) -> OptimalSystemRep
         separation_notes=separation_notes,
         records=records,
     )
-
-
-def _symbolic_killing(table: StructureTable, coords3) -> Expr:
-    n = len(table.basis)
-    ads = [table.adjoint_matrix(i) for i in range(n)]
-    coords = list(coords3) + [Expr.ZERO] * (n - 3)
-    mat = [[Expr.ZERO] * n for _ in range(n)]
-    for i, weight in enumerate(coords):
-        if weight.is_zero():
-            continue
-        for r in range(n):
-            for s in range(n):
-                if not ads[i][r][s].is_zero():
-                    mat[r][s] = mat[r][s] + weight * Expr.from_scalar(ads[i][r][s])
-    total = Expr.ZERO
-    for r in range(n):
-        for s in range(n):
-            total = total + mat[r][s] * mat[s][r]
-    return total

@@ -135,20 +135,26 @@ def verify_symmetry(
     return SymmetryCheck(all(r.is_zero() for r in residuals), residuals)
 
 
+def _characteristic(xi_x: Expr, xi_t: Expr, etas: Mapping[str, Expr]) -> SymmetryCandidate:
+    """sigma_w = X*w_x + T*w_t - eta_w for each dependent w named in ``etas``."""
+    return SymmetryCandidate(
+        {
+            name: xi_x * Expr.atom(JetCoordinate(name, ("x",)))
+            + xi_t * Expr.atom(JetCoordinate(name, ("t",)))
+            - eta
+            for name, eta in etas.items()
+        }
+    )
+
+
 def evolutionary_from_point(vf, sys: PdeSystem) -> SymmetryCandidate:
     """Characteristic of a point generator: sigma_w = X*w_x + T*w_t - eta_w."""
     coeffs = getattr(vf, "coeffs", vf)
-    xi_x = coeffs.get("x", Expr.ZERO)
-    xi_t = coeffs.get("t", Expr.ZERO)
-    components = {}
-    for name, _order in sys.dependents:
-        eta = coeffs.get(name, Expr.ZERO)
-        components[name] = (
-            xi_x * Expr.atom(JetCoordinate(name, ("x",)))
-            + xi_t * Expr.atom(JetCoordinate(name, ("t",)))
-            - eta
-        )
-    return SymmetryCandidate(components)
+    return _characteristic(
+        coeffs.get("x", Expr.ZERO),
+        coeffs.get("t", Expr.ZERO),
+        {name: coeffs.get(name, Expr.ZERO) for name in sys.dependent_names},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +174,7 @@ class PointFamily:
     constants: tuple[str, ...] = ()
 
     def characteristic(self) -> SymmetryCandidate:
-        components = {}
-        for dep, eta in self.etas.items():
-            components[dep] = (
-                self.xi_x * Expr.atom(JetCoordinate(dep, ("x",)))
-                + self.xi_t * Expr.atom(JetCoordinate(dep, ("t",)))
-                - eta
-            )
-        return SymmetryCandidate(components)
+        return _characteristic(self.xi_x, self.xi_t, self.etas)
 
     def verify(self, sys: PdeSystem) -> SymmetryCheck:
         return verify_symmetry(sys, self.characteristic(), self.equations)
@@ -378,21 +377,13 @@ def generate_determining(sys: PdeSystem, ansatz: PointAnsatz) -> DeterminingSyst
     for name in ansatz.args:
         if name not in sys.independents and name not in sys.dependent_names:
             raise ExprError(f"ansatz argument '{name}' is not a system variable")
-    args = ansatz.args
-    xi_x = Expr.atom(UnknownFunction(ansatz.xi_names[0], args))
-    xi_t = Expr.atom(UnknownFunction(ansatz.xi_names[1], args))
-    components = {}
-    for dep, eta_name in ansatz.eta_names.items():
-        eta = Expr.atom(UnknownFunction(eta_name, args))
-        components[dep] = (
-            xi_x * Expr.atom(JetCoordinate(dep, ("x",)))
-            + xi_t * Expr.atom(JetCoordinate(dep, ("t",)))
-            - eta
-        )
-    residuals = [
-        sys.reduce(r)
-        for r in frechet(sys, SymmetryCandidate(components), ansatz.equations)
-    ]
+    unknown = lambda name: Expr.atom(UnknownFunction(name, ansatz.args))
+    sigma = _characteristic(
+        unknown(ansatz.xi_names[0]),
+        unknown(ansatz.xi_names[1]),
+        {dep: unknown(eta_name) for dep, eta_name in ansatz.eta_names.items()},
+    )
+    residuals = [sys.reduce(r) for r in frechet(sys, sigma, ansatz.equations)]
     constraints = []
     for eq_index, residual in enumerate(residuals):
         split = _split_by_derivative_monomials(residual)

@@ -11,23 +11,22 @@ this module traces back to an exact statement.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-import re
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .expr import (
     Atom,
     Expr,
-    ExpFactor,
     IndependentVariable,
-    JetCoordinate,
     Parameter,
+    exp_of,
     parse,
 )
-from .jetsys import PdeSystem, builtin_prolonged
+from .jetsys import builtin_prolonged
 
 DEFAULT_GRID = dict(nx=201, nt=101, x0=-5.0, x1=5.0, t0=0.0, t1=0.5)
 DEFAULT_PARAMS = dict(lam=0.3, alpha=1.0, beta=0.5, f0=0.0)
@@ -74,23 +73,6 @@ class Grid:
         return t, x
 
 
-def eval_on_grid(e: Expr, env: Mapping[Atom, np.ndarray | complex]) -> np.ndarray:
-    """Vectorized evaluation of an expression over numpy arrays."""
-    total: np.ndarray | complex = 0j
-    for mono, coeff in e.terms:
-        value = coeff.to_complex()
-        for a, n in mono:
-            if a in env:
-                base = env[a]
-            elif type(a) is ExpFactor:
-                base = np.exp(eval_on_grid(a.argument, env))
-            else:
-                raise KeyError(f"no grid value for atom '{a}'")
-            value = value * np.asarray(base, dtype=complex) ** n
-        total = total + value
-    return np.asarray(total, dtype=complex)
-
-
 # ---------------------------------------------------------------------------
 # the zero-background seed
 # ---------------------------------------------------------------------------
@@ -124,8 +106,6 @@ class VacuumSeed:
         x = parse("x")
         t = parse("t")
         lam = parse("lambda")
-        from .expr import exp_of
-
         return {
             "u": Expr.ZERO,
             "v": Expr.ZERO,
@@ -162,7 +142,7 @@ class VacuumSeed:
         shape = np.broadcast(t, x).shape
         out = {}
         for name, form in self._closed_forms.items():
-            value = eval_on_grid(form, env)
+            value = form.eval_numeric(env)
             out[name] = np.broadcast_to(value, shape).astype(complex)
         return out
 
@@ -241,8 +221,11 @@ def pde_residual(grid: Grid, which: str = "u") -> float:
     v_c = v[core]
     w_c = w[core]
 
-    alpha = grid.params.get("alpha", 1.0)
-    beta = grid.params.get("beta", 0.5)
+    missing = [p for p in ("alpha", "beta") if p not in grid.params]
+    if missing:
+        raise ValueError(f"grid lacks the parameter(s) {', '.join(missing)}")
+    alpha = grid.params["alpha"]
+    beta = grid.params["beta"]
     if which == "u":
         residual = (
             1j * w_t
@@ -270,21 +253,28 @@ def transformed_residual_orders(
     log2(r_k / r_{k+1}); the transformed fields solve the system exactly,
     so the residual is pure truncation error and the orders sit near 2.
     """
+    return _refinement_orders(
+        lambda grid: pde_residual(grid, which), epsilon, levels, params
+    )
+
+
+def _refinement_orders(
+    measure: Callable[[Grid], float],
+    epsilon: float,
+    levels: tuple[tuple[int, int], ...],
+    params: Mapping[str, float] | None,
+) -> tuple[list[float], list[float]]:
+    """``measure`` of the flow-transformed seed at each refinement level,
+    and the observed orders log2(m_k / m_{k+1})."""
     from .grpflow import map_solution
 
-    residuals = []
+    values = []
     for nx, nt in levels:
         grid = make_vacuum_grid(params, {"nx": nx, "nt": nt})
-        barred = map_solution(grid.fields, epsilon)
-        transformed = Grid(
-            x0=grid.x0, dx=grid.dx, nx=grid.nx, t0=grid.t0, dt=grid.dt, nt=grid.nt,
-            fields=barred, params=grid.params,
-        )
-        residuals.append(pde_residual(transformed, which))
-    orders = [
-        math.log2(residuals[k] / residuals[k + 1]) for k in range(len(residuals) - 1)
-    ]
-    return residuals, orders
+        moved = dataclasses.replace(grid, fields=map_solution(grid.fields, epsilon))
+        values.append(measure(moved))
+    orders = [math.log2(values[k] / values[k + 1]) for k in range(len(values) - 1)]
+    return values, orders
 
 
 # ---------------------------------------------------------------------------
@@ -326,19 +316,7 @@ def drift_orders(
     params: Mapping[str, float] | None = None,
 ) -> tuple[list[float], list[float]]:
     """Drift of the transformed potential under grid refinement."""
-    from .grpflow import map_solution
-
-    drifts = []
-    for nx, nt in levels:
-        grid = make_vacuum_grid(params, {"nx": nx, "nt": nt})
-        barred = map_solution(grid.fields, epsilon)
-        moved = Grid(
-            x0=grid.x0, dx=grid.dx, nx=grid.nx, t0=grid.t0, dt=grid.dt, nt=grid.nt,
-            fields=barred, params=grid.params,
-        )
-        drifts.append(conserved_drift(moved))
-    orders = [math.log2(drifts[k] / drifts[k + 1]) for k in range(len(drifts) - 1)]
-    return drifts, orders
+    return _refinement_orders(conserved_drift, epsilon, levels, params)
 
 
 def _trapezoid(rows: np.ndarray, dx: float) -> np.ndarray:
@@ -371,9 +349,10 @@ def _parse_complex(text: str) -> complex:
 
 
 def write_grid(grid: Grid) -> str:
-    lines = [
-        f"grid {grid.nx} {grid.nt} {grid.x0!r} {grid.dx!r} {grid.t0!r} {grid.dt!r}"
-    ]
+    header = f"grid {grid.nx} {grid.nt} {grid.x0!r} {grid.dx!r} {grid.t0!r} {grid.dt!r}"
+    for name in sorted(grid.params):
+        header += f" {name}={_format_complex(grid.params[name])}"
+    lines = [header]
     for name in sorted(grid.fields):
         lines.append(f"field {name}")
         array = grid.fields[name]
@@ -383,24 +362,42 @@ def write_grid(grid: Grid) -> str:
 
 
 def read_grid(text: str) -> Grid:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or not lines[0].startswith("grid "):
+    """Parse the grid format; a header without ``name=value`` parameters
+    (the older form) gives a grid with empty ``params``."""
+    lines = [
+        (number, line)
+        for number, line in enumerate(text.splitlines(), start=1)
+        if line.strip()
+    ]
+    if not lines or not lines[0][1].startswith("grid "):
         raise ValueError("grid file must start with a 'grid' header")
-    header = lines[0].split()
+    number, line = lines[0]
+    header = line.split()
+    if len(header) < 7:
+        raise ValueError(f"line {number}: want 'grid nx nt x0 dx t0 dt [name=value ...]'")
     nx, nt = int(header[1]), int(header[2])
     x0, dx, t0, dt = (float(h) for h in header[3:7])
-    grid = Grid(x0=x0, dx=dx, nx=nx, t0=t0, dt=dt, nt=nt)
-    k = 1
+    params = {}
+    for item in header[7:]:
+        name, sep, value = item.partition("=")
+        if not sep:
+            raise ValueError(f"line {number}: bad grid parameter '{item}' (want name=a+bi)")
+        params[name] = _parse_complex(value)
     fields = {}
+    k = 1
     while k < len(lines):
-        if not lines[k].startswith("field "):
-            raise ValueError(f"expected 'field <name>' at line {k + 1}")
-        name = lines[k].split()[1]
-        rows = []
-        for r in range(nt):
-            rows.append([_parse_complex(v) for v in lines[k + 1 + r].split(",")])
-        fields[name] = np.array(rows, dtype=complex)
+        number, line = lines[k]
+        words = line.split()
+        if len(words) != 2 or words[0] != "field":
+            raise ValueError(f"line {number}: expected 'field <name>'")
+        rows = lines[k + 1 : k + 1 + nt]
+        if len(rows) < nt:
+            raise ValueError(
+                f"line {number}: field '{words[1]}' has {len(rows)} of its {nt} rows"
+            )
+        fields[words[1]] = np.array(
+            [[_parse_complex(v) for v in row.split(",")] for _n, row in rows],
+            dtype=complex,
+        )
         k += 1 + nt
-    grid.fields = fields
-    grid.__post_init__()
-    return grid
+    return Grid(x0=x0, dx=dx, nx=nx, t0=t0, dt=dt, nt=nt, fields=fields, params=params)

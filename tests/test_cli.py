@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import re
 
 import pytest
 
 from symflow.cli import main
-from symflow import numcheck
+from symflow import grpflow, jetsys, numcheck
 
 
 def run(argv):
@@ -115,3 +116,66 @@ def test_report_inputs_digest_is_stable(tmp_path):
     run(["corpus", "--quiet-manifest", "--json", str(path)])
     payload = json.loads(path.read_text())
     assert re.fullmatch(r"[0-9a-f]{16}", payload["inputs"])
+
+
+def test_one_substitution_pass_is_enough_and_the_cap_does_not_stick(capsys):
+    assert run(["zero-curvature", "--max-passes", "1"]) == 0
+    assert jetsys.DEFAULT_MAX_PASSES == 200
+    assert run(["zero-curvature"]) == 0
+
+
+def test_pass_cap_below_one_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        run(["zero-curvature", "--max-passes", "0"])
+    assert err.value.code == 2
+
+
+def _one_line_error(capsys, path):
+    err = capsys.readouterr().err
+    assert err.startswith("symflow: error: ") and err.count("\n") == 1
+    assert str(path) in err
+    return err
+
+
+def test_missing_manifest_file_exits_two(tmp_path, capsys):
+    missing = tmp_path / "nowhere.txt"
+    assert run(["verify-symmetry", "--manifest", str(missing)]) == 2
+    _one_line_error(capsys, missing)
+
+
+def test_unparsable_symmetry_line_exits_two(tmp_path, capsys):
+    manifest = tmp_path / "sigma.txt"
+    manifest.write_text("[symmetry]\nsigma_u = phi^^2\nsigma_v = psi^2\n")
+    assert run(["verify-symmetry", "--manifest", str(manifest)]) == 2
+    _one_line_error(capsys, manifest)
+
+
+def test_truncated_grid_exits_two(tmp_path, capsys):
+    text = numcheck.write_grid(numcheck.make_vacuum_grid(grid_spec={"nx": 9, "nt": 8}))
+    src = tmp_path / "cut.grid"
+    src.write_text("\n".join(text.splitlines()[:-3]) + "\n")
+    assert run(["finite-transform", "--grid", str(src)]) == 2
+    assert "of its 8 rows" in _one_line_error(capsys, src)
+
+
+def test_grid_without_parameters_exits_two(tmp_path, capsys):
+    text = numcheck.write_grid(numcheck.make_vacuum_grid(grid_spec={"nx": 21, "nt": 11}))
+    header, rest = text.split("\n", 1)
+    src = tmp_path / "old.grid"
+    src.write_text(" ".join(header.split()[:7]) + "\n" + rest)
+    assert run(["finite-transform", "--grid", str(src)]) == 2
+    assert "alpha, beta" in _one_line_error(capsys, src)
+
+
+def test_grid_parameters_survive_the_file_round_trip(tmp_path, capsys):
+    grid = numcheck.make_vacuum_grid({"alpha": 2.0, "beta": 1.5}, {"nx": 101, "nt": 51})
+    src = tmp_path / "vacuum.grid"
+    src.write_text(numcheck.write_grid(grid))
+    path = tmp_path / "r.json"
+    assert run(["finite-transform", "--grid", str(src), "--epsilon", "0.1",
+                "--json", str(path)]) == 0
+    checks = {c["name"]: c for c in json.loads(path.read_text())["checks"]}
+    moved = dataclasses.replace(grid, fields=grpflow.map_solution(grid.fields, 0.1))
+    in_memory = numcheck.pde_residual(moved, "u")
+    assert in_memory < 1e-3
+    assert checks["transformed-grid-residual"]["detail"] == f"{in_memory:.3e}"

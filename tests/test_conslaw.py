@@ -197,6 +197,15 @@ def test_manufactured_trivial_pair_passes_divergence():
         assert verify_divergence(cv, numeric_points=2).holds
 
 
+def test_components_vanishing_on_shell_are_labelled_trivial():
+    from symflow.conslaw import ConservedVector
+
+    cv = ConservedVector(Tt=parse("Diff(f,x) - phi*psi"), Tx=Expr.ZERO)
+    check = verify_divergence(cv, numeric_points=2)
+    assert check.holds
+    assert check.nontrivial == "trivial (both components vanish on-shell)"
+
+
 def test_transcription_diagnostic_roundtrip():
     cv = conserved_vector(family_vector_field())
     text = f"T1 = {to_text(cv.Tt)}\nT2 = {to_text(cv.Tx)}\n"

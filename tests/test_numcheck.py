@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from symflow.numcheck import (
     VacuumSeed,
     conserved_drift,
     drift_orders,
-    eval_on_grid,
     make_vacuum_grid,
     pde_residual,
     read_grid,
@@ -127,6 +127,7 @@ def test_transformed_fields_stay_clear_of_the_pole(vacuum):
 
 
 def test_eval_on_grid_matches_pointwise():
+    # Expr.eval_numeric is the one evaluator: numpy arrays broadcast with scalars
     e = parse("alpha*x^2 + Exp(I*lambda*t)")
     from symflow.expr import IndependentVariable, Parameter
 
@@ -138,9 +139,12 @@ def test_eval_on_grid_matches_pointwise():
         Parameter("alpha"): 2.0,
         Parameter("lambda"): 0.5,
     }
-    values = eval_on_grid(e, env)
+    values = e.eval_numeric(env)
     expected = 2.0 * x**2 + np.exp(0.5j * t)
     assert np.allclose(values, expected, atol=1e-15)
+    for k in range(len(x)):
+        point = {**env, IndependentVariable("x"): x[k], IndependentVariable("t"): t[k]}
+        assert values[k] == e.eval_numeric(point)
 
 
 def test_grid_file_round_trip_is_bit_exact():
@@ -162,3 +166,31 @@ def test_grid_file_negative_and_exponent_literals():
 def test_grid_file_rejects_garbage():
     with pytest.raises(ValueError):
         read_grid("not a grid\n")
+
+
+def test_grid_file_carries_the_physical_parameters():
+    params = {"alpha": 2.0, "beta": 1.5}
+    grid = make_vacuum_grid(params, {"nx": 101, "nt": 51})
+    back = read_grid(write_grid(grid))
+    assert back.params == grid.params == {"lambda": 0.3, "alpha": 2.0, "beta": 1.5}
+    moved = map_solution(grid.fields, DEFAULT_EPSILON)
+    in_memory = pde_residual(dataclasses.replace(grid, fields=moved), "u")
+    round_trip = pde_residual(dataclasses.replace(back, fields=moved), "u")
+    assert round_trip == in_memory < 1e-3
+
+
+def test_old_grid_header_reads_without_parameters():
+    text = write_grid(make_vacuum_grid(grid_spec={"nx": 9, "nt": 8}))
+    header, rest = text.split("\n", 1)
+    old = " ".join(header.split()[:7]) + "\n" + rest
+    grid = read_grid(old)
+    assert grid.params == {}
+    with pytest.raises(ValueError, match="alpha, beta"):
+        pde_residual(grid, "u")
+
+
+def test_truncated_grid_file_names_the_line():
+    text = write_grid(make_vacuum_grid(grid_spec={"nx": 9, "nt": 8}))
+    truncated = "\n".join(text.splitlines()[:-3]) + "\n"
+    with pytest.raises(ValueError, match=r"line \d+: field 'v' has 5 of its 8 rows"):
+        read_grid(truncated)
