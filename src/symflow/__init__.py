@@ -49,6 +49,7 @@ from .linsym import (
     frechet,
     generate_determining,
     localized_characteristic,
+    parse_symmetry_manifest,
     prolonged_ansatz,
     prolonged_family,
     seed_pair,

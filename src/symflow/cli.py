@@ -1,22 +1,31 @@
 """Command-line driver: runs the verification pipelines and reports.
 
-Every subcommand produces a list of named checks; the process exits 0
-iff none failed.  ``--json`` writes a machine-readable report whose
-content is deterministic apart from the timing fields.
+Every check is a step of one ordered registry, ``STEPS``.  A subcommand
+runs the steps it owns that its flags select; ``all`` runs every step at
+the default flags.  Each step's work, including the engine work it shares
+with later steps, runs inside its own timer, and a crash in it is a
+failed check.  The process exits 0 iff none failed.  ``--json`` writes a
+machine-readable report whose content is deterministic apart from the
+timing fields.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
+import random
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
+from pathlib import Path
+from typing import Callable
 
 from . import conslaw, grpflow, jetsys, liealg, linsym, numcheck
-from .expr import Expr, ExprError, parse, to_text
+from .expr import Expr, ExprError, canonicalize, indep, jet, param, parse, to_text
 
 REPORT_SCHEMA = 1
 
@@ -25,12 +34,17 @@ class InputError(Exception):
     """A file named on the command line is missing or malformed."""
 
 
-def _read_input(path: str) -> str:
+@contextlib.contextmanager
+def _reading(path: str):
+    """Turn a missing, unreadable or malformed input file into an InputError."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
+        yield
     except OSError as err:
         raise InputError(f"cannot read {path}: {err.strerror}") from err
+    except KeyError as err:
+        raise InputError(f"{path}: no field {err}") from err
+    except (ExprError, ValueError) as err:
+        raise InputError(f"{path}: {err}") from err
 
 
 @dataclass
@@ -68,339 +82,318 @@ def _inputs_digest() -> str:
     return hashlib.sha256(manifest.encode()).hexdigest()[:16]
 
 
-class Runner:
-    def __init__(self, report: Report, quiet: bool = False):
-        self.report = report
-        self.quiet = quiet
+class Session:
+    """The parsed flags of one run and the engine results several steps
+    share.  A shared result is computed on first use, so its cost lands in
+    the timer of the first step that needs it; if it raises, every step
+    that needs it fails with the error."""
 
-    def run(self, name: str, fn, detail_on_pass: str = ""):
+    def __init__(self, args: argparse.Namespace):
+        self.args = args
+
+    @cached_property
+    def flow(self) -> dict[str, grpflow.FlowCheck]:
+        return {c.name: c for c in grpflow.verify_flow_properties(seed=self.args.seed)}
+
+    @cached_property
+    def optimal(self) -> liealg.OptimalSystemReport:
+        return liealg.verify_optimal_system(samples=self.args.samples, seed=self.args.seed)
+
+
+@dataclass(frozen=True)
+class Step:
+    """One entry of the registry.  ``work(session, key)`` returns
+    ``(ok, detail, residual)`` for a check named ``name``, or a list of
+    ``(name, detail)`` info notes.  ``when(args, key)`` says whether the
+    flags select the step.  ``key`` is the work's argument, and the value
+    ``--family``/``--generator`` pick the step by."""
+
+    command: str  # the subcommand that owns it ("all" for steps only `all` runs)
+    name: str
+    work: Callable
+    key: object = None
+    when: Callable = lambda args, key: True
+
+
+class Runner:
+    """Times each step's work and turns a crash in it into a failed check."""
+
+    def __init__(self, report: Report):
+        self.report = report
+
+    def run(self, step: Step, session: Session):
         start = time.perf_counter()
         try:
-            ok, detail, residual = fn()
+            outcome = step.work(session, step.key)
+        except InputError:  # a bad input file ends the run with exit 2
+            raise
         except Exception as err:  # a crashed check is a failed check
-            ok, detail, residual = False, f"error: {err}", None
-        ms = (time.perf_counter() - start) * 1000.0
-        status = "pass" if ok else "fail"
-        check = Check(name=name, status=status, detail=detail or detail_on_pass,
-                      residual=residual, ms=round(ms, 3))
-        self.report.checks.append(check)
-        if not self.quiet:
+            outcome = False, f"error: {err}", None
+        ms = round((time.perf_counter() - start) * 1000.0, 3)
+        if isinstance(outcome, list):  # info notes; the first carries the time
+            checks = [Check(name, "info", detail) for name, detail in outcome]
+            if checks:
+                checks[0].ms = ms
+        else:
+            ok, detail, residual = outcome
+            checks = [Check(step.name, "pass" if ok else "fail", detail, residual, ms)]
+        for check in checks:
+            self.report.checks.append(check)
             extra = f"  [{check.detail}]" if check.detail else ""
-            print(f"{status.upper():4s} {name}{extra}")
-        return ok
-
-    def info(self, name: str, detail: str):
-        self.report.checks.append(Check(name=name, status="info", detail=detail))
-        if not self.quiet:
-            print(f"INFO {name}  [{detail}]")
+            print(f"{check.status.upper():4s} {check.name}{extra}")
 
 
 # ---------------------------------------------------------------------------
-# subcommand pipelines
+# step work
 # ---------------------------------------------------------------------------
 
 
-def _residual_summary(residuals) -> tuple[bool, str, float]:
-    bad = [r for r in residuals if not r.is_zero()]
-    detail = "all residuals reduce to 0" if not bad else f"{len(bad)} nonzero residuals"
-    return not bad, detail, None
+def _residual_summary(residuals) -> tuple[bool, str, None]:
+    """Pass iff every residual is 0; otherwise name each failing equation
+    (its position among the checked equations) and its leading terms."""
+    bad = [(i, r) for i, r in enumerate(residuals) if not r.is_zero()]
+    if not bad:
+        return True, "all residuals reduce to 0", None
+    leads = "; ".join(f"equation {i}: {to_text(r)[:60]}" for i, r in bad)
+    return False, f"{len(bad)} nonzero residuals: {leads}", None
 
 
-def cmd_zero_curvature(args, runner: Runner):
+def _flatness(s, _key):
+    residuals = jetsys.cross_derivative_residuals(jetsys.builtin_prolonged())
+    ok = all(r.is_zero() for r in residuals.values())
+    detail = ", ".join(
+        f"{name}: {'0' if r.is_zero() else to_text(r)[:40]}"
+        for name, r in sorted(residuals.items())
+    )
+    return ok, detail, None
+
+
+def _potential_density(s, _key):
+    chk = conslaw.verify_divergence(conslaw.flux_pair(), numeric_points=s.args.numeric_points)
+    return chk.holds, f"numeric max {chk.numeric_max:.2e}", chk.numeric_max
+
+
+def _manifest_symmetry(s, _key):
     system = jetsys.builtin_prolonged()
-
-    def check():
-        residuals = jetsys.cross_derivative_residuals(system)
-        ok = all(r.is_zero() for r in residuals.values())
-        detail = ", ".join(
-            f"{name}: {'0' if r.is_zero() else to_text(r)[:40]}"
-            for name, r in sorted(residuals.items())
-        )
-        return ok, detail, None
-
-    runner.run("flatness-of-linear-problem", check)
-
-    def f_pair():
-        chk = conslaw.verify_divergence(conslaw.flux_pair(), numeric_points=args.numeric_points)
-        return chk.holds, f"numeric max {chk.numeric_max:.2e}", chk.numeric_max
-
-    runner.run("potential-density-flux-pair", f_pair)
+    with _reading(s.args.manifest):
+        text = Path(s.args.manifest).read_text(encoding="utf-8")
+        sigma = linsym.parse_symmetry_manifest(text, system.vocabulary)
+    return _residual_summary(linsym.verify_symmetry(system, sigma).residuals)
 
 
-_FAMILIES = {
-    "coupled-5": lambda: linsym.coupled_family(),
-    "prolonged-6": lambda: linsym.prolonged_family(),
-    "prolonged-6-flipped": lambda: linsym.prolonged_family(flip_psi_eta=True),
+# --family value -> the symmetry check it names, on the prolonged system
+_SYMMETRIES = {
+    "seed-pair": lambda system: linsym.verify_symmetry(
+        system, linsym.seed_pair(), equations=(0, 1)
+    ),
+    "localized": lambda system: linsym.verify_symmetry(system, linsym.localized_characteristic()),
+    "coupled-5": lambda system: linsym.coupled_family().verify(system),
+    "prolonged-6": lambda system: linsym.prolonged_family().verify(system),
 }
 
 
-def cmd_verify_symmetry(args, runner: Runner):
-    system = jetsys.builtin_prolonged()
-    if args.manifest:
-        try:
-            sigma = _sigma_from_manifest(_read_input(args.manifest), system)
-        except (ExprError, ValueError) as err:
-            raise InputError(f"{args.manifest}: {err}") from err
-        runner.run(
-            "manifest-characteristic",
-            lambda: _residual_summary(
-                linsym.verify_symmetry(system, sigma).residuals
-            ),
-        )
-        return
-
-    if args.family in (None, "seed-pair"):
-        runner.run(
-            "seed-pair-on-evolution-equations",
-            lambda: _residual_summary(
-                linsym.verify_symmetry(system, linsym.seed_pair(), equations=(0, 1)).residuals
-            ),
-        )
-    if args.family in (None, "localized"):
-        runner.run(
-            "localized-five-component",
-            lambda: _residual_summary(
-                linsym.verify_symmetry(system, linsym.localized_characteristic()).residuals
-            ),
-        )
-    if args.family in (None, "coupled-5", "prolonged-6"):
-        names = [args.family] if args.family else ["coupled-5", "prolonged-6"]
-        for name in names:
-            family = _FAMILIES[name]()
-            runner.run(
-                f"family-{name}",
-                lambda fam=family: _residual_summary(fam.verify(system).residuals),
-            )
-    if args.family == "prolonged-6-flipped":
-        family = _FAMILIES[args.family]()
-
-        def negative_control():
-            chk = family.verify(system)
-            return not chk.holds, "variant rejected as expected" if not chk.holds else "variant unexpectedly verified", None
-
-        runner.run("family-prolonged-6-flipped-rejected", negative_control)
+def _symmetry(s, key):
+    return _residual_summary(_SYMMETRIES[key](jetsys.builtin_prolonged()).residuals)
 
 
-def _sigma_from_manifest(text: str, system) -> linsym.SymmetryCandidate:
-    components = {}
-    in_section = False
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("["):
-            in_section = line == "[symmetry]"
-            continue
-        if not in_section:
-            continue
-        key, sep, rhs = line.partition("=")
-        key = key.strip()
-        if not sep or not key.startswith("sigma_"):
-            raise ValueError(f"bad symmetry line '{line}' (want 'sigma_<dep> = expr')")
-        components[key[len("sigma_"):]] = parse(rhs.strip(), system.vocabulary)
-    if not components:
-        raise ValueError("manifest has no [symmetry] section")
-    return linsym.SymmetryCandidate(components)
+def _flipped_family_rejected(s, _key):
+    chk = linsym.prolonged_family(flip_psi_eta=True).verify(jetsys.builtin_prolonged())
+    detail = "variant rejected as expected" if not chk.holds else "variant unexpectedly verified"
+    return not chk.holds, detail, None
 
 
-def cmd_finite_transform(args, runner: Runner):
-    for check in grpflow.verify_flow_properties(seed=args.seed):
-        runner.run(check.name, lambda c=check: (c.ok, c.detail, None))
-    if args.check_group_law:
-        law = grpflow.flow_group_law()
-        runner.run("group-law-recheck", lambda: (all(law.values()), str(law), None))
-    if args.grid:
-        try:
-            grid = numcheck.read_grid(_read_input(args.grid))
-            moved = dataclasses.replace(
-                grid, fields=grpflow.map_solution(grid.fields, args.epsilon)
-            )
-            residual = numcheck.pde_residual(moved, "u")
-        except KeyError as err:
-            raise InputError(f"{args.grid}: no field {err}") from err
-        except (ExprError, ValueError) as err:
-            raise InputError(f"{args.grid}: {err}") from err
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(numcheck.write_grid(moved))
-            runner.info("transformed-grid-written", args.out)
-        runner.info("transformed-grid-residual", f"{residual:.3e}")
-    else:
-        residuals, orders = numcheck.transformed_residual_orders(epsilon=args.epsilon)
-        runner.run(
-            "transformed-seed-residual-order",
-            lambda: (
-                all(1.7 <= o <= 2.3 for o in orders),
-                f"residuals {['%.2e' % r for r in residuals]} orders {['%.2f' % o for o in orders]}",
-                residuals[-1],
-            ),
-        )
+def _group_law(s, _key):
+    law = grpflow.flow_group_law()
+    return all(law.values()), str(law), None
 
 
-def cmd_optimal_system(args, runner: Runner):
-    report = liealg.verify_optimal_system(samples=args.samples, seed=args.seed)
-    table = report.table
-
-    def structure():
-        expected = {
-            (0, 1): (0, 1, 0, 0, 0, 0),
-            (0, 2): (0, 0, -1, 0, 0, 0),
-            (1, 2): (-2, 0, 0, 0, 0, 0),
-        }
-        for (i, j), coords in table.table.items():
-            want = expected.get((i, j), (0,) * 6)
-            for c, w in zip(coords, want):
-                if not (c == w):
-                    return False, f"unexpected bracket [{table.labels[i]},{table.labels[j]}]", None
-        return True, "brackets: [g1,g2]=g2, [g1,g3]=-g3, [g2,g3]=-2g1, rest 0", None
-
-    runner.run("structure-table", structure)
-    runner.run(
-        "central-elements",
-        lambda: (report.central == ("g4", "g5", "g6"), ", ".join(report.central), None),
+def _seed_residual_orders(s, _key):
+    residuals, orders = numcheck.transformed_residual_orders(epsilon=s.args.epsilon)
+    return (
+        all(1.7 <= o <= 2.3 for o in orders),
+        f"residuals {['%.2e' % r for r in residuals]} orders {['%.2f' % o for o in orders]}",
+        residuals[-1],
     )
-    runner.run(
-        "normalization-sample",
-        lambda: (
-            report.all_verified,
-            f"{len(report.records)} random triples normalized with <= 3 adjoint maps",
-            None,
-        ),
-    )
-    for note in report.separation_notes:
-        runner.info("orbit-separation", note)
-    if args.json_structure:
-        payload = {
-            f"[{table.labels[i]},{table.labels[j]}]": [str(Expr.from_scalar(c)) for c in coords]
-            for (i, j), coords in sorted(table.table.items())
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+
+
+def _grid(s, _key):
+    args = s.args
+    with _reading(args.grid):
+        grid = numcheck.read_grid(Path(args.grid).read_text(encoding="utf-8"))
+        moved = dataclasses.replace(grid, fields=grpflow.map_solution(grid.fields, args.epsilon))
+        residual = numcheck.pde_residual(moved, "u")
+    notes = []
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(numcheck.write_grid(moved))
+        notes.append(("transformed-grid-written", args.out))
+    notes.append(("transformed-grid-residual", f"{residual:.3e}"))
+    return notes
+
+
+def _structure(s, _key):
+    table = s.optimal.table
+    expected = {
+        (0, 1): (0, 1, 0, 0, 0, 0),
+        (0, 2): (0, 0, -1, 0, 0, 0),
+        (1, 2): (-2, 0, 0, 0, 0, 0),
+    }
+    for (i, j), coords in table.table.items():
+        if tuple(coords) != expected.get((i, j), (0,) * 6):
+            return False, f"unexpected bracket [{table.labels[i]},{table.labels[j]}]", None
+    return True, "brackets: [g1,g2]=g2, [g1,g3]=-g3, [g2,g3]=-2g1, rest 0", None
+
+
+def _structure_json(s, _key):
+    table = s.optimal.table
+    payload = {
+        f"[{table.labels[i]},{table.labels[j]}]": [str(Expr.from_scalar(c)) for c in coords]
+        for (i, j), coords in sorted(table.table.items())
+    }
+    print(json.dumps(payload, indent=2, sort_keys=True))
+    return []
 
 
 _GENERATOR_NAMES = ("g1", "g2", "g3", "g4", "g5", "g6")
 
 
-def cmd_conservation(args, runner: Runner):
-    basis = liealg.standard_generators()
-    selected = args.generator or "all"
-    pairs: list[tuple[str, object]] = []
-    if selected == "all":
-        pairs = list(zip(_GENERATOR_NAMES, basis))
-        pairs.append(("family", liealg.family_vector_field()))
-        pairs.append(("flux-pair", None))
-    elif selected == "family":
-        pairs = [("family", liealg.family_vector_field())]
-    elif selected == "flux-pair":
-        pairs = [("flux-pair", None)]
+def _divergence(s, generator):
+    if generator == "flux-pair":
+        cv = conslaw.flux_pair()
+    elif generator == "family":
+        cv = conslaw.conserved_vector(liealg.family_vector_field())
     else:
-        index = _GENERATOR_NAMES.index(selected)
-        pairs = [(selected, basis[index])]
-
-    for name, generator in pairs:
-        def check(gen=generator):
-            cv = conslaw.flux_pair() if gen is None else conslaw.conserved_vector(gen)
-            chk = conslaw.verify_divergence(cv, numeric_points=args.numeric_points)
-            return chk.holds, f"numeric max {chk.numeric_max:.2e}; {chk.nontrivial}", chk.numeric_max
-
-        runner.run(f"divergence-{name}", check)
-
-    if args.diagnose_transcription:
-        try:
-            residuals = conslaw.transcription_residual(_read_input(args.diagnose_transcription))
-        except ExprError as err:
-            raise InputError(f"{args.diagnose_transcription}: {err}") from err
-        for key, residual in residuals.items():
-            status = "matches" if residual.is_zero() else f"differs: {to_text(residual)[:80]}"
-            runner.info(f"transcription-{key}", status)
+        cv = conslaw.conserved_vector(
+            liealg.standard_generators()[_GENERATOR_NAMES.index(generator)]
+        )
+    chk = conslaw.verify_divergence(cv, numeric_points=s.args.numeric_points)
+    return chk.holds, f"numeric max {chk.numeric_max:.2e}; {chk.nontrivial}", chk.numeric_max
 
 
-def cmd_corpus(args, runner: Runner):
-    for system in (jetsys.builtin_hirota(), jetsys.builtin_prolonged()):
-        manifest = jetsys.write_manifest(system)
-        if not args.quiet_manifest:
-            print(f"# system {system.name}")
-            print(manifest)
-
-        def roundtrip(s=system, m=manifest):
-            back = jetsys.parse_manifest(m, name=s.name)
-            ok = back.equations == s.equations and back.solved_forms == s.solved_forms
-            return ok, "re-parsed manifest reproduces the system", None
-
-        runner.run(f"manifest-roundtrip-{system.name}", roundtrip)
+def _transcription(s, _key):
+    path = s.args.diagnose_transcription
+    with _reading(path):
+        residuals = conslaw.transcription_residual(Path(path).read_text(encoding="utf-8"))
+    return [
+        (f"transcription-{key}", "matches" if r.is_zero() else f"differs: {to_text(r)[:80]}")
+        for key, r in residuals.items()
+    ]
 
 
-def cmd_kernel_properties(args, runner: Runner, cases: int = 100):
+def _manifest_roundtrip(s, builtin):
+    system = builtin()
+    manifest = jetsys.write_manifest(system)
+    if not s.args.quiet_manifest:
+        print(f"# system {system.name}")
+        print(manifest)
+    back = jetsys.parse_manifest(manifest, name=system.name)
+    ok = back.equations == system.equations and back.solved_forms == system.solved_forms
+    return ok, "re-parsed manifest reproduces the system", None
+
+
+KERNEL_CASES = 100
+_KERNEL_POOL = (param("alpha"), param("beta"), indep("x"), indep("t"), jet("u"),
+                jet("v", "x"), jet("phi"), jet("m3"), jet("psi", "t"))
+
+
+def _random_poly(rng) -> Expr:
+    total = Expr.ZERO
+    for _ in range(rng.randint(1, 4)):
+        term = Expr.from_scalar(rng.randint(-5, 5))
+        for _ in range(rng.randint(0, 3)):
+            term = term * rng.choice(_KERNEL_POOL) ** rng.randint(1, 2)
+        total = total + term
+    return total
+
+
+def _kernel_properties(s, _key):
     """Randomized kernel checks: derivative commutation, variational
     annihilation of divergences, idempotent normal form, print round trip."""
-    import random
-
-    from . import expr as expr_mod
-    from .expr import JetCoordinate, canonicalize
-
-    pool = (
-        expr_mod.Parameter("alpha"),
-        expr_mod.Parameter("beta"),
-        expr_mod.IndependentVariable("x"),
-        expr_mod.IndependentVariable("t"),
-        JetCoordinate("u"),
-        JetCoordinate("v", ("x",)),
-        JetCoordinate("phi"),
-        JetCoordinate("m3"),
-        JetCoordinate("psi", ("t",)),
-    )
-
-    def random_poly(rng):
-        total = Expr.ZERO
-        for _ in range(rng.randint(1, 4)):
-            term = Expr.from_scalar(rng.randint(-5, 5))
-            for _ in range(rng.randint(0, 3)):
-                term = term * Expr.atom(rng.choice(pool)) ** rng.randint(1, 2)
-            total = total + term
-        return total
-
-    def check():
-        rng = random.Random(args.seed)
-        failures = 0
-        for _ in range(cases):
-            e = random_poly(rng)
-            if not (
-                e.total_derivative("x").total_derivative("t")
-                - e.total_derivative("t").total_derivative("x")
-            ).is_zero():
+    rng = random.Random(s.args.seed)
+    failures = 0
+    for _ in range(KERNEL_CASES):
+        e = _random_poly(rng)
+        if not (
+            e.total_derivative("x").total_derivative("t")
+            - e.total_derivative("t").total_derivative("x")
+        ).is_zero():
+            failures += 1
+        if canonicalize(canonicalize(e)) != canonicalize(e):
+            failures += 1
+        if parse(to_text(e)) != e:
+            failures += 1
+        divergence = _random_poly(rng).total_derivative("x") + _random_poly(
+            rng
+        ).total_derivative("t")
+        for name in ("u", "v", "phi", "m3"):
+            if not conslaw.euler_lagrange(divergence, name).is_zero():
                 failures += 1
-            if canonicalize(canonicalize(e)) != canonicalize(e):
-                failures += 1
-            if parse(to_text(e)) != e:
-                failures += 1
-            divergence = random_poly(rng).total_derivative("x") + random_poly(
-                rng
-            ).total_derivative("t")
-            for name in ("u", "v", "phi", "m3"):
-                if not conslaw.euler_lagrange(divergence, name).is_zero():
-                    failures += 1
-        return failures == 0, f"{cases} random cases per property, {failures} failures", None
-
-    runner.run("kernel-properties", check)
+    return failures == 0, f"{KERNEL_CASES} random cases per property, {failures} failures", None
 
 
-def cmd_all(args, runner: Runner):
-    cmd_zero_curvature(args, runner)
-    args_sym = argparse.Namespace(family=None, manifest=None)
-    cmd_verify_symmetry(args_sym, runner)
-    args_flow = argparse.Namespace(
-        seed=args.seed, check_group_law=False, grid=None, out=None,
-        epsilon=numcheck.DEFAULT_EPSILON,
-    )
-    cmd_finite_transform(args_flow, runner)
-    args_opt = argparse.Namespace(samples=100, seed=args.seed, json_structure=False)
-    cmd_optimal_system(args_opt, runner)
-    args_cons = argparse.Namespace(
-        generator="all", numeric_points=args.numeric_points, diagnose_transcription=None
-    )
-    cmd_conservation(args_cons, runner)
-    args_corpus = argparse.Namespace(quiet_manifest=True)
-    cmd_corpus(args_corpus, runner)
-    cmd_kernel_properties(args, runner)
+# ---------------------------------------------------------------------------
+# the registry
+# ---------------------------------------------------------------------------
+
+
+def _by_family(args, key) -> bool:
+    """--family picks one; without it every family but the negative control."""
+    if args.manifest:
+        return False
+    return args.family == key if args.family else key != "prolonged-6-flipped"
+
+
+STEPS = (
+    Step("zero-curvature", "flatness-of-linear-problem", _flatness),
+    Step("zero-curvature", "potential-density-flux-pair", _potential_density),
+    Step("verify-symmetry", "manifest-characteristic", _manifest_symmetry,
+         when=lambda args, key: bool(args.manifest)),
+    Step("verify-symmetry", "seed-pair-on-evolution-equations", _symmetry, "seed-pair", _by_family),
+    Step("verify-symmetry", "localized-five-component", _symmetry, "localized", _by_family),
+    Step("verify-symmetry", "family-coupled-5", _symmetry, "coupled-5", _by_family),
+    Step("verify-symmetry", "family-prolonged-6", _symmetry, "prolonged-6", _by_family),
+    Step("verify-symmetry", "family-prolonged-6-flipped-rejected", _flipped_family_rejected,
+         "prolonged-6-flipped", _by_family),
+    *(
+        Step("finite-transform", name,
+             lambda s, key: (s.flow[key].ok, s.flow[key].detail, None), name)
+        for name in (
+            "flow-ode-consistency",
+            "flow-group-law",
+            "flow-identity-at-zero",
+            "flow-infinitesimal-generator",
+            "sign-variant-fails-group-law",
+            "flow-matches-ode-oracle",
+        )
+    ),
+    Step("finite-transform", "group-law-recheck", _group_law,
+         when=lambda args, key: args.check_group_law),
+    Step("finite-transform", "transformed-seed-residual-order", _seed_residual_orders,
+         when=lambda args, key: not args.grid),
+    Step("finite-transform", "transformed-grid", _grid, when=lambda args, key: bool(args.grid)),
+    Step("optimal-system", "structure-table", _structure),
+    Step("optimal-system", "central-elements",
+         lambda s, _: (s.optimal.central == ("g4", "g5", "g6"), ", ".join(s.optimal.central), None)),
+    Step("optimal-system", "normalization-sample", lambda s, _: (
+        s.optimal.all_verified,
+        f"{len(s.optimal.records)} random triples normalized with <= 3 adjoint maps",
+        None,
+    )),
+    Step("optimal-system", "orbit-separation",
+         lambda s, _: [("orbit-separation", note) for note in s.optimal.separation_notes]),
+    Step("optimal-system", "structure-json", _structure_json,
+         when=lambda args, key: args.json_structure),
+    *(
+        Step("conservation", f"divergence-{g}", _divergence, g,
+             lambda args, key: args.generator in (None, "all", key))
+        for g in (*_GENERATOR_NAMES, "family", "flux-pair")
+    ),
+    Step("conservation", "transcription", _transcription,
+         when=lambda args, key: bool(args.diagnose_transcription)),
+    Step("corpus", "manifest-roundtrip-hirota", _manifest_roundtrip, jetsys.builtin_hirota),
+    Step("corpus", "manifest-roundtrip-prolonged", _manifest_roundtrip, jetsys.builtin_prolonged),
+    Step("all", "kernel-properties", _kernel_properties),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-symmetry", parents=[common],
                        help="check characteristics and families")
-    p.add_argument(
-        "--family",
-        choices=["seed-pair", "localized", "coupled-5", "prolonged-6", "prolonged-6-flipped"],
-    )
+    p.add_argument("--family", choices=[*_SYMMETRIES, "prolonged-6-flipped"])
     p.add_argument("--manifest", help="file with a [symmetry] section of sigma_<dep> lines")
 
     p = sub.add_parser("finite-transform", parents=[common],
@@ -469,29 +459,23 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit the built-in system manifests")
     p.add_argument("--quiet-manifest", action="store_true")
 
-    sub.add_parser("all", parents=[common], help="run the full verification suite")
+    # `all` runs with every subcommand's defaults, but prints no manifests.
+    defaults = {k: v for p in sub.choices.values() for k, v in vars(p.parse_args([])).items()}
+    p = sub.add_parser("all", parents=[common], help="run the full verification suite")
+    p.set_defaults(**{**defaults, "quiet_manifest": True})
     return parser
 
 
-_DISPATCH = {
-    "zero-curvature": cmd_zero_curvature,
-    "verify-symmetry": cmd_verify_symmetry,
-    "finite-transform": cmd_finite_transform,
-    "optimal-system": cmd_optimal_system,
-    "conservation": cmd_conservation,
-    "corpus": cmd_corpus,
-    "all": cmd_all,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     default_cap = jetsys.DEFAULT_MAX_PASSES
     jetsys.DEFAULT_MAX_PASSES = args.max_passes
     try:
         report = Report(command=args.command, inputs=_inputs_digest())
-        _DISPATCH[args.command](args, Runner(report))
+        runner, session = Runner(report), Session(args)
+        for step in STEPS:
+            if args.command in ("all", step.command) and step.when(args, step.key):
+                runner.run(step, session)
     except InputError as err:
         print(f"symflow: error: {err}", file=sys.stderr)
         return 2

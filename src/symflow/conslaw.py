@@ -162,7 +162,7 @@ class ConservedVector:
     notes: str = ""
 
 
-def conserved_vector(vf, lagrangian: FormalLagrangian | None = None) -> ConservedVector:
+def conserved_vector(vf) -> ConservedVector:
     """Instantiate the conserved-vector formula for a point generator.
 
     Specialized to two independent variables, first-order time derivatives,
@@ -177,7 +177,7 @@ def conserved_vector(vf, lagrangian: FormalLagrangian | None = None) -> Conserve
     with W^w = eta^w - xi^t w_t - xi^x w_x = -sigma_w ranging over the
     field dependents only (multipliers carry no characteristic).
     """
-    lagrangian = lagrangian or formal_lagrangian()
+    lagrangian = formal_lagrangian()
     L = lagrangian.expr
     coeffs = getattr(vf, "coeffs", vf)
     for name, coefficient in coeffs.items():

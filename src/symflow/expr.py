@@ -403,9 +403,6 @@ class Expr:
             return self._terms[0][1]
         raise ExprError("expression is not constant")
 
-    def is_monomial(self) -> bool:
-        return len(self._terms) == 1
-
     def sort_key(self):
         if self._sort_key is None:
             self._sort_key = tuple(

@@ -307,12 +307,6 @@ class BasisSeries:
 
     coords: tuple[Expr, ...]
 
-    def as_vector_field(self, basis: Sequence[VectorField]) -> VectorField:
-        total = VectorField({})
-        for coefficient, field in zip(self.coords, basis):
-            total = total + field.scaled(coefficient)
-        return total
-
     def substitute(self, mapping) -> "BasisSeries":
         return BasisSeries(tuple(c.substitute(mapping) for c in self.coords))
 

@@ -22,6 +22,7 @@ from .expr import (
     ExprError,
     IndependentVariable,
     JetCoordinate,
+    Vocabulary,
     parse,
 )
 from .jetsys import PdeSystem, builtin_prolonged
@@ -253,6 +254,30 @@ def localized_characteristic() -> SymmetryCandidate:
             "f": parse("f^2"),
         }
     )
+
+
+def parse_symmetry_manifest(text: str, vocabulary: Vocabulary) -> SymmetryCandidate:
+    """The ``[symmetry]`` section of a manifest, one ``sigma_<dep> = expr``
+    line per component; other sections are skipped."""
+    components = {}
+    in_section = False
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("["):
+            in_section = line == "[symmetry]"
+            continue
+        if not in_section:
+            continue
+        key, sep, rhs = line.partition("=")
+        key = key.strip()
+        if not sep or not key.startswith("sigma_"):
+            raise ValueError(f"bad symmetry line '{line}' (want 'sigma_<dep> = expr')")
+        components[key[len("sigma_"):]] = parse(rhs.strip(), vocabulary)
+    if not components:
+        raise ValueError("manifest has no [symmetry] section")
+    return SymmetryCandidate(components)
 
 
 # ---------------------------------------------------------------------------

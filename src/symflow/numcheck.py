@@ -188,14 +188,6 @@ def make_vacuum_grid(
 # ---------------------------------------------------------------------------
 
 
-def _dx(a: np.ndarray, h: float) -> np.ndarray:
-    return (a[:, 2:] - a[:, :-2])[1:-1, :] / (2 * h)
-
-
-def _interior(a: np.ndarray) -> np.ndarray:
-    return a[1:-1, 2:-2]
-
-
 def pde_residual(grid: Grid, which: str = "u") -> float:
     """Max interior residual of one evolution equation under second-order
     central differences (third x-derivative uses the width-5 stencil)."""

@@ -1,11 +1,12 @@
 import dataclasses
 import json
 import re
+import time
 
 import pytest
 
 from symflow.cli import main
-from symflow import grpflow, jetsys, numcheck
+from symflow import grpflow, jetsys, liealg, numcheck
 
 
 def run(argv):
@@ -47,6 +48,17 @@ def test_bad_symmetry_manifest_fails(tmp_path):
     manifest = tmp_path / "sigma.txt"
     manifest.write_text("[symmetry]\nsigma_u = u\nsigma_v = v\n")
     assert run(["verify-symmetry", "--manifest", str(manifest)]) == 1
+
+    # A complete characteristic that is no symmetry: the detail says which
+    # equations fail and how their residuals start.
+    manifest.write_text(
+        "[symmetry]\nsigma_u = u\nsigma_v = v\nsigma_phi = phi\nsigma_psi = psi\nsigma_f = f\n"
+    )
+    path = tmp_path / "r.json"
+    assert run(["verify-symmetry", "--manifest", str(manifest), "--json", str(path)]) == 1
+    (check,) = json.loads(path.read_text())["checks"]
+    assert check["status"] == "fail"
+    assert re.search(r"nonzero residuals: equation 0: \S", check["detail"])
 
 
 def test_conservation_single_generator(capsys):
@@ -179,3 +191,68 @@ def test_grid_parameters_survive_the_file_round_trip(tmp_path, capsys):
     in_memory = numcheck.pde_residual(moved, "u")
     assert in_memory < 1e-3
     assert checks["transformed-grid-residual"]["detail"] == f"{in_memory:.3e}"
+
+
+def _report(path):
+    return json.loads(path.read_text())["checks"]
+
+
+def test_crash_in_shared_work_is_a_failed_check(tmp_path, capsys, monkeypatch):
+    def broken(**kwargs):
+        raise RuntimeError("flow engine down")
+
+    monkeypatch.setattr(grpflow, "verify_flow_properties", broken)
+    path = tmp_path / "r.json"
+    assert run(["finite-transform", "--json", str(path)]) == 1
+    failed = [c for c in _report(path) if c["status"] == "fail"]
+    assert failed and all(c["detail"] == "error: flow engine down" for c in failed)
+    assert [c["name"] for c in _report(path)][-1] == "transformed-seed-residual-order"
+
+
+def test_shared_work_is_timed_inside_the_checks(tmp_path, capsys, monkeypatch):
+    original = liealg.verify_optimal_system
+
+    def slow(**kwargs):
+        time.sleep(0.2)
+        return original(samples=5, seed=kwargs["seed"])
+
+    monkeypatch.setattr(liealg, "verify_optimal_system", slow)
+    path = tmp_path / "r.json"
+    assert run(["optimal-system", "--json", str(path)]) == 0
+    assert sum(c["ms"] for c in _report(path)) >= 200
+
+
+def test_all_reports_the_registry_in_order(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    assert run(["all", "--seed", "7", "--json", str(path)]) == 0
+    assert [c["name"] for c in _report(path)] == [
+        "flatness-of-linear-problem",
+        "potential-density-flux-pair",
+        "seed-pair-on-evolution-equations",
+        "localized-five-component",
+        "family-coupled-5",
+        "family-prolonged-6",
+        "flow-ode-consistency",
+        "flow-group-law",
+        "flow-identity-at-zero",
+        "flow-infinitesimal-generator",
+        "sign-variant-fails-group-law",
+        "flow-matches-ode-oracle",
+        "transformed-seed-residual-order",
+        "structure-table",
+        "central-elements",
+        "normalization-sample",
+        "orbit-separation",
+        "orbit-separation",
+        "divergence-g1",
+        "divergence-g2",
+        "divergence-g3",
+        "divergence-g4",
+        "divergence-g5",
+        "divergence-g6",
+        "divergence-family",
+        "divergence-flux-pair",
+        "manifest-roundtrip-hirota",
+        "manifest-roundtrip-prolonged",
+        "kernel-properties",
+    ]

@@ -1,9 +1,10 @@
 """Property tests for the kernel's fast paths against reference versions.
 
 ``Expr.substitute`` is checked against a per-term reference substitution
-kept here, and ``ComplexRational`` against plain ``(Fraction, Fraction)``
-arithmetic.  The profile is derandomised, so every run draws the same
-examples.
+kept here, ``ComplexRational`` against plain ``(Fraction, Fraction)``
+arithmetic, ``total_derivative`` against the Leibniz and chain rules, and
+the parser against strings drawn from its own grammar.  The profile is
+derandomised, so every run draws the same examples.
 """
 
 import cmath
@@ -26,6 +27,9 @@ from symflow.expr import (  # noqa: E402
     exp_of,
     indep,
     jet,
+    param,
+    parse,
+    to_text,
 )
 
 settings.register_profile(
@@ -265,3 +269,139 @@ def test_coefficient_equality_hash_and_key(a, b):
 def test_coefficient_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
         ComplexRational(0).inverse()
+
+
+# ---------------------------------------------------------------------------
+# total derivative
+# ---------------------------------------------------------------------------
+
+
+@given(expressions(), expressions(), st.sampled_from(("x", "t")))
+def test_total_derivative_is_a_derivation(a, b, direction):
+    def d(e):
+        return e.total_derivative(direction)
+
+    assert d(a + b) == d(a) + d(b)
+    assert d(a * b) == d(a) * b + a * d(b)
+    assert d(a**2) == 2 * a * d(a)
+    assert d(a.total_derivative("t")) == d(a).total_derivative("t")
+
+
+@given(invertible_replacements, linear_forms(), small_rationals, st.sampled_from(("x", "t")))
+def test_total_derivative_chain_rule(m, form, c, direction):
+    def d(e):
+        return e.total_derivative(direction)
+
+    assert d(m**-2) == -2 * m**-3 * d(m)
+    argument = form + c * jet("u")
+    assert d(exp_of(argument)) == exp_of(argument) * d(argument)
+
+
+# ---------------------------------------------------------------------------
+# parser: strings drawn from its grammar
+# ---------------------------------------------------------------------------
+
+# Identifiers and derivative atoms the drawn strings use, with the atom each
+# one denotes; the invertible ones may carry negative exponents.
+INVERTIBLE_NAMES = {"x": indep("x"), "alpha": param("alpha"), "u": jet("u")}
+GRAMMAR_LEAVES = {
+    **INVERTIBLE_NAMES,
+    "t": indep("t"),
+    "beta": param("beta"),
+    "v": jet("v"),
+    "phi": jet("phi"),
+    "Diff(u,x)": jet("u", "x"),
+    "Diff( v , x, x )": jet("v", "x", "x"),
+    "Diff(phi,t,x)": jet("phi", "x", "t"),
+}
+POINT = {
+    next(iter(e.atoms())): cmath.rect(0.6 + 0.6 * _rng.random(), 6.283185307179586 * _rng.random())
+    for e in GRAMMAR_LEAVES.values()
+}
+spaces = st.sampled_from(("", " "))
+
+
+def value_of(leaf: str) -> complex:
+    return POINT[next(iter(GRAMMAR_LEAVES[leaf].atoms()))]
+
+
+# Each strategy draws (text, value, size): the string, its value at POINT
+# computed along the grammar's own structure, and the same with every
+# number replaced by its modulus (an upper bound on the terms the
+# canonical form adds up, which sets the rounding tolerance).
+
+
+@st.composite
+def grammar_atoms(draw, depth):
+    kinds = ("int", "leaf", "I") + (("paren", "exp") if depth else ())
+    kind = draw(st.sampled_from(kinds))
+    if kind == "int":
+        n = draw(st.integers(0, 12))
+        return str(n), n, n
+    if kind == "leaf":
+        leaf = draw(st.sampled_from(sorted(GRAMMAR_LEAVES)))
+        return leaf, value_of(leaf), abs(value_of(leaf))
+    if kind == "I":
+        return "I", 1j, 1
+    if kind == "paren":
+        text, value, size = draw(grammar_sums(depth - 1))
+        return f"({draw(spaces)}{text})", value, size
+    leaf = draw(st.sampled_from(sorted(GRAMMAR_LEAVES)))
+    scale = draw(st.integers(1, 3))
+    value = value_of(leaf)
+    return f"Exp({scale}*{leaf})", cmath.exp(scale * value), cmath.exp(scale * abs(value)).real
+
+
+@st.composite
+def grammar_powers(draw, depth):
+    if draw(st.booleans()):
+        leaf = draw(st.sampled_from(sorted(INVERTIBLE_NAMES)))
+        n = draw(st.sampled_from((-2, -1, 2)))
+        return f"{leaf}^{n}", value_of(leaf) ** n, abs(value_of(leaf)) ** n
+    text, value, size = draw(grammar_atoms(depth))
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 3))
+        return f"{text}{draw(spaces)}^{draw(spaces)}{n}", value**n, size**n
+    return text, value, size
+
+
+@st.composite
+def grammar_unaries(draw, depth):
+    sign = draw(st.sampled_from(("", "-", "+", "--")))
+    text, value, size = draw(grammar_powers(depth))
+    return sign + text, -value if sign == "-" else value, size
+
+
+@st.composite
+def grammar_terms(draw, depth):
+    text, value, size = draw(grammar_unaries(depth))
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            rhs, rhs_value, rhs_size = draw(grammar_unaries(depth))
+            text = f"{text}{draw(spaces)}*{draw(spaces)}{rhs}"
+            value, size = value * rhs_value, size * rhs_size
+        else:
+            n = draw(st.integers(1, 9))
+            text, value, size = f"{text}/{n}", value / n, size / n
+    return text, value, size
+
+
+@st.composite
+def grammar_sums(draw, depth=2):
+    text, value, size = draw(grammar_terms(depth))
+    for _ in range(draw(st.integers(0, 2))):
+        rhs, rhs_value, rhs_size = draw(grammar_terms(depth))
+        op = draw(st.sampled_from("+-"))
+        text = f"{text}{draw(spaces)}{op}{draw(spaces)}{rhs}"
+        value = value + rhs_value if op == "+" else value - rhs_value
+        size += rhs_size
+    return text, value, size
+
+
+@given(grammar_sums())
+def test_grammar_strings_parse_and_round_trip(drawn):
+    text, value, size = drawn
+    e = parse(text)
+    assert parse(to_text(e)) == e
+    assert to_text(parse(to_text(e))) == to_text(e)
+    assert abs(e.eval_numeric(POINT) - value) <= 1e-9 * (1 + size)
