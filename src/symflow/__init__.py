@@ -35,7 +35,6 @@ from .jetsys import (
     builtin_prolonged,
     consistent_point,
     cross_derivative_residuals,
-    on_shell_reduce,
     parse_manifest,
     write_manifest,
 )

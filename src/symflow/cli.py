@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import conslaw, grpflow, jetsys, liealg, linsym, numcheck
-from .expr import Expr, ExprError, canonicalize, indep, jet, param, parse, to_text
+from .expr import Expr, ExprError, indep, jet, param, parse, to_text
 
 REPORT_SCHEMA = 1
 
@@ -99,6 +99,12 @@ class Session:
     def optimal(self) -> liealg.OptimalSystemReport:
         return liealg.verify_optimal_system(samples=self.args.samples, seed=self.args.seed)
 
+    @cached_property
+    def flux_pair(self) -> conslaw.DivergenceCheck:
+        return conslaw.verify_divergence(
+            conslaw.flux_pair(), numeric_points=self.args.numeric_points
+        )
+
 
 @dataclass(frozen=True)
 class Step:
@@ -169,7 +175,7 @@ def _flatness(s, _key):
 
 
 def _potential_density(s, _key):
-    chk = conslaw.verify_divergence(conslaw.flux_pair(), numeric_points=s.args.numeric_points)
+    chk = s.flux_pair
     return chk.holds, f"numeric max {chk.numeric_max:.2e}", chk.numeric_max
 
 
@@ -259,14 +265,15 @@ _GENERATOR_NAMES = ("g1", "g2", "g3", "g4", "g5", "g6")
 
 def _divergence(s, generator):
     if generator == "flux-pair":
-        cv = conslaw.flux_pair()
-    elif generator == "family":
-        cv = conslaw.conserved_vector(liealg.family_vector_field())
+        chk = s.flux_pair
     else:
-        cv = conslaw.conserved_vector(
-            liealg.standard_generators()[_GENERATOR_NAMES.index(generator)]
+        if generator == "family":
+            vf = liealg.family_vector_field()
+        else:
+            vf = liealg.standard_generators()[_GENERATOR_NAMES.index(generator)]
+        chk = conslaw.verify_divergence(
+            conslaw.conserved_vector(vf), numeric_points=s.args.numeric_points
         )
-    chk = conslaw.verify_divergence(cv, numeric_points=s.args.numeric_points)
     return chk.holds, f"numeric max {chk.numeric_max:.2e}; {chk.nontrivial}", chk.numeric_max
 
 
@@ -306,10 +313,25 @@ def _random_poly(rng) -> Expr:
     return total
 
 
+def _rebuilds_to_itself(e: Expr, rng: random.Random) -> bool:
+    """Normal form: ``e`` equals the sum of its terms, each rebuilt as its
+    coefficient times its atom powers, added in a shuffled order."""
+    terms = []
+    for mono, coeff in e.terms:
+        term = Expr.from_scalar(coeff)
+        for a, n in mono:
+            term = term * Expr.atom(a) ** n
+        terms.append(term)
+    rng.shuffle(terms)
+    return sum(terms, Expr.ZERO) == e
+
+
 def _kernel_properties(s, _key):
     """Randomized kernel checks: derivative commutation, variational
-    annihilation of divergences, idempotent normal form, print round trip."""
+    annihilation of divergences, order-independent normal form, print
+    round trip."""
     rng = random.Random(s.args.seed)
+    shuffle_rng = random.Random(s.args.seed)  # keeps the cases ``rng`` draws
     failures = 0
     for _ in range(KERNEL_CASES):
         e = _random_poly(rng)
@@ -318,7 +340,7 @@ def _kernel_properties(s, _key):
             - e.total_derivative("t").total_derivative("x")
         ).is_zero():
             failures += 1
-        if canonicalize(canonicalize(e)) != canonicalize(e):
+        if not _rebuilds_to_itself(e, shuffle_rng):
             failures += 1
         if parse(to_text(e)) != e:
             failures += 1
@@ -401,13 +423,6 @@ STEPS = (
 # ---------------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", metavar="PATH", help="write a JSON report")
@@ -415,11 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--numeric-points", type=int, default=10,
         help="consistent points per numeric divergence check",
-    )
-    common.add_argument(
-        "--max-passes", type=_positive_int, default=jetsys.DEFAULT_MAX_PASSES,
-        help="substitution passes one on-shell reduction may make "
-        "(guards against ill-formed solved forms)",
     )
 
     parser = argparse.ArgumentParser(
@@ -468,8 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    default_cap = jetsys.DEFAULT_MAX_PASSES
-    jetsys.DEFAULT_MAX_PASSES = args.max_passes
     try:
         report = Report(command=args.command, inputs=_inputs_digest())
         runner, session = Runner(report), Session(args)
@@ -479,8 +487,6 @@ def main(argv=None) -> int:
     except InputError as err:
         print(f"symflow: error: {err}", file=sys.stderr)
         return 2
-    finally:
-        jetsys.DEFAULT_MAX_PASSES = default_cap
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             handle.write(report.to_json())

@@ -305,7 +305,12 @@ def map_solution(
     den = 1.0 - epsilon * f
     if np.min(np.abs(den)) < pole_tolerance:
         index = np.unravel_index(np.argmin(np.abs(den)), den.shape)
-        raise PoleError(f"flow pole on grid at index {tuple(int(i) for i in index)}")
+        at = complex(f[index])
+        f_text = f"{at.real:g}" if at.imag == 0 else f"{at.real:g}{at.imag:+g}i"
+        raise PoleError(
+            f"flow pole on grid at index {tuple(int(i) for i in index)}: "
+            f"1 - epsilon*f = 0 at f = {f_text} (epsilon = {epsilon:g})"
+        )
     phi = np.asarray(fields["phi"], dtype=complex)
     psi = np.asarray(fields["psi"], dtype=complex)
     return {

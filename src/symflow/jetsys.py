@@ -3,13 +3,13 @@
 Ships the built-in corpus: the coupled Hirota system, its linear
 spectral problem (x- and t-equations for the eigenfunction pair), and
 the potential variable f with f_x = phi*psi.  Reduction rewrites an
-expression modulo the solved forms and their prolongations until no
+expression modulo the solved forms and their prolongations, so that no
 eliminable jet coordinate remains.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 import random
 from collections import Counter
 from functools import cache, cached_property
@@ -30,7 +30,7 @@ from .expr import (
 
 
 class ReductionError(ExprError):
-    """Reduction failed to reach a fixed point within the pass cap."""
+    """A solved form depends on itself, so reduction has no fixed point."""
 
 
 class ManifestError(ExprError):
@@ -40,12 +40,6 @@ class ManifestError(ExprError):
 # ---------------------------------------------------------------------------
 # solved-form closure
 # ---------------------------------------------------------------------------
-
-
-# Substitution passes a closure without its own cap may make in one
-# ``reduce``; read at each call, so a caller may set it for one run and
-# restore it afterwards.
-DEFAULT_MAX_PASSES = 200
 
 
 class SolvedFormClosure:
@@ -60,9 +54,8 @@ class SolvedFormClosure:
     eigenfunctions.
     """
 
-    def __init__(self, solved: Mapping[JetCoordinate, Expr], max_passes: int | None = None):
+    def __init__(self, solved: Mapping[JetCoordinate, Expr]):
         self._solved = dict(solved)
-        self._max_passes = max_passes
         self._rules: dict[JetCoordinate, Expr] = {}
         self._in_progress: set[JetCoordinate] = set()
         self._by_name: dict[str, list[JetCoordinate]] = {}
@@ -91,6 +84,8 @@ class SolvedFormClosure:
         return self.base_key(coordinate) is not None
 
     def rule(self, coordinate: JetCoordinate) -> Expr | None:
+        """The reduced rule for a reducible jet, or None for an irreducible
+        one; a solved form that needs its own rule raises ReductionError."""
         cached = self._rules.get(coordinate)
         if cached is not None:
             return cached
@@ -112,22 +107,16 @@ class SolvedFormClosure:
         return expr
 
     def reduce(self, e: Expr) -> Expr:
-        """Substitute rules until no reducible jet is left, in at most the
-        pass cap of substitution passes."""
-        cap = DEFAULT_MAX_PASSES if self._max_passes is None else self._max_passes
-        for passes in itertools.count():
-            mapping = {}
-            for a in e.atoms():
-                if isinstance(a, JetCoordinate) and self.is_reducible(a):
-                    mapping[a] = self.rule(a)
-            if not mapping:
-                return e
-            if passes == cap:
-                raise ReductionError(
-                    f"no fixed point after {cap} substitution passes; "
-                    "the solved-form set does not terminate"
-                )
-            e = e.substitute(mapping)
+        """Replace every reducible jet, inside Exp arguments too, by its rule
+        in one substitution.  Every rule is itself a reduction, so it holds
+        no reducible jet and the result holds none either."""
+        mapping = {}
+        for a in e.atoms():
+            if isinstance(a, JetCoordinate):
+                rule = self.rule(a)
+                if rule is not None:
+                    mapping[a] = rule
+        return e.substitute(mapping) if mapping else e
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +159,14 @@ class PdeSystem:
         return Vocabulary(self.independents, self.dependent_names, self.parameters)
 
     def _check_well_formed(self):
-        closure = SolvedFormClosure(self.solved_forms)
         for key, rhs in self.solved_forms.items():
             for a in rhs.jet_atoms():
-                if closure.is_reducible(a):
+                if self.closure.is_reducible(a):
                     raise ExprError(
                         f"solved form for {key} is not resolved: rhs contains {a}"
                     )
         for i, equation in enumerate(self.equations):
-            if not closure.reduce(equation).is_zero():
+            if not self.reduce(equation).is_zero():
                 raise ExprError(f"equation {i} does not vanish on its solved forms")
 
     def reduce(self, e: Expr) -> Expr:
@@ -186,11 +174,6 @@ class PdeSystem:
 
     def __repr__(self):
         return f"<PdeSystem {self.name}: {len(self.equations)} equations>"
-
-
-def on_shell_reduce(e: Expr, sys: PdeSystem) -> Expr:
-    """Fixed point of substitution against the system's solved-form closure."""
-    return sys.closure.reduce(e)
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +219,13 @@ _LINEAR_SOLVED = {
 }
 
 
-def _solved_key(text: str) -> JetCoordinate:
-    e = parse(text)
+def _solved_key(text: str, vocabulary: Vocabulary = DEFAULT_VOCABULARY) -> JetCoordinate:
+    """The jet a solved form isolates: ``text`` must be one bare jet."""
+    e = parse(text, vocabulary)
     atoms = list(e.atoms())
-    if len(e.terms) != 1 or len(atoms) != 1 or e.terms[0][1] != 1:
-        raise ManifestError(f"'{text}' is not a bare jet coordinate")
-    a = atoms[0]
-    if not isinstance(a, JetCoordinate):
-        raise ManifestError(f"'{text}' is not a jet coordinate")
-    return a
+    if len(atoms) != 1 or not isinstance(atoms[0], JetCoordinate) or e != Expr.atom(atoms[0]):
+        raise ManifestError(f"solved-form key must be a bare jet: '{text}'")
+    return atoms[0]
 
 
 @cache
@@ -321,10 +302,8 @@ def cross_derivative_residuals(sys: PdeSystem) -> dict[str, Expr]:
 def _random_complex(rng: random.Random) -> complex:
     # Annulus keeps magnitudes O(1) and away from 0 (some atoms get inverted).
     magnitude = 0.3 + 0.9 * rng.random()
-    angle = 2.0 * 3.141592653589793 * rng.random()
-    return magnitude * complex(
-        __import__("math").cos(angle), __import__("math").sin(angle)
-    )
+    angle = math.tau * rng.random()
+    return magnitude * complex(math.cos(angle), math.sin(angle))
 
 
 def consistent_assignment(
@@ -426,16 +405,7 @@ def parse_manifest(text: str, name: str = "manifest") -> PdeSystem:
         lhs, sep, rhs = line.partition("=")
         if not sep:
             raise ManifestError(f"bad solved line '{line}' (want 'JetCoord = expr')")
-        key_expr = parse(lhs.strip(), vocabulary)
-        key_atoms = list(key_expr.atoms())
-        if (
-            len(key_expr.terms) != 1
-            or len(key_atoms) != 1
-            or key_expr.terms[0][1] != 1
-            or not isinstance(key_atoms[0], JetCoordinate)
-        ):
-            raise ManifestError(f"solved-form key must be a bare jet: '{lhs.strip()}'")
-        solved[key_atoms[0]] = parse(rhs.strip(), vocabulary)
+        solved[_solved_key(lhs.strip(), vocabulary)] = parse(rhs.strip(), vocabulary)
     return PdeSystem(
         name=name,
         independents=independents,

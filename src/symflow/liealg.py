@@ -23,6 +23,7 @@ from .expr import (
     IndependentVariable,
     JetCoordinate,
     Parameter,
+    exp_of,
     parse,
 )
 
@@ -205,30 +206,35 @@ class StructureTable:
             return self.table[(i, j)]
         return tuple(-c for c in self.table[(j, i)])
 
-    def adjoint_matrix(self, i: int) -> list[list[ComplexRational]]:
-        """Matrix of ad(basis_i): column j holds [basis_i, basis_j]."""
+    def bracket(self, a: Sequence, b: Sequence) -> tuple:
+        """[a, b] in basis coordinates.  The entries of ``a`` and ``b`` are
+        all ``ComplexRational`` or all ``Expr``; the result's are the same."""
         n = len(self.basis)
-        matrix = [[ComplexRational(0)] * n for _ in range(n)]
-        for j in range(n):
-            coords = self.bracket_coords(i, j)
-            for k in range(n):
-                matrix[k][j] = coords[k]
-        return matrix
+        out = [Expr.ZERO if isinstance(a[0], Expr) else ComplexRational(0)] * n
+        for i in range(n):
+            if a[i].is_zero():
+                continue
+            for j in range(n):
+                if b[j].is_zero():
+                    continue
+                weight = a[i] * b[j]
+                for k, c in enumerate(self.bracket_coords(i, j)):
+                    if not c.is_zero():
+                        out[k] = out[k] + weight * c
+        return tuple(out)
 
     @functools.cached_property
     def gram(self) -> tuple[tuple[ComplexRational, ...], ...]:
-        """Gram matrix tr(ad_i ad_j) of the trace form on the basis."""
-        n = len(self.basis)
-        ads = [self.adjoint_matrix(i) for i in range(n)]
+        """Gram matrix tr(ad_i ad_j) = sum over r, s of c_is^r c_jr^s of the
+        trace form on the basis."""
+        n = range(len(self.basis))
+        c = [[self.bracket_coords(i, j) for j in n] for i in n]
         return tuple(
             tuple(
-                sum(
-                    (ads[i][r][s] * ads[j][s][r] for r in range(n) for s in range(n)),
-                    ComplexRational(0),
-                )
-                for j in range(n)
+                sum((c[i][s][r] * c[j][r][s] for r in n for s in n), ComplexRational(0))
+                for j in n
             )
-            for i in range(n)
+            for i in n
         )
 
     def killing(self, a: Sequence, b: Sequence):
@@ -261,38 +267,23 @@ def structure_table(basis: Sequence[VectorField], labels=None) -> StructureTable
     return result
 
 
+def _unit(n: int, i: int) -> tuple[ComplexRational, ...]:
+    return tuple(ComplexRational(int(k == i)) for k in range(n))
+
+
 def _check_jacobi(table: StructureTable):
     n = len(table.basis)
-
-    def bracket(vec_a, vec_b):
-        out = [ComplexRational(0)] * n
-        for i in range(n):
-            if vec_a[i].is_zero():
-                continue
-            for j in range(n):
-                if vec_b[j].is_zero():
-                    continue
-                coords = table.bracket_coords(i, j)
-                for k in range(n):
-                    out[k] = out[k] + vec_a[i] * vec_b[j] * coords[k]
-        return out
-
-    unit = lambda i: [
-        ComplexRational(1) if k == i else ComplexRational(0) for k in range(n)
-    ]
+    unit = [_unit(n, i) for i in range(n)]
+    bracket = table.bracket
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                total = bracket(bracket(unit(i), unit(j)), unit(k))
-                total = [
-                    a + b
-                    for a, b in zip(total, bracket(bracket(unit(j), unit(k)), unit(i)))
-                ]
-                total = [
-                    a + b
-                    for a, b in zip(total, bracket(bracket(unit(k), unit(i)), unit(j)))
-                ]
-                if any(not c.is_zero() for c in total):
+                cyclic = zip(
+                    bracket(bracket(unit[i], unit[j]), unit[k]),
+                    bracket(bracket(unit[j], unit[k]), unit[i]),
+                    bracket(bracket(unit[k], unit[i]), unit[j]),
+                )
+                if any(not (x + y + z).is_zero() for x, y, z in cyclic):
                     raise ExprError(f"Jacobi identity fails on triple ({i},{j},{k})")
 
 
@@ -327,7 +318,7 @@ def adjoint(
     """
     n = len(table.basis)
     eps = Expr.atom(epsilon)
-    ad = table.adjoint_matrix(v_index)
+    v = _unit(n, v_index)
     totals = [Expr.ZERO] * n
 
     for j in range(n):
@@ -335,17 +326,13 @@ def adjoint(
         w_expr = weight if isinstance(weight, Expr) else Expr.from_scalar(weight)
         if w_expr.is_zero():
             continue
-        current = [
-            ComplexRational(1) if k == j else ComplexRational(0) for k in range(n)
-        ]
+        current = _unit(n, j)
         # eigenvector case: [v, e_j] = c e_j
-        image = _mat_vec(ad, current)
+        image = table.bracket(v, current)
         eigen = None
         if all(image[k].is_zero() for k in range(n) if k != j):
             eigen = image[j]
         if eigen is not None and not eigen.is_zero():
-            from .expr import exp_of
-
             factor = exp_of(-Expr.from_scalar(eigen) * eps)
             totals[j] = totals[j] + w_expr * factor
             continue
@@ -358,7 +345,7 @@ def adjoint(
             for k in range(n):
                 if not current[k].is_zero():
                     totals[k] = totals[k] + w_expr * scale * Expr.from_scalar(current[k])
-            current = _mat_vec(ad, current)
+            current = table.bracket(v, current)
             if all(c.is_zero() for c in current):
                 break
             sign = -sign
@@ -370,35 +357,6 @@ def adjoint(
                 f"is eigen-diagonal within {max_terms} terms"
             )
     return BasisSeries(tuple(totals))
-
-
-def _mat_vec(matrix, vector):
-    n = len(vector)
-    return [
-        sum(
-            (matrix[k][j] * vector[j] for j in range(n)),
-            ComplexRational(0),
-        )
-        for k in range(n)
-    ]
-
-
-def series_bracket(table: StructureTable, a: BasisSeries, b: BasisSeries) -> BasisSeries:
-    n = len(table.basis)
-    out = [Expr.ZERO] * n
-    for i in range(n):
-        if a.coords[i].is_zero():
-            continue
-        for j in range(n):
-            if b.coords[j].is_zero():
-                continue
-            coords = table.bracket_coords(i, j)
-            for k in range(n):
-                if not coords[k].is_zero():
-                    out[k] = out[k] + a.coords[i] * b.coords[j] * Expr.from_scalar(
-                        coords[k]
-                    )
-    return BasisSeries(tuple(out))
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,12 @@ from symflow.expr import (
     Expr,
     JetCoordinate,
     Parameter,
-    canonicalize,
     jet,
     parse,
     to_text,
 )
 from symflow import conslaw, grpflow, jetsys, liealg, linsym, numcheck
+from symflow.cli import _rebuilds_to_itself
 from conftest import random_expr
 
 
@@ -218,12 +218,13 @@ def test_criterion_9_kernel_properties(prolonged, hirota):
             if not conslaw.euler_lagrange(divergence, name).is_zero():
                 euler_fail += 1
 
-    idempotence_fail = 0
+    normal_form_fail = 0
     roundtrip_fail = 0
+    shuffle_rng = random.Random(99)  # leaves the cases ``rng`` draws unchanged
     for _ in range(100):
         e = random_expr(rng, allow_exp=True)
-        if canonicalize(canonicalize(e)) != canonicalize(e):
-            idempotence_fail += 1
+        if not _rebuilds_to_itself(e, shuffle_rng):
+            normal_form_fail += 1
         if parse(to_text(e)) != e:
             roundtrip_fail += 1
     for system in (hirota, prolonged):
@@ -231,10 +232,10 @@ def test_criterion_9_kernel_properties(prolonged, hirota):
             if parse(to_text(e), system.vocabulary) != e:
                 roundtrip_fail += 1
 
-    ok = commute_fail == euler_fail == idempotence_fail == roundtrip_fail == 0
+    ok = commute_fail == euler_fail == normal_form_fail == roundtrip_fail == 0
     _verdict(
         9, ok,
         "0 failures across >= 100 random cases each: derivative commutation, "
-        "Euler-operator annihilation of divergences, idempotent normal form, "
+        "Euler-operator annihilation of divergences, order-independent normal form, "
         "and print/parse round trips including the full built-in corpus",
     )

@@ -1,12 +1,14 @@
 import dataclasses
 import json
+import random
 import re
 import time
 
 import pytest
 
-from symflow.cli import main
-from symflow import grpflow, jetsys, liealg, numcheck
+from symflow.cli import _rebuilds_to_itself, main
+from symflow import conslaw, grpflow, liealg, numcheck
+from symflow.expr import Expr, parse
 
 
 def run(argv):
@@ -130,18 +132,6 @@ def test_report_inputs_digest_is_stable(tmp_path):
     assert re.fullmatch(r"[0-9a-f]{16}", payload["inputs"])
 
 
-def test_one_substitution_pass_is_enough_and_the_cap_does_not_stick(capsys):
-    assert run(["zero-curvature", "--max-passes", "1"]) == 0
-    assert jetsys.DEFAULT_MAX_PASSES == 200
-    assert run(["zero-curvature"]) == 0
-
-
-def test_pass_cap_below_one_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as err:
-        run(["zero-curvature", "--max-passes", "0"])
-    assert err.value.code == 2
-
-
 def _one_line_error(capsys, path):
     err = capsys.readouterr().err
     assert err.startswith("symflow: error: ") and err.count("\n") == 1
@@ -256,3 +246,38 @@ def test_all_reports_the_registry_in_order(tmp_path, capsys):
         "manifest-roundtrip-prolonged",
         "kernel-properties",
     ]
+
+
+def test_all_checks_the_flux_pair_once(tmp_path, capsys, monkeypatch):
+    original = conslaw.verify_divergence
+    flux_pair_calls = []
+
+    def counting(cv, *args, **kwargs):
+        if cv == conslaw.flux_pair():
+            flux_pair_calls.append(cv)
+        return original(cv, *args, **kwargs)
+
+    monkeypatch.setattr(conslaw, "verify_divergence", counting)
+    path = tmp_path / "r.json"
+    assert run(["all", "--json", str(path)]) == 0
+    assert len(flux_pair_calls) == 1
+    checks = {c["name"]: c for c in _report(path)}
+    density, divergence = checks["potential-density-flux-pair"], checks["divergence-flux-pair"]
+    assert density["residual"] == divergence["residual"]
+    assert divergence["detail"].startswith(density["detail"] + "; ")
+
+
+def test_normal_form_check_catches_misordered_terms():
+    rng = random.Random(3)
+    e = parse("alpha*u^2 - 3*I*Diff(v,x)/u + Exp(2*x)*phi/7 + 5")
+    assert _rebuilds_to_itself(e, rng)
+    assert not _rebuilds_to_itself(Expr(tuple(reversed(e.terms))), rng)
+
+
+def test_flow_pole_names_epsilon_and_f(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    assert run(["finite-transform", "--epsilon", "0.2", "--json", str(path)]) == 1
+    (check,) = [c for c in _report(path) if c["name"] == "transformed-seed-residual-order"]
+    assert check["status"] == "fail"
+    assert "1 - epsilon*f = 0 at f = " in check["detail"]
+    assert "epsilon = 0.2" in check["detail"]

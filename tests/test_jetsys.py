@@ -5,15 +5,19 @@ import sys
 
 import pytest
 
-from symflow.expr import Expr, JetCoordinate, Parameter, jet, parse
+from symflow import conslaw, linsym
+from symflow.expr import (
+    Expr, ExpFactor, JetCoordinate, Parameter, exp_of, jet, parse, to_text,
+)
 from symflow.jetsys import (
+    ManifestError,
+    ReductionError,
     SolvedFormClosure,
     builtin_hirota,
     builtin_prolonged,
     consistent_point,
     cross_derivative_residuals,
     lax_entries,
-    on_shell_reduce,
     parse_manifest,
     write_manifest,
 )
@@ -72,11 +76,11 @@ def test_flatness_of_the_linear_problem(prolonged):
 
 
 def test_reduce_leaves_unsolved_coordinates_alone(prolonged):
-    assert on_shell_reduce(jet("u", "x"), prolonged) == jet("u", "x")
+    assert prolonged.reduce(jet("u", "x")) == jet("u", "x")
 
 
 def test_reduce_eliminates_time_derivatives(prolonged):
-    reduced = on_shell_reduce(jet("u", "t", "t"), prolonged)
+    reduced = prolonged.reduce(jet("u", "t", "t"))
     for a in reduced.jet_atoms():
         assert "t" not in a.index
 
@@ -96,8 +100,8 @@ def test_reduction_is_a_projection(prolonged):
     )
     for _ in range(30):
         e = random_expr(rng, atoms=pool, max_power=1)
-        once = on_shell_reduce(e, prolonged)
-        assert on_shell_reduce(once, prolonged) == once
+        once = prolonged.reduce(e)
+        assert prolonged.reduce(once) == once
 
 
 def test_numeric_symbolic_agreement(prolonged):
@@ -112,7 +116,7 @@ def test_numeric_symbolic_agreement(prolonged):
     )
     for k in range(20):
         e = random_expr(rng, atoms=pool)
-        reduced = on_shell_reduce(e, prolonged)
+        reduced = prolonged.reduce(e)
         point = consistent_point(prolonged, seed=1000 + k, max_order=2)
         lhs = e.eval_numeric(point)
         rhs = reduced.eval_numeric(point)
@@ -177,14 +181,55 @@ def test_closure_prefers_the_x_rule(prolonged):
     assert base == JetCoordinate("phi", ("x",))
 
 
-def test_closure_pass_cap_guards_nontermination():
+def test_closure_rejects_a_cyclic_solved_form():
     # u_t -> u_t + 1 never reaches a fixed point
     bad = {JetCoordinate("u", ("t",)): Expr.atom(JetCoordinate("u", ("t",))) + 1}
-    closure = SolvedFormClosure(bad, max_passes=10)
-    from symflow.jetsys import ReductionError
+    closure = SolvedFormClosure(bad)
 
-    with pytest.raises(ReductionError):
+    with pytest.raises(ReductionError, match="cyclic"):
         closure.reduce(jet("u", "t"))
+
+
+def _reducible_atoms(closure, e):
+    return [a for a in e.atoms() if isinstance(a, JetCoordinate) and closure.is_reducible(a)]
+
+
+def _exp_pool_expr(rng, pool):
+    """A random expression times Exp of a jet-dependent random argument."""
+    argument = random_expr(rng, terms=2, atoms=pool, max_power=1) + Expr.atom(rng.choice(pool[:5]))
+    return random_expr(rng, terms=3, atoms=pool, max_power=1) * exp_of(argument)
+
+
+@pytest.mark.parametrize("closure_of", [
+    lambda: builtin_prolonged().closure,
+    conslaw.combined_closure,
+], ids=["prolonged", "combined"])
+def test_one_reduction_leaves_no_reducible_jet(closure_of):
+    closure = closure_of()
+    prolonged = builtin_prolonged()
+    family = linsym.prolonged_family()
+    residuals = linsym.frechet(prolonged, family.characteristic(), family.equations)
+    exprs = [*prolonged.equations, *prolonged.solved_forms.values(), *residuals]
+    rng = random.Random(31)
+    pool = (
+        JetCoordinate("u", ("t",)),
+        JetCoordinate("phi", ("t", "x")),
+        JetCoordinate("f", ("x", "x")),
+        JetCoordinate("m3", ("x",)),
+        JetCoordinate("m1", ("t",)),
+        JetCoordinate("psi"),
+        JetCoordinate("v", ("x",)),
+        Parameter("lambda"),
+    )
+    with_exp = [_exp_pool_expr(rng, pool) for _ in range(15)]
+    inside_exp = [
+        a for e in with_exp for b in e.atoms() if isinstance(b, ExpFactor)
+        for a in _reducible_atoms(closure, b.argument)
+    ]
+    assert inside_exp  # the Exp arguments do hold jets to reduce
+    for e in [*exprs, *with_exp]:
+        reduced = closure.reduce(e)
+        assert _reducible_atoms(closure, reduced) == [], to_text(e)[:80]
 
 
 # ---------------------------------------------------------------------------
@@ -202,3 +247,10 @@ def test_manifest_round_trip(prolonged, hirota):
         assert back.dependents == tuple(system.dependents)
         # idempotent re-emission
         assert write_manifest(back) == text
+
+
+@pytest.mark.parametrize("key", ["2*Diff(u,t)", "Diff(u,t)^2", "Diff(u,t) + u", "alpha", "Exp(u)"])
+def test_manifest_solved_key_must_be_a_bare_jet(hirota, key):
+    text = write_manifest(hirota).replace("Diff(u,t) =", f"{key} =")
+    with pytest.raises(ManifestError, match="bare jet"):
+        parse_manifest(text)
