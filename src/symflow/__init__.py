@@ -14,8 +14,6 @@ from .expr import (
     Parameter,
     ParseError,
     Vocabulary,
-    canonicalize,
-    diff,
     exp_of,
     indep,
     integer,
@@ -23,9 +21,7 @@ from .expr import (
     param,
     parse,
     rational,
-    substitute,
     to_text,
-    total_derivative,
 )
 from .jetsys import (
     PdeSystem,

@@ -16,6 +16,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import os
 import random
 import sys
 import time
@@ -484,9 +485,17 @@ def main(argv=None) -> int:
         for step in STEPS:
             if args.command in ("all", step.command) and step.when(args, step.key):
                 runner.run(step, session)
+        sys.stdout.flush()
     except InputError as err:
         print(f"symflow: error: {err}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout (``symflow all | head``): stop without a
+        # traceback, and send the interpreter's final flush to devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             handle.write(report.to_json())

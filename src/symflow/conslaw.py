@@ -27,10 +27,11 @@ from .jetsys import (
     builtin_prolonged,
     consistent_assignment,
 )
+from .liealg import COORDINATES, family_vector_field
 from .linsym import evolutionary_from_point
 
 MULTIPLIERS = tuple(f"m{i}" for i in range(1, 9))
-FIELD_DEPENDENTS = ("u", "v", "phi", "psi", "f")
+FIELD_DEPENDENTS = COORDINATES[2:]
 
 
 # ---------------------------------------------------------------------------
@@ -46,9 +47,7 @@ def euler_lagrange(e: Expr, wrt: str) -> Expr:
     """
     total = Expr.ZERO
     for a in e.jet_atoms(wrt):
-        term = e.diff(a)
-        for direction in a.index:
-            term = term.total_derivative(direction)
+        term = e.diff(a).total_derivative_along(a.index)
         if len(a.index) % 2:
             term = -term
         total = total + term
@@ -104,7 +103,6 @@ class AdjointSystem:
 
     equations: tuple[Expr, ...]
     solved_forms: Mapping[JetCoordinate, Expr]
-    leading: tuple[JetCoordinate, ...]
 
 
 # One leading multiplier derivative is isolated per adjoint equation; any
@@ -124,7 +122,6 @@ def adjoint_system() -> AdjointSystem:
     L = formal_lagrangian().expr
     equations = []
     solved: dict[JetCoordinate, Expr] = {}
-    leading = []
     for dependent, target in _ADJOINT_TARGETS:
         equation = euler_lagrange(L, dependent)
         coefficient = equation.diff(target)
@@ -137,8 +134,7 @@ def adjoint_system() -> AdjointSystem:
         rest = equation - Expr.from_scalar(c) * Expr.atom(target)
         solved[target] = -rest / Expr.from_scalar(c)
         equations.append(equation)
-        leading.append(target)
-    return AdjointSystem(tuple(equations), solved, tuple(leading))
+    return AdjointSystem(tuple(equations), solved)
 
 
 @functools.cache
@@ -158,8 +154,6 @@ def combined_closure() -> SolvedFormClosure:
 class ConservedVector:
     Tt: Expr
     Tx: Expr
-    generator: object = None
-    notes: str = ""
 
 
 def conserved_vector(vf) -> ConservedVector:
@@ -204,7 +198,7 @@ def conserved_vector(vf) -> ConservedVector:
             + dW * (d_xx - d_xxx_x)
             + ddW * d_xxx
         )
-    return ConservedVector(Tt=Tt, Tx=Tx, generator=vf)
+    return ConservedVector(Tt=Tt, Tx=Tx)
 
 
 def flux_pair() -> ConservedVector:
@@ -213,7 +207,7 @@ def flux_pair() -> ConservedVector:
     system = builtin_prolonged()
     density = system.solved_forms[JetCoordinate("f", ("x",))]
     flux = -system.solved_forms[JetCoordinate("f", ("t",))]
-    return ConservedVector(Tt=density, Tx=flux, notes="potential density/flux pair")
+    return ConservedVector(Tt=density, Tx=flux)
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +263,6 @@ def transcription_residual(text: str) -> dict[str, Expr]:
     grammar (constants c1..c6 allowed).  Mismatches are reported, never
     fatal: transcriptions of long printed expressions are best-effort.
     """
-    from .liealg import family_vector_field  # local import to avoid a cycle
-
     entries: dict[str, Expr] = {}
     for raw in text.splitlines():
         line = raw.strip()

@@ -368,13 +368,6 @@ class Expr:
         return Expr(tuple(items))
 
     @classmethod
-    def constant(cls, re: int | Fraction = 0, im: int | Fraction = 0) -> "Expr":
-        c = ComplexRational(re, im)
-        if c.is_zero():
-            return cls.ZERO
-        return Expr((((), c),))
-
-    @classmethod
     def from_scalar(cls, value: _Scalar) -> "Expr":
         c = _as_scalar(value)
         if c.is_zero():
@@ -556,6 +549,14 @@ class Expr:
                     _acc_add(acc, _mono_mul(base, mi), scale * ci)
         return Expr._from_map(acc)
 
+    def total_derivative_along(self, index: Iterable[str]) -> "Expr":
+        """D_J: the total derivative along each direction of the multi-index
+        ``index`` in turn."""
+        e = self
+        for direction in index:
+            e = e.total_derivative(direction)
+        return e
+
     def substitute(self, mapping: Mapping[Atom, _Coercible]) -> "Expr":
         """Simultaneous, non-recursive replacement of atoms, then renormalize.
 
@@ -692,33 +693,6 @@ def exp_of(argument: Expr) -> Expr:
     if argument.is_zero():
         return Expr.ONE
     return Expr.atom(ExpFactor(argument))
-
-
-# ---------------------------------------------------------------------------
-# spec-level operation aliases
-# ---------------------------------------------------------------------------
-
-
-def canonicalize(e: Expr) -> Expr:
-    """Return the canonical form of ``e``.
-
-    Construction already maintains canonical form, so this is the identity;
-    it exists as the explicit normal-form entry point (and the idempotence
-    contract is asserted in the test suite).
-    """
-    return e
-
-
-def diff(e: Expr, wrt: Atom) -> Expr:
-    return e.diff(wrt)
-
-
-def total_derivative(e: Expr, direction: str) -> Expr:
-    return e.total_derivative(direction)
-
-
-def substitute(e: Expr, rules: Mapping[Atom, _Coercible]) -> Expr:
-    return e.substitute(rules)
 
 
 # ---------------------------------------------------------------------------

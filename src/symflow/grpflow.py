@@ -17,6 +17,8 @@ enters them squared).
 
 from __future__ import annotations
 
+import functools
+import random
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -30,22 +32,15 @@ from .expr import (
     Parameter,
     parse,
 )
+from .liealg import COORDINATES, localized_generator
 
 
 class PoleError(ExprError):
     """The flow parameter reached the blow-up locus 1 - eps*f = 0."""
 
 
-FLOW_VARIABLES = ("u", "v", "phi", "psi", "f")
-
-#: right-hand sides of the flow ODEs, one per transported variable
-GENERATOR_CHARACTERISTIC: dict[str, str] = {
-    "u": "phi^2",
-    "v": "psi^2",
-    "phi": "phi*f",
-    "psi": "psi*f",
-    "f": "f^2",
-}
+#: the transported variables: the dependents of the prolonged system
+FLOW_VARIABLES = COORDINATES[2:]
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +145,6 @@ class FlowMap:
     epsilon: Parameter
     rules: Mapping[str, RationalExpr]
 
-    def rule(self, name: str) -> RationalExpr:
-        return self.rules[name]
-
     def at_parameter(self, value: Expr) -> "FlowMap":
         mapping = {self.epsilon: RationalExpr.of(value)}
         return FlowMap(
@@ -168,7 +160,10 @@ class FlowMap:
         return {n: r.substitute(substitution) for n, r in self.rules.items()}
 
 
+@functools.cache
 def closed_form_flow(parameter: str = "epsilon") -> FlowMap:
+    """The one statement of the finite flow of g2; every other use of the
+    flow, symbolic or numeric, evaluates these rules."""
     epsilon = Parameter(parameter)
     eps = Expr.atom(epsilon)
     f = parse("f")
@@ -190,16 +185,11 @@ def sign_variant_flow(parameter: str = "epsilon") -> FlowMap:
     unchanged.  Retained as a documented negative control: see
     :func:`verify_flow_properties`.
     """
-    epsilon = Parameter(parameter)
-    eps = Expr.atom(epsilon)
-    f = parse("f")
-    den = eps * f - Expr.ONE
     good = closed_form_flow(parameter)
     rules = dict(good.rules)
-    rules["phi"] = RationalExpr(parse("phi"), den)
-    rules["psi"] = RationalExpr(parse("psi"), den)
-    rules["f"] = RationalExpr(f, den)
-    return FlowMap(epsilon, rules)
+    for name in ("phi", "psi", "f"):
+        rules[name] = RationalExpr(rules[name].num, -rules[name].den)
+    return FlowMap(good.epsilon, rules)
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +201,11 @@ def flow_satisfies_odes(flow: FlowMap) -> dict[str, bool]:
     """d(rule)/d(eps) must equal the generator characteristic composed with
     the flow, for each transported variable."""
     composed_args = {JetCoordinate(n): flow.rules[n] for n in FLOW_VARIABLES}
+    g2 = localized_generator()
     out = {}
     for name in FLOW_VARIABLES:
         lhs = flow.rules[name].diff(flow.epsilon)
-        rhs = _compose(parse(GENERATOR_CHARACTERISTIC[name]), composed_args)
+        rhs = _compose(g2.coefficient(name), composed_args)
         out[name] = lhs.equals(rhs)
     return out
 
@@ -240,11 +231,12 @@ def flow_identity_at_zero(flow: FlowMap) -> bool:
 
 def flow_infinitesimal(flow: FlowMap) -> dict[str, bool]:
     """First-order term in eps must reproduce the generator coefficients."""
+    g2 = localized_generator()
     out = {}
     for name in FLOW_VARIABLES:
         derivative = flow.rules[name].diff(flow.epsilon)
         at_zero = derivative.substitute({flow.epsilon: Expr.ZERO})
-        out[name] = at_zero.equals(parse(GENERATOR_CHARACTERISTIC[name]))
+        out[name] = at_zero.equals(g2.coefficient(name))
     return out
 
 
@@ -285,10 +277,12 @@ def ivp_oracle(
     return state
 
 
-def closed_form_at(initial: Mapping[str, complex], epsilon: float) -> dict[str, complex]:
+def closed_form_at(values: Mapping[str, complex | np.ndarray], epsilon: float):
+    """The rules of :func:`closed_form_flow` evaluated at parameter
+    ``epsilon`` on scalar states or on arrays that broadcast together."""
     flow = closed_form_flow()
-    assignment = {Parameter("epsilon"): complex(epsilon)}
-    assignment.update({JetCoordinate(n): complex(initial[n]) for n in FLOW_VARIABLES})
+    assignment = {flow.epsilon: epsilon}
+    assignment.update({JetCoordinate(n): values[n] for n in FLOW_VARIABLES})
     return {n: flow.rules[n].eval_numeric(assignment) for n in FLOW_VARIABLES}
 
 
@@ -300,9 +294,14 @@ def closed_form_at(initial: Mapping[str, complex], epsilon: float) -> dict[str, 
 def map_solution(
     fields: Mapping[str, np.ndarray], epsilon: float, pole_tolerance: float = 1e-6
 ) -> dict[str, np.ndarray]:
-    """Pointwise application of the closed-form flow to gridded fields."""
-    f = np.asarray(fields["f"], dtype=complex)
-    den = 1.0 - epsilon * f
+    """Pointwise application of the certified closed-form flow to gridded
+    fields; a grid point on the common pole of its rules is an error."""
+    fields = {n: np.asarray(fields[n], dtype=complex) for n in FLOW_VARIABLES}
+    flow = closed_form_flow()
+    f = fields["f"]
+    den = np.asarray(
+        flow.rules["f"].den.eval_numeric({flow.epsilon: epsilon, JetCoordinate("f"): f})
+    )
     if np.min(np.abs(den)) < pole_tolerance:
         index = np.unravel_index(np.argmin(np.abs(den)), den.shape)
         at = complex(f[index])
@@ -311,15 +310,7 @@ def map_solution(
             f"flow pole on grid at index {tuple(int(i) for i in index)}: "
             f"1 - epsilon*f = 0 at f = {f_text} (epsilon = {epsilon:g})"
         )
-    phi = np.asarray(fields["phi"], dtype=complex)
-    psi = np.asarray(fields["psi"], dtype=complex)
-    return {
-        "u": np.asarray(fields["u"], dtype=complex) + epsilon * phi**2 / den,
-        "v": np.asarray(fields["v"], dtype=complex) + epsilon * psi**2 / den,
-        "phi": phi / den,
-        "psi": psi / den,
-        "f": f / den,
-    }
+    return closed_form_at(fields, epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +329,6 @@ def verify_flow_properties(
     seed: int = 11, oracle_points: int = 10, oracle_steps: int = 200
 ) -> list[FlowCheck]:
     """ODE consistency, group law, oracle agreement, and the negative control."""
-    import random
-
     checks = []
     flow = closed_form_flow()
 

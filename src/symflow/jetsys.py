@@ -20,9 +20,7 @@ from .expr import (
     DEFAULT_VOCABULARY,
     Expr,
     ExprError,
-    IndependentVariable,
     JetCoordinate,
-    Parameter,
     Vocabulary,
     parse,
     to_text,

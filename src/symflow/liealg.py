@@ -1,10 +1,13 @@
-"""Point vector fields on {x,t,u,v,phi,psi,f}: brackets, structure
+"""Point vector fields on {x,t,u,v,phi,psi,f}: the six-generator basis
+of the prolonged system's point symmetries, brackets, structure
 constants, the adjoint representation, and the one-dimensional
 subalgebra classification of the non-central part.
 
 The six standard generators close into an algebra whose only nonzero
 brackets live on the first three: [g1,g2] = g2, [g1,g3] = -g3,
-[g2,g3] = -2 g1 (a real sl(2)); g4, g5, g6 are central.
+[g2,g3] = -2 g1 (a real sl(2)); g4, g5, g6 are central.  The basis is
+the one statement of that algebra: the six-constant family, the
+localized symmetry g2 and the coordinate names are all read from here.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .expr import (
+    Atom,
     ComplexRational,
     Expr,
     ExprError,
@@ -27,11 +31,12 @@ from .expr import (
     parse,
 )
 
+#: the prolonged system's coordinates: the independents, then the dependents
 COORDINATES = ("x", "t", "u", "v", "phi", "psi", "f")
 
 
-def _coordinate_atom(name: str):
-    return IndependentVariable(name) if name in ("x", "t") else JetCoordinate(name)
+def coordinate_atom(name: str) -> Atom:
+    return IndependentVariable(name) if name in COORDINATES[:2] else JetCoordinate(name)
 
 
 @dataclass(frozen=True)
@@ -58,16 +63,19 @@ class VectorField:
         """Directional derivative of a coordinate function."""
         total = Expr.ZERO
         for name, coefficient in self.coeffs.items():
-            total = total + coefficient * g.diff(_coordinate_atom(name))
+            total = total + coefficient * g.diff(coordinate_atom(name))
         return total
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs.values())
 
     def __add__(self, other: "VectorField") -> "VectorField":
-        names = set(self.coeffs) | set(other.coeffs)
         return VectorField(
-            {n: self.coefficient(n) + other.coefficient(n) for n in names}
+            {
+                n: self.coefficient(n) + other.coefficient(n)
+                for n in COORDINATES
+                if n in self.coeffs or n in other.coeffs
+            }
         )
 
     def scaled(self, factor) -> "VectorField":
@@ -99,8 +107,9 @@ def commutator(a: VectorField, b: VectorField) -> VectorField:
     )
 
 
+@functools.cache
 def standard_generators() -> tuple[VectorField, ...]:
-    """The six-generator basis of the prolonged system's point symmetries."""
+    """The six-generator basis g1..g6 of the prolonged system's point symmetries."""
     return (
         vector_field(phi="phi/2", psi="psi/2", f="f"),
         vector_field(u="phi^2", v="psi^2", phi="phi*f", psi="psi*f", f="f^2"),
@@ -111,16 +120,21 @@ def standard_generators() -> tuple[VectorField, ...]:
     )
 
 
+def localized_generator() -> VectorField:
+    """g2: the Lax-pair symmetry (phi^2, psi^2) localized by the potential f."""
+    return standard_generators()[1]
+
+
+#: the constant that multiplies each of g1..g6 in the six-constant family
+FAMILY_CONSTANTS = ("c5", "c2", "c6", "c1", "c3", "c4")
+
+
 def family_vector_field() -> VectorField:
-    """General element of the six-constant symmetry family, constants symbolic."""
-    return vector_field(
-        x="c4",
-        t="c3",
-        u="c2*phi^2 + c1*u",
-        v="c2*psi^2 - c1*v",
-        phi="(2*c2*f + c1 + c5)*phi/2",
-        psi="(2*c2*f - c1 + c5)*psi/2",
-        f="c2*f^2 + c5*f + c6",
+    """General element c5 g1 + c2 g2 + ... + c4 g6 of the six-constant
+    symmetry family, constants symbolic."""
+    return functools.reduce(
+        operator.add,
+        (g.scaled(parse(c)) for g, c in zip(standard_generators(), FAMILY_CONSTANTS)),
     )
 
 

@@ -17,15 +17,14 @@ from typing import Iterable, Mapping, Sequence
 
 from .expr import (
     Atom,
-    DEFAULT_VOCABULARY,
     Expr,
     ExprError,
-    IndependentVariable,
     JetCoordinate,
     Vocabulary,
     parse,
 )
-from .jetsys import PdeSystem, builtin_prolonged
+from .jetsys import PdeSystem
+from .liealg import COORDINATES, coordinate_atom, family_vector_field, localized_generator
 
 
 class UnknownFunction(Atom):
@@ -85,12 +84,6 @@ class SymmetryCheck:
     residuals: tuple[Expr, ...]
 
 
-def _apply_index(e: Expr, index: Sequence[str]) -> Expr:
-    for direction in index:
-        e = e.total_derivative(direction)
-    return e
-
-
 def _selected_equations(sys: PdeSystem, equations) -> list[tuple[int, Expr]]:
     if equations is None:
         return list(enumerate(sys.equations))
@@ -121,7 +114,7 @@ def frechet(
                 raise ExprError(
                     f"characteristic lacks a component for dependent '{a.name}'"
                 )
-            total = total + equation.diff(a) * _apply_index(direction, a.index)
+            total = total + equation.diff(a) * direction.total_derivative_along(a.index)
         out.append(total)
     return out
 
@@ -172,7 +165,6 @@ class PointFamily:
     xi_t: Expr
     etas: Mapping[str, Expr]
     equations: tuple[int, ...] | None = None
-    constants: tuple[str, ...] = ()
 
     def characteristic(self) -> SymmetryCandidate:
         return _characteristic(self.xi_x, self.xi_t, self.etas)
@@ -184,7 +176,7 @@ class PointFamily:
         etas = dict(self.etas)
         etas[dep] = eta
         return PointFamily(
-            f"{self.name}-mutated", self.xi_x, self.xi_t, etas, self.equations, self.constants
+            f"{self.name}-mutated", self.xi_x, self.xi_t, etas, self.equations
         )
 
 
@@ -208,52 +200,41 @@ def coupled_family() -> PointFamily:
             "v": parse("((-6*c1 - 9*c5)*v + 9*c4*psi^2)/9 - I*alpha*v*c1*x/(9*beta)"),
         },
         equations=(0, 1),
-        constants=("c1", "c2", "c3", "c4", "c5"),
     )
 
 
 def prolonged_family(flip_psi_eta: bool = False) -> PointFamily:
-    """Six-constant point-symmetry family of the full prolonged system.
+    """Six-constant point-symmetry family of the full prolonged system: the
+    general element of the six-generator basis (``liealg.family_vector_field``).
 
     With ``flip_psi_eta`` the psi-coefficient is negated; that variant fails
     verification and is retained as a negative control for a sign ambiguity
     that the checker resolves.
     """
-    q = parse("(2*c2*f - c1 + c5)*psi/2")
+    field = family_vector_field()
+    etas = {name: field.coefficient(name) for name in COORDINATES[2:]}
     if flip_psi_eta:
-        q = -q
+        etas["psi"] = -etas["psi"]
     return PointFamily(
         name="prolonged-6-flipped" if flip_psi_eta else "prolonged-6",
-        xi_x=parse("c4"),
-        xi_t=parse("c3"),
-        etas={
-            "u": parse("c2*phi^2 + c1*u"),
-            "v": parse("c2*psi^2 - c1*v"),
-            "phi": parse("(2*c2*f + c1 + c5)*phi/2"),
-            "psi": q,
-            "f": parse("c2*f^2 + c5*f + c6"),
-        },
-        equations=None,
-        constants=("c1", "c2", "c3", "c4", "c5", "c6"),
+        xi_x=field.coefficient("x"),
+        xi_t=field.coefficient("t"),
+        etas=etas,
     )
 
 
 def seed_pair() -> SymmetryCandidate:
-    """The eigenfunction-squared characteristic of the evolution equations."""
-    return SymmetryCandidate({"u": parse("phi^2"), "v": parse("psi^2")})
+    """The eigenfunction-squared characteristic of the evolution equations:
+    the u, v part of g2."""
+    g2 = localized_generator()
+    return SymmetryCandidate({name: g2.coefficient(name) for name in ("u", "v")})
 
 
 def localized_characteristic() -> SymmetryCandidate:
-    """Five-component characteristic carried by the prolonged system."""
-    return SymmetryCandidate(
-        {
-            "u": parse("phi^2"),
-            "v": parse("psi^2"),
-            "phi": parse("phi*f"),
-            "psi": parse("psi*f"),
-            "f": parse("f^2"),
-        }
-    )
+    """Five-component characteristic carried by the prolonged system: the
+    coefficients of the localized generator g2."""
+    g2 = localized_generator()
+    return SymmetryCandidate({name: g2.coefficient(name) for name in COORDINATES[2:]})
 
 
 def parse_symmetry_manifest(text: str, vocabulary: Vocabulary) -> SymmetryCandidate:
@@ -308,7 +289,7 @@ def coupled_ansatz() -> PointAnsatz:
 
 def prolonged_ansatz() -> PointAnsatz:
     return PointAnsatz(
-        args=("x", "t", "u", "v", "phi", "psi", "f"),
+        args=COORDINATES,
         eta_names={"u": "U", "v": "V", "phi": "P", "psi": "Q", "f": "F"},
         equations=None,
     )
@@ -344,15 +325,9 @@ class DeterminingSystem:
             out[eq_index] = out.get(eq_index, Expr.ZERO) + mono_expr * constraint
         return [out.get(i, Expr.ZERO) for i in range(len(self.residuals))]
 
-    def substitution_for(self, sys: PdeSystem, solution: Mapping[str, Expr]) -> dict:
+    def substitution_for(self, solution: Mapping[str, Expr]) -> dict:
         """Map every unknown-function atom to the matching derivative of a
         concrete solution expression."""
-        coordinate_atoms = {
-            name: IndependentVariable(name)
-            if name in sys.independents
-            else JetCoordinate(name)
-            for name in self.ansatz.args
-        }
         mapping = {}
         atoms = set()
         for constraint in self.constraint_exprs:
@@ -360,16 +335,16 @@ class DeterminingSystem:
         for a in atoms:
             concrete = solution[a.name]
             for coord in a.index:
-                concrete = concrete.diff(coordinate_atoms[coord])
+                concrete = concrete.diff(coordinate_atom(coord))
             mapping[a] = concrete
         return mapping
 
     def verify_solution(self, sys: PdeSystem, solution: Mapping[str, Expr]) -> bool:
-        mapping = self.substitution_for(sys, solution)
+        mapping = self.substitution_for(solution)
         return all(c.substitute(mapping).is_zero() for c in self.constraint_exprs)
 
     def failing_constraints(self, sys: PdeSystem, solution: Mapping[str, Expr]):
-        mapping = self.substitution_for(sys, solution)
+        mapping = self.substitution_for(solution)
         return [
             (eq, key, c)
             for eq, key, c in self.constraints

@@ -26,6 +26,7 @@ from .expr import (
     exp_of,
     parse,
 )
+from .grpflow import map_solution
 from .jetsys import builtin_prolonged
 
 DEFAULT_GRID = dict(nx=201, nt=101, x0=-5.0, x1=5.0, t0=0.0, t1=0.5)
@@ -153,10 +154,7 @@ def substitute_solution(e: Expr, closed_forms: Mapping[str, Expr]) -> Expr:
     mapping = {}
     for a in e.jet_atoms():
         if a.name in closed_forms:
-            value = closed_forms[a.name]
-            for direction in a.index:
-                value = value.total_derivative(direction)
-            mapping[a] = value
+            mapping[a] = closed_forms[a.name].total_derivative_along(a.index)
     return e.substitute(mapping)
 
 
@@ -258,8 +256,6 @@ def _refinement_orders(
 ) -> tuple[list[float], list[float]]:
     """``measure`` of the flow-transformed seed at each refinement level,
     and the observed orders log2(m_k / m_{k+1})."""
-    from .grpflow import map_solution
-
     values = []
     for nx, nt in levels:
         grid = make_vacuum_grid(params, {"nx": nx, "nt": nt})

@@ -1,11 +1,16 @@
 import dataclasses
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import symflow
 from symflow.cli import _rebuilds_to_itself, main
 from symflow import conslaw, grpflow, liealg, numcheck
 from symflow.expr import Expr, parse
@@ -281,3 +286,20 @@ def test_flow_pole_names_epsilon_and_f(tmp_path, capsys):
     assert check["status"] == "fail"
     assert "1 - epsilon*f = 0 at f = " in check["detail"]
     assert "epsilon = 0.2" in check["detail"]
+
+
+def test_closed_pipe_exits_one_without_traceback():
+    # as in `symflow all | head -1`: the reader leaves after the first line
+    env = {**os.environ, "PYTHONPATH": str(Path(symflow.__file__).resolve().parents[1])}
+    child = subprocess.Popen(
+        [sys.executable, "-u", "-m", "symflow", "all"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert child.stdout.readline().startswith(b"PASS ")
+        child.stdout.close()
+        _, stderr = child.communicate(timeout=120)
+    finally:
+        child.kill()
+    assert child.returncode == 1
+    assert stderr == b""

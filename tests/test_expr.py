@@ -13,7 +13,6 @@ from symflow.expr import (
     Parameter,
     ParseError,
     Vocabulary,
-    canonicalize,
     exp_of,
     indep,
     jet,
@@ -21,6 +20,7 @@ from symflow.expr import (
     parse,
     to_text,
 )
+from symflow.cli import _rebuilds_to_itself
 from conftest import random_expr
 
 
@@ -117,11 +117,12 @@ def test_zero_iff_no_monomials():
     assert (jet("u") * 0).is_zero()
 
 
-def test_canonicalize_idempotent_on_random_expressions():
+def test_rebuild_from_shuffled_terms_on_random_expressions():
     rng = random.Random(101)
+    shuffle_rng = random.Random(101)  # keeps the cases ``rng`` draws
     for _ in range(120):
         e = random_expr(rng, allow_exp=True)
-        assert canonicalize(canonicalize(e)) == canonicalize(e)
+        assert _rebuilds_to_itself(e, shuffle_rng)
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,9 @@ def test_oracle_matches_closed_form_at_random_states():
         exact = closed_form_at(initial, epsilon)
         numeric = ivp_oracle(initial, epsilon, 200)
         assert max(abs(exact[n] - numeric[n]) for n in FLOW_VARIABLES) < 1e-7
+        # the grid path on a 1x1 grid runs the same certified rules
+        gridded = map_solution({n: np.full((1, 1), initial[n]) for n in FLOW_VARIABLES}, epsilon)
+        assert max(abs(gridded[n][0, 0] - numeric[n]) for n in FLOW_VARIABLES) < 1e-7
 
 
 def test_pole_proximity_raises():
