@@ -20,7 +20,6 @@ from .expr import (
     jet,
     param,
     parse,
-    rational,
     to_text,
 )
 from .jetsys import (

@@ -223,24 +223,20 @@ class DivergenceCheck:
     nontrivial: str
 
 
-def verify_divergence(
-    cv: ConservedVector,
-    closure: SolvedFormClosure | None = None,
-    numeric_points: int = 10,
-    seed: int = 2024,
-) -> DivergenceCheck:
+def verify_divergence(cv: ConservedVector, numeric_points: int = 10) -> DivergenceCheck:
     """Reduce D_t(Tt) + D_x(Tx) modulo the combined closure, then sample.
 
     The numeric stage evaluates the *unreduced* divergence at consistent
     points whose multiplier values satisfy the adjoint solved forms, and
-    reports the maximum magnitude seen.
+    reports the maximum magnitude seen.  Point k is drawn from the fixed
+    seed 2024 * 10007 + k, so every run samples the same points.
     """
-    closure = closure or combined_closure()
+    closure = combined_closure()
     divergence = cv.Tt.total_derivative("t") + cv.Tx.total_derivative("x")
     residual = closure.reduce(divergence)
     numeric_max = 0.0
     for k in range(numeric_points):
-        rng = random.Random(seed * 10007 + k)
+        rng = random.Random(2024 * 10007 + k)
         point = consistent_assignment(closure, [divergence], rng)
         numeric_max = max(numeric_max, abs(divergence.eval_numeric(point)))
     if closure.reduce(cv.Tt).is_zero() and closure.reduce(cv.Tx).is_zero():

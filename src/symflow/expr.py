@@ -266,7 +266,9 @@ class ExpFactor(Atom):
 Monomial = tuple  # tuple[tuple[Atom, int], ...]
 
 
-def _mono_key(mono: Monomial):
+def monomial_key(mono: Monomial):
+    """The one monomial order: terms sort by it, and so does every list of
+    monomials that must come out the same in each run."""
     return tuple((a._key, n) for a, n in mono)
 
 
@@ -364,7 +366,7 @@ class Expr:
     @staticmethod
     def _from_map(acc: dict) -> "Expr":
         items = [(m, c) for m, c in acc.items() if not c.is_zero()]
-        items.sort(key=lambda item: _mono_key(item[0]))
+        items.sort(key=lambda item: monomial_key(item[0]))
         return Expr(tuple(items))
 
     @classmethod
@@ -399,7 +401,7 @@ class Expr:
     def sort_key(self):
         if self._sort_key is None:
             self._sort_key = tuple(
-                (_mono_key(m), c.key()) for m, c in self._terms
+                (monomial_key(m), c.key()) for m, c in self._terms
             )
         return self._sort_key
 
@@ -682,10 +684,6 @@ def jet(name: str, *index: str) -> Expr:
 
 def integer(n: int) -> Expr:
     return Expr.from_scalar(n)
-
-
-def rational(p: int, q: int) -> Expr:
-    return Expr.from_scalar(Fraction(p, q))
 
 
 def exp_of(argument: Expr) -> Expr:

@@ -18,6 +18,7 @@ enters them squared).
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass
 from typing import Mapping
@@ -42,6 +43,12 @@ class PoleError(ExprError):
 #: the transported variables: the dependents of the prolonged system
 FLOW_VARIABLES = COORDINATES[2:]
 
+#: |1 - eps*f| below this is a pole, for the oracle and for grid mapping
+POLE_TOLERANCE = 1e-6
+#: random states, and fourth-order steps per state, of the oracle check
+ORACLE_POINTS = 10
+ORACLE_STEPS = 200
+
 
 # ---------------------------------------------------------------------------
 # rational layer: pairs of differential polynomials
@@ -53,7 +60,7 @@ class RationalExpr:
     """Quotient of two canonical expressions.
 
     Equality is decided by cross-multiplication, so no polynomial gcd is
-    ever needed; arithmetic does not reduce the fraction.
+    ever needed; substitution does not reduce the fraction.
     """
 
     num: Expr
@@ -71,35 +78,6 @@ class RationalExpr:
             value = Expr.from_scalar(value)
         return RationalExpr(value, Expr.ONE)
 
-    def __add__(self, other) -> "RationalExpr":
-        o = RationalExpr.of(other)
-        return RationalExpr(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    def __sub__(self, other) -> "RationalExpr":
-        o = RationalExpr.of(other)
-        return RationalExpr(self.num * o.den - o.num * self.den, self.den * o.den)
-
-    def __mul__(self, other) -> "RationalExpr":
-        o = RationalExpr.of(other)
-        return RationalExpr(self.num * o.num, self.den * o.den)
-
-    def __truediv__(self, other) -> "RationalExpr":
-        o = RationalExpr.of(other)
-        if o.num.is_zero():
-            raise ZeroDivisionError("division by zero rational expression")
-        return RationalExpr(self.num * o.den, self.den * o.num)
-
-    def __neg__(self) -> "RationalExpr":
-        return RationalExpr(-self.num, self.den)
-
-    def __pow__(self, n: int) -> "RationalExpr":
-        if n < 0:
-            return RationalExpr(self.den, self.num) ** (-n)
-        return RationalExpr(self.num**n, self.den**n)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
     def equals(self, other) -> bool:
         o = RationalExpr.of(other)
         return (self.num * o.den - o.num * self.den).is_zero()
@@ -111,7 +89,9 @@ class RationalExpr:
         )
 
     def substitute(self, mapping: Mapping[Atom, "RationalExpr | Expr"]) -> "RationalExpr":
-        return _compose(self.num, mapping) / _compose(self.den, mapping)
+        """Replace atoms by quotients; numerator and denominator come out
+        over one common denominator, which cancels from their ratio."""
+        return RationalExpr(*_compose((self.num, self.den), mapping))
 
     def eval_numeric(self, assignment) -> complex:
         return self.num.eval_numeric(assignment) / self.den.eval_numeric(assignment)
@@ -122,17 +102,33 @@ class RationalExpr:
         return f"({self.num})/({self.den})"
 
 
-def _compose(e: Expr, mapping) -> RationalExpr:
-    """Evaluate a polynomial expression with atoms replaced by rationals."""
-    total = RationalExpr.of(Expr.ZERO)
-    for mono, coeff in e.terms:
-        term = RationalExpr.of(Expr.from_scalar(coeff))
-        for a, n in mono:
-            repl = mapping.get(a)
-            base = RationalExpr.of(repl) if repl is not None else RationalExpr.of(Expr.atom(a))
-            term = term * base**n
-        total = total + term
-    return total
+#: stands for the common denominator inside :func:`_compose`; the parser
+#: cannot produce its name
+_COMMON = Parameter("common denominator")
+
+
+def _compose(exprs: tuple[Expr, ...], mapping) -> list[Expr]:
+    """The polynomials ``exprs`` with each atom a replaced by its image
+    p_a/q_a, all multiplied by one Q^n.
+
+    Q is the product of the distinct q_a.  Each a becomes p_a * (Q/q_a) / c
+    for the placeholder c, which stands for Q; multiplying by c^n, where n
+    is the largest degree of a term in the mapped atoms, leaves c with no
+    negative power, and c -> Q then gives the polynomials over Q^n.
+    """
+    images = {a: RationalExpr.of(r) for a, r in mapping.items()}
+    denominators = list(dict.fromkeys(r.den for r in images.values()))
+    inverse = Expr.atom(_COMMON) ** -1
+    replacement = {
+        a: math.prod((q for q in denominators if q != r.den), start=r.num) * inverse
+        for a, r in images.items()
+    }
+    powers = [[k for a, k in mono if a in images] for e in exprs for mono, _ in e.terms]
+    if any(k < 0 for p in powers for k in p):
+        raise ExprError("a negative power of a mapped atom leaves the polynomial ring")
+    scale = Expr.atom(_COMMON) ** max(map(sum, powers), default=0)
+    common = {_COMMON: math.prod(denominators, start=Expr.ONE)}
+    return [(e.substitute(replacement) * scale).substitute(common) for e in exprs]
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +142,7 @@ class FlowMap:
     rules: Mapping[str, RationalExpr]
 
     def at_parameter(self, value: Expr) -> "FlowMap":
-        mapping = {self.epsilon: RationalExpr.of(value)}
+        mapping = {self.epsilon: value}
         return FlowMap(
             self.epsilon,
             {n: r.substitute(mapping) for n, r in self.rules.items()},
@@ -205,7 +201,7 @@ def flow_satisfies_odes(flow: FlowMap) -> dict[str, bool]:
     out = {}
     for name in FLOW_VARIABLES:
         lhs = flow.rules[name].diff(flow.epsilon)
-        rhs = _compose(g2.coefficient(name), composed_args)
+        rhs = RationalExpr.of(g2.coefficient(name)).substitute(composed_args)
         out[name] = lhs.equals(rhs)
     return out
 
@@ -261,9 +257,9 @@ def ivp_oracle(
     s = 0.0
     for _ in range(steps):
         remaining = epsilon - s
-        if abs(1.0 - remaining * state["f"]) < 1e-6:
+        if abs(1.0 - remaining * state["f"]) < POLE_TOLERANCE:
             raise PoleError(
-                f"flow pole: |1 - (eps - s)*f| < 1e-6 at s = {s:.6g}"
+                f"flow pole: |1 - (eps - s)*f| < {POLE_TOLERANCE:g} at s = {s:.6g}"
             )
         k1 = _ode_rhs(state)
         k2 = _ode_rhs({n: state[n] + 0.5 * h * k1[n] for n in FLOW_VARIABLES})
@@ -291,9 +287,7 @@ def closed_form_at(values: Mapping[str, complex | np.ndarray], epsilon: float):
 # ---------------------------------------------------------------------------
 
 
-def map_solution(
-    fields: Mapping[str, np.ndarray], epsilon: float, pole_tolerance: float = 1e-6
-) -> dict[str, np.ndarray]:
+def map_solution(fields: Mapping[str, np.ndarray], epsilon: float) -> dict[str, np.ndarray]:
     """Pointwise application of the certified closed-form flow to gridded
     fields; a grid point on the common pole of its rules is an error."""
     fields = {n: np.asarray(fields[n], dtype=complex) for n in FLOW_VARIABLES}
@@ -302,7 +296,7 @@ def map_solution(
     den = np.asarray(
         flow.rules["f"].den.eval_numeric({flow.epsilon: epsilon, JetCoordinate("f"): f})
     )
-    if np.min(np.abs(den)) < pole_tolerance:
+    if np.min(np.abs(den)) < POLE_TOLERANCE:
         index = np.unravel_index(np.argmin(np.abs(den)), den.shape)
         at = complex(f[index])
         f_text = f"{at.real:g}" if at.imag == 0 else f"{at.real:g}{at.imag:+g}i"
@@ -325,9 +319,7 @@ class FlowCheck:
     detail: str = ""
 
 
-def verify_flow_properties(
-    seed: int = 11, oracle_points: int = 10, oracle_steps: int = 200
-) -> list[FlowCheck]:
+def verify_flow_properties(seed: int = 11) -> list[FlowCheck]:
     """ODE consistency, group law, oracle agreement, and the negative control."""
     checks = []
     flow = closed_form_flow()
@@ -361,7 +353,7 @@ def verify_flow_properties(
     rng = random.Random(seed)
     worst = 0.0
     tested = 0
-    while tested < oracle_points:
+    while tested < ORACLE_POINTS:
         initial = {
             n: complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
             for n in FLOW_VARIABLES
@@ -371,13 +363,13 @@ def verify_flow_properties(
             continue
         tested += 1
         exact = closed_form_at(initial, epsilon)
-        numeric = ivp_oracle(initial, epsilon, oracle_steps)
+        numeric = ivp_oracle(initial, epsilon, ORACLE_STEPS)
         worst = max(worst, max(abs(exact[n] - numeric[n]) for n in FLOW_VARIABLES))
     checks.append(
         FlowCheck(
             "flow-matches-ode-oracle",
             worst < 1e-7,
-            f"max deviation {worst:.3e} over {oracle_points} random states",
+            f"max deviation {worst:.3e} over {ORACLE_POINTS} random states",
         )
     )
     return checks

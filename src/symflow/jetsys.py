@@ -60,10 +60,6 @@ class SolvedFormClosure:
         for key in self._solved:
             self._by_name.setdefault(key.name, []).append(key)
 
-    @property
-    def solved_forms(self) -> dict[JetCoordinate, Expr]:
-        return dict(self._solved)
-
     def base_key(self, coordinate: JetCoordinate) -> JetCoordinate | None:
         candidates = []
         index = Counter(coordinate.index)
@@ -133,7 +129,6 @@ class PdeSystem:
         parameters: Iterable[str],
         equations: Iterable[Expr],
         solved_forms: Mapping[JetCoordinate, Expr],
-        check: bool = True,
     ):
         self.name = name
         self.independents = tuple(independents)
@@ -141,8 +136,7 @@ class PdeSystem:
         self.parameters = tuple(parameters)
         self.equations = tuple(equations)
         self.solved_forms = dict(solved_forms)
-        if check:
-            self._check_well_formed()
+        self._check_well_formed()
 
     @property
     def dependent_names(self) -> tuple[str, ...]:

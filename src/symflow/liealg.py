@@ -28,6 +28,7 @@ from .expr import (
     JetCoordinate,
     Parameter,
     exp_of,
+    monomial_key,
     parse,
 )
 
@@ -180,31 +181,17 @@ def _solve_linear(rows: list[list[ComplexRational]], rhs: list[ComplexRational])
 def express_in_basis(
     vf: VectorField, basis: Sequence[VectorField]
 ) -> list[ComplexRational] | None:
-    """Exact coordinates of ``vf`` in the basis span, or None if outside."""
-    monomials = set()
-    for field in list(basis) + [vf]:
-        for name in COORDINATES:
-            for mono, _c in field.coefficient(name).terms:
-                monomials.add((name, mono))
-    rows = []
-    rhs = []
-    for name, mono in sorted(monomials, key=lambda item: (item[0], _mono_sort(item[1]))):
-        rows.append(
-            [_coeff_of(b.coefficient(name), mono) for b in basis]
-        )
-        rhs.append(_coeff_of(vf.coefficient(name), mono))
-    return _solve_linear(rows, rhs)
-
-
-def _mono_sort(mono):
-    return tuple((a.sort_key(), n) for a, n in mono)
-
-
-def _coeff_of(e: Expr, mono) -> ComplexRational:
-    for m, c in e.terms:
-        if m == mono:
-            return c
-    return ComplexRational(0)
+    """Exact coordinates of ``vf`` in the basis span, or None if outside:
+    one linear equation per coordinate and monomial."""
+    # coefficient of each (coordinate, monomial) in each field; vf is last
+    terms = [
+        {(name, mono): c for name in COORDINATES for mono, c in field.coefficient(name).terms}
+        for field in (*basis, vf)
+    ]
+    keys = sorted(set().union(*terms), key=lambda item: (item[0], monomial_key(item[1])))
+    zero = ComplexRational(0)
+    rows = [[t.get(key, zero) for t in terms] for key in keys]
+    return _solve_linear([row[:-1] for row in rows], [row[-1] for row in rows])
 
 
 @dataclass
@@ -263,10 +250,11 @@ class StructureTable:
         )
 
 
-def structure_table(basis: Sequence[VectorField], labels=None) -> StructureTable:
-    """All pairwise brackets in basis coordinates; checks closure and Jacobi."""
+def structure_table(basis: Sequence[VectorField]) -> StructureTable:
+    """All pairwise brackets in basis coordinates, labelled g1, g2, ...;
+    checks closure and Jacobi."""
     basis = tuple(basis)
-    labels = tuple(labels or (f"g{i+1}" for i in range(len(basis))))
+    labels = tuple(f"g{i+1}" for i in range(len(basis)))
     table = {}
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
@@ -312,8 +300,9 @@ class BasisSeries:
 
     coords: tuple[Expr, ...]
 
-    def substitute(self, mapping) -> "BasisSeries":
-        return BasisSeries(tuple(c.substitute(mapping) for c in self.coords))
+
+#: longest adjoint series :func:`adjoint` sums before it gives up
+ADJOINT_MAX_TERMS = 12
 
 
 def adjoint(
@@ -321,14 +310,13 @@ def adjoint(
     v_index: int,
     w_coords: Sequence,
     epsilon: Parameter,
-    max_terms: int = 12,
 ) -> BasisSeries:
     """Ad(exp(eps*v)) w as the series w - eps [v,w] + eps^2/2 [v,[v,w]] - ...
 
     Computed by linearity over basis components: for each one the Krylov
     sequence either terminates (nilpotent action, polynomial in eps) or is
     an eigenvector ([v,w] = c w, summing to Exp(-c*eps) w); anything else
-    within ``max_terms`` is an error.
+    within :data:`ADJOINT_MAX_TERMS` terms is an error.
     """
     n = len(table.basis)
     eps = Expr.atom(epsilon)
@@ -354,7 +342,7 @@ def adjoint(
         sign = ComplexRational(1)
         factorial = 1
         power = Expr.ONE
-        for order in range(max_terms + 1):
+        for order in range(ADJOINT_MAX_TERMS + 1):
             scale = Expr.from_scalar(sign * Fraction(1, factorial)) * power
             for k in range(n):
                 if not current[k].is_zero():
@@ -368,7 +356,7 @@ def adjoint(
         else:
             raise ExprError(
                 f"adjoint series of basis element {j} neither terminates nor "
-                f"is eigen-diagonal within {max_terms} terms"
+                f"is eigen-diagonal within {ADJOINT_MAX_TERMS} terms"
             )
     return BasisSeries(tuple(totals))
 

@@ -21,6 +21,7 @@ from .expr import (
     ExprError,
     JetCoordinate,
     Vocabulary,
+    monomial_key,
     parse,
 )
 from .jetsys import PdeSystem
@@ -273,10 +274,10 @@ class PointAnsatz:
     args: tuple[str, ...]
     eta_names: Mapping[str, str]
     equations: tuple[int, ...] | None = None
-    xi_names: tuple[str, str] = ("X", "T")
 
-    def unknowns(self) -> tuple[str, ...]:
-        return self.xi_names + tuple(self.eta_names[d] for d in self.eta_names)
+
+#: the unknown-function names of the x- and t-coefficients in every ansatz
+XI_NAMES = ("X", "T")
 
 
 def coupled_ansatz() -> PointAnsatz:
@@ -379,15 +380,15 @@ def generate_determining(sys: PdeSystem, ansatz: PointAnsatz) -> DeterminingSyst
             raise ExprError(f"ansatz argument '{name}' is not a system variable")
     unknown = lambda name: Expr.atom(UnknownFunction(name, ansatz.args))
     sigma = _characteristic(
-        unknown(ansatz.xi_names[0]),
-        unknown(ansatz.xi_names[1]),
+        unknown(XI_NAMES[0]),
+        unknown(XI_NAMES[1]),
         {dep: unknown(eta_name) for dep, eta_name in ansatz.eta_names.items()},
     )
     residuals = [sys.reduce(r) for r in frechet(sys, sigma, ansatz.equations)]
     constraints = []
     for eq_index, residual in enumerate(residuals):
         split = _split_by_derivative_monomials(residual)
-        for key in sorted(split, key=lambda k: tuple((a.sort_key(), n) for a, n in k)):
+        for key in sorted(split, key=monomial_key):
             constraints.append((eq_index, key, split[key]))
     system = DeterminingSystem(ansatz=ansatz, constraints=constraints, residuals=residuals)
     if not system.is_linear_homogeneous():
@@ -397,7 +398,7 @@ def generate_determining(sys: PdeSystem, ansatz: PointAnsatz) -> DeterminingSyst
 
 def family_as_solution(family: PointFamily, ansatz: PointAnsatz) -> dict[str, Expr]:
     """Rename a family's data to the ansatz's unknown-function names."""
-    solution = {ansatz.xi_names[0]: family.xi_x, ansatz.xi_names[1]: family.xi_t}
+    solution = {XI_NAMES[0]: family.xi_x, XI_NAMES[1]: family.xi_t}
     for dep, eta_name in ansatz.eta_names.items():
         solution[eta_name] = family.etas[dep]
     return solution

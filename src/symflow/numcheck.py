@@ -3,15 +3,16 @@ difference residuals, and conserved-quantity drift.
 
 The seed family lives on the zero background: with u = v = 0 the linear
 problem integrates to plane-wave eigenfunctions and a potential f that
-is linear in x and t.  Its closed form is re-derived symbolically at
-construction (substituted into all eight equations of the prolonged
-system, identically in the parameters), so every numeric expectation in
-this module traces back to an exact statement.
+is linear in x and t.  Its closed form is checked symbolically once per
+process (all eight equations of the prolonged system reduce to zero
+modulo the closed forms, identically in the parameters), so every numeric
+expectation in this module traces back to an exact statement.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -22,16 +23,19 @@ from .expr import (
     Atom,
     Expr,
     IndependentVariable,
+    JetCoordinate,
     Parameter,
     exp_of,
     parse,
 )
 from .grpflow import map_solution
-from .jetsys import builtin_prolonged
+from .jetsys import SolvedFormClosure, builtin_prolonged
 
 DEFAULT_GRID = dict(nx=201, nt=101, x0=-5.0, x1=5.0, t0=0.0, t1=0.5)
 DEFAULT_PARAMS = dict(lam=0.3, alpha=1.0, beta=0.5, f0=0.0)
 DEFAULT_EPSILON = 0.1
+#: (nx, nt) of each grid in a refinement study
+REFINEMENT_LEVELS = ((51, 26), (101, 51), (201, 101))
 
 
 # ---------------------------------------------------------------------------
@@ -89,20 +93,16 @@ class VacuumSeed:
     so that phi*psi = 1 and f_x = 1, f_t = 12 beta lam^2 + 4 alpha lam.
     """
 
-    _verified = False
-
     def __init__(self, lam=0.3, alpha=1.0, beta=0.5, f0=0.0):
         self.lam = complex(lam)
         self.alpha = complex(alpha)
         self.beta = complex(beta)
         self.f0 = complex(f0)
         self._closed_forms = self.symbolic_forms()
-        if not VacuumSeed._verified:
-            self.check_symbolic()
-            VacuumSeed._verified = True
+        check_seed_symbolic()
 
     @staticmethod
-    def symbolic_forms(f0_name: str = "c1") -> dict[str, Expr]:
+    def symbolic_forms() -> dict[str, Expr]:
         phase = parse("4*I*beta*lambda^3 + 2*I*alpha*lambda^2")
         x = parse("x")
         t = parse("t")
@@ -112,21 +112,8 @@ class VacuumSeed:
             "v": Expr.ZERO,
             "phi": exp_of(-Expr.I * lam * x - phase * t),
             "psi": exp_of(Expr.I * lam * x + phase * t),
-            "f": x + parse("12*beta*lambda^2 + 4*alpha*lambda") * t + parse(f0_name),
+            "f": x + parse("12*beta*lambda^2 + 4*alpha*lambda") * t + parse("c1"),
         }
-
-    @classmethod
-    def check_symbolic(cls) -> None:
-        """Substitute the closed forms into all eight equations; parameters
-        stay symbolic, so the check is an identity in lam, alpha, beta."""
-        system = builtin_prolonged()
-        forms = cls.symbolic_forms()
-        for i, equation in enumerate(system.equations):
-            value = substitute_solution(equation, forms)
-            if not value.is_zero():
-                raise AssertionError(
-                    f"seed family violates equation {i}: residual {value}"
-                )
 
     def env(self, t: np.ndarray, x: np.ndarray) -> dict[Atom, np.ndarray | complex]:
         return {
@@ -148,14 +135,19 @@ class VacuumSeed:
         return out
 
 
-def substitute_solution(e: Expr, closed_forms: Mapping[str, Expr]) -> Expr:
-    """Replace every jet of a named dependent by the matching derivative of
-    its closed form (an expression in x, t, and parameters)."""
-    mapping = {}
-    for a in e.jet_atoms():
-        if a.name in closed_forms:
-            mapping[a] = closed_forms[a.name].total_derivative_along(a.index)
-    return e.substitute(mapping)
+@functools.cache
+def check_seed_symbolic() -> None:
+    """Reduce all eight equations modulo the closed forms, taken as
+    order-zero solved forms (each jet u_J becomes D_J of its form);
+    parameters stay symbolic, so the check is an identity in lam, alpha,
+    beta."""
+    closure = SolvedFormClosure(
+        {JetCoordinate(n): form for n, form in VacuumSeed.symbolic_forms().items()}
+    )
+    for i, equation in enumerate(builtin_prolonged().equations):
+        value = closure.reduce(equation)
+        if not value.is_zero():
+            raise AssertionError(f"seed family violates equation {i}: residual {value}")
 
 
 def make_vacuum_grid(
@@ -233,32 +225,25 @@ def pde_residual(grid: Grid, which: str = "u") -> float:
 
 def transformed_residual_orders(
     epsilon: float = DEFAULT_EPSILON,
-    levels: tuple[tuple[int, int], ...] = ((51, 26), (101, 51), (201, 101)),
-    params: Mapping[str, float] | None = None,
-    which: str = "u",
 ) -> tuple[list[float], list[float]]:
-    """Residual of the flow-transformed seed under grid refinement.
+    """Residual of the u-equation for the flow-transformed seed under grid
+    refinement.
 
     Returns the per-level residuals and the observed convergence orders
     log2(r_k / r_{k+1}); the transformed fields solve the system exactly,
     so the residual is pure truncation error and the orders sit near 2.
     """
-    return _refinement_orders(
-        lambda grid: pde_residual(grid, which), epsilon, levels, params
-    )
+    return _refinement_orders(pde_residual, epsilon)
 
 
 def _refinement_orders(
-    measure: Callable[[Grid], float],
-    epsilon: float,
-    levels: tuple[tuple[int, int], ...],
-    params: Mapping[str, float] | None,
+    measure: Callable[[Grid], float], epsilon: float
 ) -> tuple[list[float], list[float]]:
-    """``measure`` of the flow-transformed seed at each refinement level,
-    and the observed orders log2(m_k / m_{k+1})."""
+    """``measure`` of the flow-transformed default seed at each of the
+    :data:`REFINEMENT_LEVELS`, and the observed orders log2(m_k / m_{k+1})."""
     values = []
-    for nx, nt in levels:
-        grid = make_vacuum_grid(params, {"nx": nx, "nt": nt})
+    for nx, nt in REFINEMENT_LEVELS:
+        grid = make_vacuum_grid(grid_spec={"nx": nx, "nt": nt})
         moved = dataclasses.replace(grid, fields=map_solution(grid.fields, epsilon))
         values.append(measure(moved))
     orders = [math.log2(values[k] / values[k + 1]) for k in range(len(values) - 1)]
@@ -298,13 +283,9 @@ def conserved_drift(grid: Grid) -> float:
     return float(drift)
 
 
-def drift_orders(
-    epsilon: float = DEFAULT_EPSILON,
-    levels: tuple[tuple[int, int], ...] = ((51, 26), (101, 51), (201, 101)),
-    params: Mapping[str, float] | None = None,
-) -> tuple[list[float], list[float]]:
+def drift_orders(epsilon: float = DEFAULT_EPSILON) -> tuple[list[float], list[float]]:
     """Drift of the transformed potential under grid refinement."""
-    return _refinement_orders(conserved_drift, epsilon, levels, params)
+    return _refinement_orders(conserved_drift, epsilon)
 
 
 def _trapezoid(rows: np.ndarray, dx: float) -> np.ndarray:

@@ -3,8 +3,9 @@ import random
 
 import numpy as np
 import pytest
+from conftest import random_expr
 
-from symflow.expr import Expr, JetCoordinate, Parameter, parse
+from symflow.expr import Expr, ExprError, JetCoordinate, Parameter, parse
 from symflow.grpflow import (
     FLOW_VARIABLES,
     PoleError,
@@ -40,6 +41,48 @@ def test_rational_equality_by_cross_multiplication():
 def test_rational_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         RationalExpr(parse("u"), Expr.ZERO)
+
+
+COMPOSE_ATOMS = tuple(JetCoordinate(n) for n in FLOW_VARIABLES) + (Parameter("epsilon"),)
+
+
+def _nonzero_polynomial(rng):
+    while True:
+        e = random_expr(rng, terms=3, atoms=COMPOSE_ATOMS)
+        if not e.is_zero():
+            return e
+
+
+def test_composition_matches_evaluation_at_the_images():
+    # Substituting quotients, then evaluating, must equal evaluating the
+    # polynomial at the evaluated quotients.  Denominators are equal up to
+    # sign (as in the sign variant), all different, or mixed with 1.
+    rng = random.Random(31)
+    for case in range(30):
+        e = random_expr(rng, atoms=COMPOSE_ATOMS)
+        shared = _nonzero_polynomial(rng)
+        choices = (
+            [shared, -shared],
+            [_nonzero_polynomial(rng) for _ in range(3)],
+            [shared, -shared, _nonzero_polynomial(rng), Expr.ONE],
+        )[case % 3]
+        images = {
+            a: RationalExpr(random_expr(rng, terms=3, atoms=COMPOSE_ATOMS), rng.choice(choices))
+            for a in rng.sample(COMPOSE_ATOMS, rng.randint(1, 4))
+        }
+        composed = RationalExpr(e, Expr.ONE).substitute(images)
+        point = {a: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for a in COMPOSE_ATOMS}
+        at_images = dict(point)
+        at_images.update({a: r.eval_numeric(point) for a, r in images.items()})
+        expected = e.eval_numeric(at_images)
+        assert composed.eval_numeric(point) == pytest.approx(expected, rel=1e-8, abs=1e-10)
+
+
+def test_composition_rejects_a_negative_power_of_a_mapped_atom():
+    # a monomial image could be inverted, so the check must be explicit
+    for image in (RationalExpr(parse("2*u"), Expr.ONE), closed_form_flow().rules["u"]):
+        with pytest.raises(ExprError, match="negative power"):
+            RationalExpr(parse("phi/u"), Expr.ONE).substitute({JetCoordinate("u"): image})
 
 
 # ---------------------------------------------------------------------------

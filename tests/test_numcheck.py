@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from symflow.expr import Expr, parse
+from symflow.expr import Expr, JetCoordinate, parse
 from symflow.grpflow import map_solution
+from symflow.jetsys import SolvedFormClosure
 from symflow.numcheck import (
     DEFAULT_EPSILON,
     Grid,
@@ -15,7 +16,6 @@ from symflow.numcheck import (
     make_vacuum_grid,
     pde_residual,
     read_grid,
-    substitute_solution,
     transformed_residual_orders,
     write_grid,
 )
@@ -31,19 +31,26 @@ def vacuum():
 # ---------------------------------------------------------------------------
 
 
+def _solution_closure(forms):
+    # a solution is an order-zero solved form: each jet u_J becomes D_J of its form
+    return SolvedFormClosure({JetCoordinate(n): form for n, form in forms.items()})
+
+
 def test_seed_family_satisfies_system_symbolically(prolonged):
     forms = VacuumSeed.symbolic_forms()
+    closure = _solution_closure(forms)
     for equation in prolonged.equations:
-        assert substitute_solution(equation, forms).is_zero()
+        assert closure.reduce(equation).is_zero()
+    for name, index in (("phi", ("t", "x")), ("f", ("x", "x", "x"))):
+        expected = forms[name].total_derivative_along(index)
+        assert closure.rule(JetCoordinate(name, index)) == expected
 
 
 def test_seed_mutation_is_detected(prolonged):
-    forms = VacuumSeed.symbolic_forms()
-    forms = dict(forms)
+    forms = dict(VacuumSeed.symbolic_forms())
     forms["f"] = forms["f"] + parse("x^2")
-    hits = [
-        e for e in prolonged.equations if not substitute_solution(e, forms).is_zero()
-    ]
+    closure = _solution_closure(forms)
+    hits = [e for e in prolonged.equations if not closure.reduce(e).is_zero()]
     assert hits
 
 
