@@ -150,26 +150,35 @@ CR_I = ComplexRational(0, 1)
 # ---------------------------------------------------------------------------
 
 
+#: every atom built so far, by key (the class call looks here first)
+_ATOMS: dict = {}
+
+
 class Atom:
     """Base of all irreducible symbols.
 
-    Subclasses set ``_key`` (a totally ordered tuple whose first entry is a
-    class id) in their constructor; identity, hashing and the monomial order
-    all derive from it.
+    Subclasses build ``_key`` (a totally ordered tuple whose first entry is
+    a class id) from their constructor arguments; it orders monomials and
+    covers every field that changes behaviour.  There is one object per
+    key: the class call returns the atom already in the table, so equal
+    atoms are identical, and equality and hashing are those of ``object``.
+    Construct atoms only through the class call.
     """
 
-    __slots__ = ("_key", "_hash")
+    __slots__ = ("_key",)
+
+    @classmethod
+    def _interned(cls, key: tuple, **fields) -> "Atom":
+        atom = _ATOMS.get(key)
+        if atom is None:
+            atom = _ATOMS[key] = object.__new__(cls)
+            atom._key = key
+            for name, value in fields.items():
+                setattr(atom, name, value)
+        return atom
 
     def sort_key(self):
         return self._key
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, Atom) and self._key == other._key
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def d_total(self, direction: str) -> "Expr":
         raise NotImplementedError
@@ -183,10 +192,8 @@ class Parameter(Atom):
 
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        self.name = name
-        self._key = (0, name)
-        self._hash = hash(self._key)
+    def __new__(cls, name: str):
+        return cls._interned((0, name), name=name)
 
     def d_total(self, direction: str) -> "Expr":
         return Expr.ZERO
@@ -198,10 +205,8 @@ class Parameter(Atom):
 class IndependentVariable(Atom):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        self.name = name
-        self._key = (1, name)
-        self._hash = hash(self._key)
+    def __new__(cls, name: str):
+        return cls._interned((1, name), name=name)
 
     def d_total(self, direction: str) -> "Expr":
         return Expr.ONE if direction == self.name else Expr.ZERO
@@ -220,15 +225,9 @@ class JetCoordinate(Atom):
 
     __slots__ = ("name", "index")
 
-    def __init__(self, name: str, index: Iterable[str] = ()):
-        self.name = name
-        self.index = tuple(sorted(index))
-        self._key = (2, name, len(self.index), self.index)
-        self._hash = hash(self._key)
-
-    @property
-    def order(self) -> int:
-        return len(self.index)
+    def __new__(cls, name: str, index: Iterable[str] = ()):
+        index = tuple(sorted(index))
+        return cls._interned((2, name, len(index), index), name=name, index=index)
 
     def extended(self, direction: str) -> "JetCoordinate":
         return JetCoordinate(self.name, self.index + (direction,))
@@ -247,10 +246,8 @@ class ExpFactor(Atom):
 
     __slots__ = ("argument",)
 
-    def __init__(self, argument: "Expr"):
-        self.argument = argument
-        self._key = (4, argument.sort_key())
-        self._hash = hash(self._key)
+    def __new__(cls, argument: "Expr"):
+        return cls._interned((4, argument.sort_key()), argument=argument)
 
     def d_total(self, direction: str) -> "Expr":
         return self.argument.total_derivative(direction) * Expr.atom(self)
@@ -293,7 +290,7 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     while i < len(m1) and j < len(m2):
         a, n = m1[i]
         b, k = m2[j]
-        if a._key == b._key:
+        if a is b:
             if n + k:
                 out.append((a, n + k))
             i += 1

@@ -55,24 +55,29 @@ class SolvedFormClosure:
     def __init__(self, solved: Mapping[JetCoordinate, Expr]):
         self._solved = dict(solved)
         self._rules: dict[JetCoordinate, Expr] = {}
+        self._bases: dict[JetCoordinate, JetCoordinate | None] = {}
         self._in_progress: set[JetCoordinate] = set()
         self._by_name: dict[str, list[JetCoordinate]] = {}
         for key in self._solved:
             self._by_name.setdefault(key.name, []).append(key)
 
     def base_key(self, coordinate: JetCoordinate) -> JetCoordinate | None:
-        candidates = []
-        index = Counter(coordinate.index)
-        for key in self._by_name.get(coordinate.name, ()):
-            key_index = Counter(key.index)
-            if all(index[d] >= k for d, k in key_index.items()):
-                candidates.append(key)
-        if not candidates:
-            return None
-        candidates.sort(
-            key=lambda k: (sum(1 for d in k.index if d == "t"), -len(k.index), k.index)
+        """The solved key whose prolongation is ``coordinate``'s rule, or None
+        for an irreducible jet; searched once per coordinate."""
+        try:
+            return self._bases[coordinate]
+        except KeyError:
+            index = Counter(coordinate.index)
+        candidates = [
+            key for key in self._by_name.get(coordinate.name, ())
+            if not Counter(key.index) - index
+        ]
+        base = self._bases[coordinate] = min(
+            candidates,
+            key=lambda k: (k.index.count("t"), -len(k.index), k.index),
+            default=None,
         )
-        return candidates[0]
+        return base
 
     def is_reducible(self, coordinate: JetCoordinate) -> bool:
         return self.base_key(coordinate) is not None
@@ -323,7 +328,7 @@ def consistent_assignment(
                 pending.extend(rule.atoms())
         else:
             free.add(a)
-    # Draw in atom order, not set order: set order follows PYTHONHASHSEED.
+    # Draw in atom order, not set order: atoms hash by memory address.
     assignment: dict[Atom, complex] = {
         a: _random_complex(rng) for a in sorted(free, key=Atom.sort_key)
     }

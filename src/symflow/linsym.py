@@ -33,18 +33,18 @@ class UnknownFunction(Atom):
 
     ``UnknownFunction("X", deps, ("u", "x"))`` stands for the mixed partial
     of X by u and x, where ``deps`` lists the coordinates X may depend on.
-    Under a total derivative it expands by the chain rule over ``deps``;
-    under everything else it behaves as an opaque symbol.
+    Under a total derivative it expands by the chain rule over ``deps``,
+    so ``deps`` is part of the key; under everything else it behaves as an
+    opaque symbol.
     """
 
     __slots__ = ("name", "deps", "index")
 
-    def __init__(self, name: str, deps: tuple[str, ...], index: Iterable[str] = ()):
-        self.name = name
-        self.deps = deps
-        self.index = tuple(sorted(index, key=deps.index))
-        self._key = (3, name, len(self.index), self.index)
-        self._hash = hash(self._key)
+    def __new__(cls, name: str, deps: tuple[str, ...], index: Iterable[str] = ()):
+        index = tuple(sorted(index, key=deps.index))
+        return cls._interned(
+            (3, name, len(index), index, deps), name=name, deps=deps, index=index
+        )
 
     def d_total(self, direction: str) -> Expr:
         total = Expr.ZERO
@@ -85,12 +85,6 @@ class SymmetryCheck:
     residuals: tuple[Expr, ...]
 
 
-def _selected_equations(sys: PdeSystem, equations) -> list[tuple[int, Expr]]:
-    if equations is None:
-        return list(enumerate(sys.equations))
-    return [(i, sys.equations[i]) for i in equations]
-
-
 def frechet(
     sys: PdeSystem,
     sigma: SymmetryCandidate | Mapping[str, Expr],
@@ -105,7 +99,8 @@ def frechet(
     components = sigma.components if isinstance(sigma, SymmetryCandidate) else sigma
     dependent_names = set(sys.dependent_names)
     out = []
-    for _i, equation in _selected_equations(sys, equations):
+    selected = sys.equations if equations is None else [sys.equations[i] for i in equations]
+    for equation in selected:
         total = Expr.ZERO
         for a in equation.jet_atoms():
             if a.name not in dependent_names:

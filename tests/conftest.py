@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -52,3 +56,27 @@ def prolonged():
     from symflow.jetsys import builtin_prolonged
 
     return builtin_prolonged()
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Defines ``constraint_digest``, the digest the benchmark's worker reports
+# for the determining workload, in a script run by ``fresh_interpreter``.
+_DIGEST_PRELUDE = """
+import importlib.util, sys
+_spec = importlib.util.spec_from_file_location("perfbench_worker", sys.argv[1])
+_worker = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_worker)
+constraint_digest = _worker.constraint_digest
+"""
+
+
+def fresh_interpreter(script: str, hash_seed: str = "0") -> str:
+    """Standard output of ``script`` run in a new interpreter, with
+    ``symflow`` importable and ``constraint_digest`` defined."""
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run(
+        [sys.executable, "-c", _DIGEST_PRELUDE + script, str(ROOT / "perfbench" / "worker.py")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return run.stdout

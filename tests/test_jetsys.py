@@ -1,7 +1,4 @@
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
@@ -21,7 +18,7 @@ from symflow.jetsys import (
     parse_manifest,
     write_manifest,
 )
-from conftest import random_expr
+from conftest import fresh_interpreter, random_expr
 
 
 # ---------------------------------------------------------------------------
@@ -149,25 +146,20 @@ def test_consistent_points_differ_between_seeds(prolonged):
 
 _POINT_SCRIPT = """
 from symflow.jetsys import builtin_prolonged, consistent_point
+from symflow.linsym import coupled_ansatz, generate_determining
 point = consistent_point(builtin_prolonged(), 5)
 for atom in sorted(point, key=lambda a: a.sort_key()):
     print(atom, repr(point[atom]))
+print(constraint_digest(generate_determining(builtin_prolonged(), coupled_ansatz()).constraints))
 """
 
 
 def test_consistent_point_ignores_string_hash_seed():
-    import symflow
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(symflow.__file__)))
-    outputs = []
-    for hash_seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
-        run = subprocess.run(
-            [sys.executable, "-c", _POINT_SCRIPT],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        outputs.append(run.stdout)
+    """Atoms hash by address and strings by PYTHONHASHSEED, so sets of atoms
+    iterate in an order that changes between runs; nothing printed may."""
+    outputs = [fresh_interpreter(_POINT_SCRIPT, hash_seed) for hash_seed in ("0", "1")]
     assert outputs[0] and outputs[0] == outputs[1]
+    assert outputs[0].endswith("\n6cafbd0a0dcf7c24\n")
 
 
 # ---------------------------------------------------------------------------

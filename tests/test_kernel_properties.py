@@ -1,10 +1,12 @@
 """Property tests for the kernel's fast paths against reference versions.
 
 ``Expr.substitute`` is checked against a per-term reference substitution
-kept here, ``ComplexRational`` against plain ``(Fraction, Fraction)``
-arithmetic, ``total_derivative`` against the Leibniz and chain rules, and
-the parser against strings drawn from its own grammar.  The profile is
-derandomised, so every run draws the same examples.
+kept here, monomial products against a dict-and-sort reference product,
+``ComplexRational`` against plain ``(Fraction, Fraction)`` arithmetic,
+``total_derivative`` against the Leibniz and chain rules, and the parser
+against strings drawn from its own grammar.  Atoms are interned, so equal
+constructions must give one object.  The profile is derandomised, so every
+run draws the same examples.
 """
 
 import cmath
@@ -24,6 +26,8 @@ from symflow.expr import (  # noqa: E402
     IndependentVariable,
     JetCoordinate,
     Parameter,
+    _mono_invert,
+    _mono_mul,
     exp_of,
     indep,
     jet,
@@ -31,6 +35,8 @@ from symflow.expr import (  # noqa: E402
     parse,
     to_text,
 )
+from symflow.liealg import COORDINATES  # noqa: E402
+from symflow.linsym import UnknownFunction  # noqa: E402
 
 settings.register_profile(
     "kernel", derandomize=True, database=None, deadline=None, max_examples=100
@@ -200,6 +206,121 @@ def test_substitute_matches_reference_and_evaluation(e, mapping):
     size = sum(abs(Expr((t,)).eval_numeric(VALUES)) for t in substituted.terms)
     size += sum(abs(Expr((t,)).eval_numeric(at_replacements)) for t in e.terms)
     assert abs(got - expected) <= 1e-12 * (1 + size)
+
+
+# ---------------------------------------------------------------------------
+# interned atoms and monomial products
+# ---------------------------------------------------------------------------
+
+
+def copied(name: str) -> str:
+    """An equal string that is a different object whenever it can be."""
+    return "".join(list(name))
+
+
+@given(st.sampled_from(("alpha", "beta", "lambda", "c1", "x", "t")))
+def test_named_atoms_are_one_object_per_name(name):
+    assert Parameter(copied(name)) is Parameter(name)
+    assert IndependentVariable(copied(name)) is IndependentVariable(name)
+    assert Parameter(name) is not IndependentVariable(name)
+    assert Parameter(name) != IndependentVariable(name)
+
+
+indices = st.lists(st.sampled_from(("x", "t")), max_size=4)
+
+
+@given(st.sampled_from(("u", "v", "phi", "psi", "f")), indices, indices, st.data())
+def test_jet_coordinates_are_one_object_per_index_multiset(name, index, other, data):
+    jet_atom = JetCoordinate(name, index)
+    assert JetCoordinate(copied(name), data.draw(st.permutations(index))) is jet_atom
+    assert jet_atom.extended("x") is JetCoordinate(name, ["x", *index])
+    same = sorted(index) == sorted(other)
+    assert (JetCoordinate(name, other) is jet_atom) == same
+    assert (JetCoordinate(name, other) == jet_atom) == same
+
+
+@given(linear_forms(), linear_forms(), small_rationals)
+def test_exp_factors_of_equal_arguments_are_one_object(a, b, c):
+    direct = ExpFactor(a + b)
+    assert ExpFactor(3 * a - b * c + (c + 1) * b - 2 * a) is direct
+    assert ExpFactor(-(a + b)) is ExpFactor(Expr.ZERO - b - a)
+    product = exp_of(a) * exp_of(b)
+    if not (a + b).is_zero():
+        (mono, _coeff), = product.terms
+        assert mono == ((direct, 1),) and mono[0][0] is direct
+        (inverse, _coeff), = (product**-1).terms
+        assert inverse[0][0] is ExpFactor(-a - b)
+
+
+unknown_deps = st.lists(st.sampled_from(COORDINATES), min_size=1, max_size=4, unique=True)
+
+
+@given(st.sampled_from(("X", "T", "U")), unknown_deps, unknown_deps, st.data())
+def test_unknown_functions_are_one_object_per_name_deps_and_index(name, deps, other, data):
+    deps, other = tuple(deps), tuple(other)
+    index = data.draw(st.lists(st.sampled_from(deps), max_size=3))
+    unknown = UnknownFunction(name, deps, index)
+    again = UnknownFunction(copied(name), tuple(list(deps)), data.draw(st.permutations(index)))
+    assert again is unknown
+    assert (UnknownFunction(name, other) is UnknownFunction(name, deps)) == (deps == other)
+    assert (UnknownFunction(name, other) == UnknownFunction(name, deps)) == (deps == other)
+
+
+def test_unknown_functions_with_different_deps_are_distinct():
+    coupled = UnknownFunction("X", COORDINATES[:6])
+    prolonged = UnknownFunction("X", COORDINATES)
+    assert coupled is not prolonged and coupled != prolonged
+    assert len({coupled, prolonged}) == 2
+    # the chain rule over deps is why deps belong to the key
+    assert "Diff(f,x)" in str(prolonged.d_total("x"))
+    assert "Diff(f,x)" not in str(coupled.d_total("x"))
+
+
+PRODUCT_ATOMS = ATOMS + (
+    UnknownFunction("X", COORDINATES),
+    UnknownFunction("X", COORDINATES, ("u",)),
+    UnknownFunction("X", COORDINATES[:6]),
+)
+
+
+@st.composite
+def product_monomials(draw):
+    """Monomials over every atom kind, any exponent sign, maybe an Exp."""
+    term = Expr.ONE
+    for atom in draw(st.lists(st.sampled_from(PRODUCT_ATOMS), max_size=4)):
+        term = term * Expr.atom(atom) ** draw(signed_exponents)
+    if draw(st.booleans()):
+        term = term * exp_of(draw(linear_forms()))
+    (mono, _coeff), = term.terms
+    return mono
+
+
+def reference_mono_mul(m1, m2):
+    """Exponents added in a dict by atom key, Exp arguments added up, then
+    one sort by key: no merge, no identity test."""
+    powers = {}
+    exp_argument = Expr.ZERO
+    for a, n in m1 + m2:
+        if isinstance(a, ExpFactor):
+            exp_argument = exp_argument + n * a.argument
+        else:
+            atom, k = powers.get(a.sort_key(), (a, 0))
+            powers[a.sort_key()] = (atom, k + n)
+    factors = [(a, n) for a, n in powers.values() if n]
+    if not exp_argument.is_zero():
+        factors.append((ExpFactor(exp_argument), 1))
+    return tuple(sorted(factors, key=lambda f: f[0].sort_key()))
+
+
+@settings(max_examples=200)
+@given(product_monomials(), product_monomials())
+def test_monomial_product_matches_reference(m1, m2):
+    product = _mono_mul(m1, m2)
+    want = reference_mono_mul(m1, m2)
+    assert [(a.sort_key(), n) for a, n in product] == [(a.sort_key(), n) for a, n in want]
+    assert all(a is b for (a, _), (b, _) in zip(product, want))
+    assert _mono_mul(m2, m1) == product
+    assert _mono_mul(m1, _mono_invert(m1)) == ()
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from symflow.linsym import (
     verify_family,
     verify_symmetry,
 )
-from conftest import random_expr
+from conftest import fresh_interpreter, random_expr
 
 
 # ---------------------------------------------------------------------------
@@ -258,3 +258,23 @@ def test_flipped_family_fails_prolonged_determining(prolonged, prolonged_determi
     )
     assert not prolonged_determining.verify_solution(prolonged, solution)
     assert prolonged_determining.failing_constraints(prolonged, solution)
+
+
+# Constraint count and digest of each ansatz in a fresh interpreter.
+FRESH_DETERMINING = {"prolonged": "230 327004d4aebe966f", "coupled": "124 6cafbd0a0dcf7c24"}
+_ORDER_SCRIPT = """
+from symflow import linsym
+from symflow.jetsys import builtin_prolonged
+for name in {order}:
+    ansatz = getattr(linsym, name + "_ansatz")()
+    constraints = linsym.generate_determining(builtin_prolonged(), ansatz).constraints
+    print(name, len(constraints), constraint_digest(constraints))
+"""
+
+
+@pytest.mark.parametrize("order", [("prolonged", "coupled"), ("coupled", "prolonged")])
+def test_determining_systems_do_not_depend_on_the_order_they_are_built(order):
+    """Unknown functions of one name but different arguments are different
+    atoms; the second system must not pick up the first one's."""
+    stdout = fresh_interpreter(_ORDER_SCRIPT.format(order=order))
+    assert stdout.splitlines() == [f"{name} {FRESH_DETERMINING[name]}" for name in order]
