@@ -84,14 +84,7 @@ class ComplexRational:
     def __pow__(self, n: int) -> "ComplexRational":
         if n < 0:
             return self.inverse() ** (-n)
-        out = CR_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power_by_squaring(self, n) if n else CR_ONE
 
     # -- predicates ---------------------------------------------------------
     def is_zero(self) -> bool:
@@ -138,6 +131,18 @@ def _as_scalar(value: _Scalar) -> ComplexRational:
     if isinstance(value, (int, Fraction)):
         return ComplexRational(value)
     raise TypeError(f"cannot use {type(value).__name__} as an exact scalar")
+
+
+def _power_by_squaring(base, n: int):
+    """``base ** n`` for ``n >= 1``: see :meth:`Expr.__pow__`."""
+    out = None
+    while True:
+        if n & 1:
+            out = base if out is None else out * base
+        n >>= 1
+        if not n:
+            return out
+        base = base * base
 
 
 CR_ZERO = ComplexRational(0)
@@ -266,7 +271,7 @@ Monomial = tuple  # tuple[tuple[Atom, int], ...]
 def monomial_key(mono: Monomial):
     """The one monomial order: terms sort by it, and so does every list of
     monomials that must come out the same in each run."""
-    return tuple((a._key, n) for a, n in mono)
+    return tuple([(a._key, n) for a, n in mono])
 
 
 def _assemble_mono(counts: dict, exp_argument: "Expr | None") -> Monomial:
@@ -287,7 +292,8 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
         return _mono_mul_exp(m1, m2)
     out = []
     i = j = 0
-    while i < len(m1) and j < len(m2):
+    len1, len2 = len(m1), len(m2)
+    while i < len1 and j < len2:
         a, n = m1[i]
         b, k = m2[j]
         if a is b:
@@ -468,20 +474,14 @@ class Expr:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Expr":
+        """Square-and-multiply from the lowest set bit: ``bit_length(n) - 1``
+        squares and ``popcount(n) - 1`` products, no square is formed after
+        the last set bit, and ``e ** 1`` is ``e`` itself."""
         if not isinstance(n, int):
             raise ExprError("exponents must be integers")
-        if n == 0:
-            return Expr.ONE
         if n < 0:
             return self._inverted() ** (-n)
-        out = Expr.ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power_by_squaring(self, n) if n else Expr.ONE
 
     def _inverted(self) -> "Expr":
         if len(self._terms) != 1:

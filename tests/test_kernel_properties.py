@@ -209,6 +209,64 @@ def test_substitute_matches_reference_and_evaluation(e, mapping):
 
 
 # ---------------------------------------------------------------------------
+# powers
+# ---------------------------------------------------------------------------
+
+
+def reference_power(e: Expr, n: int) -> Expr:
+    """``n`` factors of ``e`` multiplied left to right, from ``Expr.ONE``."""
+    out = Expr.ONE
+    for _ in range(n):
+        out = out * e
+    return out
+
+
+def reference_inverse(e: Expr) -> Expr:
+    """The inverse of a monomial, built factor by factor with no power taken."""
+    (mono, coeff), = e.terms
+    out = Expr.from_scalar(coeff.inverse())
+    for a, n in mono:
+        if isinstance(a, ExpFactor):
+            out = out * exp_of(-a.argument)
+        else:
+            out = out * Expr(((((a, -n),), ComplexRational(1)),))
+    return out
+
+
+@given(expressions(), st.integers(0, 6))
+def test_power_matches_left_to_right_product(e, n):
+    power = e**n
+    assert_canonical(power)
+    assert power == reference_power(e, n)
+    assert e**1 is e
+
+
+@given(monomials(), st.integers(1, 6))
+def test_negative_power_of_monomial_matches_reference(e, n):
+    power = e**-n
+    assert_canonical(power)
+    assert power == reference_power(reference_inverse(e), n)
+    assert power * e**n == Expr.ONE
+
+
+@pytest.mark.parametrize("n, products", [(1, 0), (2, 1), (5, 3), (8, 3)])
+def test_power_forms_only_the_products_it_needs(monkeypatch, n, products):
+    """``bit_length(n) - 1`` squares plus ``popcount(n) - 1`` products."""
+    calls = []
+    multiply = Expr.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return multiply(self, other)
+
+    monkeypatch.setattr(Expr, "__mul__", counted)
+    power = indep("x") ** n
+    monkeypatch.undo()
+    assert len(calls) == products
+    assert power == reference_power(indep("x"), n)
+
+
+# ---------------------------------------------------------------------------
 # interned atoms and monomial products
 # ---------------------------------------------------------------------------
 
@@ -362,7 +420,7 @@ def test_coefficient_mixes_with_plain_rationals(a, q):
     assert (ComplexRational(q) == q) and (a == q) == (ra == (Fraction(q), 0))
 
 
-@given(nonzero_scalars, st.integers(-3, 4))
+@given(nonzero_scalars, st.integers(-6, 6))
 def test_coefficient_inverse_and_powers(a, n):
     ra = parts(a)
     norm = ra[0] ** 2 + ra[1] ** 2
@@ -376,6 +434,7 @@ def test_coefficient_inverse_and_powers(a, n):
     power = a**n
     assert_normalised(power)
     assert parts(power) == want
+    assert a**1 is a
 
 
 @given(scalars, scalars)
