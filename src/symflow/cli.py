@@ -16,6 +16,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import random
 import sys
@@ -424,12 +425,29 @@ STEPS = (
 # ---------------------------------------------------------------------------
 
 
+def positive_int(text: str) -> int:
+    """argparse type of a sample size: an integer >= 1, so that no check
+    passes on an empty sample."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def finite_float(text: str) -> float:
+    """argparse type of the flow parameter: a finite float."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", metavar="PATH", help="write a JSON report")
     common.add_argument("--seed", type=int, default=7, help="seed for randomized checks")
     common.add_argument(
-        "--numeric-points", type=int, default=10,
+        "--numeric-points", type=positive_int, default=10,
         help="consistent points per numeric divergence check",
     )
 
@@ -450,14 +468,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("finite-transform", parents=[common],
                        help="closed-form flow checks and grid mapping")
-    p.add_argument("--epsilon", type=float, default=numcheck.DEFAULT_EPSILON)
+    p.add_argument("--epsilon", type=finite_float, default=numcheck.DEFAULT_EPSILON)
     p.add_argument("--grid", help="grid file to transform")
     p.add_argument("--out", help="where to write the transformed grid")
     p.add_argument("--check-group-law", action="store_true")
 
     p = sub.add_parser("optimal-system", parents=[common],
                        help="structure table and subalgebra classification")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=positive_int, default=100)
     p.add_argument("--json-structure", action="store_true", help="print structure constants as JSON")
 
     p = sub.add_parser("conservation", parents=[common],
@@ -497,8 +515,12 @@ def main(argv=None) -> int:
         os.close(devnull)
         return 1
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
+        try:
+            with open(args.json, "w", encoding="utf-8") as handle:
+                handle.write(report.to_json())
+        except OSError as err:
+            print(f"symflow: error: cannot write {args.json}: {err.strerror}", file=sys.stderr)
+            return 2
     return 1 if report.failed else 0
 
 

@@ -6,7 +6,8 @@ atoms (parameters, independent variables, jet coordinates, exponential
 factors) with integer exponents.  Exponential factors are merged
 (``Exp(a)*Exp(b) -> Exp(a+b)``, ``Exp(0) -> 1``) so every monomial
 carries at most one of them.  All arithmetic is exact; floating point
-enters only through :meth:`Expr.eval_numeric`.
+enters only through :meth:`Expr.eval_numeric`, which imports numpy only
+to evaluate an exponential factor, so symbolic work never loads it.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ExprError(Exception):
@@ -605,6 +607,7 @@ class Expr:
                 v = assignment.get(a)
                 if v is None:
                     if type(a) is ExpFactor:
+                        import numpy as np
                         v = np.exp(a.argument.eval_numeric(assignment))
                     else:
                         raise EvaluationError(f"no value assigned for atom '{a}'")

@@ -21,9 +21,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from .expr import (
     Atom,
@@ -34,6 +32,9 @@ from .expr import (
     parse,
 )
 from .liealg import COORDINATES, localized_generator
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class PoleError(ExprError):
@@ -290,6 +291,7 @@ def closed_form_at(values: Mapping[str, complex | np.ndarray], epsilon: float):
 def map_solution(fields: Mapping[str, np.ndarray], epsilon: float) -> dict[str, np.ndarray]:
     """Pointwise application of the certified closed-form flow to gridded
     fields; a grid point on the common pole of its rules is an error."""
+    import numpy as np
     fields = {n: np.asarray(fields[n], dtype=complex) for n in FLOW_VARIABLES}
     flow = closed_form_flow()
     f = fields["f"]

@@ -7,6 +7,10 @@ is linear in x and t.  Its closed form is checked symbolically once per
 process (all eight equations of the prolonged system reduce to zero
 modulo the closed forms, identically in the parameters), so every numeric
 expectation in this module traces back to an exact statement.
+
+numpy is imported inside the functions that use it: importing this module
+(as ``import symflow`` does) must not load numpy for runs that evaluate no
+grid.
 """
 
 from __future__ import annotations
@@ -15,9 +19,7 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from .expr import (
     Atom,
@@ -30,6 +32,9 @@ from .expr import (
 )
 from .grpflow import map_solution
 from .jetsys import SolvedFormClosure, builtin_prolonged
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_GRID = dict(nx=201, nt=101, x0=-5.0, x1=5.0, t0=0.0, t1=0.5)
 DEFAULT_PARAMS = dict(lam=0.3, alpha=1.0, beta=0.5, f0=0.0)
@@ -67,13 +72,16 @@ class Grid:
 
     @property
     def x(self) -> np.ndarray:
+        import numpy as np
         return self.x0 + self.dx * np.arange(self.nx)
 
     @property
     def t(self) -> np.ndarray:
+        import numpy as np
         return self.t0 + self.dt * np.arange(self.nt)
 
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
+        import numpy as np
         t, x = np.meshgrid(self.t, self.x, indexing="ij")
         return t, x
 
@@ -126,6 +134,7 @@ class VacuumSeed:
         }
 
     def evaluate(self, t: np.ndarray, x: np.ndarray) -> dict[str, np.ndarray]:
+        import numpy as np
         env = self.env(t, x)
         shape = np.broadcast(t, x).shape
         out = {}
@@ -181,6 +190,7 @@ def make_vacuum_grid(
 def pde_residual(grid: Grid, which: str = "u") -> float:
     """Max interior residual of one evolution equation under second-order
     central differences (third x-derivative uses the width-5 stencil)."""
+    import numpy as np
     if grid.nx < 7 or grid.nt < 7:
         raise ValueError("grid too small for the residual stencils (need >= 7)")
     if which not in ("u", "v"):
@@ -333,6 +343,7 @@ def write_grid(grid: Grid) -> str:
 def read_grid(text: str) -> Grid:
     """Parse the grid format; a header without ``name=value`` parameters
     (the older form) gives a grid with empty ``params``."""
+    import numpy as np
     lines = [
         (number, line)
         for number, line in enumerate(text.splitlines(), start=1)

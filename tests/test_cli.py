@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import symflow
+from conftest import fresh_interpreter
 from symflow.cli import _rebuilds_to_itself, main
 from symflow import conslaw, grpflow, liealg, numcheck
 from symflow.expr import Expr, parse
@@ -137,6 +138,33 @@ def test_report_inputs_digest_is_stable(tmp_path):
     assert re.fullmatch(r"[0-9a-f]{16}", payload["inputs"])
 
 
+def _usage_error(capsys, argv):
+    """Run ``argv``, want exit 2 from the parser, return its one error line."""
+    with pytest.raises(SystemExit) as err:
+        run(argv)
+    assert err.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if ": error: " in line]
+    assert len(errors) == 1 and errors[0].startswith(f"symflow {argv[0]}: error: ")
+    return errors[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimal-system", "--samples", "0"],
+    ["optimal-system", "--samples", "-3"],
+    ["all", "--numeric-points", "0"],
+    ["conservation", "--numeric-points", "-2"],
+])
+def test_empty_sample_is_a_usage_error(argv, capsys):
+    # a check must not pass on no evidence
+    assert "must be at least 1" in _usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_nonfinite_epsilon_is_a_usage_error(value, capsys):
+    line = _usage_error(capsys, ["finite-transform", f"--epsilon={value}"])
+    assert "must be finite" in line
+
+
 def _one_line_error(capsys, path):
     err = capsys.readouterr().err
     assert err.startswith("symflow: error: ") and err.count("\n") == 1
@@ -148,6 +176,13 @@ def test_missing_manifest_file_exits_two(tmp_path, capsys):
     missing = tmp_path / "nowhere.txt"
     assert run(["verify-symmetry", "--manifest", str(missing)]) == 2
     _one_line_error(capsys, missing)
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_json_report_exits_two(where, tmp_path, capsys):
+    path = tmp_path / "nowhere" / "r.json" if where == "missing-directory" else tmp_path
+    assert run(["zero-curvature", "--json", str(path)]) == 2
+    assert "cannot write" in _one_line_error(capsys, path)
 
 
 def test_unparsable_symmetry_line_exits_two(tmp_path, capsys):
@@ -303,3 +338,32 @@ def test_closed_pipe_exits_one_without_traceback():
         child.kill()
     assert child.returncode == 1
     assert stderr == b""
+
+
+_COLD_SCRIPT = """
+import contextlib, io
+from fractions import Fraction
+from tracer import SPANS
+import symflow
+from symflow import cli, jetsys, liealg, linsym, numcheck
+system = jetsys.builtin_prolonged()
+determining = linsym.generate_determining(system, linsym.prolonged_ansatz())
+table = liealg.structure_table(liealg.standard_generators())
+liealg.normalize_triple(table, (Fraction(1), Fraction(2), Fraction(3)))
+jetsys.consistent_point(system, 5)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["zero-curvature"])
+print(len(determining.constraints), linsym.coupled_family().verify(system).holds, code)
+print("numpy" in sys.modules, sorted({m for m, _, _ in SPANS.values()} - set(sys.modules)))
+numcheck.make_vacuum_grid()
+print("numpy" in sys.modules)
+"""
+
+
+def test_symbolic_work_never_loads_numpy():
+    """numpy serves the grid oracles only: importing symflow and doing
+    symbolic work leaves it unloaded, while every module the benchmark's
+    tracer patches is loaded; the first grid loads it."""
+    assert fresh_interpreter(_COLD_SCRIPT).splitlines() == [
+        "230 True 0", "False []", "True",
+    ]
