@@ -49,6 +49,15 @@ def _reading(path: str):
         raise InputError(f"{path}: {err}") from err
 
 
+def _write(path: str, text: str):
+    """Write an output file; an unwritable path is an InputError."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as err:
+        raise InputError(f"cannot write {path}: {err.strerror}") from err
+
+
 @dataclass
 class Check:
     name: str
@@ -232,8 +241,7 @@ def _grid(s, _key):
         residual = numcheck.pde_residual(moved, "u")
     notes = []
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(numcheck.write_grid(moved))
+        _write(args.out, numcheck.write_grid(moved))
         notes.append(("transformed-grid-written", args.out))
     notes.append(("transformed-grid-residual", f"{residual:.3e}"))
     return notes
@@ -400,7 +408,8 @@ STEPS = (
          lambda s, _: (s.optimal.central == ("g4", "g5", "g6"), ", ".join(s.optimal.central), None)),
     Step("optimal-system", "normalization-sample", lambda s, _: (
         s.optimal.all_verified,
-        f"{len(s.optimal.records)} random triples normalized with <= 3 adjoint maps",
+        f"{len(s.optimal.records)} random triples reached their representative exactly by "
+        "<= 1 Ad(exp(eps*g3)) plus a scaling, trace form kept up to scale^2",
         None,
     )),
     Step("optimal-system", "orbit-separation",
@@ -504,6 +513,8 @@ def main(argv=None) -> int:
             if args.command in ("all", step.command) and step.when(args, step.key):
                 runner.run(step, session)
         sys.stdout.flush()
+        if args.json:
+            _write(args.json, report.to_json())
     except InputError as err:
         print(f"symflow: error: {err}", file=sys.stderr)
         return 2
@@ -514,13 +525,6 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    if args.json:
-        try:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                handle.write(report.to_json())
-        except OSError as err:
-            print(f"symflow: error: cannot write {args.json}: {err.strerror}", file=sys.stderr)
-            return 2
     return 1 if report.failed else 0
 
 

@@ -13,8 +13,10 @@ localized symmetry g2 and the coordinate names are all read from here.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -225,29 +227,34 @@ class StructureTable:
         return tuple(out)
 
     @functools.cached_property
-    def gram(self) -> tuple[tuple[ComplexRational, ...], ...]:
-        """Gram matrix tr(ad_i ad_j) = sum over r, s of c_is^r c_jr^s of the
-        trace form on the basis."""
+    def constants(self) -> dict[tuple[int, int], dict[int, ComplexRational]]:
+        """The nonzero structure constants: (i, j) -> {k: c_ij^k} for each
+        ordered pair with a nonzero bracket."""
         n = range(len(self.basis))
-        c = [[self.bracket_coords(i, j) for j in n] for i in n]
-        return tuple(
-            tuple(
-                sum((c[i][s][r] * c[j][r][s] for r in n for s in n), ComplexRational(0))
-                for j in n
-            )
-            for i in n
-        )
+        rows = {(i, j): {k: c for k, c in enumerate(self.bracket_coords(i, j)) if not c.is_zero()}
+                for i in n for j in n}
+        return {pair: row for pair, row in rows.items() if row}
+
+    @functools.cached_property
+    def gram(self) -> dict[tuple[int, int], ComplexRational]:
+        """The nonzero entries of the Gram matrix tr(ad_i ad_j) = sum over
+        r, s of c_is^r c_jr^s of the trace form."""
+        entries = defaultdict(ComplexRational)
+        for (i, s), row in self.constants.items():
+            for (j, r), other in self.constants.items():
+                if r in row and s in other:
+                    entries[i, j] += row[r] * other[s]
+        return {pair: g for pair, g in entries.items() if not g.is_zero()}
 
     def killing(self, a: Sequence, b: Sequence):
-        """Trace form tr(ad_a ad_b) = sum a_i b_j tr(ad_i ad_j).
+        """Trace form tr(ad_a ad_b) = sum a_i b_j tr(ad_i ad_j), summed over
+        the nonzero Gram entries only.
 
         Coordinates are ``ComplexRational`` (the value is one) or ``Expr``
         (the value is an ``Expr``, for symbolic coordinates).
         """
-        return functools.reduce(
-            operator.add,
-            (a[i] * b[j] * g for i, row in enumerate(self.gram) for j, g in enumerate(row)),
-        )
+        zero = Expr.ZERO if isinstance(a[0], Expr) else ComplexRational(0)
+        return sum((a[i] * b[j] * g for (i, j), g in self.gram.items()), zero)
 
 
 def structure_table(basis: Sequence[VectorField]) -> StructureTable:
@@ -274,19 +281,21 @@ def _unit(n: int, i: int) -> tuple[ComplexRational, ...]:
 
 
 def _check_jacobi(table: StructureTable):
+    """The Jacobi identity on basis triples i < j < k: ``bracket_coords``
+    makes the table antisymmetric, so the cyclic sum [[e_i,e_j],e_k] + ...
+    is alternating (0 when two indices are equal, odd under a transposition)
+    and these triples stand for all n^3."""
     n = len(table.basis)
     unit = [_unit(n, i) for i in range(n)]
     bracket = table.bracket
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                cyclic = zip(
-                    bracket(bracket(unit[i], unit[j]), unit[k]),
-                    bracket(bracket(unit[j], unit[k]), unit[i]),
-                    bracket(bracket(unit[k], unit[i]), unit[j]),
-                )
-                if any(not (x + y + z).is_zero() for x, y, z in cyclic):
-                    raise ExprError(f"Jacobi identity fails on triple ({i},{j},{k})")
+    for i, j, k in itertools.combinations(range(n), 3):
+        cyclic = zip(
+            bracket(bracket(unit[i], unit[j]), unit[k]),
+            bracket(bracket(unit[j], unit[k]), unit[i]),
+            bracket(bracket(unit[k], unit[i]), unit[j]),
+        )
+        if any(not (x + y + z).is_zero() for x, y, z in cyclic):
+            raise ExprError(f"Jacobi identity fails on triple ({i},{j},{k})")
 
 
 # ---------------------------------------------------------------------------
@@ -404,23 +413,28 @@ def _killing_on_span(table: StructureTable, triple: Sequence[Fraction]) -> Fract
 def _apply_adjoint_rational(
     table: StructureTable, generator: int, eps: Fraction, triple
 ) -> tuple[Fraction, Fraction, Fraction]:
-    """Exact action of Ad(exp(eps*g)) on span{g1,g2,g3}, via the series."""
-    epsilon = Parameter("epsilon")
-    coords = [Expr.from_scalar(Fraction(a)) for a in triple] + [Expr.ZERO] * (
-        len(table.basis) - 3
-    )
-    series = adjoint(table, generator, coords, epsilon)
-    out = []
-    mapping = {epsilon: Expr.from_scalar(eps)}
-    for k in range(3):
-        value = series.coords[k].substitute(mapping)
-        c = value.constant_value()
-        if c.im != 0:
-            raise ExprError("rational normalization produced a complex coordinate")
-        out.append(Fraction(c.re))
-    if any(not series.coords[k].substitute(mapping).is_zero() for k in range(3, len(series.coords))):
+    """Exact action of Ad(exp(eps*g)) on span{g1,g2,g3}: the Krylov series
+    sum over k of (-eps)^k/k! ad_g^k w in ``Fraction`` coordinates, rational
+    only when it terminates.  The symbolic :func:`adjoint` is its reference."""
+    total = [Fraction(0)] * len(table.basis)
+    term, weight = {j: Fraction(a) for j, a in enumerate(triple) if a}, Fraction(1)
+    for order in range(ADJOINT_MAX_TERMS + 1):
+        image = defaultdict(Fraction)
+        for j, w in term.items():
+            total[j] += weight * w
+            for k, c in table.constants.get((generator, j), {}).items():
+                if c.im != 0:
+                    raise ExprError("rational normalization met a complex structure constant")
+                image[k] += w * c.re
+        term = {k: w for k, w in image.items() if w}
+        if not term:
+            break
+        weight = -weight * eps / (order + 1)
+    else:
+        raise ExprError(f"adjoint series of {table.labels[generator]} is not rational in epsilon")
+    if any(total[3:]):
         raise ExprError("normalization left the g1,g2,g3 span")
-    return tuple(out)
+    return tuple(total[:3])
 
 
 def normalize_triple(
@@ -441,13 +455,10 @@ def normalize_triple(
     if a1 == 0 and a2 == 0 and a3 == 0:
         raise ExprError("cannot normalize the zero element")
     killing = _killing_on_span(table, (a1, a2, a3))
-    maps = []
-    current = (a1, a2, a3)
+    eps = a1 / (2 * a2) if a2 != 0 else (a3 / a1 if a1 != 0 else 0)
+    maps = [(3, eps)] if eps != 0 else []
+    current = _apply_adjoint_rational(table, 2, eps, (a1, a2, a3)) if maps else (a1, a2, a3)
     if a2 != 0:
-        eps = a1 / (2 * a2)
-        if eps != 0:
-            current = _apply_adjoint_rational(table, 2, eps, current)
-            maps.append((3, eps))
         scale = 1 / current[1]
         final = tuple(scale * c for c in current)
         alpha = final[2]
@@ -455,10 +466,6 @@ def normalize_triple(
         case = "a2 nonzero" + ("" if alpha != 0 else " (alpha = 0 boundary)")
         expected = (Fraction(0), Fraction(1), alpha)
     elif a1 != 0:
-        eps = a3 / a1
-        if eps != 0:
-            current = _apply_adjoint_rational(table, 2, eps, current)
-            maps.append((3, eps))
         scale = 1 / current[0]
         final = tuple(scale * c for c in current)
         alpha = None
@@ -467,7 +474,7 @@ def normalize_triple(
         expected = (Fraction(1), Fraction(0), Fraction(0))
     else:
         scale = 1 / a3
-        final = tuple(scale * c for c in (a1, a2, a3))
+        final = tuple(scale * c for c in current)
         alpha = None
         representative = "g3"
         case = "a3 nonzero"
@@ -477,7 +484,7 @@ def normalize_triple(
     verified = (
         final == expected
         and killing_final == killing * scale**2
-        and len(maps) <= 3
+        and len(maps) <= 1
     )
     sign = 0 if killing == 0 else (1 if killing > 0 else -1)
     return NormalizationRecord(

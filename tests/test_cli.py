@@ -185,6 +185,15 @@ def test_unwritable_json_report_exits_two(where, tmp_path, capsys):
     assert "cannot write" in _one_line_error(capsys, path)
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_grid_output_exits_two(where, tmp_path, capsys):
+    src = tmp_path / "vacuum.grid"
+    src.write_text(numcheck.write_grid(numcheck.make_vacuum_grid(grid_spec={"nx": 21, "nt": 11})))
+    path = tmp_path / "nowhere" / "o.grid" if where == "missing-directory" else tmp_path
+    assert run(["finite-transform", "--grid", str(src), "--out", str(path)]) == 2
+    assert "cannot write" in _one_line_error(capsys, path)
+
+
 def test_unparsable_symmetry_line_exits_two(tmp_path, capsys):
     manifest = tmp_path / "sigma.txt"
     manifest.write_text("[symmetry]\nsigma_u = phi^^2\nsigma_v = psi^2\n")

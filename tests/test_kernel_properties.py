@@ -5,8 +5,10 @@ kept here, monomial products against a dict-and-sort reference product,
 ``ComplexRational`` against plain ``(Fraction, Fraction)`` arithmetic,
 ``total_derivative`` against the Leibniz and chain rules, and the parser
 against strings drawn from its own grammar.  Atoms are interned, so equal
-constructions must give one object.  The profile is derandomised, so every
-run draws the same examples.
+constructions must give one object.  The rational adjoint map of the
+subalgebra classification is checked against the symbolic adjoint series,
+and the sparse trace form against the dense sum over all Gram entries.
+The profile is derandomised, so every run draws the same examples.
 """
 
 import cmath
@@ -35,7 +37,13 @@ from symflow.expr import (  # noqa: E402
     parse,
     to_text,
 )
-from symflow.liealg import COORDINATES  # noqa: E402
+from symflow.liealg import (  # noqa: E402
+    COORDINATES,
+    _apply_adjoint_rational,
+    adjoint,
+    standard_generators,
+    structure_table,
+)
 from symflow.linsym import UnknownFunction  # noqa: E402
 
 settings.register_profile(
@@ -585,3 +593,67 @@ def test_grammar_strings_parse_and_round_trip(drawn):
     assert parse(to_text(e)) == e
     assert to_text(parse(to_text(e))) == to_text(e)
     assert abs(e.eval_numeric(POINT) - value) <= 1e-9 * (1 + size)
+
+
+# ---------------------------------------------------------------------------
+# rational adjoint map and sparse trace form against their references
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def table():
+    return structure_table(standard_generators())
+
+
+triples = st.tuples(rationals, rationals, rationals)
+
+
+@given(st.integers(1, 5), triples, rationals)
+def test_rational_adjoint_matches_the_symbolic_series(table, generator, triple, eps):
+    """Ad(exp(eps*g)) for g2..g6 at a rational eps, against the symbolic
+    series with eps substituted."""
+    epsilon = Parameter("epsilon")
+    coords = [Expr.from_scalar(a) for a in triple] + [Expr.ZERO] * 3
+    series = adjoint(table, generator, coords, epsilon)
+    expected = [c.substitute({epsilon: Expr.from_scalar(eps)}) for c in series.coords]
+    image = _apply_adjoint_rational(table, generator, eps, triple)
+    assert all(type(a) is Fraction for a in image)
+    assert expected == [Expr.from_scalar(a) for a in image] + [Expr.ZERO] * 3
+
+
+@given(triples.filter(lambda t: t[1] != 0 or t[2] != 0), rationals.filter(bool))
+def test_rational_adjoint_of_g1_is_refused(table, triple, eps):
+    """Ad(exp(eps*g1)) scales g2 and g3 by exp(-/+eps), irrational at eps != 0."""
+    with pytest.raises(ExprError, match="not rational in epsilon"):
+        _apply_adjoint_rational(table, 0, eps, triple)
+
+
+@pytest.fixture(scope="module")
+def dense_gram(table):
+    """All 36 entries tr(ad_i ad_j) = sum over r, s of c_is^r c_jr^s, zeros included."""
+    n = range(len(table.basis))
+    c = [[table.bracket_coords(i, j) for j in n] for i in n]
+    return [
+        [sum((c[i][s][r] * c[j][r][s] for r in n for s in n), ComplexRational(0)) for j in n]
+        for i in n
+    ]
+
+
+def dense_killing(gram, a, b):
+    terms = [a[i] * b[j] * g for i, row in enumerate(gram) for j, g in enumerate(row)]
+    return sum(terms[1:], terms[0])
+
+
+six_scalars = st.lists(scalars, min_size=6, max_size=6)
+
+
+@given(six_scalars, six_scalars)
+def test_sparse_trace_form_matches_dense_sum(table, dense_gram, a, b):
+    """Scalar coordinates, and the same coordinates times one atom each."""
+    value = table.killing(a, b)
+    assert isinstance(value, ComplexRational)
+    assert value == dense_killing(dense_gram, a, b)
+    a, b = ([Expr.from_scalar(c) * Expr.atom(atom) for c, atom in zip(v, ATOMS)] for v in (a, b))
+    value = table.killing(a, b)
+    assert isinstance(value, Expr)
+    assert value == dense_killing(dense_gram, a, b)

@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from symflow.expr import Expr, ExprError, Parameter, jet, param, parse
+from symflow.expr import ComplexRational, Expr, ExprError, Parameter, jet, param, parse
 from symflow.liealg import (
+    StructureTable,
     VectorField,
+    _apply_adjoint_rational,
+    _check_jacobi,
     adjoint,
     commutator,
     express_in_basis,
@@ -89,6 +92,30 @@ def test_bracket_bilinearity_and_antisymmetry_on_random_fields():
         assert lhs == swap.scaled(Expr.from_scalar(-1))
 
 
+def hand_table(n, brackets):
+    """A structure table from its nonzero brackets {(i, j): coords}, i < j,
+    coordinates ints or ``ComplexRational``; only the basis size is read
+    from ``basis``."""
+    zero = (0,) * n
+    return StructureTable(
+        basis=standard_generators()[:n],
+        labels=tuple(f"g{i + 1}" for i in range(n)),
+        table={
+            (i, j): tuple(ComplexRational(1) * c for c in brackets.get((i, j), zero))
+            for i in range(n)
+            for j in range(i + 1, n)
+        },
+    )
+
+
+def test_jacobi_failure_names_its_triple():
+    # [e1,e2] = e2 and [e2,e3] = e3 with e0 central: the cyclic sum on
+    # (1,2,3) is [e2,e3] = e3, every triple holding e0 sums to 0
+    table = hand_table(4, {(1, 2): (0, 0, 1, 0), (2, 3): (0, 0, 0, 1)})
+    with pytest.raises(ExprError, match=r"fails on triple \(1,2,3\)"):
+        _check_jacobi(table)
+
+
 def test_bracket_outside_span_is_reported():
     fields = (vector_field(u="1"), vector_field(u="u^2"))
     with pytest.raises(ExprError, match="outside the span"):
@@ -145,6 +172,15 @@ def test_adjoint_series_error_on_rotational_action():
         adjoint(rotation_table, 0, [0, 1, 0], Parameter("epsilon"))
 
 
+@pytest.mark.parametrize("brackets, n, match", [
+    ({(0, 1): (0, ComplexRational(0, 1), 0)}, 3, "complex structure constant"),
+    ({(0, 1): (0, 0, 0, 1)}, 4, "left the g1,g2,g3 span"),
+])
+def test_rational_adjoint_refuses_what_is_not_a_rational_map(brackets, n, match):
+    with pytest.raises(ExprError, match=match):
+        _apply_adjoint_rational(hand_table(n, brackets), 0, Fraction(1, 2), (0, 1, 0))
+
+
 def test_adjoint_is_an_algebra_automorphism(table):
     eps = Parameter("epsilon")
     unit = lambda i: tuple(Expr.ONE if k == i else Expr.ZERO for k in range(6))
@@ -183,6 +219,22 @@ def test_mixed_element_normalizes_into_the_family(table):
     assert len(record.maps) == 1 and record.verified
 
 
+def test_normalization_never_reaches_the_kernel(table, monkeypatch):
+    calls = Counter()
+    for name in ("__mul__", "__add__", "substitute"):
+        def counted(self, *args, _name=name, _method=getattr(Expr, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(Expr, name, counted)
+    records = [normalize_triple(table, t) for t in ((1, 2, 3), (2, 0, 5), (0, 0, -4))]
+    monkeypatch.undo()
+    assert [r.case for r in records] == ["a2 nonzero", "a1 nonzero", "a3 nonzero"]
+    assert [len(r.maps) for r in records] == [1, 1, 0]
+    assert all(r.verified for r in records)
+    assert calls == Counter()
+
+
 def test_killing_form_on_family(table):
     # trace form of a1 g1 + a2 g2 + a3 g3 is 2 a1^2 - 8 a2 a3
     from symflow.liealg import _killing_on_span
@@ -209,7 +261,7 @@ def test_full_classification_report():
     report = verify_optimal_system(samples=100, seed=7)
     assert report.all_verified
     assert report.central == ("g4", "g5", "g6")
-    assert all(len(r.maps) <= 3 for r in report.records)
+    assert all(len(r.maps) <= 1 for r in report.records)
     killing_family = report.representative_killing["g2 + alpha*g3"]
     assert killing_family == parse("-8*alpha")
     assert report.representative_killing["g1"] == 2
