@@ -81,7 +81,6 @@ from .conslaw import (
 from .numcheck import (
     Grid,
     VacuumSeed,
-    conserved_drift,
     make_vacuum_grid,
     pde_residual,
     read_grid,

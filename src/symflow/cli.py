@@ -408,8 +408,8 @@ STEPS = (
          lambda s, _: (s.optimal.central == ("g4", "g5", "g6"), ", ".join(s.optimal.central), None)),
     Step("optimal-system", "normalization-sample", lambda s, _: (
         s.optimal.all_verified,
-        f"{len(s.optimal.records)} random triples reached their representative exactly by "
-        "<= 1 Ad(exp(eps*g3)) plus a scaling, trace form kept up to scale^2",
+        f"{len(s.optimal.records)} random triples reached their representative exactly, "
+        "trace form kept up to scale^2",
         None,
     )),
     Step("optimal-system", "orbit-separation",

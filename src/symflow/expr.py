@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Union
 
 if TYPE_CHECKING:
@@ -44,44 +45,70 @@ _Scalar = Union[int, Fraction, "ComplexRational"]
 
 
 class ComplexRational:
-    """Complex number with exact rational real and imaginary parts.
+    """Complex number with exact rational parts, ``(a + b*i) / d``.
 
-    Each part is an ``int`` when it is integral and a ``Fraction``
-    otherwise; ``__init__`` normalises, so ``re`` and ``im`` are always of
-    type ``int | Fraction``.  Gaussian-integer arithmetic therefore never
-    builds a ``Fraction``.  Callers that take a part out and divide it must
-    divide exactly (``Fraction(c.re) / d``): ``int / int`` is a float.
+    The three fields are Python ints in canonical form: ``d > 0`` and
+    ``gcd(a, b, d) == 1``, so every value has one representation and
+    equality compares the fields.  A product is four int products over
+    ``d1*d2``, a sum over equal denominators adds the numerators, and
+    Gaussian integers (``d == 1``) never take a gcd; no ``Fraction`` is
+    built.  ``re`` and ``im`` are read-only views, each an ``int`` when the
+    part is integral and a reduced ``Fraction`` otherwise.  Callers that
+    take a part out and divide it must divide exactly
+    (``Fraction(c.re) / n``): ``int / int`` is a float.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
-        self.re = re if type(re) is int else _rational(re)
-        self.im = im if type(im) is int else _rational(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        d = re.denominator * im.denominator // gcd(re.denominator, im.denominator)
+        # both parts are reduced, so a, b and their lcm d share no factor
+        self.a = re.numerator * (d // re.denominator)
+        self.b = im.numerator * (d // im.denominator)
+        self.d = d
+
+    # -- reading ------------------------------------------------------------
+    @property
+    def re(self) -> int | Fraction:
+        return _part(self.a, self.d)
+
+    @property
+    def im(self) -> int | Fraction:
+        return _part(self.b, self.d)
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other: _Scalar) -> "ComplexRational":
-        o = _as_scalar(other)
-        return ComplexRational(self.re + o.re, self.im + o.im)
+        o = other if type(other) is ComplexRational else _as_scalar(other)
+        d, od = self.d, o.d
+        if d == od:
+            return _cr(self.a + o.a, self.b + o.b, d)
+        return _cr(self.a * od + o.a * d, self.b * od + o.b * d, d * od)
 
     def __sub__(self, other: _Scalar) -> "ComplexRational":
-        o = _as_scalar(other)
-        return ComplexRational(self.re - o.re, self.im - o.im)
+        o = other if type(other) is ComplexRational else _as_scalar(other)
+        d, od = self.d, o.d
+        if d == od:
+            return _cr(self.a - o.a, self.b - o.b, d)
+        return _cr(self.a * od - o.a * d, self.b * od - o.b * d, d * od)
 
     def __mul__(self, other: _Scalar) -> "ComplexRational":
-        o = _as_scalar(other)
-        return ComplexRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+        o = other if type(other) is ComplexRational else _as_scalar(other)
+        a, b, oa, ob = self.a, self.b, o.a, o.b
+        return _cr(a * oa - b * ob, a * ob + b * oa, self.d * o.d)
 
     def __neg__(self) -> "ComplexRational":
-        return ComplexRational(-self.re, -self.im)
+        return _cr(-self.a, -self.b, self.d)
 
     def inverse(self) -> "ComplexRational":
-        norm = self.re * self.re + self.im * self.im
+        a, b, d = self.a, self.b, self.d
+        norm = a * a + b * b
         if norm == 0:
             raise ZeroDivisionError("inverse of zero")
-        return ComplexRational(Fraction(self.re) / norm, Fraction(-self.im) / norm)
+        return _cr(d * a, -d * b, norm)
 
     def __pow__(self, n: int) -> "ComplexRational":
         if n < 0:
@@ -90,28 +117,33 @@ class ComplexRational:
 
     # -- predicates ---------------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.a and not self.b
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        if isinstance(other, ComplexRational):
-            return self.re == other.re and self.im == other.im
+        if type(other) is ComplexRational:
+            return self.a == other.a and self.b == other.b and self.d == other.d
+        if isinstance(other, int):
+            return self.d == 1 and not self.b and self.a == other
+        if isinstance(other, Fraction):
+            return (
+                not self.b and self.a == other.numerator and self.d == other.denominator
+            )
         return NotImplemented
 
     def __hash__(self):
         return hash((self.re, self.im))
 
     def key(self):
-        return (
-            self.re.numerator,
-            self.re.denominator,
-            self.im.numerator,
-            self.im.denominator,
-        )
+        """``(re.numerator, re.denominator, im.numerator, im.denominator)``."""
+        a, b, d = self.a, self.b, self.d
+        if d == 1:
+            return (a, 1, b, 1)
+        g, h = gcd(a, d), gcd(b, d)
+        return (a // g, d // g, b // h, d // h)
 
     def to_complex(self) -> complex:
-        return float(self.re) + 1j * float(self.im)
+        # int / int is correctly rounded, so this is float(re), float(im)
+        return complex(self.a / self.d, self.b / self.d)
 
     def __repr__(self):
         return f"ComplexRational({self.re!r}, {self.im!r})"
@@ -120,18 +152,37 @@ class ComplexRational:
         return _const_text(self)
 
 
-def _rational(value) -> int | Fraction:
-    """``value`` as an exact rational: ``int`` when integral, else ``Fraction``."""
-    if not isinstance(value, Fraction):
-        value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
+def _cr(a: int, b: int, d: int) -> ComplexRational:
+    """Trusted constructor of ``(a + b*i) / d`` for ``d > 0``: divides out
+    ``gcd(a, b, d)``, which is skipped for Gaussian integers."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    c = object.__new__(ComplexRational)
+    c.a = a
+    c.b = b
+    c.d = d
+    return c
+
+
+def _part(n: int, d: int) -> int | Fraction:
+    """``n / d`` as an exact rational: ``int`` when integral, else ``Fraction``."""
+    if d == 1:
+        return n
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
 
 
 def _as_scalar(value: _Scalar) -> ComplexRational:
     if isinstance(value, ComplexRational):
         return value
-    if isinstance(value, (int, Fraction)):
-        return ComplexRational(value)
+    if isinstance(value, int):
+        return _cr(value, 0, 1)
+    if isinstance(value, Fraction):
+        return _cr(value.numerator, 0, value.denominator)
     raise TypeError(f"cannot use {type(value).__name__} as an exact scalar")
 
 

@@ -79,9 +79,6 @@ class SolvedFormClosure:
         )
         return base
 
-    def is_reducible(self, coordinate: JetCoordinate) -> bool:
-        return self.base_key(coordinate) is not None
-
     def rule(self, coordinate: JetCoordinate) -> Expr | None:
         """The reduced rule for a reducible jet, or None for an irreducible
         one; a solved form that needs its own rule raises ReductionError."""
@@ -158,7 +155,7 @@ class PdeSystem:
     def _check_well_formed(self):
         for key, rhs in self.solved_forms.items():
             for a in rhs.jet_atoms():
-                if self.closure.is_reducible(a):
+                if self.closure.base_key(a) is not None:
                     raise ExprError(
                         f"solved form for {key} is not resolved: rhs contains {a}"
                     )
@@ -263,14 +260,6 @@ def builtin_prolonged() -> PdeSystem:
     )
 
 
-def lax_entries() -> dict[str, Expr]:
-    return {
-        "a": parse(LAX_ENTRY_A),
-        "b": parse(LAX_ENTRY_B),
-        "c": parse(LAX_ENTRY_C),
-    }
-
-
 def cross_derivative_residuals(sys: PdeSystem) -> dict[str, Expr]:
     """Compatibility residual reduce(D_t(x-rule) - D_x(t-rule)) per dependent.
 
@@ -321,7 +310,7 @@ def consistent_assignment(
         pending.extend(e.atoms())
     while pending:
         a = pending.pop()
-        if isinstance(a, JetCoordinate) and closure.is_reducible(a):
+        if isinstance(a, JetCoordinate) and closure.base_key(a) is not None:
             if a not in reducible:
                 rule = closure.rule(a)
                 reducible[a] = rule

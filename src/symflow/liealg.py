@@ -450,6 +450,10 @@ def normalize_triple(
     * a2 == 0, a1 != 0: Ad(exp(eps g3)) with eps = a3/a1 kills the g3 slot,
       landing on g1;
     * otherwise the element already is a multiple of g3.
+
+    ``verified`` checks that the exact representative is reached and that
+    the trace form is kept up to ``scale**2``.  ``maps`` holds at most one
+    map by construction, so it is a record, not part of the check.
     """
     a1, a2, a3 = (Fraction(a) for a in triple)
     if a1 == 0 and a2 == 0 and a3 == 0:
@@ -481,11 +485,7 @@ def normalize_triple(
         expected = (Fraction(0), Fraction(0), Fraction(1))
 
     killing_final = _killing_on_span(table, final)
-    verified = (
-        final == expected
-        and killing_final == killing * scale**2
-        and len(maps) <= 1
-    )
+    verified = final == expected and killing_final == killing * scale**2
     sign = 0 if killing == 0 else (1 if killing > 0 else -1)
     return NormalizationRecord(
         triple=(a1, a2, a3),

@@ -311,16 +311,6 @@ class DeterminingSystem:
                     return False
         return True
 
-    def reassembled_residuals(self) -> list[Expr]:
-        """Sum of split-monomial times constraint per equation (soundness check)."""
-        out = {}
-        for eq_index, key, constraint in self.constraints:
-            mono_expr = Expr.ONE
-            for a, n in key:
-                mono_expr = mono_expr * Expr.atom(a) ** n
-            out[eq_index] = out.get(eq_index, Expr.ZERO) + mono_expr * constraint
-        return [out.get(i, Expr.ZERO) for i in range(len(self.residuals))]
-
     def substitution_for(self, solution: Mapping[str, Expr]) -> dict:
         """Map every unknown-function atom to the matching derivative of a
         concrete solution expression."""

@@ -1,5 +1,5 @@
-"""Numeric verification layer: exact seed solutions on grids, finite
-difference residuals, and conserved-quantity drift.
+"""Numeric verification layer: exact seed solutions on grids and finite
+difference residuals.
 
 The seed family lives on the zero background: with u = v = 0 the linear
 problem integrates to plane-wave eigenfunctions and a potential f that
@@ -19,7 +19,7 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .expr import (
     Atom,
@@ -243,63 +243,13 @@ def transformed_residual_orders(
     log2(r_k / r_{k+1}); the transformed fields solve the system exactly,
     so the residual is pure truncation error and the orders sit near 2.
     """
-    return _refinement_orders(pde_residual, epsilon)
-
-
-def _refinement_orders(
-    measure: Callable[[Grid], float], epsilon: float
-) -> tuple[list[float], list[float]]:
-    """``measure`` of the flow-transformed default seed at each of the
-    :data:`REFINEMENT_LEVELS`, and the observed orders log2(m_k / m_{k+1})."""
     values = []
     for nx, nt in REFINEMENT_LEVELS:
         grid = make_vacuum_grid(grid_spec={"nx": nx, "nt": nt})
         moved = dataclasses.replace(grid, fields=map_solution(grid.fields, epsilon))
-        values.append(measure(moved))
+        values.append(pde_residual(moved))
     orders = [math.log2(values[k] / values[k + 1]) for k in range(len(values) - 1)]
     return values, orders
-
-
-# ---------------------------------------------------------------------------
-# conserved-quantity drift
-# ---------------------------------------------------------------------------
-
-
-def conserved_drift(grid: Grid) -> float:
-    """Violation of I(t) = I(t0) + time-integrated boundary flux.
-
-    I(t) is the trapezoid x-integral of the density f_x over the interior
-    stencil range; the flux at the two x-boundaries of that range is f_t.
-    Everything is second-order central, interior points only.
-    """
-    f = grid.fields["f"]
-    dx, dt = grid.dx, grid.dt
-    f_x = (f[:, 2:] - f[:, :-2]) / (2 * dx)  # shape (nt, nx-2)
-    f_t = (f[2:, :] - f[:-2, :]) / (2 * dt)  # shape (nt-2, nx)
-
-    # time slices where f_t exists: rows 1..nt-2
-    density = f_x[1:-1, :]
-    integral = _trapezoid(density, dx)
-    # density columns span x-indices 1..nx-2; flux is f_t at those endpoints
-    flux_right = f_t[:, -2]
-    flux_left = f_t[:, 1]
-    net_flux = flux_right - flux_left
-
-    drift = 0.0
-    accumulated = 0j
-    for k in range(1, len(integral)):
-        accumulated += 0.5 * (net_flux[k - 1] + net_flux[k]) * dt
-        drift = max(drift, abs(integral[k] - integral[0] - accumulated))
-    return float(drift)
-
-
-def drift_orders(epsilon: float = DEFAULT_EPSILON) -> tuple[list[float], list[float]]:
-    """Drift of the transformed potential under grid refinement."""
-    return _refinement_orders(conserved_drift, epsilon)
-
-
-def _trapezoid(rows: np.ndarray, dx: float) -> np.ndarray:
-    return (rows[:, 1:] + rows[:, :-1]).sum(axis=1) * (dx / 2)
 
 
 # ---------------------------------------------------------------------------

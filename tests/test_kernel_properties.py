@@ -2,7 +2,8 @@
 
 ``Expr.substitute`` is checked against a per-term reference substitution
 kept here, monomial products against a dict-and-sort reference product,
-``ComplexRational`` against plain ``(Fraction, Fraction)`` arithmetic,
+``ComplexRational`` against plain ``(Fraction, Fraction)`` arithmetic
+and its one-denominator fields against their canonical form,
 ``total_derivative`` against the Leibniz and chain rules, and the parser
 against strings drawn from its own grammar.  Atoms are interned, so equal
 constructions must give one object.  The rational adjoint map of the
@@ -12,6 +13,7 @@ The profile is derandomised, so every run draws the same examples.
 """
 
 import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -457,6 +459,44 @@ def test_coefficient_equality_hash_and_key(a, b):
 def test_coefficient_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
         ComplexRational(0).inverse()
+
+
+def assert_canonical_fields(c: ComplexRational):
+    """(a + b*i) / d with int fields, d > 0 and gcd(a, b, d) == 1."""
+    assert type(c.a) is int and type(c.b) is int and type(c.d) is int
+    assert c.d > 0 and math.gcd(c.a, c.b, c.d) == 1
+
+
+@given(scalars, scalars, nonzero_scalars, st.integers(-6, 6))
+def test_coefficient_fields_stay_canonical(a, b, nonzero, n):
+    for c in (a, a + b, a - b, a * b, -a, a + 3, a * Fraction(2, 3),
+              nonzero.inverse(), nonzero**n, a ** abs(n)):
+        assert_canonical_fields(c)
+
+
+@given(scalars, nonzero_scalars)
+def test_equal_values_built_by_different_routes_are_one_value(a, b):
+    for x, y in (
+        (ComplexRational(Fraction(1, 2)) * 2, ComplexRational(1)),
+        (ComplexRational(Fraction(1, 6)) + Fraction(1, 3), ComplexRational(Fraction(1, 2))),
+        (ComplexRational(0, Fraction(2, 3)).inverse(), ComplexRational(0, Fraction(-3, 2))),
+        (a * b * b.inverse(), a),
+        (a + b - b, a),
+    ):
+        assert x == y and hash(x) == hash(y) and x.key() == y.key()
+        assert (x.a, x.b, x.d) == (y.a, y.b, y.d)
+
+
+big_rationals = st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40))
+big_scalars = st.builds(ComplexRational, big_rationals, big_rationals)
+
+
+@given(st.one_of(scalars, big_scalars), st.one_of(scalars, big_scalars))
+def test_to_complex_is_the_float_of_each_part(a, b):
+    # a product's parts share factors with its one denominator
+    for c in (a, a * b):
+        z, want = c.to_complex(), complex(float(c.re), float(c.im))
+        assert (z.real.hex(), z.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from symflow.expr import (
     Expr,
     ExprError,
     JetCoordinate,
+    Parameter,
     jet,
     parse,
 )
@@ -196,8 +198,6 @@ def test_family_basis_matches_standard_generators(prolonged):
     generators = dict(zip(("g1", "g2", "g3", "g4", "g5", "g6"), standard_generators()))
     for label, constant in constants.items():
         mapping = {}
-        from symflow.expr import Parameter
-
         for c in ("c1", "c2", "c3", "c4", "c5", "c6"):
             mapping[Parameter(c)] = Expr.ONE if c == constant else Expr.ZERO
         coeffs = {"x": family.xi_x.substitute(mapping), "t": family.xi_t.substitute(mapping)}
@@ -205,6 +205,33 @@ def test_family_basis_matches_standard_generators(prolonged):
         field = generators[label]
         for name in ("x", "t", "u", "v", "phi", "psi", "f"):
             assert coeffs.get(name, Expr.ZERO) == field.coefficient(name), (label, name)
+
+
+def test_rational_constants_are_checked_without_fractions(prolonged, monkeypatch):
+    # Coefficients are Gaussian rationals over one int denominator, so a
+    # family specialised to rational constants is checked in int arithmetic.
+    constants = (Fraction(3, 7), Fraction(-5, 11), Fraction(2, 13),
+                 Fraction(7, 5), Fraction(-1, 9), Fraction(4, 3))
+    mapping = {Parameter(f"c{k}"): Expr.from_scalar(q) for k, q in enumerate(constants, 1)}
+    candidates = []
+    for family in (coupled_family(), prolonged_family()):
+        specialised = PointFamily(
+            family.name, family.xi_x.substitute(mapping), family.xi_t.substitute(mapping),
+            {n: e.substitute(mapping) for n, e in family.etas.items()}, family.equations,
+        )
+        candidates.append((specialised.characteristic(), family.equations))
+    calls = Counter()
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        calls["Fraction"] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    holds = [verify_symmetry(prolonged, sigma, equations).holds for sigma, equations in candidates]
+    monkeypatch.undo()
+    assert holds == [True, True]
+    assert calls == Counter()
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +254,19 @@ def test_determining_constraints_are_linear_homogeneous(coupled_determining):
     assert len(coupled_determining.constraints) > 10
 
 
+def reassembled_residuals(determining) -> list[Expr]:
+    """Sum of split monomial times constraint, per equation."""
+    out = {}
+    for eq_index, key, constraint in determining.constraints:
+        mono_expr = Expr.ONE
+        for a, n in key:
+            mono_expr = mono_expr * Expr.atom(a) ** n
+        out[eq_index] = out.get(eq_index, Expr.ZERO) + mono_expr * constraint
+    return [out.get(i, Expr.ZERO) for i in range(len(determining.residuals))]
+
+
 def test_determining_reassembly_soundness(coupled_determining):
-    rebuilt = coupled_determining.reassembled_residuals()
+    rebuilt = reassembled_residuals(coupled_determining)
     assert all(
         (a - b).is_zero()
         for a, b in zip(rebuilt, coupled_determining.residuals)
