@@ -36,7 +36,6 @@ from .jetsys import (
 from .linsym import (
     PointAnsatz,
     PointFamily,
-    SymmetryCandidate,
     coupled_ansatz,
     coupled_family,
     evolutionary_from_point,

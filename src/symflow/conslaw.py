@@ -183,7 +183,7 @@ def conserved_vector(vf) -> ConservedVector:
     Tt = coeffs.get("t", Expr.ZERO) * L
     Tx = coeffs.get("x", Expr.ZERO) * L
     for name in FIELD_DEPENDENTS:
-        W = -sigma.component(name)
+        W = -sigma[name]
         dW = W.total_derivative("x")
         ddW = dW.total_derivative("x")
         d_t = L.diff(JetCoordinate(name, ("t",)))

@@ -17,7 +17,7 @@ import itertools
 import operator
 import random
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -198,42 +198,40 @@ def express_in_basis(
 
 @dataclass
 class StructureTable:
+    """The structure constants of a basis: ``constants[(i, j)]`` is
+    {k: c_ij^k} for each ordered pair with a nonzero bracket.
+
+    Only the brackets i < j are given, as ``brackets``; each (j, i) entry
+    is derived here as the negative of its (i, j) entry, so every table is
+    antisymmetric.
+    """
+
     basis: tuple[VectorField, ...]
     labels: tuple[str, ...]
-    table: dict  # (i, j) -> tuple[ComplexRational, ...] for i < j
+    brackets: InitVar[Mapping[tuple[int, int], Mapping[int, ComplexRational]]]
+    constants: dict[tuple[int, int], dict[int, ComplexRational]] = field(init=False)
 
-    def bracket_coords(self, i: int, j: int) -> tuple[ComplexRational, ...]:
-        if i == j:
-            return tuple(ComplexRational(0) for _ in self.basis)
-        if i < j:
-            return self.table[(i, j)]
-        return tuple(-c for c in self.table[(j, i)])
+    def __post_init__(self, brackets):
+        self.constants = {}
+        for (i, j), row in brackets.items():
+            if i >= j:
+                raise ExprError(f"bracket ({i},{j}) given; only i < j are")
+            row = {k: c for k, c in row.items() if not c.is_zero()}
+            if row:
+                self.constants[i, j] = row
+                self.constants[j, i] = {k: -c for k, c in row.items()}
 
     def bracket(self, a: Sequence, b: Sequence) -> tuple:
         """[a, b] in basis coordinates.  The entries of ``a`` and ``b`` are
         all ``ComplexRational`` or all ``Expr``; the result's are the same."""
-        n = len(self.basis)
-        out = [Expr.ZERO if isinstance(a[0], Expr) else ComplexRational(0)] * n
-        for i in range(n):
-            if a[i].is_zero():
+        out = [Expr.ZERO if isinstance(a[0], Expr) else ComplexRational(0)] * len(self.basis)
+        for (i, j), row in self.constants.items():
+            if a[i].is_zero() or b[j].is_zero():
                 continue
-            for j in range(n):
-                if b[j].is_zero():
-                    continue
-                weight = a[i] * b[j]
-                for k, c in enumerate(self.bracket_coords(i, j)):
-                    if not c.is_zero():
-                        out[k] = out[k] + weight * c
+            weight = a[i] * b[j]
+            for k, c in row.items():
+                out[k] = out[k] + weight * c
         return tuple(out)
-
-    @functools.cached_property
-    def constants(self) -> dict[tuple[int, int], dict[int, ComplexRational]]:
-        """The nonzero structure constants: (i, j) -> {k: c_ij^k} for each
-        ordered pair with a nonzero bracket."""
-        n = range(len(self.basis))
-        rows = {(i, j): {k: c for k, c in enumerate(self.bracket_coords(i, j)) if not c.is_zero()}
-                for i in n for j in n}
-        return {pair: row for pair, row in rows.items() if row}
 
     @functools.cached_property
     def gram(self) -> dict[tuple[int, int], ComplexRational]:
@@ -262,16 +260,15 @@ def structure_table(basis: Sequence[VectorField]) -> StructureTable:
     checks closure and Jacobi."""
     basis = tuple(basis)
     labels = tuple(f"g{i+1}" for i in range(len(basis)))
-    table = {}
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            coords = express_in_basis(commutator(basis[i], basis[j]), basis)
-            if coords is None:
-                raise ExprError(
-                    f"[{labels[i]},{labels[j]}] lies outside the span of the basis"
-                )
-            table[(i, j)] = tuple(coords)
-    result = StructureTable(basis=basis, labels=labels, table=table)
+    brackets = {}
+    for i, j in itertools.combinations(range(len(basis)), 2):
+        coords = express_in_basis(commutator(basis[i], basis[j]), basis)
+        if coords is None:
+            raise ExprError(
+                f"[{labels[i]},{labels[j]}] lies outside the span of the basis"
+            )
+        brackets[i, j] = dict(enumerate(coords))
+    result = StructureTable(basis, labels, brackets)
     _check_jacobi(result)
     return result
 
@@ -281,10 +278,10 @@ def _unit(n: int, i: int) -> tuple[ComplexRational, ...]:
 
 
 def _check_jacobi(table: StructureTable):
-    """The Jacobi identity on basis triples i < j < k: ``bracket_coords``
-    makes the table antisymmetric, so the cyclic sum [[e_i,e_j],e_k] + ...
-    is alternating (0 when two indices are equal, odd under a transposition)
-    and these triples stand for all n^3."""
+    """The Jacobi identity on basis triples i < j < k: every table is
+    antisymmetric, so the cyclic sum [[e_i,e_j],e_k] + ... is alternating
+    (0 when two indices are equal, odd under a transposition) and these
+    triples stand for all n^3."""
     n = len(table.basis)
     unit = [_unit(n, i) for i in range(n)]
     bracket = table.bracket
@@ -303,13 +300,6 @@ def _check_jacobi(table: StructureTable):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BasisSeries:
-    """Element of the algebra with coefficients that may depend on epsilon."""
-
-    coords: tuple[Expr, ...]
-
-
 #: longest adjoint series :func:`adjoint` sums before it gives up
 ADJOINT_MAX_TERMS = 12
 
@@ -319,8 +309,9 @@ def adjoint(
     v_index: int,
     w_coords: Sequence,
     epsilon: Parameter,
-) -> BasisSeries:
-    """Ad(exp(eps*v)) w as the series w - eps [v,w] + eps^2/2 [v,[v,w]] - ...
+) -> tuple[Expr, ...]:
+    """Ad(exp(eps*v)) w as the series w - eps [v,w] + eps^2/2 [v,[v,w]] - ...,
+    in basis coordinates that may depend on epsilon.
 
     Computed by linearity over basis components: for each one the Krylov
     sequence either terminates (nilpotent action, polynomial in eps) or is
@@ -367,7 +358,7 @@ def adjoint(
                 f"adjoint series of basis element {j} neither terminates nor "
                 f"is eigen-diagonal within {ADJOINT_MAX_TERMS} terms"
             )
-    return BasisSeries(tuple(totals))
+    return tuple(totals)
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +401,10 @@ def _killing_on_span(table: StructureTable, triple: Sequence[Fraction]) -> Fract
     return Fraction(value.re)
 
 
+def _sign(value: Fraction) -> int:
+    return (value > 0) - (value < 0)
+
+
 def _apply_adjoint_rational(
     table: StructureTable, generator: int, eps: Fraction, triple
 ) -> tuple[Fraction, Fraction, Fraction]:
@@ -437,63 +432,59 @@ def _apply_adjoint_rational(
     return tuple(total[:3])
 
 
+#: the normal forms in decision order: the slot of span{g1,g2,g3} a triple
+#: must have nonzero, and the representative it then normalizes to
+NORMAL_FORMS = ((1, "g2 + alpha*g3"), (0, "g1"), (2, "g3"))
+
+
 def normalize_triple(
     table: StructureTable, triple: Sequence[Fraction]
 ) -> NormalizationRecord:
     """Map a1 g1 + a2 g2 + a3 g3 to an optimal-system representative.
 
-    Uses at most one adjoint map with an exactly solved rational parameter,
-    plus an overall scaling (multiples of a generator are equivalent):
+    The first slot of :data:`NORMAL_FORMS` that is nonzero picks the
+    representative.  At most one adjoint map Ad(exp(eps g3)) with an
+    exactly solved rational parameter follows, then an overall scaling
+    (multiples of a generator are equivalent).  To first order the map moves
+    a_s g_s along [g3, g_s] = c g_k, and eps = a_k / (c a_s) clears slot k:
 
-    * a2 != 0: Ad(exp(eps g3)) with eps = a1/(2 a2) kills the g1 slot,
-      landing in the g2 + alpha g3 family;
-    * a2 == 0, a1 != 0: Ad(exp(eps g3)) with eps = a3/a1 kills the g3 slot,
-      landing on g1;
-    * otherwise the element already is a multiple of g3.
+    * a2 != 0: eps = a1/(2 a2) kills the g1 slot, landing in the
+      g2 + alpha g3 family;
+    * a2 == 0, a1 != 0: eps = a3/a1 kills the g3 slot, landing on g1;
+    * otherwise [g3, g3] = 0, no map: the element already is a multiple of g3.
 
     ``verified`` checks that the exact representative is reached and that
     the trace form is kept up to ``scale**2``.  ``maps`` holds at most one
     map by construction, so it is a record, not part of the check.
     """
-    a1, a2, a3 = (Fraction(a) for a in triple)
-    if a1 == 0 and a2 == 0 and a3 == 0:
+    a = tuple(Fraction(x) for x in triple)
+    if not any(a):
         raise ExprError("cannot normalize the zero element")
-    killing = _killing_on_span(table, (a1, a2, a3))
-    eps = a1 / (2 * a2) if a2 != 0 else (a3 / a1 if a1 != 0 else 0)
+    killing = _killing_on_span(table, a)
+    for slot, representative in NORMAL_FORMS:
+        if a[slot]:
+            break
+    eps = 0
+    for k, c in table.constants.get((2, slot), {}).items():  # [g3, g_slot] = c g_k
+        eps = a[k] / (a[slot] * c.re)
     maps = [(3, eps)] if eps != 0 else []
-    current = _apply_adjoint_rational(table, 2, eps, (a1, a2, a3)) if maps else (a1, a2, a3)
-    if a2 != 0:
-        scale = 1 / current[1]
-        final = tuple(scale * c for c in current)
-        alpha = final[2]
-        representative = "g2 + alpha*g3"
-        case = "a2 nonzero" + ("" if alpha != 0 else " (alpha = 0 boundary)")
-        expected = (Fraction(0), Fraction(1), alpha)
-    elif a1 != 0:
-        scale = 1 / current[0]
-        final = tuple(scale * c for c in current)
-        alpha = None
-        representative = "g1"
-        case = "a1 nonzero"
-        expected = (Fraction(1), Fraction(0), Fraction(0))
-    else:
-        scale = 1 / a3
-        final = tuple(scale * c for c in current)
-        alpha = None
-        representative = "g3"
-        case = "a3 nonzero"
-        expected = (Fraction(0), Fraction(0), Fraction(1))
-
+    current = _apply_adjoint_rational(table, 2, eps, a) if maps else a
+    scale = 1 / current[slot]
+    final = tuple(scale * c for c in current)
+    expected = [int(k == slot) for k in range(3)]
+    alpha = None
+    if slot == 1:  # the family's g3 slot is free: that is alpha
+        alpha = expected[2] = final[2]
+    case = f"a{slot + 1} nonzero" + (" (alpha = 0 boundary)" if alpha == 0 else "")
     killing_final = _killing_on_span(table, final)
-    verified = final == expected and killing_final == killing * scale**2
-    sign = 0 if killing == 0 else (1 if killing > 0 else -1)
+    verified = final == tuple(expected) and killing_final == killing * scale**2
     return NormalizationRecord(
-        triple=(a1, a2, a3),
+        triple=a,
         maps=maps,
         scale=scale,
         representative=representative,
         alpha=alpha,
-        killing_sign=sign,
+        killing_sign=_sign(killing),
         verified=verified,
         case=case,
     )
@@ -504,25 +495,26 @@ def verify_optimal_system(samples: int = 100, seed: int = 7) -> OptimalSystemRep
     basis = standard_generators()
     table = structure_table(basis)
 
-    central = []
     n = len(basis)
-    for i in range(3, n):
-        if all(
-            all(c.is_zero() for c in table.bracket_coords(i, j)) for j in range(n)
-        ):
-            central.append(table.labels[i])
+    central = tuple(
+        label for i, label in enumerate(table.labels)
+        if not any((i, j) in table.constants for j in range(n))
+    )
 
     alpha = Parameter("alpha")
     rep_family = [Expr.ZERO, Expr.ONE, Expr.atom(alpha)] + [Expr.ZERO] * (n - 3)
-    killing_family = table.killing(rep_family, rep_family)
-    representative_killing = {
+    killing = {
         "g1": _killing_on_span(table, (1, 0, 0)),
         "g3": _killing_on_span(table, (0, 0, 1)),
-        "g2 + alpha*g3": killing_family,
+        "g2 + alpha*g3": table.killing(rep_family, rep_family),
     }
+    word = {1: "positive", 0: "zero", -1: "negative"}
+    at_one = _killing_on_span(table, (0, 1, 1))  # the family at alpha = 1
+    signs = [word[_sign(v)] for v in (killing["g1"], killing["g3"], at_one)]
+    values = ", ".join(f"{label}: {value}" for label, value in killing.items())
     separation_notes = [
-        "sign of the trace form separates g1 (positive) from g3 (zero) and "
-        "from g2 + alpha*g3 with alpha > 0 (negative)",
+        f"trace form {values}; its sign separates g1 ({signs[0]}) from g3 ({signs[1]}) "
+        f"and from g2 + alpha*g3 with alpha > 0 ({signs[2]} at alpha = 1)",
         "alpha = 0 reproduces the nilpotent class of g3; alpha < 0 falls in "
         "the class of g1: the family labels overlap there and coverage, not "
         "minimality, is what is certified",
@@ -539,8 +531,8 @@ def verify_optimal_system(samples: int = 100, seed: int = 7) -> OptimalSystemRep
         records.append(normalize_triple(table, triple))
     return OptimalSystemReport(
         table=table,
-        central=tuple(central),
-        representative_killing=representative_killing,
+        central=central,
+        representative_killing=killing,
         separation_notes=separation_notes,
         records=records,
     )

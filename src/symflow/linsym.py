@@ -7,7 +7,8 @@ The sign convention throughout is
 
 so the characteristic obtained from a point generator carries a minus
 sign on the eta part; both orientations of a characteristic verify, by
-linearity of the determining operator.
+linearity of the determining operator.  A characteristic is a plain
+``dict`` from each deformed dependent's name to its component.
 """
 
 from __future__ import annotations
@@ -70,16 +71,6 @@ class UnknownFunction(Atom):
 
 
 @dataclass(frozen=True)
-class SymmetryCandidate:
-    """Evolutionary characteristic: one component per deformed dependent."""
-
-    components: Mapping[str, Expr]
-
-    def component(self, name: str) -> Expr:
-        return self.components[name]
-
-
-@dataclass(frozen=True)
 class SymmetryCheck:
     holds: bool
     residuals: tuple[Expr, ...]
@@ -87,7 +78,7 @@ class SymmetryCheck:
 
 def frechet(
     sys: PdeSystem,
-    sigma: SymmetryCandidate | Mapping[str, Expr],
+    sigma: Mapping[str, Expr],
     equations: Sequence[int] | None = None,
 ) -> list[Expr]:
     """Directional derivative of each selected equation along sigma.
@@ -96,7 +87,6 @@ def frechet(
     dF/dw_J * D_J(sigma_w); sigma must cover every dependent that occurs
     in the selected equations.
     """
-    components = sigma.components if isinstance(sigma, SymmetryCandidate) else sigma
     dependent_names = set(sys.dependent_names)
     out = []
     selected = sys.equations if equations is None else [sys.equations[i] for i in equations]
@@ -105,7 +95,7 @@ def frechet(
         for a in equation.jet_atoms():
             if a.name not in dependent_names:
                 continue
-            direction = components.get(a.name)
+            direction = sigma.get(a.name)
             if direction is None:
                 raise ExprError(
                     f"characteristic lacks a component for dependent '{a.name}'"
@@ -117,7 +107,7 @@ def frechet(
 
 def verify_symmetry(
     sys: PdeSystem,
-    sigma: SymmetryCandidate | Mapping[str, Expr],
+    sigma: Mapping[str, Expr],
     equations: Sequence[int] | None = None,
 ) -> SymmetryCheck:
     """On-shell reduce the linearized equations along sigma; zero means symmetry."""
@@ -125,19 +115,17 @@ def verify_symmetry(
     return SymmetryCheck(all(r.is_zero() for r in residuals), residuals)
 
 
-def _characteristic(xi_x: Expr, xi_t: Expr, etas: Mapping[str, Expr]) -> SymmetryCandidate:
+def _characteristic(xi_x: Expr, xi_t: Expr, etas: Mapping[str, Expr]) -> dict[str, Expr]:
     """sigma_w = X*w_x + T*w_t - eta_w for each dependent w named in ``etas``."""
-    return SymmetryCandidate(
-        {
-            name: xi_x * Expr.atom(JetCoordinate(name, ("x",)))
-            + xi_t * Expr.atom(JetCoordinate(name, ("t",)))
-            - eta
-            for name, eta in etas.items()
-        }
-    )
+    return {
+        name: xi_x * Expr.atom(JetCoordinate(name, ("x",)))
+        + xi_t * Expr.atom(JetCoordinate(name, ("t",)))
+        - eta
+        for name, eta in etas.items()
+    }
 
 
-def evolutionary_from_point(vf, sys: PdeSystem) -> SymmetryCandidate:
+def evolutionary_from_point(vf, sys: PdeSystem) -> dict[str, Expr]:
     """Characteristic of a point generator: sigma_w = X*w_x + T*w_t - eta_w."""
     coeffs = getattr(vf, "coeffs", vf)
     return _characteristic(
@@ -162,7 +150,7 @@ class PointFamily:
     etas: Mapping[str, Expr]
     equations: tuple[int, ...] | None = None
 
-    def characteristic(self) -> SymmetryCandidate:
+    def characteristic(self) -> dict[str, Expr]:
         return _characteristic(self.xi_x, self.xi_t, self.etas)
 
     def verify(self, sys: PdeSystem) -> SymmetryCheck:
@@ -219,21 +207,21 @@ def prolonged_family(flip_psi_eta: bool = False) -> PointFamily:
     )
 
 
-def seed_pair() -> SymmetryCandidate:
+def seed_pair() -> dict[str, Expr]:
     """The eigenfunction-squared characteristic of the evolution equations:
     the u, v part of g2."""
     g2 = localized_generator()
-    return SymmetryCandidate({name: g2.coefficient(name) for name in ("u", "v")})
+    return {name: g2.coefficient(name) for name in ("u", "v")}
 
 
-def localized_characteristic() -> SymmetryCandidate:
+def localized_characteristic() -> dict[str, Expr]:
     """Five-component characteristic carried by the prolonged system: the
     coefficients of the localized generator g2."""
     g2 = localized_generator()
-    return SymmetryCandidate({name: g2.coefficient(name) for name in COORDINATES[2:]})
+    return {name: g2.coefficient(name) for name in COORDINATES[2:]}
 
 
-def parse_symmetry_manifest(text: str, vocabulary: Vocabulary) -> SymmetryCandidate:
+def parse_symmetry_manifest(text: str, vocabulary: Vocabulary) -> dict[str, Expr]:
     """The ``[symmetry]`` section of a manifest, one ``sigma_<dep> = expr``
     line per component; other sections are skipped."""
     components = {}
@@ -254,7 +242,7 @@ def parse_symmetry_manifest(text: str, vocabulary: Vocabulary) -> SymmetryCandid
         components[key[len("sigma_"):]] = parse(rhs.strip(), vocabulary)
     if not components:
         raise ValueError("manifest has no [symmetry] section")
-    return SymmetryCandidate(components)
+    return components
 
 
 # ---------------------------------------------------------------------------

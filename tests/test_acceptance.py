@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines, or ``symflow all`` for the CLI equivalent.
 """
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -139,16 +140,21 @@ def test_criterion_6_finite_flow():
 def test_criterion_7_lie_algebra():
     report = liealg.verify_optimal_system(samples=100, seed=7)
     table = report.table
-    pairs = len(table.table)
+    n = len(table.basis)
+    upper = list(itertools.combinations(range(n), 2))
+    pairs = len(upper)
     expected = {
         (0, 1): (0, 1, 0, 0, 0, 0),
         (0, 2): (0, 0, -1, 0, 0, 0),
         (1, 2): (-2, 0, 0, 0, 0, 0),
     }
+    def coords(i, j):
+        return [table.constants.get((i, j), {}).get(k, 0) for k in range(n)]
+
     brackets_ok = all(
-        all(c == w for c, w in zip(coords, expected.get((i, j), (0,) * 6)))
-        for (i, j), coords in table.table.items()
-    )
+        all(c == w for c, w in zip(coords(i, j), expected.get((i, j), (0,) * 6)))
+        for i, j in upper
+    ) and set(table.constants) == {p for i, j in expected for p in ((i, j), (j, i))}
     central_ok = report.central == ("g4", "g5", "g6")
     # Jacobi is asserted inside structure_table; reaching here means it held
     normalized_ok = report.all_verified and all(

@@ -227,9 +227,28 @@ def test_grid_parameters_survive_the_file_round_trip(tmp_path, capsys):
                 "--json", str(path)]) == 0
     checks = {c["name"]: c for c in json.loads(path.read_text())["checks"]}
     moved = dataclasses.replace(grid, fields=grpflow.map_solution(grid.fields, 0.1))
-    in_memory = numcheck.pde_residual(moved, "u")
+    in_memory = max(numcheck.pde_residual(moved, which) for which in ("u", "v"))
     assert in_memory < 1e-3
-    assert checks["transformed-grid-residual"]["detail"] == f"{in_memory:.3e}"
+    assert checks["transformed-grid-residual"]["detail"] == f"u and v equations: {in_memory:.3e}"
+
+
+def test_grid_residual_reads_the_v_equation(tmp_path, capsys):
+    # on u = 0 the u-equation is blind to v, so a bump in v alone shows
+    # only in the v-equation's residual
+    import numpy as np
+
+    grid = numcheck.make_vacuum_grid(grid_spec={"nx": 41, "nt": 21})
+    _t, x = grid.mesh()
+    grid.fields["v"] = grid.fields["v"] + 0.1 * np.exp(-x**2)
+    assert numcheck.pde_residual(grid, "u") == 0
+    src = tmp_path / "bump.grid"
+    src.write_text(numcheck.write_grid(grid))
+    path = tmp_path / "r.json"
+    assert run(["finite-transform", "--grid", str(src), "--epsilon", "0",
+                "--json", str(path)]) == 0
+    detail = {c["name"]: c for c in _report(path)}["transformed-grid-residual"]["detail"]
+    assert detail.startswith("u and v equations: ")
+    assert float(detail.rsplit(" ", 1)[1]) > 0.1
 
 
 def _report(path):

@@ -43,6 +43,8 @@ from symflow.liealg import (  # noqa: E402
     COORDINATES,
     _apply_adjoint_rational,
     adjoint,
+    commutator,
+    express_in_basis,
     standard_generators,
     structure_table,
 )
@@ -655,7 +657,7 @@ def test_rational_adjoint_matches_the_symbolic_series(table, generator, triple, 
     epsilon = Parameter("epsilon")
     coords = [Expr.from_scalar(a) for a in triple] + [Expr.ZERO] * 3
     series = adjoint(table, generator, coords, epsilon)
-    expected = [c.substitute({epsilon: Expr.from_scalar(eps)}) for c in series.coords]
+    expected = [c.substitute({epsilon: Expr.from_scalar(eps)}) for c in series]
     image = _apply_adjoint_rational(table, generator, eps, triple)
     assert all(type(a) is Fraction for a in image)
     assert expected == [Expr.from_scalar(a) for a in image] + [Expr.ZERO] * 3
@@ -670,9 +672,12 @@ def test_rational_adjoint_of_g1_is_refused(table, triple, eps):
 
 @pytest.fixture(scope="module")
 def dense_gram(table):
-    """All 36 entries tr(ad_i ad_j) = sum over r, s of c_is^r c_jr^s, zeros included."""
-    n = range(len(table.basis))
-    c = [[table.bracket_coords(i, j) for j in n] for i in n]
+    """All 36 entries tr(ad_i ad_j) = sum over r, s of c_is^r c_jr^s, zeros
+    included, with every c_ij read from the commutator of the fields, not
+    from the table under test."""
+    basis = table.basis
+    n = range(len(basis))
+    c = [[express_in_basis(commutator(basis[i], basis[j]), basis) for j in n] for i in n]
     return [
         [sum((c[i][s][r] * c[j][r][s] for r in n for s in n), ComplexRational(0)) for j in n]
         for i in n

@@ -1,3 +1,6 @@
+import functools
+import itertools
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -64,16 +67,52 @@ def test_structure_table_matches_hand_expansion(table):
         (0, 2): (0, 0, -1, 0, 0, 0),
         (1, 2): (-2, 0, 0, 0, 0, 0),
     }
-    for (i, j), coords in table.table.items():
+    pairs = list(itertools.combinations(range(6), 2))
+    assert len(pairs) == 15
+    for i, j in pairs:
+        row = table.constants.get((i, j), {})
+        coords = [row.get(k, 0) for k in range(6)]
         want = expected.get((i, j), (0,) * 6)
         assert all(c == w for c, w in zip(coords, want)), (i, j)
+    assert all(not c.is_zero() for row in table.constants.values() for c in row.values())
 
 
 def test_last_three_generators_are_central(table):
     n = len(table.basis)
+    unit = lambda i: tuple(ComplexRational(int(k == i)) for k in range(n))
     for i in (3, 4, 5):
         for j in range(n):
-            assert all(c == 0 for c in table.bracket_coords(i, j))
+            assert (i, j) not in table.constants and (j, i) not in table.constants
+            assert all(c == 0 for c in table.bracket(unit(i), unit(j)))
+            assert all(c == 0 for c in table.bracket(unit(j), unit(i)))
+
+
+def test_constants_are_antisymmetric(table):
+    for (i, j), row in table.constants.items():
+        assert table.constants[j, i] == {k: -c for k, c in row.items()}
+
+
+def test_table_takes_only_brackets_above_the_diagonal():
+    with pytest.raises(ExprError, match=r"bracket \(1,0\) given"):
+        hand_table(2, {(1, 0): {1: 1}})
+
+
+def test_bracket_matches_the_commutator_of_combinations(table, basis):
+    """[a, b] from the sparse constants against the commutator of the fields
+    sum a_i g_i and sum b_j g_j, expressed back in the basis."""
+    def combination(coords):
+        return functools.reduce(
+            operator.add, (g.scaled(Expr.from_scalar(c)) for g, c in zip(basis, coords))
+        )
+
+    rng = random.Random(13)
+    for _ in range(12):
+        a, b = (
+            [ComplexRational(Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for _ in basis]
+            for _ in range(2)
+        )
+        expected = express_in_basis(commutator(combination(a), combination(b)), basis)
+        assert list(table.bracket(a, b)) == expected
 
 
 def test_bracket_bilinearity_and_antisymmetry_on_random_fields():
@@ -93,17 +132,15 @@ def test_bracket_bilinearity_and_antisymmetry_on_random_fields():
 
 
 def hand_table(n, brackets):
-    """A structure table from its nonzero brackets {(i, j): coords}, i < j,
-    coordinates ints or ``ComplexRational``; only the basis size is read
+    """A structure table from its nonzero brackets {(i, j): {k: c}}, i < j,
+    constants ints or ``ComplexRational``; only the basis size is read
     from ``basis``."""
-    zero = (0,) * n
     return StructureTable(
         basis=standard_generators()[:n],
         labels=tuple(f"g{i + 1}" for i in range(n)),
-        table={
-            (i, j): tuple(ComplexRational(1) * c for c in brackets.get((i, j), zero))
-            for i in range(n)
-            for j in range(i + 1, n)
+        brackets={
+            pair: {k: ComplexRational(1) * c for k, c in row.items()}
+            for pair, row in brackets.items()
         },
     )
 
@@ -111,7 +148,7 @@ def hand_table(n, brackets):
 def test_jacobi_failure_names_its_triple():
     # [e1,e2] = e2 and [e2,e3] = e3 with e0 central: the cyclic sum on
     # (1,2,3) is [e2,e3] = e3, every triple holding e0 sums to 0
-    table = hand_table(4, {(1, 2): (0, 0, 1, 0), (2, 3): (0, 0, 0, 1)})
+    table = hand_table(4, {(1, 2): {2: 1}, (2, 3): {3: 1}})
     with pytest.raises(ExprError, match=r"fails on triple \(1,2,3\)"):
         _check_jacobi(table)
 
@@ -139,16 +176,16 @@ def test_express_in_basis_exact(basis):
 def test_adjoint_eigen_case(table):
     eps = Parameter("epsilon")
     series = adjoint(table, 0, [0, 0, 1, 0, 0, 0], eps)
-    assert series.coords[2] == parse("Exp(epsilon)")
-    assert all(series.coords[k].is_zero() for k in (0, 1, 3, 4, 5))
+    assert series[2] == parse("Exp(epsilon)")
+    assert all(series[k].is_zero() for k in (0, 1, 3, 4, 5))
 
 
 def test_adjoint_nilpotent_case(table):
     eps = Parameter("epsilon")
     series = adjoint(table, 2, [0, 1, 0, 0, 0, 0], eps)
-    assert series.coords[0] == parse("-2*epsilon")
-    assert series.coords[1] == Expr.ONE
-    assert series.coords[2] == parse("epsilon^2")
+    assert series[0] == parse("-2*epsilon")
+    assert series[1] == Expr.ONE
+    assert series[2] == parse("epsilon^2")
 
 
 def test_adjoint_of_central_element_is_identity(table):
@@ -156,7 +193,7 @@ def test_adjoint_of_central_element_is_identity(table):
     for w in range(6):
         coords = [1 if k == w else 0 for k in range(6)]
         series = adjoint(table, 4, coords, eps)
-        assert series.coords[w] == Expr.ONE
+        assert series[w] == Expr.ONE
 
 
 def test_adjoint_series_error_on_rotational_action():
@@ -173,8 +210,8 @@ def test_adjoint_series_error_on_rotational_action():
 
 
 @pytest.mark.parametrize("brackets, n, match", [
-    ({(0, 1): (0, ComplexRational(0, 1), 0)}, 3, "complex structure constant"),
-    ({(0, 1): (0, 0, 0, 1)}, 4, "left the g1,g2,g3 span"),
+    ({(0, 1): {1: ComplexRational(0, 1)}}, 3, "complex structure constant"),
+    ({(0, 1): {3: 1}}, 4, "left the g1,g2,g3 span"),
 ])
 def test_rational_adjoint_refuses_what_is_not_a_rational_map(brackets, n, match):
     with pytest.raises(ExprError, match=match):
@@ -188,10 +225,10 @@ def test_adjoint_is_an_algebra_automorphism(table):
         for i, j in ((0, 1), (0, 2), (1, 2), (1, 3)):
             lhs = adjoint(table, g, table.bracket(unit(i), unit(j)), eps)
             rhs = table.bracket(
-                adjoint(table, g, unit(i), eps).coords,
-                adjoint(table, g, unit(j), eps).coords,
+                adjoint(table, g, unit(i), eps),
+                adjoint(table, g, unit(j), eps),
             )
-            assert all((a - b).is_zero() for a, b in zip(lhs.coords, rhs))
+            assert all((a - b).is_zero() for a, b in zip(lhs, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +311,21 @@ def test_full_classification_report():
             assert r.killing_sign > 0
         elif r.representative == "g2 + alpha*g3" and r.alpha is not None:
             assert r.killing_sign == (0 if r.alpha == 0 else (-1 if r.alpha > 0 else 1))
+
+
+def test_separation_note_carries_the_computed_trace_form(monkeypatch):
+    report = verify_optimal_system(samples=1, seed=7)
+    note = report.separation_notes[0]
+    for label, value in report.representative_killing.items():
+        assert f"{label}: {value}" in note
+    assert "g1: 2, g3: 0, g2 + alpha*g3: -8*alpha" in note
+    assert "g1 (positive) from g3 (zero)" in note and "(negative at alpha = 1)" in note
+    # the words follow the computed values: flip the sign of every value
+    killing = StructureTable.killing
+    monkeypatch.setattr(StructureTable, "killing", lambda table, a, b: -killing(table, a, b))
+    note = verify_optimal_system(samples=1, seed=7).separation_notes[0]
+    assert "g1: -2, g3: 0, g2 + alpha*g3: 8*alpha" in note
+    assert "g1 (negative) from g3 (zero)" in note and "(positive at alpha = 1)" in note
 
 
 def test_family_vector_field_contains_localized_generator(basis):

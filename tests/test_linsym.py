@@ -15,7 +15,6 @@ from symflow.expr import (
 )
 from symflow.linsym import (
     PointFamily,
-    SymmetryCandidate,
     coupled_ansatz,
     coupled_family,
     evolutionary_from_point,
@@ -121,7 +120,7 @@ def test_invariance_under_on_shell_equivalent_rewriting(prolonged):
     ut = JetCoordinate("u", ("t",))
     shift = Expr.atom(ut) - prolonged.solved_forms[ut]
     assert prolonged.reduce(shift).is_zero()
-    modified = dict(sigma.components)
+    modified = dict(sigma)
     modified["u"] = modified["u"] + parse("phi*psi") * shift
     assert verify_symmetry(prolonged, modified).holds
 
@@ -134,7 +133,7 @@ def test_invariance_under_on_shell_equivalent_rewriting(prolonged):
 def test_space_translation_characteristic(prolonged):
     sigma = evolutionary_from_point({"x": Expr.ONE}, prolonged)
     for name in prolonged.dependent_names:
-        assert sigma.component(name) == Expr.atom(JetCoordinate(name, ("x",)))
+        assert sigma[name] == Expr.atom(JetCoordinate(name, ("x",)))
 
 
 def test_localized_generator_characteristic_carries_the_sign(prolonged):
@@ -147,15 +146,15 @@ def test_localized_generator_characteristic_carries_the_sign(prolonged):
     }
     sigma = evolutionary_from_point(coeffs, prolonged)
     for name, eta in coeffs.items():
-        assert sigma.component(name) == -eta
+        assert sigma[name] == -eta
     # both orientations verify, by linearity
     assert verify_symmetry(prolonged, sigma).holds
 
 
 def test_opposite_scaling_characteristic(hirota):
     sigma = evolutionary_from_point({"u": jet("u"), "v": -jet("v")}, hirota)
-    assert sigma.component("u") == -jet("u")
-    assert sigma.component("v") == jet("v")
+    assert sigma["u"] == -jet("u")
+    assert sigma["v"] == jet("v")
 
 
 # ---------------------------------------------------------------------------
