@@ -278,7 +278,7 @@ def _divergence(s, generator):
         else:
             vf = liealg.standard_generators()[_GENERATOR_NAMES.index(generator)]
         chk = conslaw.verify_divergence(
-            conslaw.conserved_vector(vf), numeric_points=s.args.numeric_points
+            conslaw.conserved_vector(vf.coeffs), numeric_points=s.args.numeric_points
         )
     return chk.holds, f"numeric max {chk.numeric_max:.2e}; {chk.nontrivial}", chk.numeric_max
 

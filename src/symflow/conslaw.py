@@ -156,8 +156,9 @@ class ConservedVector:
     Tx: Expr
 
 
-def conserved_vector(vf) -> ConservedVector:
-    """Instantiate the conserved-vector formula for a point generator.
+def conserved_vector(coeffs: Mapping[str, Expr]) -> ConservedVector:
+    """Instantiate the conserved-vector formula for a point generator, given
+    as its coefficient mapping.
 
     Specialized to two independent variables, first-order time derivatives,
     third-order space derivatives, and no mixed derivatives in L:
@@ -173,7 +174,6 @@ def conserved_vector(vf) -> ConservedVector:
     """
     lagrangian = formal_lagrangian()
     L = lagrangian.expr
-    coeffs = getattr(vf, "coeffs", vf)
     for name, coefficient in coeffs.items():
         for a in coefficient.jet_atoms():
             if a.index:
@@ -271,7 +271,7 @@ def transcription_residual(text: str) -> dict[str, Expr]:
         entries[key] = parse(rhs.strip())
     if set(entries) != {"T1", "T2"}:
         raise ExprError("transcription needs both T1 and T2")
-    ours = conserved_vector(family_vector_field())
+    ours = conserved_vector(family_vector_field().coeffs)
     closure = combined_closure()
     return {
         "T1": closure.reduce(entries["T1"] - ours.Tt),

@@ -14,14 +14,19 @@ linearity of the determining operator.  A characteristic is a plain
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Iterable, Mapping, Sequence
 
 from .expr import (
+    CR_ONE,
     Atom,
     Expr,
     ExprError,
     JetCoordinate,
+    Parameter,
     Vocabulary,
+    _acc_add,
+    _mono_mul,
     monomial_key,
     parse,
 )
@@ -76,6 +81,22 @@ class SymmetryCheck:
     residuals: tuple[Expr, ...]
 
 
+def _component(sigma: Mapping[str, Expr], name: str) -> Expr:
+    component = sigma.get(name)
+    if component is None:
+        raise ExprError(f"characteristic lacks a component for dependent '{name}'")
+    return component
+
+
+@cache
+def _equation_partials(sys: PdeSystem, index: int) -> tuple[tuple[JetCoordinate, Expr], ...]:
+    """(w_J, dF/dw_J) for every jet of a dependent occurring in equation
+    ``index``, in the order of ``jet_atoms``."""
+    equation = sys.equations[index]
+    dependent_names = set(sys.dependent_names)
+    return tuple((a, equation.diff(a)) for a in equation.jet_atoms() if a.name in dependent_names)
+
+
 def frechet(
     sys: PdeSystem,
     sigma: Mapping[str, Expr],
@@ -85,24 +106,39 @@ def frechet(
 
     Every jet coordinate w_J occurring in an equation contributes
     dF/dw_J * D_J(sigma_w); sigma must cover every dependent that occurs
-    in the selected equations.
+    in the selected equations.  Each D_J(sigma_w) is formed once per call,
+    as D_d of its prefix, in the direction order of
+    ``total_derivative_along``.
     """
-    dependent_names = set(sys.dependent_names)
+    derivatives: dict[tuple[str, tuple[str, ...]], Expr] = {}
+
+    def derivative(name: str, index: tuple[str, ...]) -> Expr:
+        found = derivatives.get((name, index))
+        if found is None:
+            if index:
+                found = derivative(name, index[:-1]).total_derivative(index[-1])
+            else:
+                found = _component(sigma, name)
+            derivatives[(name, index)] = found
+        return found
+
     out = []
-    selected = sys.equations if equations is None else [sys.equations[i] for i in equations]
-    for equation in selected:
+    for index in range(len(sys.equations)) if equations is None else equations:
         total = Expr.ZERO
-        for a in equation.jet_atoms():
-            if a.name not in dependent_names:
-                continue
-            direction = sigma.get(a.name)
-            if direction is None:
-                raise ExprError(
-                    f"characteristic lacks a component for dependent '{a.name}'"
-                )
-            total = total + equation.diff(a) * direction.total_derivative_along(a.index)
+        for a, partial in _equation_partials(sys, index):
+            total = total + partial * derivative(a.name, a.index)
         out.append(total)
     return out
+
+
+@cache
+def _linearization_piece(sys: PdeSystem, index: int, name: str, mono: tuple) -> tuple:
+    """Terms of the on-shell linearization of equation ``index`` along the
+    characteristic with the monomial ``mono`` in component ``name`` and 0
+    in every other."""
+    sigma = dict.fromkeys(sys.dependent_names, Expr.ZERO)
+    sigma[name] = Expr(((mono, CR_ONE),))
+    return sys.reduce(frechet(sys, sigma, (index,))[0]).terms
 
 
 def verify_symmetry(
@@ -110,9 +146,28 @@ def verify_symmetry(
     sigma: Mapping[str, Expr],
     equations: Sequence[int] | None = None,
 ) -> SymmetryCheck:
-    """On-shell reduce the linearized equations along sigma; zero means symmetry."""
-    residuals = tuple(sys.reduce(r) for r in frechet(sys, sigma, equations))
-    return SymmetryCheck(all(r.is_zero() for r in residuals), residuals)
+    """On-shell reduce the linearized equations along sigma; zero means symmetry.
+
+    Each residual equals ``sys.reduce(frechet(sys, sigma, equations)[i])``,
+    assembled from cached pieces.  A term c*p*m of sigma_w, with c a
+    coefficient, p its ``Parameter`` factors (they sort first in a monomial)
+    and m the rest, contributes c*p times the piece for m: a parameter's
+    total derivative is 0 and reduction replaces jets only, so both commute
+    with the factor c*p.
+    """
+    residuals = []
+    for index in range(len(sys.equations)) if equations is None else equations:
+        acc: dict = {}
+        for name in dict.fromkeys(a.name for a, _ in _equation_partials(sys, index)):
+            for mono, coeff in _component(sigma, name).terms:
+                split = 0
+                while split < len(mono) and type(mono[split][0]) is Parameter:
+                    split += 1
+                factor = mono[:split]
+                for m, c in _linearization_piece(sys, index, name, mono[split:]):
+                    _acc_add(acc, _mono_mul(factor, m), coeff * c)
+        residuals.append(Expr._from_map(acc))
+    return SymmetryCheck(all(r.is_zero() for r in residuals), tuple(residuals))
 
 
 def _characteristic(xi_x: Expr, xi_t: Expr, etas: Mapping[str, Expr]) -> dict[str, Expr]:
@@ -125,9 +180,9 @@ def _characteristic(xi_x: Expr, xi_t: Expr, etas: Mapping[str, Expr]) -> dict[st
     }
 
 
-def evolutionary_from_point(vf, sys: PdeSystem) -> dict[str, Expr]:
-    """Characteristic of a point generator: sigma_w = X*w_x + T*w_t - eta_w."""
-    coeffs = getattr(vf, "coeffs", vf)
+def evolutionary_from_point(coeffs: Mapping[str, Expr], sys: PdeSystem) -> dict[str, Expr]:
+    """Characteristic of a point generator, given as its coefficient mapping:
+    sigma_w = X*w_x + T*w_t - eta_w."""
     return _characteristic(
         coeffs.get("x", Expr.ZERO),
         coeffs.get("t", Expr.ZERO),
@@ -329,12 +384,11 @@ class DeterminingSystem:
 def _split_by_derivative_monomials(residual: Expr) -> dict[tuple, Expr]:
     groups: dict[tuple, dict] = {}
     for mono, coeff in residual.terms:
-        key = tuple(
-            (a, n)
-            for a, n in mono
-            if isinstance(a, JetCoordinate) and a.index
-        )
-        rest = tuple(item for item in mono if item not in key)
+        key, rest = [], []
+        for item in mono:
+            a = item[0]
+            (key if isinstance(a, JetCoordinate) and a.index else rest).append(item)
+        key, rest = tuple(key), tuple(rest)
         bucket = groups.setdefault(key, {})
         prev = bucket.get(rest)
         bucket[rest] = coeff if prev is None else prev + coeff

@@ -9,6 +9,8 @@ against strings drawn from its own grammar.  Atoms are interned, so equal
 constructions must give one object.  The rational adjoint map of the
 subalgebra classification is checked against the symbolic adjoint series,
 and the sparse trace form against the dense sum over all Gram entries.
+Symmetry verification from cached per-monomial pieces is checked against
+reducing ``frechet``, and ``frechet`` against D_J formed afresh per jet.
 The profile is derandomised, so every run draws the same examples.
 """
 
@@ -20,7 +22,7 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import Phase, given, settings, strategies as st  # noqa: E402
 
 from symflow.expr import (  # noqa: E402
     ComplexRational,
@@ -702,3 +704,87 @@ def test_sparse_trace_form_matches_dense_sum(table, dense_gram, a, b):
     value = table.killing(a, b)
     assert isinstance(value, Expr)
     assert value == dense_killing(dense_gram, a, b)
+
+
+# ---------------------------------------------------------------------------
+# on-shell linearization: cached pieces against frechet, frechet against D_J
+# ---------------------------------------------------------------------------
+
+# Parameters, x and t may carry negative powers (no total derivative or
+# reduction divides by them); jets appear to positive powers, phi and its
+# derivatives among them, which reduce on the prolonged system only.
+CHARACTERISTIC_INVERTIBLE = (
+    Parameter("alpha"), Parameter("beta"), Parameter("c1"),
+    IndependentVariable("x"), IndependentVariable("t"),
+)
+CHARACTERISTIC_JETS = (
+    JetCoordinate("u"), JetCoordinate("v"), JetCoordinate("u", ("x",)),
+    JetCoordinate("v", ("x", "x")), JetCoordinate("phi"), JetCoordinate("phi", ("x",)),
+    JetCoordinate("psi"), JetCoordinate("f"),
+)
+
+
+@st.composite
+def characteristic_terms(draw):
+    """c * p * m: any of its factors may be missing, m may hold an Exp."""
+    term = Expr.from_scalar(draw(nonzero_scalars))
+    for atom in draw(st.lists(st.sampled_from(CHARACTERISTIC_INVERTIBLE), max_size=2)):
+        term = term * Expr.atom(atom) ** draw(signed_exponents)
+    for atom in draw(st.lists(st.sampled_from(CHARACTERISTIC_JETS), max_size=2)):
+        term = term * Expr.atom(atom) ** draw(positive_exponents)
+    if draw(st.integers(0, 3)) == 0:
+        term = term * exp_of(draw(linear_forms()) + draw(small_rationals) * param("lambda") * indep("x"))
+    return term
+
+
+characteristic_components = st.lists(characteristic_terms(), max_size=3).map(
+    lambda terms: sum(terms, Expr.ZERO)
+)
+characteristics = st.fixed_dictionaries(
+    {name: characteristic_components for name in ("u", "v", "phi", "psi", "f")}
+)
+
+
+def reference_frechet(system, sigma, equations):
+    """dF/dw_J * D_J(sigma_w) summed, every D_J formed from sigma_w afresh."""
+    out = []
+    for index in equations:
+        equation = system.equations[index]
+        total = Expr.ZERO
+        for a in equation.jet_atoms():
+            if a.name in system.dependent_names:
+                total = total + equation.diff(a) * sigma[a.name].total_derivative_along(a.index)
+        out.append(total)
+    return out
+
+
+@st.composite
+def equation_selections(draw, count):
+    """None (every equation) or distinct indices in any order."""
+    if draw(st.booleans()):
+        return None
+    return tuple(draw(st.lists(st.integers(0, count - 1), unique=True, min_size=1, max_size=3)))
+
+
+# Shrinking a failing characteristic runs into hypothesis's five-minute
+# limit, so a failure reports the example as drawn.
+@settings(max_examples=25, phases=(Phase.explicit, Phase.generate))
+@given(st.lists(st.tuples(characteristics, st.booleans(), st.data()), min_size=1, max_size=2))
+def test_cached_linearization_matches_reducing_frechet(hirota, prolonged, checks):
+    """Each characteristic is checked on both systems, in a drawn order:
+    equation 0 is the same Expr in both, but the closures differ (phi_x
+    reduces on the prolonged system only), so a piece of one must never
+    serve the other."""
+    from symflow.linsym import frechet, verify_symmetry
+
+    for sigma, prolonged_first, data in checks:
+        for system in (prolonged, hirota) if prolonged_first else (hirota, prolonged):
+            equations = data.draw(equation_selections(len(system.equations)))
+            selected = range(len(system.equations)) if equations is None else equations
+            linearized = frechet(system, sigma, equations)
+            assert linearized == reference_frechet(system, sigma, selected)
+            check = verify_symmetry(system, sigma, equations)
+            expected = tuple(system.reduce(r) for r in linearized)
+            assert check.residuals == expected
+            assert [to_text(r) for r in check.residuals] == [to_text(r) for r in expected]
+            assert check.holds == all(r.is_zero() for r in expected)

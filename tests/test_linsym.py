@@ -13,6 +13,7 @@ from symflow.expr import (
     jet,
     parse,
 )
+from symflow.jetsys import parse_manifest, write_manifest
 from symflow.linsym import (
     PointFamily,
     coupled_ansatz,
@@ -113,6 +114,50 @@ def test_translations_verify_on_all_builtins(hirota, prolonged):
                 for n in system.dependent_names
             }
             assert verify_symmetry(system, sigma).holds
+
+
+def test_verify_symmetry_requires_the_components_of_the_selected_equations(prolonged):
+    # the evolution equations 0 and 1 hold u and v only
+    assert verify_symmetry(prolonged, seed_pair(), equations=(0, 1)).holds
+    with pytest.raises(ExprError, match="lacks a component for dependent 'phi'"):
+        verify_symmetry(prolonged, seed_pair(), equations=(0, 2))
+    with pytest.raises(ExprError, match="lacks a component for dependent 'v'"):
+        verify_symmetry(prolonged, {"u": jet("u", "x")}, equations=(1,))
+
+
+def test_verify_symmetry_keeps_the_order_of_the_selected_equations(prolonged):
+    sigma = {"u": jet("u"), "v": jet("v")}
+    forward = verify_symmetry(prolonged, sigma, equations=(0, 1)).residuals
+    backward = verify_symmetry(prolonged, sigma, equations=(1, 0)).residuals
+    assert backward == forward[::-1]
+    assert forward[0] != forward[1]
+
+
+def test_specialised_family_reuses_the_pieces_of_the_symbolic_check(prolonged, monkeypatch):
+    # A system read back from its manifest is a new object with no pieces.
+    import symflow.linsym as linsym
+
+    system = parse_manifest(write_manifest(prolonged), name="prolonged-copy")
+    calls = Counter()
+    frechet_ = linsym.frechet
+
+    def counted(*args, **kwargs):
+        calls["frechet"] += 1
+        return frechet_(*args, **kwargs)
+
+    monkeypatch.setattr(linsym, "frechet", counted)
+    family = coupled_family()
+    assert family.verify(system).holds
+    assert calls["frechet"] > 0
+    calls.clear()
+    for constants in ((3, -2, 5, Fraction(1, 7), -4), (Fraction(-5, 9), 1, 0, 2, Fraction(8, 3))):
+        mapping = {Parameter(f"c{k}"): Expr.from_scalar(q) for k, q in enumerate(constants, 1)}
+        specialised = PointFamily(
+            family.name, family.xi_x.substitute(mapping), family.xi_t.substitute(mapping),
+            {n: e.substitute(mapping) for n, e in family.etas.items()}, family.equations,
+        )
+        assert specialised.verify(system).holds
+    assert calls == Counter()
 
 
 def test_invariance_under_on_shell_equivalent_rewriting(prolonged):
