@@ -16,7 +16,6 @@ from .expr import (
     Vocabulary,
     exp_of,
     indep,
-    integer,
     jet,
     param,
     parse,
@@ -46,7 +45,6 @@ from .linsym import (
     prolonged_ansatz,
     prolonged_family,
     seed_pair,
-    verify_family,
     verify_symmetry,
 )
 from .grpflow import (

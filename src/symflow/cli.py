@@ -73,7 +73,6 @@ class Report:
     command: str
     inputs: str
     checks: list[Check] = field(default_factory=list)
-    schema: int = REPORT_SCHEMA
 
     @property
     def failed(self) -> bool:
@@ -81,7 +80,7 @@ class Report:
 
     def to_json(self) -> str:
         payload = {
-            "schema": self.schema,
+            "schema": REPORT_SCHEMA,
             "command": self.command,
             "inputs": self.inputs,
             "checks": [asdict(c) for c in self.checks],
@@ -133,32 +132,28 @@ class Step:
     when: Callable = lambda args, key: True
 
 
-class Runner:
-    """Times each step's work and turns a crash in it into a failed check."""
-
-    def __init__(self, report: Report):
-        self.report = report
-
-    def run(self, step: Step, session: Session):
-        start = time.perf_counter()
-        try:
-            outcome = step.work(session, step.key)
-        except InputError:  # a bad input file ends the run with exit 2
-            raise
-        except Exception as err:  # a crashed check is a failed check
-            outcome = False, f"error: {err}", None
-        ms = round((time.perf_counter() - start) * 1000.0, 3)
-        if isinstance(outcome, list):  # info notes; the first carries the time
-            checks = [Check(name, "info", detail) for name, detail in outcome]
-            if checks:
-                checks[0].ms = ms
-        else:
-            ok, detail, residual = outcome
-            checks = [Check(step.name, "pass" if ok else "fail", detail, residual, ms)]
-        for check in checks:
-            self.report.checks.append(check)
-            extra = f"  [{check.detail}]" if check.detail else ""
-            print(f"{check.status.upper():4s} {check.name}{extra}")
+def _run(step: Step, session: Session, report: Report):
+    """Time the step's work, turn a crash in it into a failed check, and
+    add and print its checks."""
+    start = time.perf_counter()
+    try:
+        outcome = step.work(session, step.key)
+    except InputError:  # a bad input file ends the run with exit 2
+        raise
+    except Exception as err:  # a crashed check is a failed check
+        outcome = False, f"error: {err}", None
+    ms = round((time.perf_counter() - start) * 1000.0, 3)
+    if isinstance(outcome, list):  # info notes; the first carries the time
+        checks = [Check(name, "info", detail) for name, detail in outcome]
+        if checks:
+            checks[0].ms = ms
+    else:
+        ok, detail, residual = outcome
+        checks = [Check(step.name, "pass" if ok else "fail", detail, residual, ms)]
+    for check in checks:
+        report.checks.append(check)
+        extra = f"  [{check.detail}]" if check.detail else ""
+        print(f"{check.status.upper():4s} {check.name}{extra}")
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +190,7 @@ def _manifest_symmetry(s, _key):
     system = jetsys.builtin_prolonged()
     with _reading(s.args.manifest):
         text = Path(s.args.manifest).read_text(encoding="utf-8")
-        sigma = linsym.parse_symmetry_manifest(text, system.vocabulary)
+        sigma = linsym.parse_symmetry_manifest(text, system)
     return _residual_summary(linsym.verify_symmetry(system, sigma).residuals)
 
 
@@ -501,10 +496,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = Report(command=args.command, inputs=_inputs_digest())
-        runner, session = Runner(report), Session(args)
+        session = Session(args)
         for step in STEPS:
             if args.command in ("all", step.command) and step.when(args, step.key):
-                runner.run(step, session)
+                _run(step, session, report)
         sys.stdout.flush()
         if args.json:
             _write(args.json, report.to_json())

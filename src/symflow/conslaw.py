@@ -22,10 +22,10 @@ from .expr import (
     parse,
 )
 from .jetsys import (
-    PdeSystem,
     SolvedFormClosure,
     builtin_prolonged,
     consistent_assignment,
+    solve_for,
 )
 from .liealg import COORDINATES, family_vector_field
 from .linsym import evolutionary_from_point
@@ -59,42 +59,24 @@ def euler_lagrange(e: Expr, wrt: str) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FormalLagrangian:
-    expr: Expr
-    multipliers: tuple[str, ...]
-    system: PdeSystem
-
-    def multiplier_degree_is_one(self) -> bool:
-        names = set(self.multipliers)
-        for mono, _coeff in self.expr.terms:
-            degree = sum(
-                n for a, n in mono if isinstance(a, JetCoordinate) and a.name in names
-            )
-            if degree != 1:
-                return False
-        return True
-
-
 @functools.cache
-def formal_lagrangian() -> FormalLagrangian:
+def formal_lagrangian() -> Expr:
     """L = sum of multiplier times equation over the prolonged corpus.
 
     Every equation is written leading-derivative-minus-rhs, so L vanishes
     on-shell and contains no mixed (x,t)-derivative of the field variables;
     the conserved-vector instantiation below relies on both facts.
     """
-    system = builtin_prolonged()
-    total = Expr.ZERO
-    for name, equation in zip(MULTIPLIERS, system.equations):
-        total = total + Expr.atom(JetCoordinate(name)) * equation
-    lagrangian = FormalLagrangian(expr=total, multipliers=MULTIPLIERS, system=system)
-    if not lagrangian.multiplier_degree_is_one():
-        raise ExprError("formal Lagrangian is not multiplier-degree one")
-    for a in lagrangian.expr.jet_atoms():
+    L = Expr.ZERO
+    for name, equation in zip(MULTIPLIERS, builtin_prolonged().equations):
+        L = L + Expr.atom(JetCoordinate(name)) * equation
+    for mono, _coeff in L.terms:
+        if sum(n for a, n in mono if isinstance(a, JetCoordinate) and a.name in MULTIPLIERS) != 1:
+            raise ExprError("formal Lagrangian is not multiplier-degree one")
+    for a in L.jet_atoms():
         if a.name in FIELD_DEPENDENTS and "x" in a.index and "t" in a.index:
             raise ExprError(f"formal Lagrangian contains mixed derivative {a}")
-    return lagrangian
+    return L
 
 
 @dataclass(frozen=True)
@@ -119,22 +101,13 @@ _ADJOINT_TARGETS = (
 
 @functools.cache
 def adjoint_system() -> AdjointSystem:
-    L = formal_lagrangian().expr
-    equations = []
-    solved: dict[JetCoordinate, Expr] = {}
-    for dependent, target in _ADJOINT_TARGETS:
-        equation = euler_lagrange(L, dependent)
-        coefficient = equation.diff(target)
-        if not coefficient.is_constant() or coefficient.is_zero():
-            raise ExprError(
-                f"cannot isolate {target}: coefficient {coefficient} is not a "
-                "nonzero constant"
-            )
-        c = coefficient.constant_value()
-        rest = equation - Expr.from_scalar(c) * Expr.atom(target)
-        solved[target] = -rest / Expr.from_scalar(c)
-        equations.append(equation)
-    return AdjointSystem(tuple(equations), solved)
+    L = formal_lagrangian()
+    equations = tuple(euler_lagrange(L, dependent) for dependent, _ in _ADJOINT_TARGETS)
+    solved = {
+        target: solve_for(equation, target)
+        for equation, (_, target) in zip(equations, _ADJOINT_TARGETS)
+    }
+    return AdjointSystem(equations, solved)
 
 
 @functools.cache
@@ -172,13 +145,12 @@ def conserved_vector(coeffs: Mapping[str, Expr]) -> ConservedVector:
     with W^w = eta^w - xi^t w_t - xi^x w_x = -sigma_w ranging over the
     field dependents only (multipliers carry no characteristic).
     """
-    lagrangian = formal_lagrangian()
-    L = lagrangian.expr
+    L = formal_lagrangian()
     for name, coefficient in coeffs.items():
         for a in coefficient.jet_atoms():
             if a.index:
                 raise ExprError(f"generator coefficient for {name} contains {a}")
-    sigma = evolutionary_from_point(coeffs, lagrangian.system)
+    sigma = evolutionary_from_point(coeffs, builtin_prolonged())
 
     Tt = coeffs.get("t", Expr.ZERO) * L
     Tx = coeffs.get("x", Expr.ZERO) * L
@@ -268,6 +240,8 @@ def transcription_residual(text: str) -> dict[str, Expr]:
         key = key.strip()
         if not sep or key not in ("T1", "T2"):
             raise ExprError(f"transcription line must be 'T1 = ...' or 'T2 = ...': {line}")
+        if key in entries:
+            raise ExprError(f"transcription gives {key} twice")
         entries[key] = parse(rhs.strip())
     if set(entries) != {"T1", "T2"}:
         raise ExprError("transcription needs both T1 and T2")

@@ -733,10 +733,6 @@ def jet(name: str, *index: str) -> Expr:
     return Expr.atom(JetCoordinate(name, index))
 
 
-def integer(n: int) -> Expr:
-    return Expr.from_scalar(n)
-
-
 def exp_of(argument: Expr) -> Expr:
     """Exponential factor; collapses to 1 on a zero argument."""
     if argument.is_zero():
@@ -775,9 +771,6 @@ class Vocabulary:
         if name in self.parameters:
             return "parameter"
         return None
-
-    def with_dependents(self, *names: str) -> "Vocabulary":
-        return Vocabulary(self.independents, self.dependents + names, self.parameters)
 
     def with_parameters(self, *names: str) -> "Vocabulary":
         return Vocabulary(self.independents, self.dependents, self.parameters + names)
@@ -904,7 +897,7 @@ class _Parser:
             start = self.pos
             while self.pos < len(self.text) and self.text[self.pos].isdigit():
                 self.pos += 1
-            return integer(int(self.text[start : self.pos]))
+            return Expr.from_scalar(int(self.text[start : self.pos]))
         if ch.isalpha():
             at = self.pos
             name = self._ident()

@@ -192,11 +192,6 @@ _EVOLUTION_EQUATIONS = (
     "I*Diff(v,t) - alpha*(Diff(v,x,x) - 2*v^2*u) + I*beta*(Diff(v,x,x,x) - 6*u*v*Diff(v,x))",
 )
 
-_EVOLUTION_SOLVED = {
-    "Diff(u,t)": "I*alpha*(Diff(u,x,x) - 2*u^2*v) - beta*(Diff(u,x,x,x) - 6*u*v*Diff(u,x))",
-    "Diff(v,t)": "-I*alpha*(Diff(v,x,x) - 2*v^2*u) - beta*(Diff(v,x,x,x) - 6*u*v*Diff(v,x))",
-}
-
 POTENTIAL_T_RHS = (
     "-beta*phi^2*Diff(v,x) + 12*beta*lambda^2*phi*psi + 4*lambda*alpha*phi*psi"
     " - beta*psi^2*Diff(u,x) + 2*beta*phi*psi*u*v + 4*I*lambda*beta*psi^2*u"
@@ -222,16 +217,30 @@ def _solved_key(text: str, vocabulary: Vocabulary = DEFAULT_VOCABULARY) -> JetCo
     return atoms[0]
 
 
+def solve_for(equation: Expr, target: JetCoordinate) -> Expr:
+    """The solved form of ``equation = 0`` for ``target``, whose coefficient
+    c in ``equation`` must be a nonzero constant: target - equation / c."""
+    coefficient = equation.diff(target)
+    if not coefficient.is_constant() or coefficient.is_zero():
+        raise ExprError(
+            f"cannot isolate {target}: coefficient {coefficient} is not a nonzero constant"
+        )
+    return Expr.atom(target) - equation / coefficient
+
+
 @cache
 def builtin_hirota() -> PdeSystem:
-    """The coupled third-order evolution system with dependents u, v."""
+    """The coupled third-order evolution system with dependents u, v,
+    solved for u_t and v_t."""
+    equations = [parse(s) for s in _EVOLUTION_EQUATIONS]
+    targets = (JetCoordinate("u", ("t",)), JetCoordinate("v", ("t",)))
     return PdeSystem(
         name="hirota",
         independents=("t", "x"),
         dependents=(("u", 3), ("v", 3)),
         parameters=("alpha", "beta"),
-        equations=[parse(s) for s in _EVOLUTION_EQUATIONS],
-        solved_forms={_solved_key(k): parse(v) for k, v in _EVOLUTION_SOLVED.items()},
+        equations=equations,
+        solved_forms={t: solve_for(e, t) for e, t in zip(equations, targets)},
     )
 
 

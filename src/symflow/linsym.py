@@ -24,14 +24,15 @@ from .expr import (
     ExprError,
     JetCoordinate,
     Parameter,
-    Vocabulary,
     _acc_add,
     _mono_mul,
     monomial_key,
     parse,
 )
 from .jetsys import PdeSystem
-from .liealg import COORDINATES, coordinate_atom, family_vector_field, localized_generator
+from .liealg import (
+    COORDINATES, FAMILY_CONSTANTS, coordinate_atom, family_vector_field, localized_generator,
+)
 
 
 class UnknownFunction(Atom):
@@ -211,18 +212,6 @@ class PointFamily:
     def verify(self, sys: PdeSystem) -> SymmetryCheck:
         return verify_symmetry(sys, self.characteristic(), self.equations)
 
-    def with_eta(self, dep: str, eta: Expr) -> "PointFamily":
-        etas = dict(self.etas)
-        etas[dep] = eta
-        return PointFamily(
-            f"{self.name}-mutated", self.xi_x, self.xi_t, etas, self.equations
-        )
-
-
-def verify_family(sys: PdeSystem, family: PointFamily) -> bool:
-    """True iff the family is a symmetry identically in its constants."""
-    return family.verify(sys).holds
-
 
 def coupled_family() -> PointFamily:
     """Five-constant point/nonlocal family of the two evolution equations.
@@ -276,9 +265,11 @@ def localized_characteristic() -> dict[str, Expr]:
     return {name: g2.coefficient(name) for name in COORDINATES[2:]}
 
 
-def parse_symmetry_manifest(text: str, vocabulary: Vocabulary) -> dict[str, Expr]:
+def parse_symmetry_manifest(text: str, system: PdeSystem) -> dict[str, Expr]:
     """The ``[symmetry]`` section of a manifest, one ``sigma_<dep> = expr``
-    line per component; other sections are skipped."""
+    line per dependent of ``system``, in its vocabulary plus the family
+    constants c1..c6; other sections are skipped."""
+    vocabulary = system.vocabulary.with_parameters(*FAMILY_CONSTANTS)
     components = {}
     in_section = False
     for raw in text.splitlines():
@@ -294,7 +285,12 @@ def parse_symmetry_manifest(text: str, vocabulary: Vocabulary) -> dict[str, Expr
         key = key.strip()
         if not sep or not key.startswith("sigma_"):
             raise ValueError(f"bad symmetry line '{line}' (want 'sigma_<dep> = expr')")
-        components[key[len("sigma_"):]] = parse(rhs.strip(), vocabulary)
+        name = key[len("sigma_"):]
+        if name not in system.dependent_names:
+            raise ValueError(f"'{key}' names no dependent of the {system.name} system")
+        if name in components:
+            raise ValueError(f"'{key}' is given twice")
+        components[name] = parse(rhs.strip(), vocabulary)
     if not components:
         raise ValueError("manifest has no [symmetry] section")
     return components
@@ -342,10 +338,6 @@ class DeterminingSystem:
     constraints: list[tuple[int, tuple, Expr]]  # (equation, split monomial, constraint)
     residuals: list[Expr] = field(default_factory=list)
 
-    @property
-    def constraint_exprs(self) -> list[Expr]:
-        return [c for _, _, c in self.constraints]
-
     def is_linear_homogeneous(self) -> bool:
         for _, _, constraint in self.constraints:
             for mono, _coeff in constraint.terms:
@@ -359,7 +351,7 @@ class DeterminingSystem:
         concrete solution expression."""
         mapping = {}
         atoms = set()
-        for constraint in self.constraint_exprs:
+        for _, _, constraint in self.constraints:
             atoms.update(a for a in constraint.atoms() if isinstance(a, UnknownFunction))
         for a in atoms:
             concrete = solution[a.name]
@@ -370,15 +362,7 @@ class DeterminingSystem:
 
     def verify_solution(self, sys: PdeSystem, solution: Mapping[str, Expr]) -> bool:
         mapping = self.substitution_for(solution)
-        return all(c.substitute(mapping).is_zero() for c in self.constraint_exprs)
-
-    def failing_constraints(self, sys: PdeSystem, solution: Mapping[str, Expr]):
-        mapping = self.substitution_for(solution)
-        return [
-            (eq, key, c)
-            for eq, key, c in self.constraints
-            if not c.substitute(mapping).is_zero()
-        ]
+        return all(c.substitute(mapping).is_zero() for _, _, c in self.constraints)
 
 
 def _split_by_derivative_monomials(residual: Expr) -> dict[tuple, Expr]:

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines, or ``symflow all`` for the CLI equivalent.
 """
 
+import dataclasses
 import itertools
 import random
 import time
@@ -28,6 +29,11 @@ def _verdict(number: int, ok: bool, detail: str):
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {number}: {status} - {detail}")
     assert ok, detail
+
+
+def _mutated(family: linsym.PointFamily, dep: str, eta: str) -> linsym.PointFamily:
+    """The family with one coefficient replaced."""
+    return dataclasses.replace(family, etas={**family.etas, dep: parse(eta)})
 
 
 def test_criterion_1_zero_curvature(prolonged):
@@ -75,18 +81,12 @@ def test_criterion_4_localization(prolonged):
 def test_criterion_5_symmetry_families(prolonged):
     five = linsym.coupled_family().verify(prolonged).holds
     six = linsym.prolonged_family().verify(prolonged).holds
-    mutated_five = (
-        linsym.coupled_family()
-        .with_eta("u", parse("2*I*alpha*c1*u*x/(9*beta) + c5*u + c4*phi^2"))
-        .verify(prolonged)
-        .holds
-    )
-    mutated_six = (
-        linsym.prolonged_family()
-        .with_eta("phi", parse("(2*c2*f + c1 - c5)*phi/2"))
-        .verify(prolonged)
-        .holds
-    )
+    mutated_five = _mutated(
+        linsym.coupled_family(), "u", "2*I*alpha*c1*u*x/(9*beta) + c5*u + c4*phi^2"
+    ).verify(prolonged).holds
+    mutated_six = _mutated(
+        linsym.prolonged_family(), "phi", "(2*c2*f + c1 - c5)*phi/2"
+    ).verify(prolonged).holds
     ok = five and six and not mutated_five and not mutated_six
     _verdict(
         5, ok,

@@ -201,6 +201,41 @@ def test_unparsable_symmetry_line_exits_two(tmp_path, capsys):
     _one_line_error(capsys, manifest)
 
 
+LOCALIZED_MANIFEST = (
+    "[symmetry]\n"
+    "sigma_u = phi^2 + c1*Diff(u,x)\n"
+    "sigma_v = psi^2 + c1*Diff(v,x)\n"
+    "sigma_phi = phi*f + c1*Diff(phi,x)\n"
+    "sigma_psi = psi*f + c1*Diff(psi,x)\n"
+    "sigma_f = f^2 + c1*Diff(f,x)\n"
+)
+
+
+def test_symmetry_manifest_with_free_constants(tmp_path):
+    manifest = tmp_path / "sigma.txt"
+    manifest.write_text(LOCALIZED_MANIFEST)
+    assert run(["verify-symmetry", "--manifest", str(manifest)]) == 0
+
+    manifest.write_text(LOCALIZED_MANIFEST.replace("sigma_u = ", "sigma_u = c1*u + "))
+    assert run(["verify-symmetry", "--manifest", str(manifest)]) == 1
+
+
+@pytest.mark.parametrize("extra", ["sigma_phii = 1\n", "sigma_u = phi^2\n"])
+def test_symmetry_manifest_bad_key_exits_two(extra, tmp_path, capsys):
+    manifest = tmp_path / "sigma.txt"
+    manifest.write_text(LOCALIZED_MANIFEST + extra)
+    assert run(["verify-symmetry", "--manifest", str(manifest)]) == 2
+    assert extra.split(" =")[0] in _one_line_error(capsys, manifest)
+
+
+def test_repeated_transcription_key_exits_two(tmp_path, capsys):
+    path = tmp_path / "t.txt"
+    path.write_text("T1 = u\nT2 = v\nT1 = v\n")
+    assert run(["conservation", "--generator", "g1", "--numeric-points", "1",
+                "--diagnose-transcription", str(path)]) == 2
+    assert "T1 twice" in _one_line_error(capsys, path)
+
+
 def test_truncated_grid_exits_two(tmp_path, capsys):
     text = numcheck.write_grid(numcheck.make_vacuum_grid(grid_spec={"nx": 9, "nt": 8}))
     src = tmp_path / "cut.grid"

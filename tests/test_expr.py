@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -74,7 +75,9 @@ def test_parse_rational_literals_and_precedence():
 
 
 def test_custom_vocabulary():
-    vocab = DEFAULT_VOCABULARY.with_dependents("s1").with_parameters("mu")
+    vocab = dataclasses.replace(
+        DEFAULT_VOCABULARY, dependents=DEFAULT_VOCABULARY.dependents + ("s1",)
+    ).with_parameters("mu")
     e = parse("mu*Diff(s1,x,t)", vocab)
     assert e == param("mu") * jet("s1", "t", "x")
     with pytest.raises(ParseError):

@@ -4,7 +4,7 @@ import pytest
 
 from symflow import conslaw, linsym
 from symflow.expr import (
-    Expr, ExpFactor, JetCoordinate, Parameter, exp_of, jet, parse, to_text,
+    Expr, ExprError, ExpFactor, JetCoordinate, Parameter, exp_of, jet, parse, to_text,
 )
 from symflow.jetsys import (
     LAX_ENTRY_A,
@@ -17,6 +17,7 @@ from symflow.jetsys import (
     consistent_point,
     cross_derivative_residuals,
     parse_manifest,
+    solve_for,
     write_manifest,
 )
 from conftest import fresh_interpreter, random_expr
@@ -41,6 +42,12 @@ def test_zero_background_satisfies_both_equations(hirota):
 def test_v_rule_contains_no_u_time_derivative(hirota):
     rule = hirota.solved_forms[JetCoordinate("v", ("t",))]
     assert JetCoordinate("u", ("t",)) not in set(rule.atoms())
+
+
+@pytest.mark.parametrize("equation", ["u*Diff(u,t)", "Diff(u,x) - u"])
+def test_solve_for_needs_a_nonzero_constant_coefficient(equation):
+    with pytest.raises(ExprError, match="cannot isolate"):
+        solve_for(parse(equation), JetCoordinate("u", ("t",)))
 
 
 def test_linear_problem_entry_b_vanishes_on_zero_field(prolonged):

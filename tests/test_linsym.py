@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -26,7 +27,6 @@ from symflow.linsym import (
     prolonged_ansatz,
     prolonged_family,
     seed_pair,
-    verify_family,
     verify_symmetry,
 )
 from conftest import fresh_interpreter, random_expr
@@ -51,7 +51,9 @@ def test_zero_characteristic(hirota):
 
 def test_linearized_first_equation_term_for_term(hirota):
     # generic direction fields s1, s2 standing for the two components
-    vocab = DEFAULT_VOCABULARY.with_dependents("s1", "s2")
+    vocab = dataclasses.replace(
+        DEFAULT_VOCABULARY, dependents=DEFAULT_VOCABULARY.dependents + ("s1", "s2")
+    )
     sigma = {"u": parse("s1", vocab), "v": parse("s2", vocab)}
     lin = frechet(hirota, sigma, equations=(0,))[0]
     written = parse(
@@ -208,29 +210,30 @@ def test_opposite_scaling_characteristic(hirota):
 
 
 def test_five_constant_family_verifies(prolonged):
-    assert verify_family(prolonged, coupled_family())
+    assert coupled_family().verify(prolonged).holds
 
 
 def test_six_constant_family_verifies(prolonged):
-    assert verify_family(prolonged, prolonged_family())
+    assert prolonged_family().verify(prolonged).holds
 
 
 def test_flipped_variant_fails(prolonged):
-    assert not verify_family(prolonged, prolonged_family(flip_psi_eta=True))
+    assert not prolonged_family(flip_psi_eta=True).verify(prolonged).holds
 
 
 def test_five_constant_family_mutation_detected(prolonged):
     family = coupled_family()
-    mutated = family.with_eta(
-        "u", parse("2*I*alpha*c1*u*x/(9*beta) + c5*u + c4*phi^2")
-    )
-    assert not verify_family(prolonged, mutated)
+    eta = parse("2*I*alpha*c1*u*x/(9*beta) + c5*u + c4*phi^2")
+    mutated = dataclasses.replace(family, etas={**family.etas, "u": eta})
+    assert not mutated.verify(prolonged).holds
 
 
 def test_six_constant_family_mutation_detected(prolonged):
     family = prolonged_family()
-    mutated = family.with_eta("f", parse("c2*f^2 + 2*c5*f + c6"))
-    assert not verify_family(prolonged, mutated)
+    mutated = dataclasses.replace(
+        family, etas={**family.etas, "f": parse("c2*f^2 + 2*c5*f + c6")}
+    )
+    assert not mutated.verify(prolonged).holds
 
 
 def test_family_basis_matches_standard_generators(prolonged):
@@ -339,7 +342,6 @@ def test_flipped_family_fails_prolonged_determining(prolonged, prolonged_determi
         prolonged_family(flip_psi_eta=True), prolonged_ansatz()
     )
     assert not prolonged_determining.verify_solution(prolonged, solution)
-    assert prolonged_determining.failing_constraints(prolonged, solution)
 
 
 # Constraint count and digest of each ansatz in a fresh interpreter.
