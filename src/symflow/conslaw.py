@@ -70,7 +70,7 @@ def formal_lagrangian() -> Expr:
     L = Expr.ZERO
     for name, equation in zip(MULTIPLIERS, builtin_prolonged().equations):
         L = L + Expr.atom(JetCoordinate(name)) * equation
-    for mono, _coeff in L.terms:
+    for mono, _coeff in L.items():
         if sum(n for a, n in mono if isinstance(a, JetCoordinate) and a.name in MULTIPLIERS) != 1:
             raise ExprError("formal Lagrangian is not multiplier-degree one")
     for a in L.jet_atoms():

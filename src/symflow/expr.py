@@ -1,11 +1,14 @@
 """Exact symbolic kernel for differential-polynomial expressions.
 
-An :class:`Expr` is always kept in canonical form: a sum of monomials,
-each an exact complex-rational coefficient times a sorted product of
-atoms (parameters, independent variables, jet coordinates, exponential
-factors) with integer exponents.  Exponential factors are merged
-(``Exp(a)*Exp(b) -> Exp(a+b)``, ``Exp(0) -> 1``) so every monomial
-carries at most one of them.  All arithmetic is exact; floating point
+An :class:`Expr` is always kept in canonical form: a map from monomials
+to nonzero exact complex-rational coefficients.  A monomial is a sorted
+tuple of atoms (parameters, independent variables, jet coordinates,
+exponential factors) with nonzero integer exponents.  Exponential factors
+are merged (``Exp(a)*Exp(b) -> Exp(a+b)``, ``Exp(0) -> 1``) so every
+monomial carries at most one of them.  The map has no order; ``terms``
+is its sorted view, built on first read, and everything that must come
+out the same in each run (printing, ``sort_key``, hashing, numeric
+evaluation) reads that view.  All arithmetic is exact; floating point
 enters only through :meth:`Expr.eval_numeric`, which imports numpy only
 to evaluate an exponential factor, so symbolic work never loads it.
 """
@@ -220,10 +223,11 @@ class Atom:
     covers every field that changes behaviour.  There is one object per
     key: the class call returns the atom already in the table, so equal
     atoms are identical, and equality and hashing are those of ``object``.
-    Construct atoms only through the class call.
+    Construct atoms only through the class call.  ``_text`` caches the
+    printed form.
     """
 
-    __slots__ = ("_key",)
+    __slots__ = ("_key", "_text")
 
     @classmethod
     def _interned(cls, key: tuple, **fields) -> "Atom":
@@ -231,6 +235,7 @@ class Atom:
         if atom is None:
             atom = _ATOMS[key] = object.__new__(cls)
             atom._key = key
+            atom._text = None
             for name, value in fields.items():
                 setattr(atom, name, value)
         return atom
@@ -323,8 +328,14 @@ Monomial = tuple  # tuple[tuple[Atom, int], ...]
 
 def monomial_key(mono: Monomial):
     """The one monomial order: terms sort by it, and so does every list of
-    monomials that must come out the same in each run."""
-    return tuple([(a._key, n) for a, n in mono])
+    monomials that must come out the same in each run.  The key is the flat
+    tuple (key1, n1, key2, n2, ...), which orders exactly as the tuple of
+    (key, n) pairs would and is cheaper to build and compare."""
+    key = []
+    for a, n in mono:
+        key.append(a._key)
+        key.append(n)
+    return tuple(key)
 
 
 def _assemble_mono(counts: dict, exp_argument: "Expr | None") -> Monomial:
@@ -404,60 +415,76 @@ _Coercible = Union["Expr", int, Fraction, ComplexRational, Atom]
 
 
 class Expr:
-    """Immutable differential-polynomial expression in canonical form."""
+    """Immutable differential-polynomial expression in canonical form: a
+    map from monomials to nonzero coefficients, kept in no order.
 
-    __slots__ = ("_terms", "_sort_key", "_hash")
+    ``items()`` iterates that map in whatever order it was built, for
+    loops whose result does not depend on order; ``terms`` is the sorted
+    view.  Equality compares the maps.
+    """
+
+    __slots__ = ("_map", "_terms", "_sort_key", "_hash")
 
     ZERO: "Expr"
     ONE: "Expr"
     I: "Expr"
 
-    def __init__(self, terms: tuple):
-        # Trusted constructor: terms must already be canonical and sorted.
-        self._terms = terms
+    def __init__(self, terms: dict | Iterable):
+        # Trusted constructor: a dict (kept, not copied) or (monomial,
+        # coefficient) pairs, canonical and in any order.
+        self._map = terms if type(terms) is dict else dict(terms)
+        self._terms = None
         self._sort_key = None
         self._hash = None
 
     # -- construction -------------------------------------------------------
     @staticmethod
     def _from_map(acc: dict) -> "Expr":
-        items = [(m, c) for m, c in acc.items() if not c.is_zero()]
-        items.sort(key=lambda item: monomial_key(item[0]))
-        return Expr(tuple(items))
+        return Expr({m: c for m, c in acc.items() if c.a or c.b})
 
     @classmethod
     def from_scalar(cls, value: _Scalar) -> "Expr":
         c = _as_scalar(value)
         if c.is_zero():
             return cls.ZERO
-        return Expr((((), c),))
+        return Expr({(): c})
 
     @classmethod
     def atom(cls, a: Atom) -> "Expr":
-        return Expr(((((a, 1),), CR_ONE),))
+        return Expr({((a, 1),): CR_ONE})
 
     # -- basic views ---------------------------------------------------------
     @property
     def terms(self) -> tuple:
-        return self._terms
+        """The (monomial, coefficient) pairs in monomial order."""
+        terms = self._terms
+        if terms is None:
+            terms = self._terms = tuple(sorted(self._map.items(), key=_term_order))
+        return terms
+
+    def items(self):
+        """The (monomial, coefficient) pairs in no particular order."""
+        return self._map.items()
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._map
 
     def is_constant(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and not self._terms[0][0])
+        m = self._map
+        return not m or (len(m) == 1 and () in m)
 
     def constant_value(self) -> ComplexRational:
-        if not self._terms:
+        m = self._map
+        if not m:
             return CR_ZERO
-        if len(self._terms) == 1 and not self._terms[0][0]:
-            return self._terms[0][1]
+        if len(m) == 1 and () in m:
+            return m[()]
         raise ExprError("expression is not constant")
 
     def sort_key(self):
         if self._sort_key is None:
             self._sort_key = tuple(
-                (monomial_key(m), c.key()) for m, c in self._terms
+                (monomial_key(m), c.key()) for m, c in self.terms
             )
         return self._sort_key
 
@@ -467,7 +494,7 @@ class Expr:
         stack = [self]
         while stack:
             e = stack.pop()
-            for m, _ in e._terms:
+            for m in e._map:
                 for a, _n in m:
                     if a in seen:
                         continue
@@ -477,9 +504,12 @@ class Expr:
                         stack.append(a.argument)
 
     def jet_atoms(self, name: str | None = None) -> list[JetCoordinate]:
-        out = [a for a in self.atoms() if isinstance(a, JetCoordinate)]
-        if name is not None:
-            out = [a for a in out if a.name == name]
+        """The distinct jet coordinates, in atom order."""
+        out = [
+            a for a in self.atoms()
+            if type(a) is JetCoordinate and (name is None or a.name == name)
+        ]
+        out.sort(key=Atom.sort_key)
         return out
 
     # -- arithmetic ----------------------------------------------------------
@@ -487,15 +517,23 @@ class Expr:
         o = _coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.is_zero():
-            return o
-        if o.is_zero():
-            return self
-        acc = dict(self._terms)
-        for m, c in o._terms:
+        big, small = self._map, o._map
+        if len(big) < len(small):
+            big, small = small, big
+        if not small:
+            return self if big is self._map else o
+        acc = dict(big)
+        for m, c in small.items():
             prev = acc.get(m)
-            acc[m] = c if prev is None else prev + c
-        return Expr._from_map(acc)
+            if prev is None:
+                acc[m] = c
+            else:
+                c = prev + c
+                if c.a or c.b:
+                    acc[m] = c
+                else:
+                    del acc[m]
+        return Expr(acc)
 
     __radd__ = __add__
 
@@ -512,16 +550,16 @@ class Expr:
         return o + (-self)
 
     def __neg__(self) -> "Expr":
-        return Expr(tuple((m, -c) for m, c in self._terms))
+        return Expr({m: -c for m, c in self._map.items()})
 
     def __mul__(self, other: _Coercible) -> "Expr":
         o = _coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.is_zero() or o.is_zero():
+        if not self._map or not o._map:
             return Expr.ZERO
         acc: dict = {}
-        _acc_products(acc, self._terms, o._terms)
+        _acc_products(acc, self._map.items(), o._map.items())
         return Expr._from_map(acc)
 
     __rmul__ = __mul__
@@ -537,13 +575,13 @@ class Expr:
         return _power_by_squaring(self, n) if n else Expr.ONE
 
     def _inverted(self) -> "Expr":
-        if len(self._terms) != 1:
+        if len(self._map) != 1:
             raise ExprError(
                 "only monomials can be inverted; division by a multi-term "
                 "expression leaves the polynomial ring"
             )
-        mono, coeff = self._terms[0]
-        return Expr(((_mono_invert(mono), coeff.inverse()),))
+        ((mono, coeff),) = self._map.items()
+        return Expr({_mono_invert(mono): coeff.inverse()})
 
     def __truediv__(self, other: _Coercible) -> "Expr":
         o = _coerce(other)
@@ -559,9 +597,9 @@ class Expr:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Expr):
-            return self._terms == other._terms
+            return self._map == other._map
         if isinstance(other, (int, Fraction, ComplexRational)):
-            return self._terms == _coerce(other)._terms
+            return self._map == _coerce(other)._map
         return NotImplemented
 
     def __hash__(self):
@@ -576,28 +614,31 @@ class Expr:
     def diff(self, wrt: Atom) -> "Expr":
         """Formal partial derivative treating all other atoms as constants."""
         acc: dict = {}
-        for mono, coeff in self._terms:
+        for mono, coeff in self._map.items():
             for i, (a, n) in enumerate(mono):
-                if a == wrt:
+                if a is wrt:
                     _acc_add(acc, _mono_drop_power(mono, i), coeff * n)
                 elif type(a) is ExpFactor:
                     inner = a.argument.diff(wrt)
                     if not inner.is_zero():
-                        for mi, ci in inner._terms:
+                        for mi, ci in inner._map.items():
                             _acc_add(acc, _mono_mul(mono, mi), coeff * ci)
         return Expr._from_map(acc)
 
     def total_derivative(self, direction: str) -> "Expr":
         """Jet-space total derivative: every atom moves by its chain rule."""
         acc: dict = {}
-        for mono, coeff in self._terms:
+        chain: dict = {}  # atom -> terms of its total derivative
+        for mono, coeff in self._map.items():
             for i, (a, n) in enumerate(mono):
-                da = a.d_total(direction)
-                if da.is_zero():
+                da = chain.get(a)
+                if da is None:
+                    da = chain[a] = a.d_total(direction)._map.items()
+                if not da:
                     continue
                 base = _mono_drop_power(mono, i)
                 scale = coeff * n
-                for mi, ci in da._terms:
+                for mi, ci in da:
                     _acc_add(acc, _mono_mul(base, mi), scale * ci)
         return Expr._from_map(acc)
 
@@ -614,14 +655,14 @@ class Expr:
 
         One pass: each ``base**n`` is computed once per call, the atoms a
         term keeps stay a ready-made sorted sub-monomial, and every product
-        lands in one accumulator that is sorted once at the end.
+        lands in one accumulator.
         """
         if not mapping:
             return self
         # (atom, n) -> terms of base**n; None marks an atom kept as it is
         powers: dict = {}
         acc: dict = {}
-        for mono, coeff in self._terms:
+        for mono, coeff in self._map.items():
             kept = []
             factors = []
             for a, n in mono:
@@ -641,7 +682,7 @@ class Expr:
             for terms in factors[:-1]:
                 step: dict = {}
                 _acc_products(step, partial, terms)
-                partial = [(m, c) for m, c in step.items() if not c.is_zero()]
+                partial = [(m, c) for m, c in step.items() if c.a or c.b]
             _acc_products(acc, partial, factors[-1])
         return Expr._from_map(acc)
 
@@ -649,10 +690,12 @@ class Expr:
         """Complex floating evaluation; every occurring atom needs a value.
 
         Values may be Python scalars or numpy arrays, which broadcast
-        together; the result is a complex scalar or a complex array.
+        together; the result is a complex scalar or a complex array.  The
+        terms are summed in monomial order, so the result is the same in
+        every run.
         """
         total = 0j
-        for mono, coeff in self._terms:
+        for mono, coeff in self.terms:
             value = coeff.to_complex()
             for a, n in mono:
                 v = assignment.get(a)
@@ -674,9 +717,13 @@ class Expr:
         return f"<Expr {to_text(self)}>"
 
 
-Expr.ZERO = Expr(())
-Expr.ONE = Expr((((), CR_ONE),))
-Expr.I = Expr((((), CR_I),))
+Expr.ZERO = Expr({})
+Expr.ONE = Expr({(): CR_ONE})
+Expr.I = Expr({(): CR_I})
+
+
+def _term_order(item: tuple):
+    return monomial_key(item[0])
 
 
 def _acc_add(acc: dict, mono: Monomial, coeff: ComplexRational) -> None:
@@ -694,15 +741,15 @@ def _acc_products(acc: dict, terms1, terms2) -> None:
             acc[m] = c if prev is None else prev + c
 
 
-def _replacement_power(a: Atom, n: int, mapping: Mapping) -> tuple | None:
+def _replacement_power(a: Atom, n: int, mapping: Mapping) -> Iterable | None:
     """Terms of ``a**n`` after substitution, or None when ``a`` is unchanged."""
     repl = mapping.get(a)
     if repl is not None:
-        return (_coerce(repl) ** n)._terms
+        return (_coerce(repl) ** n)._map.items()
     if type(a) is ExpFactor:
         argument = a.argument.substitute(mapping)
         if argument != a.argument:
-            return (exp_of(argument) ** n)._terms
+            return (exp_of(argument) ** n)._map.items()
     return None
 
 
@@ -950,55 +997,60 @@ def parse(text: str, vocabulary: Vocabulary = DEFAULT_VOCABULARY) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-def _frac_text(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+def _ratio_text(n: int, d: int) -> str:
+    """``n / d`` in lowest terms, as the parser reads it."""
+    if d != 1:
+        g = gcd(n, d)
+        n //= g
+        d //= g
+        if d != 1:
+            return f"{n}/{d}"
+    return str(n)
 
 
 def _const_text(c: ComplexRational) -> str:
-    if c.is_zero():
-        return "0"
-    if c.im == 0:
-        return _frac_text(c.re)
-    if c.im == 1:
+    a, b, d = c.a, c.b, c.d
+    if not b:
+        return _ratio_text(a, d)
+    if b == d:
         imag = "I"
-    elif c.im == -1:
+    elif b == -d:
         imag = "-I"
     else:
-        imag = f"{_frac_text(c.im)}*I"
-    if c.re == 0:
+        imag = f"{_ratio_text(b, d)}*I"
+    if not a:
         return imag
-    sign = " - " if c.im < 0 else " + "
-    mag = imag.lstrip("-") if c.im < 0 else imag
-    return f"{_frac_text(c.re)}{sign}{mag}"
+    if b < 0:
+        return f"{_ratio_text(a, d)} - {imag[1:]}"
+    return f"{_ratio_text(a, d)} + {imag}"
 
 
 def _term_text(mono: Monomial, coeff: ComplexRational) -> str:
     if not mono:
         return _const_text(coeff)
+    a, b, d = coeff.a, coeff.b, coeff.d
     parts = []
     negate = False
-    if coeff.im == 0:
-        if coeff.re == -1:
+    if not b:
+        if a == -d:
             negate = True
-        elif coeff.re != 1:
-            parts.append(_frac_text(coeff.re))
-    elif coeff.re == 0:
-        if coeff.im == 1:
+        elif a != d:
+            parts.append(_ratio_text(a, d))
+    elif not a:
+        if b == d:
             parts.append("I")
-        elif coeff.im == -1:
+        elif b == -d:
             negate = True
             parts.append("I")
         else:
-            parts.append(f"{_frac_text(coeff.im)}*I")
+            parts.append(f"{_ratio_text(b, d)}*I")
     else:
         parts.append(f"({_const_text(coeff)})")
-    for a, n in mono:
-        s = str(a)
-        if n != 1:
-            s += f"^{n}"
-        parts.append(s)
+    for atom, n in mono:
+        s = atom._text
+        if s is None:
+            s = atom._text = str(atom)
+        parts.append(s if n == 1 else f"{s}^{n}")
     body = "*".join(parts)
     return f"-{body}" if negate else body
 
@@ -1008,10 +1060,7 @@ def to_text(e: Expr) -> str:
     if e.is_zero():
         return "0"
     pieces = [_term_text(m, c) for m, c in e.terms]
-    out = pieces[0]
+    out = [pieces[0]]
     for s in pieces[1:]:
-        if s.startswith("-"):
-            out += " - " + s[1:]
-        else:
-            out += " + " + s
-    return out
+        out.append(f" - {s[1:]}" if s[0] == "-" else f" + {s}")
+    return "".join(out)

@@ -124,7 +124,7 @@ def _compose(exprs: tuple[Expr, ...], mapping) -> list[Expr]:
         a: math.prod((q for q in denominators if q != r.den), start=r.num) * inverse
         for a, r in images.items()
     }
-    powers = [[k for a, k in mono if a in images] for e in exprs for mono, _ in e.terms]
+    powers = [[k for a, k in mono if a in images] for e in exprs for mono, _ in e.items()]
     if any(k < 0 for p in powers for k in p):
         raise ExprError("a negative power of a mapped atom leaves the polynomial ring")
     scale = Expr.atom(_COMMON) ** max(map(sum, powers), default=0)

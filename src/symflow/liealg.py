@@ -187,7 +187,7 @@ def express_in_basis(
     one linear equation per coordinate and monomial."""
     # coefficient of each (coordinate, monomial) in each field; vf is last
     terms = [
-        {(name, mono): c for name in COORDINATES for mono, c in field.coefficient(name).terms}
+        {(name, mono): c for name in COORDINATES for mono, c in field.coefficient(name).items()}
         for field in (*basis, vf)
     ]
     keys = sorted(set().union(*terms), key=lambda item: (item[0], monomial_key(item[1])))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .expr import (
     CR_ONE,
@@ -54,16 +54,15 @@ class UnknownFunction(Atom):
         )
 
     def d_total(self, direction: str) -> Expr:
-        total = Expr.ZERO
+        chain = {}
         for dep in self.deps:
-            extended = Expr.atom(UnknownFunction(self.name, self.deps, self.index + (dep,)))
+            extended = UnknownFunction(self.name, self.deps, self.index + (dep,))
             if dep == direction:
-                total = total + extended
-            elif dep in ("x", "t"):
-                continue
-            else:
-                total = total + Expr.atom(JetCoordinate(dep, (direction,))) * extended
-        return total
+                chain[((extended, 1),)] = CR_ONE
+            elif dep not in ("x", "t"):
+                # a jet coordinate sorts before an unknown function
+                chain[((JetCoordinate(dep, (direction,)), 1), (extended, 1))] = CR_ONE
+        return Expr(chain)
 
     def __str__(self):
         if not self.index:
@@ -98,6 +97,24 @@ def _equation_partials(sys: PdeSystem, index: int) -> tuple[tuple[JetCoordinate,
     return tuple((a, equation.diff(a)) for a in equation.jet_atoms() if a.name in dependent_names)
 
 
+def _by_prefix(
+    base: Callable[[str], Expr], step: Callable[[Expr, str, tuple[str, ...]], Expr]
+) -> Callable[[str, tuple[str, ...]], Expr]:
+    """Memoized ``f(name, index)``: ``base(name)`` for the empty index, else
+    ``step(f(name, index[:-1]), name, index)``, so each (name, index) costs
+    one step from its prefix."""
+    memo: dict[tuple[str, tuple[str, ...]], Expr] = {}
+
+    def f(name: str, index: tuple[str, ...]) -> Expr:
+        found = memo.get((name, index))
+        if found is None:
+            found = step(f(name, index[:-1]), name, index) if index else base(name)
+            memo[(name, index)] = found
+        return found
+
+    return f
+
+
 def frechet(
     sys: PdeSystem,
     sigma: Mapping[str, Expr],
@@ -111,18 +128,10 @@ def frechet(
     as D_d of its prefix, in the direction order of
     ``total_derivative_along``.
     """
-    derivatives: dict[tuple[str, tuple[str, ...]], Expr] = {}
-
-    def derivative(name: str, index: tuple[str, ...]) -> Expr:
-        found = derivatives.get((name, index))
-        if found is None:
-            if index:
-                found = derivative(name, index[:-1]).total_derivative(index[-1])
-            else:
-                found = _component(sigma, name)
-            derivatives[(name, index)] = found
-        return found
-
+    derivative = _by_prefix(
+        lambda name: _component(sigma, name),
+        lambda prefix, _name, index: prefix.total_derivative(index[-1]),
+    )
     out = []
     for index in range(len(sys.equations)) if equations is None else equations:
         total = Expr.ZERO
@@ -139,7 +148,7 @@ def _linearization_piece(sys: PdeSystem, index: int, name: str, mono: tuple) -> 
     in every other."""
     sigma = dict.fromkeys(sys.dependent_names, Expr.ZERO)
     sigma[name] = Expr(((mono, CR_ONE),))
-    return sys.reduce(frechet(sys, sigma, (index,))[0]).terms
+    return sys.reduce(frechet(sys, sigma, (index,))[0]).items()
 
 
 def verify_symmetry(
@@ -160,7 +169,7 @@ def verify_symmetry(
     for index in range(len(sys.equations)) if equations is None else equations:
         acc: dict = {}
         for name in dict.fromkeys(a.name for a, _ in _equation_partials(sys, index)):
-            for mono, coeff in _component(sigma, name).terms:
+            for mono, coeff in _component(sigma, name).items():
                 split = 0
                 while split < len(mono) and type(mono[split][0]) is Parameter:
                     split += 1
@@ -340,24 +349,27 @@ class DeterminingSystem:
 
     def is_linear_homogeneous(self) -> bool:
         for _, _, constraint in self.constraints:
-            for mono, _coeff in constraint.terms:
-                degree = sum(n for a, n in mono if isinstance(a, UnknownFunction))
+            for mono, _coeff in constraint.items():
+                degree = 0
+                for a, n in mono:
+                    if type(a) is UnknownFunction:
+                        degree += n
                 if degree != 1:
                     return False
         return True
 
     def substitution_for(self, solution: Mapping[str, Expr]) -> dict:
         """Map every unknown-function atom to the matching derivative of a
-        concrete solution expression."""
+        concrete solution expression, each formed from its prefix's."""
+        derivative = _by_prefix(
+            solution.__getitem__,
+            lambda prefix, _name, index: prefix.diff(coordinate_atom(index[-1])),
+        )
         mapping = {}
-        atoms = set()
         for _, _, constraint in self.constraints:
-            atoms.update(a for a in constraint.atoms() if isinstance(a, UnknownFunction))
-        for a in atoms:
-            concrete = solution[a.name]
-            for coord in a.index:
-                concrete = concrete.diff(coordinate_atom(coord))
-            mapping[a] = concrete
+            for a in constraint.atoms():
+                if type(a) is UnknownFunction and a not in mapping:
+                    mapping[a] = derivative(a.name, a.index)
         return mapping
 
     def verify_solution(self, sys: PdeSystem, solution: Mapping[str, Expr]) -> bool:
@@ -366,21 +378,69 @@ class DeterminingSystem:
 
 
 def _split_by_derivative_monomials(residual: Expr) -> dict[tuple, Expr]:
+    """Group the terms by their proper-derivative jet factors.  A monomial
+    is its key's factors merged with the rest, so each term lands alone and
+    no coefficients add."""
     groups: dict[tuple, dict] = {}
-    for mono, coeff in residual.terms:
+    for mono, coeff in residual.items():
         key, rest = [], []
         for item in mono:
             a = item[0]
-            (key if isinstance(a, JetCoordinate) and a.index else rest).append(item)
-        key, rest = tuple(key), tuple(rest)
-        bucket = groups.setdefault(key, {})
-        prev = bucket.get(rest)
-        bucket[rest] = coeff if prev is None else prev + coeff
-    return {key: Expr._from_map(bucket) for key, bucket in groups.items()}
+            if type(a) is JetCoordinate and a.index:
+                key.append(item)
+            else:
+                rest.append(item)
+        groups.setdefault(tuple(key), {})[tuple(rest)] = coeff
+    return {key: Expr(bucket) for key, bucket in groups.items()}
+
+
+def _closed_by_construction(sys: PdeSystem, equation: Expr, direction: str) -> bool:
+    """Whether reduce(D_d F) = 0 holds with no reduction: F is c*(w_K - rhs_K)
+    for a solved key K and a constant c, and the closure prolongs w_K along
+    d from K itself.  The rule for w_{K+d} is then reduce(D_d rhs_K) (a
+    solved rhs holds no reducible jet), which is what D_d F reduces to."""
+    for key, rhs in sys.solved_forms.items():
+        c = equation.diff(key)
+        if c.is_constant() and not c.is_zero() and equation == c * (Expr.atom(key) - rhs):
+            return sys.closure.base_key(key.extended(direction)) is key
+    return False
+
+
+@cache
+def _unclosed_direction(sys: PdeSystem, index: int) -> str | None:
+    """The first of x, t along which equation ``index``'s total derivative
+    does not reduce to 0, or None when both do."""
+    equation = sys.equations[index]
+    for direction in ("x", "t"):
+        if _closed_by_construction(sys, equation, direction):
+            continue
+        if not sys.reduce(equation.total_derivative(direction)).is_zero():
+            return direction
+    return None
 
 
 def generate_determining(sys: PdeSystem, ansatz: PointAnsatz) -> DeterminingSystem:
-    """Insert the ansatz characteristic, reduce on-shell, and split.
+    """Apply the prolonged ansatz generator, reduce on-shell, and split.
+
+    The generator is v = X d_x + T d_t + sum_w eta_w d_w.  Each residual is
+    -reduce(pr v(F_i)), with
+
+        pr v(F) = X dF/dx + T dF/dt + sum_(w_J in F) phi_w^J dF/dw_J,
+        phi_w^() = eta_w,
+        phi_w^(J,d) = D_d phi_w^J - w_(J,x) D_d X - w_(J,t) D_d T,
+
+    the general prolongation formula (Olver, Applications of Lie Groups to
+    Differential Equations, section 2.3).  With the characteristic
+    sigma_w = X w_x + T w_t - eta_w the identity
+
+        frechet(F)[sigma] = -pr v(F) + X D_x F + T D_t F
+
+    holds exactly, so the residual equals reduce(frechet(F)[sigma])
+    whenever reduce(D_x F_i) and reduce(D_t F_i) vanish.  That condition
+    is checked once per system and equation (and skipped where the solved
+    forms make it hold); a system that fails it raises ExprError.  The
+    prolongation never forms the top-order jets whose terms sum to
+    X D_x F + T D_t F, nor the rules that would reduce them.
 
     Splitting is by exact monomials in the proper-derivative jets that
     survive reduction (the unknowns depend only on order-zero coordinates,
@@ -389,13 +449,44 @@ def generate_determining(sys: PdeSystem, ansatz: PointAnsatz) -> DeterminingSyst
     for name in ansatz.args:
         if name not in sys.independents and name not in sys.dependent_names:
             raise ExprError(f"ansatz argument '{name}' is not a system variable")
-    unknown = lambda name: Expr.atom(UnknownFunction(name, ansatz.args))
-    sigma = _characteristic(
-        unknown(XI_NAMES[0]),
-        unknown(XI_NAMES[1]),
-        {dep: unknown(eta_name) for dep, eta_name in ansatz.eta_names.items()},
-    )
-    residuals = [sys.reduce(r) for r in frechet(sys, sigma, ansatz.equations)]
+    xi = {
+        direction: Expr.atom(UnknownFunction(name, ansatz.args))
+        for direction, name in zip(("x", "t"), XI_NAMES)
+    }
+    etas = {
+        dep: Expr.atom(UnknownFunction(name, ansatz.args))
+        for dep, name in ansatz.eta_names.items()
+    }
+    xi_derivatives = {
+        (direction, d): x.total_derivative(d) for direction, x in xi.items() for d in xi
+    }
+
+    def prolonged_step(prefix: Expr, name: str, index: tuple[str, ...]) -> Expr:
+        d = index[-1]
+        out = prefix.total_derivative(d)
+        for direction in xi:
+            jet = Expr.atom(JetCoordinate(name, index[:-1] + (direction,)))
+            out = out - jet * xi_derivatives[(direction, d)]
+        return out
+
+    phi = _by_prefix(lambda name: _component(etas, name), prolonged_step)
+    residuals = []
+    for index in range(len(sys.equations)) if ansatz.equations is None else ansatz.equations:
+        direction = _unclosed_direction(sys, index)
+        if direction is not None:
+            raise ExprError(
+                f"equation {index} is not closed under D_{direction} on its solved "
+                "forms, so the prolongation formula does not give its determining "
+                "equations"
+            )
+        # -pr v(F), negated through the small factors dF/dw_J and dF/dx
+        equation = sys.equations[index]
+        total = Expr.ZERO
+        for direction, x in xi.items():
+            total = total + x * -equation.diff(coordinate_atom(direction))
+        for a, partial in _equation_partials(sys, index):
+            total = total + -partial * phi(a.name, a.index)
+        residuals.append(sys.reduce(total))
     constraints = []
     for eq_index, residual in enumerate(residuals):
         split = _split_by_derivative_monomials(residual)

@@ -14,7 +14,7 @@ import symflow
 from conftest import fresh_interpreter
 from symflow.cli import _rebuilds_to_itself, main
 from symflow import conslaw, grpflow, liealg, numcheck
-from symflow.expr import Expr, parse
+from symflow.expr import ComplexRational, Expr, JetCoordinate, parse
 
 
 def run(argv):
@@ -371,10 +371,18 @@ def test_all_checks_the_flux_pair_once(tmp_path, capsys, monkeypatch):
 
 
 def test_normal_form_check_catches_misordered_terms():
+    # An Expr maps monomials to coefficients in no order, so its terms in
+    # reverse order are still its normal form.  What the map can hold out
+    # of normal form is a term whose factors are out of order, or a term
+    # with a zero coefficient: the check must reject both.
     rng = random.Random(3)
     e = parse("alpha*u^2 - 3*I*Diff(v,x)/u + Exp(2*x)*phi/7 + 5")
     assert _rebuilds_to_itself(e, rng)
-    assert not _rebuilds_to_itself(Expr(tuple(reversed(e.terms))), rng)
+    assert _rebuilds_to_itself(Expr(tuple(reversed(e.terms))), rng)
+    misordered = Expr((tuple(reversed(mono)), coeff) for mono, coeff in e.terms)
+    assert not _rebuilds_to_itself(misordered, rng)
+    zero_term = ((JetCoordinate("v"), 2),), ComplexRational(0)
+    assert not _rebuilds_to_itself(Expr(e.terms + (zero_term,)), rng)
 
 
 def test_flow_pole_names_epsilon_and_f(tmp_path, capsys):

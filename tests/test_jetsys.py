@@ -154,20 +154,23 @@ def test_consistent_points_differ_between_seeds(prolonged):
 
 _POINT_SCRIPT = """
 from symflow.jetsys import builtin_prolonged, consistent_point
-from symflow.linsym import coupled_ansatz, generate_determining
+from symflow.linsym import coupled_ansatz, generate_determining, prolonged_ansatz
 point = consistent_point(builtin_prolonged(), 5)
 for atom in sorted(point, key=lambda a: a.sort_key()):
     print(atom, repr(point[atom]))
-print(constraint_digest(generate_determining(builtin_prolonged(), coupled_ansatz()).constraints))
+for ansatz in (prolonged_ansatz(), coupled_ansatz()):
+    print(constraint_digest(generate_determining(builtin_prolonged(), ansatz).constraints))
 """
 
 
 def test_consistent_point_ignores_string_hash_seed():
     """Atoms hash by address and strings by PYTHONHASHSEED, so sets of atoms
-    iterate in an order that changes between runs; nothing printed may."""
+    iterate in an order that changes between runs; nothing printed may.
+    Expressions keep their terms in construction order, and both pinned
+    determining digests print the same under either seed."""
     outputs = [fresh_interpreter(_POINT_SCRIPT, hash_seed) for hash_seed in ("0", "1")]
     assert outputs[0] and outputs[0] == outputs[1]
-    assert outputs[0].endswith("\n6cafbd0a0dcf7c24\n")
+    assert outputs[0].endswith("\n327004d4aebe966f\n6cafbd0a0dcf7c24\n")
 
 
 # ---------------------------------------------------------------------------

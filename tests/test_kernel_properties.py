@@ -11,7 +11,9 @@ subalgebra classification is checked against the symbolic adjoint series,
 and the sparse trace form against the dense sum over all Gram entries.
 Symmetry verification from cached per-monomial pieces is checked against
 reducing ``frechet``, and ``frechet`` against D_J formed afresh per jet.
-The profile is derandomised, so every run draws the same examples.
+Expressions summed in any order must be equal and print, hash and
+evaluate alike.  The profile is derandomised, so every run draws the same
+examples.
 """
 
 import cmath
@@ -202,6 +204,28 @@ VALUES = {
     a: cmath.rect(0.6 + 0.6 * _rng.random(), 6.283185307179586 * _rng.random())
     for a in ATOMS
 }
+
+
+# ---------------------------------------------------------------------------
+# order-free term store
+# ---------------------------------------------------------------------------
+
+
+@given(st.lists(monomials(), max_size=6), st.data())
+def test_terms_added_in_any_order_give_one_expression(summands, data):
+    """An Expr keeps its terms in construction order; every view that must
+    come out the same in each run reads the sorted view."""
+    cancelled = data.draw(st.integers(0, len(summands)))
+    summands = summands + [-term for term in summands[:cancelled]]
+    first = sum(summands, Expr.ZERO)
+    second = sum(data.draw(st.permutations(summands)), Expr.ZERO)
+    assert_canonical(first)
+    assert first == second
+    assert first.terms == second.terms
+    assert to_text(first) == to_text(second)
+    assert hash(first) == hash(second)
+    assert first.sort_key() == second.sort_key()
+    assert repr(first.eval_numeric(VALUES)) == repr(second.eval_numeric(VALUES))
 
 
 @settings(max_examples=200)

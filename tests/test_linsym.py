@@ -14,9 +14,12 @@ from symflow.expr import (
     jet,
     parse,
 )
-from symflow.jetsys import parse_manifest, write_manifest
+from symflow.jetsys import PdeSystem, parse_manifest, write_manifest
 from symflow.linsym import (
+    PointAnsatz,
     PointFamily,
+    UnknownFunction,
+    _closed_by_construction,
     coupled_ansatz,
     coupled_family,
     evolutionary_from_point,
@@ -362,3 +365,63 @@ def test_determining_systems_do_not_depend_on_the_order_they_are_built(order):
     atoms; the second system must not pick up the first one's."""
     stdout = fresh_interpreter(_ORDER_SCRIPT.format(order=order))
     assert stdout.splitlines() == [f"{name} {FRESH_DETERMINING[name]}" for name in order]
+
+
+# The determining residuals come from the prolongation formula; the
+# reference is the on-shell linearization along the ansatz characteristic.
+def reference_residuals(system, ansatz) -> list[Expr]:
+    """reduce(frechet(F)[sigma]) with sigma_w = X*w_x + T*w_t - eta_w."""
+    unknown = lambda name: Expr.atom(UnknownFunction(name, ansatz.args))
+    X, T = unknown("X"), unknown("T")
+    sigma = {
+        dep: X * jet(dep, "x") + T * jet(dep, "t") - unknown(eta)
+        for dep, eta in ansatz.eta_names.items()
+    }
+    return [system.reduce(r) for r in frechet(system, sigma, ansatz.equations)]
+
+
+def _subset(ansatz, equations):
+    return PointAnsatz(ansatz.args, ansatz.eta_names, equations)
+
+
+@pytest.mark.parametrize(
+    "ansatz",
+    [
+        prolonged_ansatz(),
+        coupled_ansatz(),
+        _subset(prolonged_ansatz(), (4,)),
+        _subset(prolonged_ansatz(), (7, 2, 5)),
+        _subset(prolonged_ansatz(), (1, 6, 3)),
+        _subset(coupled_ansatz(), (1,)),
+    ],
+    ids=["prolonged", "coupled", "prolonged-4", "prolonged-7-2-5", "prolonged-1-6-3", "coupled-1"],
+)
+def test_determining_residuals_match_the_reduced_linearization(prolonged, ansatz):
+    residuals = generate_determining(prolonged, ansatz).residuals
+    assert residuals == reference_residuals(prolonged, ansatz)
+
+
+def test_closure_by_construction_is_sound_and_spares_all_but_three_checks(prolonged):
+    spared = set()
+    for index, equation in enumerate(prolonged.equations):
+        for direction in ("x", "t"):
+            if _closed_by_construction(prolonged, equation, direction):
+                spared.add((index, direction))
+                assert prolonged.reduce(equation.total_derivative(direction)).is_zero()
+    every = {(index, d) for index in range(8) for d in ("x", "t")}
+    # the t-equations of phi, psi and f are prolonged along x from their x-rules
+    assert every - spared == {(4, "x"), (5, "x"), (7, "x")}
+
+
+def test_determining_refuses_a_system_not_closed_under_total_derivatives(prolonged):
+    phi_t = JetCoordinate("phi", ("t",))
+    solved = dict(prolonged.solved_forms)
+    solved[phi_t] = solved[phi_t] + jet("phi") * jet("u")
+    equations = list(prolonged.equations)
+    equations[4] = Expr.atom(phi_t) - solved[phi_t]
+    broken = PdeSystem(
+        "broken", prolonged.independents, prolonged.dependents, prolonged.parameters,
+        equations, solved,
+    )
+    with pytest.raises(ExprError, match=r"^equation 4 is not closed under D_x "):
+        generate_determining(broken, prolonged_ansatz())
