@@ -77,10 +77,10 @@ from .conslaw import (
 )
 from .numcheck import (
     Grid,
-    VacuumSeed,
     make_vacuum_grid,
     pde_residual,
     read_grid,
+    vacuum_forms,
     write_grid,
 )
 

@@ -3,10 +3,13 @@ difference residuals.
 
 The seed family lives on the zero background: with u = v = 0 the linear
 problem integrates to plane-wave eigenfunctions and a potential f that
-is linear in x and t.  Its closed form is checked symbolically once per
-process (all eight equations of the prolonged system reduce to zero
-modulo the closed forms, identically in the parameters), so every numeric
-expectation in this module traces back to an exact statement.
+is linear in x and t.  ``vacuum_forms`` is its one statement: it builds
+the closed forms and certifies them once per process (all eight
+equations of the prolonged system reduce to zero modulo the forms,
+identically in the parameters), and ``make_vacuum_grid`` evaluates the
+certified forms on a mesh of the fixed extent ``VACUUM_EXTENT``, so
+every numeric expectation in this module traces back to an exact
+statement.
 
 numpy is imported inside the functions that use it: importing this module
 (as ``import symflow`` does) must not load numpy for runs that evaluate no
@@ -15,14 +18,15 @@ grid.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import functools
 import math
+import types
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
 from .expr import (
-    Atom,
     Expr,
     IndependentVariable,
     JetCoordinate,
@@ -36,8 +40,10 @@ from .jetsys import SolvedFormClosure, builtin_prolonged
 if TYPE_CHECKING:
     import numpy as np
 
-DEFAULT_GRID = dict(nx=201, nt=101, x0=-5.0, x1=5.0, t0=0.0, t1=0.5)
-DEFAULT_PARAMS = dict(lam=0.3, alpha=1.0, beta=0.5, f0=0.0)
+#: (x0, x1, t0, t1) of every vacuum grid
+VACUUM_EXTENT = (-5.0, 5.0, 0.0, 0.5)
+#: the seed's parameters, keyed by the symbol each value sets
+DEFAULT_PARAMS = {"lambda": 0.3, "alpha": 1.0, "beta": 0.5, "c1": 0.0}
 DEFAULT_EPSILON = 0.1
 #: (nx, nt) of each grid in a refinement study
 REFINEMENT_LEVELS = ((51, 26), (101, 51), (201, 101))
@@ -70,19 +76,13 @@ class Grid:
                     f"field '{name}' has shape {array.shape}, want {(self.nt, self.nx)}"
                 )
 
-    @property
-    def x(self) -> np.ndarray:
-        import numpy as np
-        return self.x0 + self.dx * np.arange(self.nx)
-
-    @property
-    def t(self) -> np.ndarray:
-        import numpy as np
-        return self.t0 + self.dt * np.arange(self.nt)
-
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
         import numpy as np
-        t, x = np.meshgrid(self.t, self.x, indexing="ij")
+        t, x = np.meshgrid(
+            self.t0 + self.dt * np.arange(self.nt),
+            self.x0 + self.dx * np.arange(self.nx),
+            indexing="ij",
+        )
         return t, x
 
 
@@ -91,94 +91,59 @@ class Grid:
 # ---------------------------------------------------------------------------
 
 
-class VacuumSeed:
-    """Exact solution family on the u = v = 0 background.
-
-    phi = Exp(-i lam x - (4 i beta lam^3 + 2 i alpha lam^2) t)
-    psi = Exp(+i lam x + (4 i beta lam^3 + 2 i alpha lam^2) t)
-    f   = x + (12 beta lam^2 + 4 alpha lam) t + f0
-
-    so that phi*psi = 1 and f_x = 1, f_t = 12 beta lam^2 + 4 alpha lam.
-    """
-
-    def __init__(self, lam=0.3, alpha=1.0, beta=0.5, f0=0.0):
-        self.lam = complex(lam)
-        self.alpha = complex(alpha)
-        self.beta = complex(beta)
-        self.f0 = complex(f0)
-        self._closed_forms = self.symbolic_forms()
-        check_seed_symbolic()
-
-    @staticmethod
-    def symbolic_forms() -> dict[str, Expr]:
-        phase = parse("4*I*beta*lambda^3 + 2*I*alpha*lambda^2")
-        x = parse("x")
-        t = parse("t")
-        lam = parse("lambda")
-        return {
-            "u": Expr.ZERO,
-            "v": Expr.ZERO,
-            "phi": exp_of(-Expr.I * lam * x - phase * t),
-            "psi": exp_of(Expr.I * lam * x + phase * t),
-            "f": x + parse("12*beta*lambda^2 + 4*alpha*lambda") * t + parse("c1"),
-        }
-
-    def env(self, t: np.ndarray, x: np.ndarray) -> dict[Atom, np.ndarray | complex]:
-        return {
-            IndependentVariable("x"): x,
-            IndependentVariable("t"): t,
-            Parameter("lambda"): self.lam,
-            Parameter("alpha"): self.alpha,
-            Parameter("beta"): self.beta,
-            Parameter("c1"): self.f0,
-        }
-
-    def evaluate(self, t: np.ndarray, x: np.ndarray) -> dict[str, np.ndarray]:
-        import numpy as np
-        env = self.env(t, x)
-        shape = np.broadcast(t, x).shape
-        out = {}
-        for name, form in self._closed_forms.items():
-            value = form.eval_numeric(env)
-            out[name] = np.broadcast_to(value, shape).astype(complex)
-        return out
-
-
 @functools.cache
-def check_seed_symbolic() -> None:
-    """Reduce all eight equations modulo the closed forms, taken as
-    order-zero solved forms (each jet u_J becomes D_J of its form);
-    parameters stay symbolic, so the check is an identity in lam, alpha,
-    beta."""
-    closure = SolvedFormClosure(
-        {JetCoordinate(n): form for n, form in VacuumSeed.symbolic_forms().items()}
-    )
+def vacuum_forms() -> Mapping[str, Expr]:
+    """Exact solution family on the u = v = 0 background, certified:
+
+    phi = Exp(-i lambda x - (4 i beta lambda^3 + 2 i alpha lambda^2) t)
+    psi = Exp(+i lambda x + (4 i beta lambda^3 + 2 i alpha lambda^2) t)
+    f   = x + (12 beta lambda^2 + 4 alpha lambda) t + c1
+
+    so that phi*psi = 1 and f_x = 1, f_t = 12 beta lambda^2 + 4 alpha lambda.
+    All eight equations are reduced modulo the forms, taken as order-zero
+    solved forms (each jet u_J becomes D_J of its form); the parameters
+    stay symbolic, so the certificate is an identity in lambda, alpha,
+    beta and c1.
+    """
+    phase = parse("4*I*beta*lambda^3 + 2*I*alpha*lambda^2")
+    x = parse("x")
+    t = parse("t")
+    lam = parse("lambda")
+    forms = {
+        "u": Expr.ZERO,
+        "v": Expr.ZERO,
+        "phi": exp_of(-Expr.I * lam * x - phase * t),
+        "psi": exp_of(Expr.I * lam * x + phase * t),
+        "f": x + parse("12*beta*lambda^2 + 4*alpha*lambda") * t + parse("c1"),
+    }
+    closure = SolvedFormClosure({JetCoordinate(n): form for n, form in forms.items()})
     for i, equation in enumerate(builtin_prolonged().equations):
         value = closure.reduce(equation)
         if not value.is_zero():
             raise AssertionError(f"seed family violates equation {i}: residual {value}")
+    return types.MappingProxyType(forms)
 
 
 def make_vacuum_grid(
-    params: Mapping[str, float] | None = None,
-    grid_spec: Mapping[str, float] | None = None,
+    params: Mapping[str, float] | None = None, nx: int = 201, nt: int = 101
 ) -> Grid:
-    p = dict(DEFAULT_PARAMS)
-    p.update(params or {})
-    g = dict(DEFAULT_GRID)
-    g.update(grid_spec or {})
-    nx, nt = int(g["nx"]), int(g["nt"])
-    dx = (g["x1"] - g["x0"]) / (nx - 1)
-    dt = (g["t1"] - g["t0"]) / (nt - 1)
-    grid = Grid(x0=g["x0"], dx=dx, nx=nx, t0=g["t0"], dt=dt, nt=nt)
-    seed = VacuumSeed(**p)
+    """The certified vacuum seed on an nx by nt mesh of ``VACUUM_EXTENT``;
+    ``params`` overrides ``DEFAULT_PARAMS`` by symbol name."""
+    import numpy as np
+    for name in params or {}:
+        if name not in DEFAULT_PARAMS:
+            raise ValueError(f"unknown seed parameter '{name}' (want {', '.join(DEFAULT_PARAMS)})")
+    x0, x1, t0, t1 = VACUUM_EXTENT
+    grid = Grid(x0=x0, dx=(x1 - x0) / (nx - 1), nx=nx, t0=t0, dt=(t1 - t0) / (nt - 1), nt=nt)
     t, x = grid.mesh()
-    grid.fields = seed.evaluate(t, x)
-    grid.params = {
-        "lambda": complex(p["lam"]),
-        "alpha": complex(p["alpha"]),
-        "beta": complex(p["beta"]),
+    env = {IndependentVariable("x"): x, IndependentVariable("t"): t}
+    for name, value in {**DEFAULT_PARAMS, **(params or {})}.items():
+        env[Parameter(name)] = complex(value)
+    grid.fields = {
+        name: np.broadcast_to(form.eval_numeric(env), t.shape).astype(complex)
+        for name, form in vacuum_forms().items()
     }
+    grid.params = {name: env[Parameter(name)] for name in ("lambda", "alpha", "beta")}
     return grid
 
 
@@ -245,7 +210,7 @@ def transformed_residual_orders(
     """
     values = []
     for nx, nt in REFINEMENT_LEVELS:
-        grid = make_vacuum_grid(grid_spec={"nx": nx, "nt": nt})
+        grid = make_vacuum_grid(nx=nx, nt=nt)
         moved = dataclasses.replace(grid, fields=map_solution(grid.fields, epsilon))
         values.append(max(pde_residual(moved, which) for which in ("u", "v")))
     orders = [math.log2(values[k] / values[k + 1]) for k in range(len(values) - 1)]
@@ -273,7 +238,10 @@ def _parse_complex(text: str) -> complex:
     # split before the sign of the imaginary part (not an exponent sign)
     for k in range(len(body) - 1, 0, -1):
         if body[k] in "+-" and body[k - 1] not in "eE":
-            return complex(float(body[:k]), float(body[k:]))
+            z = complex(float(body[:k]), float(body[k:]))
+            if not cmath.isfinite(z):
+                raise ValueError(f"non-finite value '{text}'")
+            return z
     raise ValueError(f"bad complex literal '{text}' (want a+bi)")
 
 
@@ -292,7 +260,8 @@ def write_grid(grid: Grid) -> str:
 
 def read_grid(text: str) -> Grid:
     """Parse the grid format; a header without ``name=value`` parameters
-    (the older form) gives a grid with empty ``params``."""
+    (the older form) gives a grid with empty ``params``.  Every number must
+    be finite and each field appear once; a violation names its line."""
     import numpy as np
     lines = [
         (number, line)
@@ -303,16 +272,21 @@ def read_grid(text: str) -> Grid:
         raise ValueError("grid file must start with a 'grid' header")
     number, line = lines[0]
     header = line.split()
-    if len(header) < 7:
-        raise ValueError(f"line {number}: want 'grid nx nt x0 dx t0 dt [name=value ...]'")
-    nx, nt = int(header[1]), int(header[2])
-    x0, dx, t0, dt = (float(h) for h in header[3:7])
-    params = {}
-    for item in header[7:]:
-        name, sep, value = item.partition("=")
-        if not sep:
-            raise ValueError(f"line {number}: bad grid parameter '{item}' (want name=a+bi)")
-        params[name] = _parse_complex(value)
+    try:
+        if len(header) < 7:
+            raise ValueError("want 'grid nx nt x0 dx t0 dt [name=value ...]'")
+        nx, nt = int(header[1]), int(header[2])
+        x0, dx, t0, dt = (float(h) for h in header[3:7])
+        if not all(map(math.isfinite, (x0, dx, t0, dt))):
+            raise ValueError(f"non-finite number in '{' '.join(header[3:7])}'")
+        params = {}
+        for item in header[7:]:
+            name, sep, value = item.partition("=")
+            if not sep:
+                raise ValueError(f"bad grid parameter '{item}' (want name=a+bi)")
+            params[name] = _parse_complex(value)
+    except ValueError as err:
+        raise ValueError(f"line {number}: {err}") from err
     fields = {}
     k = 1
     while k < len(lines):
@@ -320,14 +294,18 @@ def read_grid(text: str) -> Grid:
         words = line.split()
         if len(words) != 2 or words[0] != "field":
             raise ValueError(f"line {number}: expected 'field <name>'")
+        name = words[1]
+        if name in fields:
+            raise ValueError(f"line {number}: field '{name}' appears twice")
         rows = lines[k + 1 : k + 1 + nt]
         if len(rows) < nt:
-            raise ValueError(
-                f"line {number}: field '{words[1]}' has {len(rows)} of its {nt} rows"
-            )
-        fields[words[1]] = np.array(
-            [[_parse_complex(v) for v in row.split(",")] for _n, row in rows],
-            dtype=complex,
-        )
+            raise ValueError(f"line {number}: field '{name}' has {len(rows)} of its {nt} rows")
+        values = []
+        for row_number, row in rows:
+            try:
+                values.append([_parse_complex(v) for v in row.split(",")])
+            except ValueError as err:
+                raise ValueError(f"line {row_number}: {err}") from err
+        fields[name] = np.array(values, dtype=complex)
         k += 1 + nt
     return Grid(x0=x0, dx=dx, nx=nx, t0=t0, dt=dt, nt=nt, fields=fields, params=params)

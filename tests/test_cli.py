@@ -76,7 +76,7 @@ def test_conservation_single_generator(capsys):
 
 
 def test_finite_transform_grid_pipeline(tmp_path, capsys):
-    grid = numcheck.make_vacuum_grid(grid_spec={"nx": 21, "nt": 11})
+    grid = numcheck.make_vacuum_grid(nx=21, nt=11)
     src = tmp_path / "vacuum.grid"
     src.write_text(numcheck.write_grid(grid))
     dst = tmp_path / "moved.grid"
@@ -188,7 +188,7 @@ def test_unwritable_json_report_exits_two(where, tmp_path, capsys):
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
 def test_unwritable_grid_output_exits_two(where, tmp_path, capsys):
     src = tmp_path / "vacuum.grid"
-    src.write_text(numcheck.write_grid(numcheck.make_vacuum_grid(grid_spec={"nx": 21, "nt": 11})))
+    src.write_text(numcheck.write_grid(numcheck.make_vacuum_grid(nx=21, nt=11)))
     path = tmp_path / "nowhere" / "o.grid" if where == "missing-directory" else tmp_path
     assert run(["finite-transform", "--grid", str(src), "--out", str(path)]) == 2
     assert "cannot write" in _one_line_error(capsys, path)
@@ -237,15 +237,44 @@ def test_repeated_transcription_key_exits_two(tmp_path, capsys):
 
 
 def test_truncated_grid_exits_two(tmp_path, capsys):
-    text = numcheck.write_grid(numcheck.make_vacuum_grid(grid_spec={"nx": 9, "nt": 8}))
+    text = numcheck.write_grid(numcheck.make_vacuum_grid(nx=9, nt=8))
     src = tmp_path / "cut.grid"
     src.write_text("\n".join(text.splitlines()[:-3]) + "\n")
     assert run(["finite-transform", "--grid", str(src)]) == 2
     assert "of its 8 rows" in _one_line_error(capsys, src)
 
 
+def _nan_in_f(lines):
+    row = lines.index("field f") + 2
+    lines[row] = "nan+0.0i," + lines[row].split(",", 1)[1]
+    return lines
+
+
+def _inf_alpha(lines):
+    lines[0] = lines[0].replace("alpha=1.0+0.0i", "alpha=inf+0.0i")
+    return lines
+
+
+def _second_u(lines):
+    u_block = lines.index("field u")
+    return lines + lines[u_block : u_block + 12]
+
+
+@pytest.mark.parametrize("damage", [_nan_in_f, _inf_alpha, _second_u])
+def test_non_finite_or_repeated_grid_input_exits_two(damage, tmp_path, capsys):
+    lines = numcheck.write_grid(numcheck.make_vacuum_grid(nx=21, nt=11)).splitlines()
+    src = tmp_path / "bad.grid"
+    src.write_text("\n".join(damage(lines)) + "\n")
+    assert run(["finite-transform", "--grid", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert "transformed-grid-residual" not in captured.out
+    assert captured.err.startswith("symflow: error: ") and captured.err.count("\n") == 1
+    assert str(src) in captured.err and re.search(r": line \d+: ", captured.err)
+    assert "Traceback" not in captured.err and "RuntimeWarning" not in captured.err
+
+
 def test_grid_without_parameters_exits_two(tmp_path, capsys):
-    text = numcheck.write_grid(numcheck.make_vacuum_grid(grid_spec={"nx": 21, "nt": 11}))
+    text = numcheck.write_grid(numcheck.make_vacuum_grid(nx=21, nt=11))
     header, rest = text.split("\n", 1)
     src = tmp_path / "old.grid"
     src.write_text(" ".join(header.split()[:7]) + "\n" + rest)
@@ -254,7 +283,7 @@ def test_grid_without_parameters_exits_two(tmp_path, capsys):
 
 
 def test_grid_parameters_survive_the_file_round_trip(tmp_path, capsys):
-    grid = numcheck.make_vacuum_grid({"alpha": 2.0, "beta": 1.5}, {"nx": 101, "nt": 51})
+    grid = numcheck.make_vacuum_grid({"alpha": 2.0, "beta": 1.5}, nx=101, nt=51)
     src = tmp_path / "vacuum.grid"
     src.write_text(numcheck.write_grid(grid))
     path = tmp_path / "r.json"
@@ -272,7 +301,7 @@ def test_grid_residual_reads_the_v_equation(tmp_path, capsys):
     # only in the v-equation's residual
     import numpy as np
 
-    grid = numcheck.make_vacuum_grid(grid_spec={"nx": 41, "nt": 21})
+    grid = numcheck.make_vacuum_grid(nx=41, nt=21)
     _t, x = grid.mesh()
     grid.fields["v"] = grid.fields["v"] + 0.1 * np.exp(-x**2)
     assert numcheck.pde_residual(grid, "u") == 0

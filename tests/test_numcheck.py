@@ -11,11 +11,11 @@ from symflow.numcheck import (
     DEFAULT_EPSILON,
     Grid,
     REFINEMENT_LEVELS,
-    VacuumSeed,
     make_vacuum_grid,
     pde_residual,
     read_grid,
     transformed_residual_orders,
+    vacuum_forms,
     write_grid,
 )
 
@@ -36,7 +36,7 @@ def _solution_closure(forms):
 
 
 def test_seed_family_satisfies_system_symbolically(prolonged):
-    forms = VacuumSeed.symbolic_forms()
+    forms = vacuum_forms()
     closure = _solution_closure(forms)
     for equation in prolonged.equations:
         assert closure.reduce(equation).is_zero()
@@ -46,7 +46,7 @@ def test_seed_family_satisfies_system_symbolically(prolonged):
 
 
 def test_seed_mutation_is_detected(prolonged):
-    forms = dict(VacuumSeed.symbolic_forms())
+    forms = dict(vacuum_forms())
     forms["f"] = forms["f"] + parse("x^2")
     closure = _solution_closure(forms)
     hits = [e for e in prolonged.equations if not closure.reduce(e).is_zero()]
@@ -95,7 +95,7 @@ def test_randomly_perturbed_grid_does_not_converge():
     rng = np.random.default_rng(12)
     maxima = []
     for nx, nt in ((51, 26), (101, 51)):
-        grid = make_vacuum_grid(grid_spec={"nx": nx, "nt": nt})
+        grid = make_vacuum_grid(nx=nx, nt=nt)
         grid.fields["u"] = grid.fields["u"] + 0.05 * rng.standard_normal((nt, nx))
         maxima.append(pde_residual(grid, "u"))
     assert maxima[1] > maxima[0]  # refinement amplifies a non-solution
@@ -139,7 +139,7 @@ def drift_orders(epsilon: float) -> tuple[list[float], list[float]]:
     observed orders log2(d_k / d_{k+1})."""
     drifts = []
     for nx, nt in REFINEMENT_LEVELS:
-        grid = make_vacuum_grid(grid_spec={"nx": nx, "nt": nt})
+        grid = make_vacuum_grid(nx=nx, nt=nt)
         moved = dataclasses.replace(grid, fields=map_solution(grid.fields, epsilon))
         drifts.append(conserved_drift(moved))
     orders = [math.log2(drifts[k] / drifts[k + 1]) for k in range(len(drifts) - 1)]
@@ -194,7 +194,7 @@ def test_eval_on_grid_matches_pointwise():
 
 
 def test_grid_file_round_trip_is_bit_exact():
-    grid = make_vacuum_grid(grid_spec={"nx": 9, "nt": 8})
+    grid = make_vacuum_grid(nx=9, nt=8)
     text = write_grid(grid)
     back = read_grid(text)
     for name, array in grid.fields.items():
@@ -216,7 +216,7 @@ def test_grid_file_rejects_garbage():
 
 def test_grid_file_carries_the_physical_parameters():
     params = {"alpha": 2.0, "beta": 1.5}
-    grid = make_vacuum_grid(params, {"nx": 101, "nt": 51})
+    grid = make_vacuum_grid(params, nx=101, nt=51)
     back = read_grid(write_grid(grid))
     assert back.params == grid.params == {"lambda": 0.3, "alpha": 2.0, "beta": 1.5}
     moved = map_solution(grid.fields, DEFAULT_EPSILON)
@@ -226,7 +226,7 @@ def test_grid_file_carries_the_physical_parameters():
 
 
 def test_old_grid_header_reads_without_parameters():
-    text = write_grid(make_vacuum_grid(grid_spec={"nx": 9, "nt": 8}))
+    text = write_grid(make_vacuum_grid(nx=9, nt=8))
     header, rest = text.split("\n", 1)
     old = " ".join(header.split()[:7]) + "\n" + rest
     grid = read_grid(old)
@@ -236,7 +236,45 @@ def test_old_grid_header_reads_without_parameters():
 
 
 def test_truncated_grid_file_names_the_line():
-    text = write_grid(make_vacuum_grid(grid_spec={"nx": 9, "nt": 8}))
+    text = write_grid(make_vacuum_grid(nx=9, nt=8))
     truncated = "\n".join(text.splitlines()[:-3]) + "\n"
     with pytest.raises(ValueError, match=r"line \d+: field 'v' has 5 of its 8 rows"):
         read_grid(truncated)
+
+
+def _vacuum_text():
+    return write_grid(make_vacuum_grid(nx=9, nt=8))
+
+
+def test_grid_file_rejects_a_non_finite_field_value():
+    lines = _vacuum_text().splitlines()
+    f_block = lines.index("field f")
+    values = lines[f_block + 3].split(",")
+    values[4] = "nan+0.0i"
+    lines[f_block + 3] = ",".join(values)
+    with pytest.raises(ValueError, match=rf"^line {f_block + 4}: non-finite value 'nan\+0.0i'"):
+        read_grid("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("entry, damaged", [
+    ("alpha=1.0+0.0i", "alpha=inf+0.0i"),
+    (" 0.0 0.07142857142857142 ", " 0.0 nan "),
+])
+def test_grid_file_rejects_a_non_finite_header_number(entry, damaged):
+    text = _vacuum_text()
+    assert entry in text.splitlines()[0]
+    with pytest.raises(ValueError, match=r"^line 1: non-finite"):
+        read_grid(text.replace(entry, damaged, 1))
+
+
+def test_grid_file_rejects_a_repeated_field():
+    lines = _vacuum_text().splitlines()
+    u_block = lines.index("field u")
+    repeated = lines + lines[u_block : u_block + 9]
+    with pytest.raises(ValueError, match=rf"^line {len(lines) + 1}: field 'u' appears twice"):
+        read_grid("\n".join(repeated) + "\n")
+
+
+def test_unknown_seed_parameter_is_named():
+    with pytest.raises(ValueError, match="'lam'"):
+        make_vacuum_grid({"lam": 0.5})
