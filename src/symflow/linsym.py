@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .expr import (
@@ -24,7 +25,7 @@ from .expr import (
     ExprError,
     JetCoordinate,
     Parameter,
-    _acc_add,
+    _cr,
     _mono_mul,
     monomial_key,
     parse,
@@ -145,10 +146,13 @@ def frechet(
 def _linearization_piece(sys: PdeSystem, index: int, name: str, mono: tuple) -> tuple:
     """Terms of the on-shell linearization of equation ``index`` along the
     characteristic with the monomial ``mono`` in component ``name`` and 0
-    in every other."""
+    in every other, in integer form ``(L, ((m, a, b), ...))``: L is the lcm
+    of the coefficient denominators and term m has coefficient (a + b*i)/L."""
     sigma = dict.fromkeys(sys.dependent_names, Expr.ZERO)
     sigma[name] = Expr(((mono, CR_ONE),))
-    return sys.reduce(frechet(sys, sigma, (index,))[0]).items()
+    terms = sys.reduce(frechet(sys, sigma, (index,))[0]).items()
+    common = lcm(*(c.d for _, c in terms))
+    return common, tuple((m, c.a * (common // c.d), c.b * (common // c.d)) for m, c in terms)
 
 
 def verify_symmetry(
@@ -163,20 +167,37 @@ def verify_symmetry(
     coefficient, p its ``Parameter`` factors (they sort first in a monomial)
     and m the rest, contributes c*p times the piece for m: a parameter's
     total derivative is 0 and reduction replaces jets only, so both commute
-    with the factor c*p.
+    with the factor c*p.  The sum runs in Gaussian-integer numerators over
+    one denominator D per equation, the lcm of c.d * L over the terms the
+    equation reads (L a piece's denominator), and each surviving residual
+    coefficient is built and normalised once.
     """
     residuals = []
     for index in range(len(sys.equations)) if equations is None else equations:
-        acc: dict = {}
+        reads = []
+        common = 1
         for name in dict.fromkeys(a.name for a, _ in _equation_partials(sys, index)):
             for mono, coeff in _component(sigma, name).items():
                 split = 0
                 while split < len(mono) and type(mono[split][0]) is Parameter:
                     split += 1
-                factor = mono[:split]
-                for m, c in _linearization_piece(sys, index, name, mono[split:]):
-                    _acc_add(acc, _mono_mul(factor, m), coeff * c)
-        residuals.append(Expr._from_map(acc))
+                piece_d, piece = _linearization_piece(sys, index, name, mono[split:])
+                reads.append((mono[:split], coeff, piece_d, piece))
+                common = lcm(common, coeff.d * piece_d)
+        acc: dict = {}
+        for factor, coeff, piece_d, piece in reads:
+            scale = common // (coeff.d * piece_d)
+            ca, cb = coeff.a * scale, coeff.b * scale
+            for m, a, b in piece:
+                re, im = ca * a - cb * b, ca * b + cb * a
+                m = _mono_mul(factor, m)
+                pair = acc.get(m)
+                if pair is None:
+                    acc[m] = [re, im]
+                else:
+                    pair[0] += re
+                    pair[1] += im
+        residuals.append(Expr({m: _cr(a, b, common) for m, (a, b) in acc.items() if a or b}))
     return SymmetryCheck(all(r.is_zero() for r in residuals), tuple(residuals))
 
 

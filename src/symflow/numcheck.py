@@ -261,7 +261,8 @@ def write_grid(grid: Grid) -> str:
 def read_grid(text: str) -> Grid:
     """Parse the grid format; a header without ``name=value`` parameters
     (the older form) gives a grid with empty ``params``.  Every number must
-    be finite and each field appear once; a violation names its line."""
+    be finite, each header parameter and each field appear once, and each
+    row hold nx values; a violation names its line."""
     import numpy as np
     lines = [
         (number, line)
@@ -284,6 +285,8 @@ def read_grid(text: str) -> Grid:
             name, sep, value = item.partition("=")
             if not sep:
                 raise ValueError(f"bad grid parameter '{item}' (want name=a+bi)")
+            if name in params:
+                raise ValueError(f"parameter '{name}' appears twice")
             params[name] = _parse_complex(value)
     except ValueError as err:
         raise ValueError(f"line {number}: {err}") from err
@@ -302,8 +305,13 @@ def read_grid(text: str) -> Grid:
             raise ValueError(f"line {number}: field '{name}' has {len(rows)} of its {nt} rows")
         values = []
         for row_number, row in rows:
+            items = row.split(",")
+            if len(items) != nx:
+                raise ValueError(
+                    f"line {row_number}: field '{name}' row has {len(items)} values, want {nx}"
+                )
             try:
-                values.append([_parse_complex(v) for v in row.split(",")])
+                values.append([_parse_complex(v) for v in items])
             except ValueError as err:
                 raise ValueError(f"line {row_number}: {err}") from err
         fields[name] = np.array(values, dtype=complex)

@@ -260,7 +260,26 @@ def _second_u(lines):
     return lines + lines[u_block : u_block + 12]
 
 
-@pytest.mark.parametrize("damage", [_nan_in_f, _inf_alpha, _second_u])
+def _second_alpha(lines):
+    lines[0] += " alpha=7.0+0.0i"
+    return lines
+
+
+def _short_u_row(lines):
+    row = lines.index("field u") + 2
+    lines[row] = lines[row].rsplit(",", 1)[0]
+    return lines
+
+
+def _long_u_row(lines):
+    row = lines.index("field u") + 2
+    lines[row] += ",0.0+0.0i"
+    return lines
+
+
+@pytest.mark.parametrize(
+    "damage", [_nan_in_f, _inf_alpha, _second_u, _second_alpha, _short_u_row, _long_u_row]
+)
 def test_non_finite_or_repeated_grid_input_exits_two(damage, tmp_path, capsys):
     lines = numcheck.write_grid(numcheck.make_vacuum_grid(nx=21, nt=11)).splitlines()
     src = tmp_path / "bad.grid"

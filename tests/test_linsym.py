@@ -7,6 +7,7 @@ import pytest
 
 from symflow.expr import (
     DEFAULT_VOCABULARY,
+    ComplexRational,
     Expr,
     ExprError,
     JetCoordinate,
@@ -282,6 +283,36 @@ def test_rational_constants_are_checked_without_fractions(prolonged, monkeypatch
     monkeypatch.undo()
     assert holds == [True, True]
     assert calls == Counter()
+
+
+# Pairwise coprime denominators whose product runs far past one machine
+# word, so the common denominator of an equation's sum does too.
+LARGE_CONSTANTS = (
+    Fraction(1, 2**61 - 1), Fraction(3, 10**9 + 7), ComplexRational(0, Fraction(1, 2**31 - 1)),
+    Fraction(-5, 998244353), ComplexRational(Fraction(2, 10**9 + 9), 1), Fraction(7, 2**89 - 1),
+)
+NON_SYMMETRY = {"coupled-5": ("u", "I*alpha*u*x/(9*beta)"), "prolonged-6": ("phi", "phi")}
+
+
+@pytest.mark.parametrize("kick", [Fraction(0), Fraction(-7, 2**127 - 1)])
+@pytest.mark.parametrize("family", [coupled_family(), prolonged_family()], ids=lambda f: f.name)
+def test_large_denominators_match_reducing_frechet(prolonged, family, kick):
+    mapping = {Parameter(f"c{k}"): Expr.from_scalar(q) for k, q in enumerate(LARGE_CONSTANTS, 1)}
+    etas = {n: e.substitute(mapping) for n, e in family.etas.items()}
+    dep, extra = NON_SYMMETRY[family.name]
+    etas[dep] = etas[dep] + Expr.from_scalar(kick) * parse(extra)
+    sigma = PointFamily(
+        family.name, family.xi_x.substitute(mapping), family.xi_t.substitute(mapping),
+        etas, family.equations,
+    ).characteristic()
+    equations = family.equations
+    check = verify_symmetry(prolonged, sigma, equations)
+    expected = [prolonged.reduce(r) for r in frechet(prolonged, sigma, equations)]
+    assert list(check.residuals) == expected
+    assert [r.terms for r in check.residuals] == [r.terms for r in expected]
+    assert check.holds == (kick == 0)
+    if kick:
+        assert max(c.d for r in check.residuals for _, c in r.terms) > 2**64
 
 
 # ---------------------------------------------------------------------------

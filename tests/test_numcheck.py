@@ -275,6 +275,26 @@ def test_grid_file_rejects_a_repeated_field():
         read_grid("\n".join(repeated) + "\n")
 
 
+def test_grid_file_rejects_a_repeated_header_parameter():
+    text = _vacuum_text()
+    header, rest = text.split("\n", 1)
+    assert "alpha=1.0+0.0i" in header
+    with pytest.raises(ValueError, match=r"^line 1: parameter 'alpha' appears twice$"):
+        read_grid(header + " alpha=7.0+0.0i\n" + rest)
+
+
+@pytest.mark.parametrize("change, count", [(-1, 8), (+1, 10)])
+def test_grid_file_rejects_a_row_of_the_wrong_length(change, count):
+    lines = _vacuum_text().splitlines()
+    row = lines.index("field u") + 2
+    values = lines[row].split(",")
+    lines[row] = ",".join(values[:change] if change < 0 else values + values[:change])
+    with pytest.raises(
+        ValueError, match=rf"^line {row + 1}: field 'u' row has {count} values, want 9$"
+    ):
+        read_grid("\n".join(lines) + "\n")
+
+
 def test_unknown_seed_parameter_is_named():
     with pytest.raises(ValueError, match="'lam'"):
         make_vacuum_grid({"lam": 0.5})
