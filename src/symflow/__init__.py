@@ -50,7 +50,6 @@ from .linsym import (
 from .grpflow import (
     FlowMap,
     PoleError,
-    RationalExpr,
     closed_form_flow,
     ivp_oracle,
     map_solution,

@@ -461,14 +461,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-symmetry", parents=[common],
                        help="check characteristics and families")
-    p.add_argument("--family", choices=[*_SYMMETRIES, "prolonged-6-flipped"])
-    p.add_argument("--manifest", help="file with a [symmetry] section of sigma_<dep> lines")
+    picked = p.add_mutually_exclusive_group()
+    picked.add_argument("--family", choices=[*_SYMMETRIES, "prolonged-6-flipped"])
+    picked.add_argument("--manifest", help="file with a [symmetry] section of sigma_<dep> lines")
 
     p = sub.add_parser("finite-transform", parents=[common],
                        help="closed-form flow checks and grid mapping")
     p.add_argument("--epsilon", type=finite_float, default=numcheck.DEFAULT_EPSILON)
     p.add_argument("--grid", help="grid file to transform")
-    p.add_argument("--out", help="where to write the transformed grid")
+    p.add_argument("--out", help="where to write the transformed grid (needs --grid)")
 
     p = sub.add_parser("optimal-system", parents=[common],
                        help="structure table and subalgebra classification")
@@ -493,7 +494,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "out", None) and not args.grid:
+        parser.error("finite-transform: --out needs --grid, the grid to transform")
     try:
         report = Report(command=args.command, inputs=_inputs_digest())
         session = Session(args)

@@ -7,24 +7,24 @@ The one-parameter flow of the generator with characteristic
     v -> v + eps*psi^2/(1 - eps*f)      psi -> psi/(1 - eps*f)
                                         f   -> f/(1 - eps*f)
 
+every rule a quotient over the one denominator 1 - eps*f.  It is
 verified here against the defining ODEs, the one-parameter group law,
 and an independent fixed-step fourth-order integrator.  The variant with
 denominator (eps*f - 1) on phi, psi, f differs by an overall sign; it is
 kept as a negative control because it fails both the ODE consistency and
-the group-law check (the u, v components are insensitive, the sign
-enters them squared).
+the group-law check.  Its u, v components pass the ODE check, where the
+sign enters squared, but fail the group law: the composed denominator
+1 - eps2*f carries the sign of the mapped f.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
 from .expr import (
-    Atom,
     Expr,
     ExprError,
     JetCoordinate,
@@ -44,7 +44,7 @@ class PoleError(ExprError):
 #: the transported variables: the dependents of the prolonged system
 FLOW_VARIABLES = COORDINATES[2:]
 
-#: |1 - eps*f| below this is a pole, for the oracle and for grid mapping
+#: |1 - eps*f| below this is a pole, for the oracle and for the closed form
 POLE_TOLERANCE = 1e-6
 #: random states, and fourth-order steps per state, of the oracle check
 ORACLE_POINTS = 10
@@ -52,109 +52,80 @@ ORACLE_STEPS = 200
 
 
 # ---------------------------------------------------------------------------
-# rational layer: pairs of differential polynomials
+# the flow map: five quotients over one denominator
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RationalExpr:
-    """Quotient of two canonical expressions.
+#: stands for the denominator inside :meth:`FlowMap.image`; the parser
+#: cannot produce its name
+_DEN = Parameter("flow denominator")
 
-    Equality is decided by cross-multiplication, so no polynomial gcd is
-    ever needed; substitution does not reduce the fraction.
+
+@dataclass(frozen=True)
+class FlowMap:
+    """The map at parameter ``epsilon`` whose rule for w is ``nums[w] / den``.
+
+    Rules compare by cross-multiplication (:meth:`agrees`), so no
+    polynomial gcd is ever needed and no quotient is reduced.
     """
 
-    num: Expr
+    epsilon: Parameter
     den: Expr
+    nums: Mapping[str, Expr]
 
     def __post_init__(self):
         if self.den.is_zero():
             raise ZeroDivisionError("zero denominator")
 
-    @staticmethod
-    def of(value) -> "RationalExpr":
-        if isinstance(value, RationalExpr):
-            return value
-        if not isinstance(value, Expr):
-            value = Expr.from_scalar(value)
-        return RationalExpr(value, Expr.ONE)
+    def agrees(self, other: "FlowMap") -> dict[str, bool]:
+        """Per variable, whether the two maps have the same rule."""
+        return {
+            w: (n * other.den - other.nums[w] * self.den).is_zero()
+            for w, n in self.nums.items()
+        }
 
-    def equals(self, other) -> bool:
-        o = RationalExpr.of(other)
-        return (self.num * o.den - o.num * self.den).is_zero()
+    def image(self, exprs: list[Expr]) -> list[Expr]:
+        """The polynomials ``exprs`` with each variable w replaced by its
+        rule, all multiplied by den^n, n the largest degree of a term in the
+        variables.
 
-    def diff(self, wrt: Atom) -> "RationalExpr":
-        return RationalExpr(
-            self.num.diff(wrt) * self.den - self.num * self.den.diff(wrt),
-            self.den * self.den,
-        )
-
-    def substitute(self, mapping: Mapping[Atom, "RationalExpr | Expr"]) -> "RationalExpr":
-        """Replace atoms by quotients; numerator and denominator come out
-        over one common denominator, which cancels from their ratio."""
-        return RationalExpr(*_compose((self.num, self.den), mapping))
-
-    def eval_numeric(self, assignment) -> complex:
-        return self.num.eval_numeric(assignment) / self.den.eval_numeric(assignment)
-
-    def __str__(self):
-        if self.den == Expr.ONE:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-
-#: stands for the common denominator inside :func:`_compose`; the parser
-#: cannot produce its name
-_COMMON = Parameter("common denominator")
-
-
-def _compose(exprs: tuple[Expr, ...], mapping) -> list[Expr]:
-    """The polynomials ``exprs`` with each atom a replaced by its image
-    p_a/q_a, all multiplied by one Q^n.
-
-    Q is the product of the distinct q_a.  Each a becomes p_a * (Q/q_a) / c
-    for the placeholder c, which stands for Q; multiplying by c^n, where n
-    is the largest degree of a term in the mapped atoms, leaves c with no
-    negative power, and c -> Q then gives the polynomials over Q^n.
-    """
-    images = {a: RationalExpr.of(r) for a, r in mapping.items()}
-    denominators = list(dict.fromkeys(r.den for r in images.values()))
-    inverse = Expr.atom(_COMMON) ** -1
-    replacement = {
-        a: math.prod((q for q in denominators if q != r.den), start=r.num) * inverse
-        for a, r in images.items()
-    }
-    powers = [[k for a, k in mono if a in images] for e in exprs for mono, _ in e.items()]
-    if any(k < 0 for p in powers for k in p):
-        raise ExprError("a negative power of a mapped atom leaves the polynomial ring")
-    scale = Expr.atom(_COMMON) ** max(map(sum, powers), default=0)
-    common = {_COMMON: math.prod(denominators, start=Expr.ONE)}
-    return [(e.substitute(replacement) * scale).substitute(common) for e in exprs]
-
-
-# ---------------------------------------------------------------------------
-# the flow map
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FlowMap:
-    epsilon: Parameter
-    rules: Mapping[str, RationalExpr]
+        Each w becomes nums[w]/c for the placeholder c, which stands for
+        den; multiplying by c^n leaves c with no negative power, and
+        c -> den then gives polynomials.
+        """
+        inverse = Expr.atom(_DEN) ** -1
+        replacement = {JetCoordinate(w): n * inverse for w, n in self.nums.items()}
+        powers = [[k for a, k in mono if a in replacement] for e in exprs for mono, _ in e.items()]
+        if any(k < 0 for p in powers for k in p):
+            raise ExprError("a negative power of a mapped atom leaves the polynomial ring")
+        scale = Expr.atom(_DEN) ** max(map(sum, powers), default=0)
+        return [(e.substitute(replacement) * scale).substitute({_DEN: self.den}) for e in exprs]
 
     def at_parameter(self, value: Expr) -> "FlowMap":
-        mapping = {self.epsilon: value}
+        at = {self.epsilon: value}
         return FlowMap(
             self.epsilon,
-            {n: r.substitute(mapping) for n, r in self.rules.items()},
+            self.den.substitute(at),
+            {w: n.substitute(at) for w, n in self.nums.items()},
         )
 
-    def compose(self, inner: "FlowMap") -> Mapping[str, RationalExpr]:
-        """Apply ``inner`` first, then this map (parameters must differ)."""
-        substitution = {
-            JetCoordinate(name): inner.rules[name] for name in FLOW_VARIABLES
-        }
-        return {n: r.substitute(substitution) for n, r in self.rules.items()}
+    def after(self, inner: "FlowMap") -> "FlowMap":
+        """Apply ``inner`` first, then this map (parameters must differ).
+
+        Numerators and denominator come out over the same power of
+        inner.den, which cancels from every rule.
+        """
+        den, *nums = inner.image([self.den, *self.nums.values()])
+        return FlowMap(self.epsilon, den, dict(zip(self.nums, nums)))
+
+    def d_epsilon(self) -> "FlowMap":
+        """The rules differentiated in epsilon: (N' D - N D') / D^2."""
+        d_den = self.den.diff(self.epsilon)
+        return FlowMap(
+            self.epsilon,
+            self.den * self.den,
+            {w: n.diff(self.epsilon) * self.den - n * d_den for w, n in self.nums.items()},
+        )
 
 
 @functools.cache
@@ -163,30 +134,32 @@ def closed_form_flow(parameter: str = "epsilon") -> FlowMap:
     flow, symbolic or numeric, evaluates these rules."""
     epsilon = Parameter(parameter)
     eps = Expr.atom(epsilon)
-    f = parse("f")
-    den = Expr.ONE - eps * f
-    rules = {
-        "u": RationalExpr(parse("u") * den + eps * parse("phi^2"), den),
-        "v": RationalExpr(parse("v") * den + eps * parse("psi^2"), den),
-        "phi": RationalExpr(parse("phi"), den),
-        "psi": RationalExpr(parse("psi"), den),
-        "f": RationalExpr(f, den),
+    den = Expr.ONE - eps * parse("f")
+    nums = {
+        "u": parse("u") * den + eps * parse("phi^2"),
+        "v": parse("v") * den + eps * parse("psi^2"),
+        "phi": parse("phi"),
+        "psi": parse("psi"),
+        "f": parse("f"),
     }
-    return FlowMap(epsilon, rules)
+    return FlowMap(epsilon, den, nums)
 
 
 def sign_variant_flow(parameter: str = "epsilon") -> FlowMap:
-    """Same quotients with denominator eps*f - 1 on phi, psi, f.
-
-    Algebraically this negates those three components; the u, v rules are
-    unchanged.  Retained as a documented negative control: see
+    """The flow with denominator eps*f - 1 on phi, psi, f: their numerators
+    negated over the same denominator, the u, v rules unchanged.
+    Retained as a documented negative control: see
     :func:`verify_flow_properties`.
     """
     good = closed_form_flow(parameter)
-    rules = dict(good.rules)
-    for name in ("phi", "psi", "f"):
-        rules[name] = RationalExpr(rules[name].num, -rules[name].den)
-    return FlowMap(good.epsilon, rules)
+    nums = {w: -n if w in ("phi", "psi", "f") else n for w, n in good.nums.items()}
+    return FlowMap(good.epsilon, good.den, nums)
+
+
+def _generator(epsilon: Parameter) -> FlowMap:
+    """The coefficients of g2 as rules over the denominator 1."""
+    g2 = localized_generator()
+    return FlowMap(epsilon, Expr.ONE, {w: g2.coefficient(w) for w in FLOW_VARIABLES})
 
 
 # ---------------------------------------------------------------------------
@@ -197,44 +170,25 @@ def sign_variant_flow(parameter: str = "epsilon") -> FlowMap:
 def flow_satisfies_odes(flow: FlowMap) -> dict[str, bool]:
     """d(rule)/d(eps) must equal the generator characteristic composed with
     the flow, for each transported variable."""
-    composed_args = {JetCoordinate(n): flow.rules[n] for n in FLOW_VARIABLES}
-    g2 = localized_generator()
-    out = {}
-    for name in FLOW_VARIABLES:
-        lhs = flow.rules[name].diff(flow.epsilon)
-        rhs = RationalExpr.of(g2.coefficient(name)).substitute(composed_args)
-        out[name] = lhs.equals(rhs)
-    return out
+    return flow.d_epsilon().agrees(_generator(flow.epsilon).after(flow))
 
 
 def flow_group_law(flow_factory=closed_form_flow) -> dict[str, bool]:
     """flow(eps1) then flow(eps2) must equal flow(eps1 + eps2)."""
-    first = flow_factory("c1")
-    second = flow_factory("c2")
-    composed = second.compose(first)
+    composed = flow_factory("c2").after(flow_factory("c1"))
     total = flow_factory("c1").at_parameter(parse("c1 + c2"))
-    return {
-        name: composed[name].equals(total.rules[name]) for name in FLOW_VARIABLES
-    }
+    return composed.agrees(total)
 
 
 def flow_identity_at_zero(flow: FlowMap) -> bool:
+    identity = {w: Expr.atom(JetCoordinate(w)) for w in FLOW_VARIABLES}
     frozen = flow.at_parameter(Expr.ZERO)
-    return all(
-        frozen.rules[name].equals(Expr.atom(JetCoordinate(name)))
-        for name in FLOW_VARIABLES
-    )
+    return all(frozen.agrees(FlowMap(flow.epsilon, Expr.ONE, identity)).values())
 
 
 def flow_infinitesimal(flow: FlowMap) -> dict[str, bool]:
     """First-order term in eps must reproduce the generator coefficients."""
-    g2 = localized_generator()
-    out = {}
-    for name in FLOW_VARIABLES:
-        derivative = flow.rules[name].diff(flow.epsilon)
-        at_zero = derivative.substitute({flow.epsilon: Expr.ZERO})
-        out[name] = at_zero.equals(g2.coefficient(name))
-    return out
+    return flow.d_epsilon().at_parameter(Expr.ZERO).agrees(_generator(flow.epsilon))
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +230,22 @@ def ivp_oracle(
 
 def closed_form_at(values: Mapping[str, complex | np.ndarray], epsilon: float):
     """The rules of :func:`closed_form_flow` evaluated at parameter
-    ``epsilon`` on scalar states or on arrays that broadcast together."""
+    ``epsilon`` on scalar states or on arrays that broadcast together; a
+    state on the pole 1 - eps*f = 0 is an error."""
+    import numpy as np
     flow = closed_form_flow()
     assignment = {flow.epsilon: epsilon}
     assignment.update({JetCoordinate(n): values[n] for n in FLOW_VARIABLES})
-    return {n: flow.rules[n].eval_numeric(assignment) for n in FLOW_VARIABLES}
+    den = flow.den.eval_numeric(assignment)
+    if np.min(np.abs(den)) < POLE_TOLERANCE:
+        index = np.unravel_index(np.argmin(np.abs(den)), np.shape(den))
+        at = complex(np.asarray(values["f"])[index])
+        f_text = f"{at.real:g}" if at.imag == 0 else f"{at.real:g}{at.imag:+g}i"
+        raise PoleError(
+            f"flow pole on grid at index {tuple(int(i) for i in index)}: "
+            f"1 - epsilon*f = 0 at f = {f_text} (epsilon = {epsilon:g})"
+        )
+    return {n: flow.nums[n].eval_numeric(assignment) / den for n in FLOW_VARIABLES}
 
 
 # ---------------------------------------------------------------------------
@@ -292,21 +257,7 @@ def map_solution(fields: Mapping[str, np.ndarray], epsilon: float) -> dict[str, 
     """Pointwise application of the certified closed-form flow to gridded
     fields; a grid point on the common pole of its rules is an error."""
     import numpy as np
-    fields = {n: np.asarray(fields[n], dtype=complex) for n in FLOW_VARIABLES}
-    flow = closed_form_flow()
-    f = fields["f"]
-    den = np.asarray(
-        flow.rules["f"].den.eval_numeric({flow.epsilon: epsilon, JetCoordinate("f"): f})
-    )
-    if np.min(np.abs(den)) < POLE_TOLERANCE:
-        index = np.unravel_index(np.argmin(np.abs(den)), den.shape)
-        at = complex(f[index])
-        f_text = f"{at.real:g}" if at.imag == 0 else f"{at.real:g}{at.imag:+g}i"
-        raise PoleError(
-            f"flow pole on grid at index {tuple(int(i) for i in index)}: "
-            f"1 - epsilon*f = 0 at f = {f_text} (epsilon = {epsilon:g})"
-        )
-    return closed_form_at(fields, epsilon)
+    return closed_form_at({n: np.asarray(fields[n], dtype=complex) for n in FLOW_VARIABLES}, epsilon)
 
 
 # ---------------------------------------------------------------------------

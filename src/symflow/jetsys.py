@@ -377,7 +377,9 @@ def parse_manifest(text: str, name: str = "manifest") -> PdeSystem:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line in sections:
+        if line.startswith("["):
+            if line not in sections:
+                raise ManifestError(f"unknown section header '{line}'")
             current = line
             continue
         if current is None:
@@ -400,7 +402,10 @@ def parse_manifest(text: str, name: str = "manifest") -> PdeSystem:
         lhs, sep, rhs = line.partition("=")
         if not sep:
             raise ManifestError(f"bad solved line '{line}' (want 'JetCoord = expr')")
-        solved[_solved_key(lhs.strip(), vocabulary)] = parse(rhs.strip(), vocabulary)
+        key = _solved_key(lhs.strip(), vocabulary)
+        if key in solved:
+            raise ManifestError(f"solved key {key} is given twice, again in '{line}'")
+        solved[key] = parse(rhs.strip(), vocabulary)
     return PdeSystem(
         name=name,
         independents=independents,

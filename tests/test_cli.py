@@ -194,6 +194,26 @@ def test_unwritable_grid_output_exits_two(where, tmp_path, capsys):
     assert "cannot write" in _one_line_error(capsys, path)
 
 
+def test_grid_output_without_grid_is_a_usage_error(tmp_path, capsys):
+    # --out names where the moved grid goes; with no --grid there is none
+    out = tmp_path / "moved.grid"
+    with pytest.raises(SystemExit) as err:
+        run(["finite-transform", "--out", str(out)])
+    assert err.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if ": error: " in line]
+    assert len(errors) == 1 and "--out needs --grid" in errors[0]
+    assert not out.exists()
+
+
+def test_manifest_and_family_are_mutually_exclusive(tmp_path, capsys):
+    manifest = tmp_path / "sigma.txt"
+    manifest.write_text("[symmetry]\nsigma_u = phi^2\nsigma_v = psi^2\n")
+    err = _usage_error(
+        capsys, ["verify-symmetry", "--manifest", str(manifest), "--family", "coupled-5"]
+    )
+    assert "not allowed with" in err
+
+
 def test_unparsable_symmetry_line_exits_two(tmp_path, capsys):
     manifest = tmp_path / "sigma.txt"
     manifest.write_text("[symmetry]\nsigma_u = phi^^2\nsigma_v = psi^2\n")

@@ -1,4 +1,3 @@
-import math
 import random
 
 import numpy as np
@@ -8,8 +7,8 @@ from conftest import random_expr
 from symflow.expr import Expr, ExprError, JetCoordinate, Parameter, parse
 from symflow.grpflow import (
     FLOW_VARIABLES,
+    FlowMap,
     PoleError,
-    RationalExpr,
     closed_form_at,
     closed_form_flow,
     flow_group_law,
@@ -24,26 +23,31 @@ from symflow.grpflow import (
 
 
 # ---------------------------------------------------------------------------
-# rational layer
+# the one-denominator flow map
 # ---------------------------------------------------------------------------
+
+
+EPSILON = Parameter("epsilon")
 
 
 def test_rational_equality_by_cross_multiplication():
     f = parse("f")
     eps = parse("epsilon")
     one = Expr.ONE
-    lhs = RationalExpr(f * (one - eps * f), (one - eps * f) * (one - eps * f))
-    rhs = RationalExpr(f, one - eps * f)
-    assert lhs.equals(rhs)
-    assert not lhs.equals(RationalExpr(f, one + eps * f))
+    lhs = FlowMap(EPSILON, (one - eps * f) * (one - eps * f), {"f": f * (one - eps * f)})
+    assert lhs.agrees(FlowMap(EPSILON, one - eps * f, {"f": f})) == {"f": True}
+    assert lhs.agrees(FlowMap(EPSILON, one + eps * f, {"f": f})) == {"f": False}
 
 
 def test_rational_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
-        RationalExpr(parse("u"), Expr.ZERO)
+        FlowMap(EPSILON, Expr.ZERO, {"u": parse("u")})
+    # a denominator that vanishes only at a parameter value is refused there
+    with pytest.raises(ZeroDivisionError):
+        FlowMap(EPSILON, parse("epsilon"), {"u": parse("u")}).at_parameter(Expr.ZERO)
 
 
-COMPOSE_ATOMS = tuple(JetCoordinate(n) for n in FLOW_VARIABLES) + (Parameter("epsilon"),)
+COMPOSE_ATOMS = tuple(JetCoordinate(n) for n in FLOW_VARIABLES) + (EPSILON,)
 
 
 def _nonzero_polynomial(rng):
@@ -54,35 +58,44 @@ def _nonzero_polynomial(rng):
 
 
 def test_composition_matches_evaluation_at_the_images():
-    # Substituting quotients, then evaluating, must equal evaluating the
-    # polynomial at the evaluated quotients.  Denominators are equal up to
-    # sign (as in the sign variant), all different, or mixed with 1.
+    # Mapping polynomials through random numerators over one random shared
+    # denominator, then evaluating, must equal evaluating the polynomials at
+    # the evaluated quotients.  The image of 1 is the power of den that all
+    # the images share.
     rng = random.Random(31)
-    for case in range(30):
-        e = random_expr(rng, atoms=COMPOSE_ATOMS)
-        shared = _nonzero_polynomial(rng)
-        choices = (
-            [shared, -shared],
-            [_nonzero_polynomial(rng) for _ in range(3)],
-            [shared, -shared, _nonzero_polynomial(rng), Expr.ONE],
-        )[case % 3]
-        images = {
-            a: RationalExpr(random_expr(rng, terms=3, atoms=COMPOSE_ATOMS), rng.choice(choices))
-            for a in rng.sample(COMPOSE_ATOMS, rng.randint(1, 4))
-        }
-        composed = RationalExpr(e, Expr.ONE).substitute(images)
+    for _ in range(30):
+        exprs = [random_expr(rng, atoms=COMPOSE_ATOMS) for _ in range(2)]
+        mapped = rng.sample(FLOW_VARIABLES, rng.randint(1, 4))
+        flow = FlowMap(
+            EPSILON,
+            _nonzero_polynomial(rng),
+            {w: random_expr(rng, terms=3, atoms=COMPOSE_ATOMS) for w in mapped},
+        )
+        scale, *images = flow.image([Expr.ONE, *exprs])
         point = {a: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for a in COMPOSE_ATOMS}
         at_images = dict(point)
-        at_images.update({a: r.eval_numeric(point) for a, r in images.items()})
-        expected = e.eval_numeric(at_images)
-        assert composed.eval_numeric(point) == pytest.approx(expected, rel=1e-8, abs=1e-10)
+        den = flow.den.eval_numeric(point)
+        at_images.update({JetCoordinate(w): n.eval_numeric(point) / den for w, n in flow.nums.items()})
+        for e, image in zip(exprs, images):
+            expected = e.eval_numeric(at_images)
+            got = image.eval_numeric(point) / scale.eval_numeric(point)
+            assert got == pytest.approx(expected, rel=1e-8, abs=1e-10)
 
 
 def test_composition_rejects_a_negative_power_of_a_mapped_atom():
     # a monomial image could be inverted, so the check must be explicit
-    for image in (RationalExpr(parse("2*u"), Expr.ONE), closed_form_flow().rules["u"]):
+    for flow in (FlowMap(EPSILON, Expr.ONE, {"u": parse("2*u")}), closed_form_flow()):
         with pytest.raises(ExprError, match="negative power"):
-            RationalExpr(parse("phi/u"), Expr.ONE).substitute({JetCoordinate("u"): image})
+            flow.image([parse("phi/u")])
+
+
+def test_epsilon_derivative_keeps_one_squared_denominator():
+    # d/d(eps) f/(1 - eps f) = f^2/(1 - eps f)^2
+    flow = closed_form_flow()
+    derivative = flow.d_epsilon()
+    assert derivative.den == flow.den * flow.den
+    square = FlowMap(EPSILON, flow.den * flow.den, {"f": parse("f^2")})
+    assert square.agrees(derivative) == {"f": True}
 
 
 # ---------------------------------------------------------------------------
@@ -100,16 +113,15 @@ def test_flow_u_rule_definition():
     u, phi, f = parse("u"), parse("phi"), parse("f")
     eps = parse("epsilon")
     den = Expr.ONE - eps * f
-    rule = flow.rules["u"]
-    assert (rule.num * den - (u * den + eps * phi**2) * rule.den).is_zero()
+    assert (flow.nums["u"] * den - (u * den + eps * phi**2) * flow.den).is_zero()
 
 
 def test_quotient_form_agrees_with_offset_form():
     # (eps f u - eps phi^2 - u)/(eps f - 1) equals u + eps phi^2/(1 - eps f)
     u, phi, f = parse("u"), parse("phi"), parse("f")
     eps = parse("epsilon")
-    quotient = RationalExpr(eps * f * u - eps * phi**2 - u, eps * f - Expr.ONE)
-    assert quotient.equals(closed_form_flow().rules["u"])
+    quotient = FlowMap(EPSILON, eps * f - Expr.ONE, {"u": eps * f * u - eps * phi**2 - u})
+    assert quotient.agrees(closed_form_flow()) == {"u": True}
 
 
 def test_flow_satisfies_generating_odes():
@@ -123,10 +135,10 @@ def test_group_law_holds():
 def test_potential_group_law_identity():
     # f/(1-e1 f) pushed through the flow at e2 equals f/(1-(e1+e2) f)
     flow = closed_form_flow
-    composed = flow("c2").compose(flow("c1"))
+    composed = flow("c2").after(flow("c1"))
     f = parse("f")
-    target = RationalExpr(f, Expr.ONE - (parse("c1") + parse("c2")) * f)
-    assert composed["f"].equals(target)
+    target = FlowMap(Parameter("c2"), Expr.ONE - (parse("c1") + parse("c2")) * f, {"f": f})
+    assert target.agrees(composed) == {"f": True}
 
 
 def test_infinitesimal_term_is_the_generator():
@@ -139,17 +151,17 @@ def test_sign_variant_fails_ode_and_group_law():
     assert not odes["phi"] and not odes["psi"] and not odes["f"]
     law = flow_group_law(sign_variant_flow)
     assert not law["f"] and not law["phi"] and not law["psi"]
+    # u and v fail too: the composed denominator 1 - eps2*f sees the sign of f
+    assert not law["u"] and not law["v"]
 
 
 def test_variant_and_primary_differ_by_sign_on_eigenfunctions():
     good = closed_form_flow()
     variant = sign_variant_flow()
-    for name in ("phi", "psi", "f"):
-        difference = (
-            good.rules[name].num * variant.rules[name].den
-            + variant.rules[name].num * good.rules[name].den
-        )
-        assert difference.is_zero()
+    assert variant.den == good.den
+    for name in FLOW_VARIABLES:
+        sign = -1 if name in ("phi", "psi", "f") else 1
+        assert variant.nums[name] == sign * good.nums[name]
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +220,9 @@ def test_oracle_matches_closed_form_at_random_states():
 def test_pole_proximity_raises():
     with pytest.raises(PoleError):
         ivp_oracle({"u": 0, "v": 0, "phi": 0, "psi": 0, "f": 1.0}, 1.0, 100)
+    # the closed form refuses a state on the pole as well
+    with pytest.raises(PoleError, match="at f = 2"):
+        closed_form_at({"u": 0, "v": 0, "phi": 0, "psi": 0, "f": 2.0}, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,23 @@ def test_manifest_round_trip(prolonged, hirota):
         assert write_manifest(back) == text
 
 
+def test_manifest_repeated_solved_key_is_refused(hirota):
+    # a second Diff(u,t) line must not silently replace the first
+    text = write_manifest(hirota).replace(
+        "[solved]\n", "[solved]\nDiff(u,t) = 5*Diff(u,x)\nDiff(u,t) = alpha*Diff(u,x)\n"
+    )
+    with pytest.raises(ManifestError, match=r"given twice, again in 'Diff\(u,t\) = alpha\*Diff\(u,x\)'"):
+        parse_manifest(text)
+
+
+@pytest.mark.parametrize("section", ["[independents]", "[parameters]", "[solved]"])
+def test_manifest_unknown_section_header_is_refused(hirota, section):
+    # under [parameters] it would otherwise become a parameter named '[bogus]'
+    text = write_manifest(hirota).replace(f"{section}\n", f"{section}\n[bogus]\n")
+    with pytest.raises(ManifestError, match=r"unknown section header '\[bogus\]'"):
+        parse_manifest(text)
+
+
 @pytest.mark.parametrize("key", ["2*Diff(u,t)", "Diff(u,t)^2", "Diff(u,t) + u", "alpha", "Exp(u)"])
 def test_manifest_solved_key_must_be_a_bare_jet(hirota, key):
     text = write_manifest(hirota).replace("Diff(u,t) =", f"{key} =")
