@@ -29,6 +29,7 @@ from .jetsys import (
     builtin_prolonged,
     consistent_point,
     cross_derivative_residuals,
+    lax_pair,
     parse_manifest,
     write_manifest,
 )

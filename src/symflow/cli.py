@@ -440,9 +440,16 @@ def finite_float(text: str) -> float:
     return value
 
 
+def nonempty_path(text: str) -> str:
+    """argparse type of a file path: nonempty, never read as flag-not-given."""
+    if not text:
+        raise argparse.ArgumentTypeError("must be a nonempty path")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", metavar="PATH", help="write a JSON report")
+    common.add_argument("--json", type=nonempty_path, metavar="PATH", help="write a JSON report")
     common.add_argument("--seed", type=int, default=7, help="seed for randomized checks")
     common.add_argument(
         "--numeric-points", type=positive_int, default=10,
@@ -463,13 +470,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check characteristics and families")
     picked = p.add_mutually_exclusive_group()
     picked.add_argument("--family", choices=[*_SYMMETRIES, "prolonged-6-flipped"])
-    picked.add_argument("--manifest", help="file with a [symmetry] section of sigma_<dep> lines")
+    picked.add_argument("--manifest", type=nonempty_path,
+                        help="file with a [symmetry] section of sigma_<dep> lines")
 
     p = sub.add_parser("finite-transform", parents=[common],
                        help="closed-form flow checks and grid mapping")
     p.add_argument("--epsilon", type=finite_float, default=numcheck.DEFAULT_EPSILON)
-    p.add_argument("--grid", help="grid file to transform")
-    p.add_argument("--out", help="where to write the transformed grid (needs --grid)")
+    p.add_argument("--grid", type=nonempty_path, help="grid file to transform")
+    p.add_argument("--out", type=nonempty_path,
+                   help="where to write the transformed grid (needs --grid)")
 
     p = sub.add_parser("optimal-system", parents=[common],
                        help="structure table and subalgebra classification")
@@ -479,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conservation", parents=[common],
                        help="conserved vectors and divergence checks")
     p.add_argument("--generator", choices=list(_GENERATOR_NAMES) + ["family", "flux-pair", "all"])
-    p.add_argument("--diagnose-transcription", metavar="PATH",
+    p.add_argument("--diagnose-transcription", type=nonempty_path, metavar="PATH",
                    help="compare a T1/T2 transcription file against the computed family vector")
 
     p = sub.add_parser("corpus", parents=[common],

@@ -705,7 +705,7 @@ class Expr:
                         v = np.exp(a.argument.eval_numeric(assignment))
                     else:
                         raise EvaluationError(f"no value assigned for atom '{a}'")
-                value = value * v**n
+                value = value * v if n == 1 else value * v**n
             total = total + value
         return total
 

@@ -1,10 +1,14 @@
 """Evolution PDE systems with solved forms and on-shell reduction.
 
-Ships the built-in corpus: the coupled Hirota system, its linear
-spectral problem (x- and t-equations for the eigenfunction pair), and
-the potential variable f with f_x = phi*psi.  Reduction rewrites an
-expression modulo the solved forms and their prolongations, so that no
-eliminable jet coordinate remains.
+Ships the built-in corpus.  Two statements are typed: the coupled
+Hirota equations, and their Lax pair U = [[-I*lambda, u], [v, I*lambda]],
+V = [[A, B], [C, -A]].  The prolonged system's auxiliary solved forms
+are derived from the pair: for M = [[a, b], [c, -a]], U along x and V
+along t, (phi, psi)_d = M (phi, psi) and the potential f has
+f_d = I*a_lambda*phi*psi + (I/2)*b_lambda*psi^2 - (I/2)*c_lambda*phi^2,
+with _lambda the partial derivative in lambda (so f_x = phi*psi).
+Reduction rewrites an expression modulo the solved forms and their
+prolongations, so that no eliminable jet coordinate remains.
 """
 
 from __future__ import annotations
@@ -17,11 +21,13 @@ from typing import Iterable, Mapping
 
 from .expr import (
     Atom,
-    DEFAULT_VOCABULARY,
     Expr,
     ExprError,
     JetCoordinate,
+    Parameter,
     Vocabulary,
+    jet,
+    param,
     parse,
     to_text,
 )
@@ -174,41 +180,32 @@ class PdeSystem:
 # built-in corpus
 # ---------------------------------------------------------------------------
 
-LAX_ENTRY_A = (
-    "-4*beta*I*lambda^3 - 2*alpha*I*lambda^2 - 2*beta*I*u*v*lambda"
-    " - alpha*I*u*v + beta*(v*Diff(u,x) - u*Diff(v,x))"
-)
-LAX_ENTRY_B = (
-    "4*beta*u*lambda^2 + (2*beta*I*Diff(u,x) + 2*alpha*u)*lambda"
-    " + alpha*I*Diff(u,x) - beta*(Diff(u,x,x) - 2*u^2*v)"
-)
-LAX_ENTRY_C = (
-    "4*beta*v*lambda^2 - (2*beta*I*Diff(v,x) - 2*alpha*v)*lambda"
-    " - alpha*I*Diff(v,x) - beta*(Diff(v,x,x) - 2*v^2*u)"
-)
-
 _EVOLUTION_EQUATIONS = (
     "I*Diff(u,t) + alpha*(Diff(u,x,x) - 2*u^2*v) + I*beta*(Diff(u,x,x,x) - 6*u*v*Diff(u,x))",
     "I*Diff(v,t) - alpha*(Diff(v,x,x) - 2*v^2*u) + I*beta*(Diff(v,x,x,x) - 6*u*v*Diff(v,x))",
 )
 
-POTENTIAL_T_RHS = (
-    "-beta*phi^2*Diff(v,x) + 12*beta*lambda^2*phi*psi + 4*lambda*alpha*phi*psi"
-    " - beta*psi^2*Diff(u,x) + 2*beta*phi*psi*u*v + 4*I*lambda*beta*psi^2*u"
-    " - 4*I*lambda*beta*phi^2*v + I*alpha*psi^2*u - I*alpha*phi^2*v"
-)
-
-_LINEAR_SOLVED = {
-    "Diff(phi,x)": "-I*lambda*phi + u*psi",
-    "Diff(psi,x)": "v*phi + I*lambda*psi",
-    "Diff(phi,t)": f"({LAX_ENTRY_A})*phi + ({LAX_ENTRY_B})*psi",
-    "Diff(psi,t)": f"({LAX_ENTRY_C})*phi - ({LAX_ENTRY_A})*psi",
-    "Diff(f,x)": "phi*psi",
-    "Diff(f,t)": POTENTIAL_T_RHS,
-}
+Matrix = tuple[tuple[Expr, Expr], tuple[Expr, Expr]]  # a tuple of two rows
 
 
-def _solved_key(text: str, vocabulary: Vocabulary = DEFAULT_VOCABULARY) -> JetCoordinate:
+@cache
+def lax_pair() -> tuple[Matrix, Matrix]:
+    """The Lax pair (U, V) of the Hirota system: (phi, psi)_x = U (phi, psi)
+    and (phi, psi)_t = V (phi, psi), with U = [[-I*lambda, u], [v, I*lambda]]
+    and V = [[A, B], [C, -A]].  Their zero curvature is the system."""
+    a, b, c = (parse(text) for text in (
+        "-4*beta*I*lambda^3 - 2*alpha*I*lambda^2 - 2*beta*I*u*v*lambda"
+        " - alpha*I*u*v + beta*(v*Diff(u,x) - u*Diff(v,x))",
+        "4*beta*u*lambda^2 + (2*beta*I*Diff(u,x) + 2*alpha*u)*lambda"
+        " + alpha*I*Diff(u,x) - beta*(Diff(u,x,x) - 2*u^2*v)",
+        "4*beta*v*lambda^2 - (2*beta*I*Diff(v,x) - 2*alpha*v)*lambda"
+        " - alpha*I*Diff(v,x) - beta*(Diff(v,x,x) - 2*v^2*u)",
+    ))
+    i_lambda = Expr.I * param("lambda")
+    return ((-i_lambda, jet("u")), (jet("v"), i_lambda)), ((a, b), (c, -a))
+
+
+def _solved_key(text: str, vocabulary: Vocabulary) -> JetCoordinate:
     """The jet a solved form isolates: ``text`` must be one bare jet."""
     e = parse(text, vocabulary)
     atoms = list(e.atoms())
@@ -246,19 +243,24 @@ def builtin_hirota() -> PdeSystem:
 
 @cache
 def builtin_prolonged() -> PdeSystem:
-    """hirota extended with the eigenfunction pair and the potential f.
-
-    The eight equations are the two evolution equations followed by each
-    auxiliary solved form in leading-derivative-minus-rhs orientation.
-    """
+    """hirota extended with the eigenfunction pair and the potential f, their
+    solved forms derived from ``lax_pair()`` as the module docstring states.
+    The equations are hirota's two, then phi_x, psi_x, phi_t, psi_t, f_x and
+    f_t in leading-derivative-minus-rhs orientation (multipliers m1..m8)."""
     base = builtin_hirota()
     solved = dict(base.solved_forms)
+    lam = Parameter("lambda")
+    phi, psi = jet("phi"), jet("psi")
+    pair = tuple(zip("xt", lax_pair()))
+    for d, matrix in pair:
+        for name, (left, right) in zip(("phi", "psi"), matrix):
+            solved[JetCoordinate(name, (d,))] = left * phi + right * psi
+    for d, ((a, b), (c, _)) in pair:
+        solved[JetCoordinate("f", (d,))] = Expr.I * (
+            a.diff(lam) * phi * psi + (b.diff(lam) * psi**2 - c.diff(lam) * phi**2) / 2
+        )
     equations = list(base.equations)
-    for key_text, rhs_text in _LINEAR_SOLVED.items():
-        key = _solved_key(key_text)
-        rhs = parse(rhs_text)
-        solved[key] = rhs
-        equations.append(Expr.atom(key) - rhs)
+    equations += [Expr.atom(k) - rhs for k, rhs in solved.items() if k not in base.solved_forms]
     return PdeSystem(
         name="prolonged",
         independents=("t", "x"),

@@ -35,7 +35,7 @@ from .expr import (
     parse,
 )
 from .grpflow import map_solution
-from .jetsys import SolvedFormClosure, builtin_prolonged
+from .jetsys import SolvedFormClosure, builtin_hirota, builtin_prolonged
 
 if TYPE_CHECKING:
     import numpy as np
@@ -151,51 +151,36 @@ def make_vacuum_grid(
 # finite-difference residuals
 # ---------------------------------------------------------------------------
 
+# jet index -> its second-order centred difference on the interior points
+# (t-rows 1..nt-2, x-columns 2..nx-3, inside the width-5 stencil of w_xxx)
+_CENTRED_DIFFERENCES = {
+    (): lambda w, dx, dt: w[1:-1, 2:-2],
+    ("t",): lambda w, dx, dt: ((w[2:, :] - w[:-2, :]) / (2 * dt))[:, 2:-2],
+    ("x",): lambda w, dx, dt: ((w[:, 2:] - w[:, :-2]) / (2 * dx))[1:-1, 1:-1],
+    ("x", "x"): lambda w, dx, dt: ((w[:, 2:] - 2 * w[:, 1:-1] + w[:, :-2]) / dx**2)[1:-1, 1:-1],
+    ("x", "x", "x"): lambda w, dx, dt: (
+        (w[:, 4:] - 2 * w[:, 3:-1] + 2 * w[:, 1:-3] - w[:, :-4]) / (2 * dx**3)
+    )[1:-1, :],
+}
+
 
 def pde_residual(grid: Grid, which: str = "u") -> float:
-    """Max interior residual of one evolution equation under second-order
-    central differences (third x-derivative uses the width-5 stencil)."""
+    """Max interior residual of the u or the v equation of ``builtin_hirota``,
+    each jet it reads replaced by its centred difference."""
     import numpy as np
     if grid.nx < 7 or grid.nt < 7:
         raise ValueError("grid too small for the residual stencils (need >= 7)")
     if which not in ("u", "v"):
         raise ValueError("which must be 'u' or 'v'")
-    u = grid.fields["u"]
-    v = grid.fields["v"]
-    w = u if which == "u" else v
-    dx, dt = grid.dx, grid.dt
-
-    # interior points: t-rows 1..nt-2, x-columns 2..nx-3 (width-5 stencil)
-    w_t = ((w[2:, :] - w[:-2, :]) / (2 * dt))[:, 2:-2]
-    w_x = ((w[:, 2:] - w[:, :-2]) / (2 * dx))[1:-1, 1:-1]
-    w_xx = ((w[:, 2:] - 2 * w[:, 1:-1] + w[:, :-2]) / dx**2)[1:-1, 1:-1]
-    w_xxx = (
-        (w[:, 4:] - 2 * w[:, 3:-1] + 2 * w[:, 1:-3] - w[:, :-4]) / (2 * dx**3)
-    )[1:-1, :]
-
-    core = np.s_[1:-1, 2:-2]
-    u_c = u[core]
-    v_c = v[core]
-    w_c = w[core]
-
-    missing = [p for p in ("alpha", "beta") if p not in grid.params]
+    system = builtin_hirota()
+    missing = [p for p in system.parameters if p not in grid.params]
     if missing:
         raise ValueError(f"grid lacks the parameter(s) {', '.join(missing)}")
-    alpha = grid.params["alpha"]
-    beta = grid.params["beta"]
-    if which == "u":
-        residual = (
-            1j * w_t
-            + alpha * (w_xx - 2 * w_c**2 * v_c)
-            + 1j * beta * (w_xxx - 6 * u_c * v_c * w_x)
-        )
-    else:
-        residual = (
-            1j * w_t
-            - alpha * (w_xx - 2 * w_c**2 * u_c)
-            + 1j * beta * (w_xxx - 6 * u_c * v_c * w_x)
-        )
-    return float(np.max(np.abs(residual)))
+    equation = system.equations["uv".index(which)]
+    env = {Parameter(p): grid.params[p] for p in system.parameters}
+    for a in equation.jet_atoms():
+        env[a] = _CENTRED_DIFFERENCES[a.index](grid.fields[a.name], grid.dx, grid.dt)
+    return float(np.max(np.abs(equation.eval_numeric(env))))
 
 
 def transformed_residual_orders(

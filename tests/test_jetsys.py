@@ -7,8 +7,6 @@ from symflow.expr import (
     Expr, ExprError, ExpFactor, JetCoordinate, Parameter, exp_of, jet, parse, to_text,
 )
 from symflow.jetsys import (
-    LAX_ENTRY_A,
-    LAX_ENTRY_B,
     ManifestError,
     ReductionError,
     SolvedFormClosure,
@@ -16,6 +14,7 @@ from symflow.jetsys import (
     builtin_prolonged,
     consistent_point,
     cross_derivative_residuals,
+    lax_pair,
     parse_manifest,
     solve_for,
     write_manifest,
@@ -51,15 +50,43 @@ def test_solve_for_needs_a_nonzero_constant_coefficient(equation):
 
 
 def test_linear_problem_entry_b_vanishes_on_zero_field(prolonged):
-    b = parse(LAX_ENTRY_B)
+    (_, b), _ = lax_pair()[1]
     zeros = {a: Expr.ZERO for a in b.jet_atoms() if a.name == "u"}
     assert b.substitute(zeros).is_zero()
 
 
 def test_linear_problem_entry_a_at_zero_spectral_parameter():
-    a = parse(LAX_ENTRY_A)
+    (a, _), _ = lax_pair()[1]
     at_zero = a.substitute({Parameter("lambda"): Expr.ZERO})
     assert at_zero == parse("-alpha*I*u*v + beta*(v*Diff(u,x) - u*Diff(v,x))")
+
+
+def _zero_curvature(u_matrix, v_matrix):
+    """U_t - V_x + [U, V], with no jet reduced: u_t and v_t stay free."""
+    return tuple(
+        tuple(
+            u_matrix[i][j].total_derivative("t") - v_matrix[i][j].total_derivative("x")
+            + sum((u_matrix[i][k] * v_matrix[k][j] - v_matrix[i][k] * u_matrix[k][j]
+                   for k in range(2)), Expr.ZERO)
+            for j in range(2)
+        )
+        for i in range(2)
+    )
+
+
+def test_zero_curvature_of_the_lax_pair_is_the_system(hirota):
+    # the converse of flatness: U_t - V_x + [U, V] = 0 states exactly F0 = F1 = 0
+    f0, f1 = hirota.equations
+    assert _zero_curvature(*lax_pair()) == ((Expr.ZERO, -Expr.I * f0), (-Expr.I * f1, Expr.ZERO))
+
+
+def test_zero_curvature_breaks_when_a_term_of_b_is_doubled(hirota):
+    u_matrix, ((a, b), (c, minus_a)) = lax_pair()
+    f0, f1 = hirota.equations
+    expected = ((Expr.ZERO, -Expr.I * f0), (-Expr.I * f1, Expr.ZERO))
+    for term in b.items():
+        v_matrix = ((a, b + Expr([term])), (c, minus_a))
+        assert _zero_curvature(u_matrix, v_matrix) != expected, term
 
 
 def test_potential_rule_self_consistency(prolonged):
