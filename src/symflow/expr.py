@@ -134,7 +134,8 @@ class ComplexRational:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value equals, so hashes as, the int or Fraction it is
+        return hash((self.re, self.im)) if self.b else hash(self.re)
 
     def key(self):
         """``(re.numerator, re.denominator, im.numerator, im.denominator)``."""
@@ -604,7 +605,8 @@ class Expr:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self.sort_key())
+            # a constant equals, so hashes as, its value
+            self._hash = hash(self.constant_value() if self.is_constant() else self.sort_key())
         return self._hash
 
     def __bool__(self):

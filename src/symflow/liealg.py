@@ -8,6 +8,11 @@ brackets live on the first three: [g1,g2] = g2, [g1,g3] = -g3,
 [g2,g3] = -2 g1 (a real sl(2)); g4, g5, g6 are central.  The basis is
 the one statement of that algebra: the six-constant family, the
 localized symmetry g2 and the coordinate names are all read from here.
+
+The classification is exact and builds no ``Expr``: the rational adjoint
+map sums its Krylov series in integer numerators over one denominator,
+and the trace form of a rational triple is :meth:`StructureTable.killing`
+on Gaussian-integer coordinates, divided by the squared denominator once.
 """
 
 from __future__ import annotations
@@ -19,9 +24,11 @@ import random
 from collections import defaultdict
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
+from math import factorial, lcm
 from typing import Mapping, Sequence
 
 from .expr import (
+    CR_ZERO,
     Atom,
     ComplexRational,
     Expr,
@@ -391,45 +398,72 @@ class OptimalSystemReport:
         return all(r.verified for r in self.records)
 
 
-def _killing_on_span(table: StructureTable, triple: Sequence[Fraction]) -> Fraction:
-    coords = [ComplexRational(a) for a in triple] + [ComplexRational(0)] * (
-        len(table.basis) - 3
-    )
+def _cleared(triple: Sequence) -> tuple[list[int], int]:
+    """Integer numerators of a rational triple over q, the lcm of its
+    denominators."""
+    q = lcm(*(a.denominator for a in triple))
+    return [a.numerator * (q // a.denominator) for a in triple], q
+
+
+def _trace_form(table: StructureTable, nums: Sequence[int], den: int) -> Fraction:
+    """tr(ad_a ad_a) for a = (nums / den) in span{g1,g2,g3}: the trace form
+    on the Gaussian-integer coordinates nums, divided by den^2 once."""
+    coords = [ComplexRational(n) for n in nums] + [CR_ZERO] * (len(table.basis) - 3)
     value = table.killing(coords, coords)
-    if value.im != 0:
+    if value.b:
         raise ExprError("Killing value of a real triple must be real")
-    return Fraction(value.re)
+    return Fraction(value.a, value.d * den * den)
+
+
+def _killing_on_span(table: StructureTable, triple: Sequence[Fraction]) -> Fraction:
+    return _trace_form(table, *_cleared(triple))
 
 
 def _sign(value: Fraction) -> int:
     return (value > 0) - (value < 0)
 
 
-def _apply_adjoint_rational(
-    table: StructureTable, generator: int, eps: Fraction, triple
-) -> tuple[Fraction, Fraction, Fraction]:
-    """Exact action of Ad(exp(eps*g)) on span{g1,g2,g3}: the Krylov series
-    sum over k of (-eps)^k/k! ad_g^k w in ``Fraction`` coordinates, rational
-    only when it terminates.  The symbolic :func:`adjoint` is its reference."""
-    total = [Fraction(0)] * len(table.basis)
-    term, weight = {j: Fraction(a) for j, a in enumerate(triple) if a}, Fraction(1)
-    for order in range(ADJOINT_MAX_TERMS + 1):
-        image = defaultdict(Fraction)
-        for j, w in term.items():
-            total[j] += weight * w
-            for k, c in table.constants.get((generator, j), {}).items():
-                if c.im != 0:
+def _adjoint_numerators(
+    table: StructureTable, generator: int, eps: Fraction, nums: Sequence[int], den: int
+) -> tuple[list[int], int]:
+    """Exact action of Ad(exp(eps*g)) on the element (nums / den) of
+    span{g1,g2,g3}, as integer numerators over one denominator: the Krylov
+    series sum over k of (-eps)^k/k! ad_g^k w, rational only when it
+    terminates.  The symbolic :func:`adjoint` is its reference.
+
+    With L the lcm of the denominators of g's structure constants, the
+    vectors V_k = (L ad_g)^k nums are integer, and with eps = p/r and K the
+    last nonzero order the series is the sum of (-p)^k (rL)^(K-k) (K!/k!) V_k
+    over the one denominator (rL)^K K! den.
+    """
+    rows = [table.constants.get((generator, j), {}) for j in range(len(table.basis))]
+    clear = lcm(*(c.d for row in rows for c in row.values()))
+    term = {j: n for j, n in enumerate(nums) if n}
+    krylov = []
+    for _ in range(ADJOINT_MAX_TERMS + 1):
+        krylov.append(term)
+        image = defaultdict(int)
+        for j, n in term.items():
+            for k, c in rows[j].items():
+                if c.b:
                     raise ExprError("rational normalization met a complex structure constant")
-                image[k] += w * c.re
-        term = {k: w for k, w in image.items() if w}
+                image[k] += n * c.a * (clear // c.d)
+        term = {k: n for k, n in image.items() if n}
         if not term:
             break
-        weight = -weight * eps / (order + 1)
     else:
         raise ExprError(f"adjoint series of {table.labels[generator]} is not rational in epsilon")
+    p, r = eps.numerator, eps.denominator * clear
+    weight = r ** (len(krylov) - 1) * factorial(len(krylov) - 1)
+    den *= weight
+    total = [0] * len(table.basis)
+    for order, term in enumerate(krylov):
+        for j, n in term.items():
+            total[j] += weight * n
+        weight = weight * -p // (r * (order + 1))
     if any(total[3:]):
         raise ExprError("normalization left the g1,g2,g3 span")
-    return tuple(total[:3])
+    return total[:3], den
 
 
 #: the normal forms in decision order: the slot of span{g1,g2,g3} a triple
@@ -460,23 +494,26 @@ def normalize_triple(
     a = tuple(Fraction(x) for x in triple)
     if not any(a):
         raise ExprError("cannot normalize the zero element")
-    killing = _killing_on_span(table, a)
+    nums, den = _cleared(a)
+    killing = _trace_form(table, nums, den)
     for slot, representative in NORMAL_FORMS:
         if a[slot]:
             break
     eps = 0
     for k, c in table.constants.get((2, slot), {}).items():  # [g3, g_slot] = c g_k
-        eps = a[k] / (a[slot] * c.re)
+        eps = Fraction(nums[k], nums[slot] * c.re)
     maps = [(3, eps)] if eps != 0 else []
-    current = _apply_adjoint_rational(table, 2, eps, a) if maps else a
-    scale = 1 / current[slot]
-    final = tuple(scale * c for c in current)
+    if maps:
+        nums, den = _adjoint_numerators(table, 2, eps, nums, den)
+    pivot = nums[slot]
+    scale = Fraction(den, pivot)
+    final = tuple(Fraction(n, pivot) for n in nums)
     expected = [int(k == slot) for k in range(3)]
     alpha = None
     if slot == 1:  # the family's g3 slot is free: that is alpha
         alpha = expected[2] = final[2]
     case = f"a{slot + 1} nonzero" + (" (alpha = 0 boundary)" if alpha == 0 else "")
-    killing_final = _killing_on_span(table, final)
+    killing_final = _trace_form(table, nums, pivot)
     verified = final == tuple(expected) and killing_final == killing * scale**2
     return NormalizationRecord(
         triple=a,

@@ -25,6 +25,7 @@ from .expr import (
     ExprError,
     JetCoordinate,
     Parameter,
+    _acc_products,
     _cr,
     _mono_mul,
     monomial_key,
@@ -369,39 +370,50 @@ class DeterminingSystem:
     residuals: list[Expr] = field(default_factory=list)
 
     def is_linear_homogeneous(self) -> bool:
-        for _, _, constraint in self.constraints:
-            for mono, _coeff in constraint.items():
-                degree = 0
-                for a, n in mono:
-                    if type(a) is UnknownFunction:
-                        degree += n
-                if degree != 1:
-                    return False
-        return True
+        return all(
+            _unknown_degree(mono) == 1
+            for _, _, constraint in self.constraints
+            for mono, _coeff in constraint.items()
+        )
 
-    def substitution_for(self, solution: Mapping[str, Expr]) -> dict:
-        """Map every unknown-function atom to the matching derivative of a
-        concrete solution expression, each formed from its prefix's."""
+    def verify_solution(self, sys: PdeSystem, solution: Mapping[str, Expr]) -> bool:
+        """Whether every constraint vanishes on ``solution`` (unknown-function
+        name to expression).
+
+        An unknown function sorts after every other atom but an Exp factor,
+        so a term linear in the unknowns is c*m*U with U its last factor;
+        ``ExprError`` is raised for any other term.  Each term reads the
+        derivative of the solution that U stands for, formed on first use
+        from its prefix's, and a term whose derivative is 0 is skipped."""
         derivative = _by_prefix(
             solution.__getitem__,
             lambda prefix, _name, index: prefix.diff(coordinate_atom(index[-1])),
         )
-        mapping = {}
         for _, _, constraint in self.constraints:
-            for a in constraint.atoms():
-                if type(a) is UnknownFunction and a not in mapping:
-                    mapping[a] = derivative(a.name, a.index)
-        return mapping
+            acc: dict = {}
+            for mono, coeff in constraint.items():
+                unknown, power = mono[-1] if mono else (None, 0)
+                if type(unknown) is not UnknownFunction or power != 1 or (
+                    len(mono) > 1 and type(mono[-2][0]) is UnknownFunction
+                ):
+                    raise ExprError("determining constraints are not linear in the unknowns")
+                value = derivative(unknown.name, unknown.index)
+                if value.is_zero():
+                    continue
+                _acc_products(acc, ((mono[:-1], coeff),), value.items())
+            if any(c.a or c.b for c in acc.values()):
+                return False
+        return True
 
-    def verify_solution(self, sys: PdeSystem, solution: Mapping[str, Expr]) -> bool:
-        mapping = self.substitution_for(solution)
-        return all(c.substitute(mapping).is_zero() for _, _, c in self.constraints)
+
+def _unknown_degree(mono: tuple) -> int:
+    return sum(n for a, n in mono if type(a) is UnknownFunction)
 
 
 def _split_by_derivative_monomials(residual: Expr) -> dict[tuple, Expr]:
     """Group the terms by their proper-derivative jet factors.  A monomial
     is its key's factors merged with the rest, so each term lands alone and
-    no coefficients add."""
+    no coefficients add.  A term not linear in the unknowns is refused."""
     groups: dict[tuple, dict] = {}
     for mono, coeff in residual.items():
         key, rest = [], []
@@ -411,6 +423,8 @@ def _split_by_derivative_monomials(residual: Expr) -> dict[tuple, Expr]:
                 key.append(item)
             else:
                 rest.append(item)
+        if _unknown_degree(rest) != 1:
+            raise ExprError("determining constraints are not linear in the unknowns")
         groups.setdefault(tuple(key), {})[tuple(rest)] = coeff
     return {key: Expr(bucket) for key, bucket in groups.items()}
 
@@ -466,6 +480,7 @@ def generate_determining(sys: PdeSystem, ansatz: PointAnsatz) -> DeterminingSyst
     Splitting is by exact monomials in the proper-derivative jets that
     survive reduction (the unknowns depend only on order-zero coordinates,
     so those monomials are functionally independent of the coefficients).
+    A term not linear homogeneous in the unknowns raises ExprError.
     """
     for name in ansatz.args:
         if name not in sys.independents and name not in sys.dependent_names:
@@ -513,10 +528,7 @@ def generate_determining(sys: PdeSystem, ansatz: PointAnsatz) -> DeterminingSyst
         split = _split_by_derivative_monomials(residual)
         for key in sorted(split, key=monomial_key):
             constraints.append((eq_index, key, split[key]))
-    system = DeterminingSystem(ansatz=ansatz, constraints=constraints, residuals=residuals)
-    if not system.is_linear_homogeneous():
-        raise ExprError("determining constraints are not linear in the unknowns")
-    return system
+    return DeterminingSystem(ansatz=ansatz, constraints=constraints, residuals=residuals)
 
 
 def family_as_solution(family: PointFamily, ansatz: PointAnsatz) -> dict[str, Expr]:

@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from symflow.expr import Expr, IndependentVariable, JetCoordinate, Parameter, exp_of
+from symflow.expr import (
+    ComplexRational, Expr, IndependentVariable, JetCoordinate, Parameter, exp_of,
+)
+from symflow.liealg import StructureTable, _adjoint_numerators, _cleared, standard_generators
 
 
 ATOM_POOL = (
@@ -42,6 +45,27 @@ def random_expr(rng: random.Random, terms: int = 4, max_power: int = 2,
             term = term * exp_of(arg)
         total = total + term
     return total
+
+
+def hand_table(n, brackets):
+    """A structure table from its nonzero brackets {(i, j): {k: c}}, i < j,
+    constants ints, ``Fraction`` or ``ComplexRational``; only the basis
+    size is read from ``basis``."""
+    return StructureTable(
+        basis=standard_generators()[:n],
+        labels=tuple(f"g{i + 1}" for i in range(n)),
+        brackets={
+            pair: {k: ComplexRational(1) * c for k, c in row.items()}
+            for pair, row in brackets.items()
+        },
+    )
+
+
+def apply_adjoint_rational(table, generator, eps, triple):
+    """Ad(exp(eps*g)) on span{g1,g2,g3} in ``Fraction`` coordinates: the
+    engine's integer numerators, each over their one denominator."""
+    nums, den = _adjoint_numerators(table, generator, eps, *_cleared(triple))
+    return tuple(Fraction(n, den) for n in nums)
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ import pytest
 
 from symflow.expr import (
     DEFAULT_VOCABULARY,
+    ComplexRational,
     EvaluationError,
     Expr,
     ExprError,
@@ -118,6 +119,24 @@ def test_zero_iff_no_monomials():
     assert Expr.ZERO.is_zero()
     assert not (jet("u") - jet("u"))
     assert (jet("u") * 0).is_zero()
+
+
+def test_values_that_compare_equal_hash_equal():
+    """A real coefficient is the int or Fraction it equals, and a constant
+    expression is its value: each pair is one element of a set."""
+    half = Fraction(1, 2)
+    for x, y in (
+        (ComplexRational(3), 3),
+        (ComplexRational(half), half),
+        (ComplexRational(0), 0),
+        (Expr.ONE, 1),
+        (Expr.ZERO, 0),
+        (Expr.from_scalar(half), half),
+        (Expr.from_scalar(half), ComplexRational(half)),
+        (Expr.I, ComplexRational(0, 1)),
+        (parse("2 - 3*I/4"), ComplexRational(2, Fraction(-3, 4))),
+    ):
+        assert x == y and hash(x) == hash(y) and len({x, y}) == 1
 
 
 def test_rebuild_from_shuffled_terms_on_random_expressions():

@@ -8,7 +8,9 @@ and its one-denominator fields against their canonical form,
 against strings drawn from its own grammar.  Atoms are interned, so equal
 constructions must give one object.  The rational adjoint map of the
 subalgebra classification is checked against the symbolic adjoint series,
-and the sparse trace form against the dense sum over all Gram entries.
+also on a table with non-integer constants, the sparse trace form against
+the dense sum over all Gram entries, also on rational triples, and the
+normalisation of a triple against its closed form.
 Symmetry verification from cached per-monomial pieces is checked against
 reducing ``frechet``, and ``frechet`` against D_J formed afresh per jet.
 Expressions summed in any order must be equal and print, hash and
@@ -45,14 +47,16 @@ from symflow.expr import (  # noqa: E402
 )
 from symflow.liealg import (  # noqa: E402
     COORDINATES,
-    _apply_adjoint_rational,
+    _killing_on_span,
     adjoint,
     commutator,
     express_in_basis,
+    normalize_triple,
     standard_generators,
     structure_table,
 )
 from symflow.linsym import UnknownFunction  # noqa: E402
+from conftest import apply_adjoint_rational, hand_table  # noqa: E402
 
 settings.register_profile(
     "kernel", derandomize=True, database=None, deadline=None, max_examples=100
@@ -479,7 +483,7 @@ def test_coefficient_inverse_and_powers(a, n):
 def test_coefficient_equality_hash_and_key(a, b):
     ra, rb = parts(a), parts(b)
     assert (a == b) == (ra == rb)
-    assert hash(a) == hash(ra)
+    assert hash(a) == (hash(ra) if ra[1] else hash(ra[0]))
     assert a.key() == (ra[0].numerator, ra[0].denominator, ra[1].numerator, ra[1].denominator)
     assert ComplexRational(*ra) == a and hash(ComplexRational(*ra)) == hash(a)
 
@@ -684,16 +688,36 @@ def test_rational_adjoint_matches_the_symbolic_series(table, generator, triple, 
     coords = [Expr.from_scalar(a) for a in triple] + [Expr.ZERO] * 3
     series = adjoint(table, generator, coords, epsilon)
     expected = [c.substitute({epsilon: Expr.from_scalar(eps)}) for c in series]
-    image = _apply_adjoint_rational(table, generator, eps, triple)
+    image = apply_adjoint_rational(table, generator, eps, triple)
     assert all(type(a) is Fraction for a in image)
     assert expected == [Expr.from_scalar(a) for a in image] + [Expr.ZERO] * 3
+
+
+#: a nilpotent algebra whose constants are not integers: ad_g4 walks
+#: g1 -> g2 -> g3 with denominators 3 and 4, and [g1, g2] = (7/5) g3
+NON_INTEGER_BRACKETS = {
+    (0, 1): {2: Fraction(7, 5)},
+    (0, 3): {1: Fraction(-2, 3)},
+    (1, 3): {2: Fraction(-5, 4)},
+}
+
+
+@given(st.integers(0, 3), triples, rationals)
+def test_rational_adjoint_keeps_non_integer_constants_exact(generator, triple, eps):
+    table = hand_table(4, NON_INTEGER_BRACKETS)
+    epsilon = Parameter("epsilon")
+    coords = [Expr.from_scalar(a) for a in triple] + [Expr.ZERO]
+    series = adjoint(table, generator, coords, epsilon)
+    expected = [c.substitute({epsilon: Expr.from_scalar(eps)}) for c in series]
+    image = apply_adjoint_rational(table, generator, eps, triple)
+    assert expected == [Expr.from_scalar(a) for a in image] + [Expr.ZERO]
 
 
 @given(triples.filter(lambda t: t[1] != 0 or t[2] != 0), rationals.filter(bool))
 def test_rational_adjoint_of_g1_is_refused(table, triple, eps):
     """Ad(exp(eps*g1)) scales g2 and g3 by exp(-/+eps), irrational at eps != 0."""
     with pytest.raises(ExprError, match="not rational in epsilon"):
-        _apply_adjoint_rational(table, 0, eps, triple)
+        apply_adjoint_rational(table, 0, eps, triple)
 
 
 @pytest.fixture(scope="module")
@@ -728,6 +752,47 @@ def test_sparse_trace_form_matches_dense_sum(table, dense_gram, a, b):
     value = table.killing(a, b)
     assert isinstance(value, Expr)
     assert value == dense_killing(dense_gram, a, b)
+
+
+fractions_with_denominators = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 30))
+
+
+@given(st.tuples(*[fractions_with_denominators] * 3))
+def test_trace_form_of_a_rational_triple_matches_dense_sum(table, dense_gram, triple):
+    coords = [ComplexRational(a) for a in triple] + [ComplexRational(0)] * 3
+    value = _killing_on_span(table, triple)
+    assert type(value) is Fraction
+    assert dense_killing(dense_gram, coords, coords) == value
+
+
+@st.composite
+def alpha_zero_triples(draw):
+    """a2 != 0 and K = 2 a1^2 - 8 a2 a3 = 0: the family's alpha = 0 boundary."""
+    a1, a2 = draw(rationals), draw(rationals.filter(bool))
+    return (a1, a2, Fraction(a1) ** 2 / (4 * a2))
+
+
+@given(st.one_of(triples.filter(any), alpha_zero_triples()))
+def test_normalization_matches_the_closed_form(table, triple):
+    """The representative, alpha, scale, map and trace-form sign of
+    a1 g1 + a2 g2 + a3 g3, from K = 2 a1^2 - 8 a2 a3 alone."""
+    a1, a2, a3 = (Fraction(a) for a in triple)
+    killing = 2 * a1**2 - 8 * a2 * a3
+    if a2:
+        want = ("g2 + alpha*g3", -killing / (8 * a2**2), 1 / a2, a1 / (2 * a2))
+    elif a1:
+        want = ("g1", None, 1 / a1, a3 / a1)
+    else:
+        want = ("g3", None, 1 / a3, 0)
+    record = normalize_triple(table, triple)
+    assert (record.representative, record.alpha, record.scale) == want[:3]
+    assert record.maps == ([(3, want[3])] if want[3] else [])
+    assert record.killing_sign == (killing > 0) - (killing < 0)
+    assert record.verified
+    assert record.case.endswith("(alpha = 0 boundary)") == (want[1] == 0)
+    exact = [*record.triple, record.scale] + [eps for _, eps in record.maps]
+    assert all(type(x) is Fraction for x in exact)
+    assert record.alpha is None or type(record.alpha) is Fraction
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from symflow.expr import ComplexRational, Expr, ExprError, Parameter, jet, param
 from symflow.liealg import (
     StructureTable,
     VectorField,
-    _apply_adjoint_rational,
     _check_jacobi,
     adjoint,
     commutator,
@@ -23,7 +22,7 @@ from symflow.liealg import (
     vector_field,
     verify_optimal_system,
 )
-from conftest import random_expr
+from conftest import apply_adjoint_rational, hand_table, random_expr
 
 
 @pytest.fixture(scope="module")
@@ -131,20 +130,6 @@ def test_bracket_bilinearity_and_antisymmetry_on_random_fields():
         assert lhs == swap.scaled(Expr.from_scalar(-1))
 
 
-def hand_table(n, brackets):
-    """A structure table from its nonzero brackets {(i, j): {k: c}}, i < j,
-    constants ints or ``ComplexRational``; only the basis size is read
-    from ``basis``."""
-    return StructureTable(
-        basis=standard_generators()[:n],
-        labels=tuple(f"g{i + 1}" for i in range(n)),
-        brackets={
-            pair: {k: ComplexRational(1) * c for k, c in row.items()}
-            for pair, row in brackets.items()
-        },
-    )
-
-
 def test_jacobi_failure_names_its_triple():
     # [e1,e2] = e2 and [e2,e3] = e3 with e0 central: the cyclic sum on
     # (1,2,3) is [e2,e3] = e3, every triple holding e0 sums to 0
@@ -215,7 +200,7 @@ def test_adjoint_series_error_on_rotational_action():
 ])
 def test_rational_adjoint_refuses_what_is_not_a_rational_map(brackets, n, match):
     with pytest.raises(ExprError, match=match):
-        _apply_adjoint_rational(hand_table(n, brackets), 0, Fraction(1, 2), (0, 1, 0))
+        apply_adjoint_rational(hand_table(n, brackets), 0, Fraction(1, 2), (0, 1, 0))
 
 
 def test_adjoint_is_an_algebra_automorphism(table):

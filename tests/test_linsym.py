@@ -16,11 +16,14 @@ from symflow.expr import (
     parse,
 )
 from symflow.jetsys import PdeSystem, parse_manifest, write_manifest
+from symflow.liealg import coordinate_atom
 from symflow.linsym import (
+    DeterminingSystem,
     PointAnsatz,
     PointFamily,
     UnknownFunction,
     _closed_by_construction,
+    _split_by_derivative_monomials,
     coupled_ansatz,
     coupled_family,
     evolutionary_from_point,
@@ -376,6 +379,80 @@ def test_flipped_family_fails_prolonged_determining(prolonged, prolonged_determi
         prolonged_family(flip_psi_eta=True), prolonged_ansatz()
     )
     assert not prolonged_determining.verify_solution(prolonged, solution)
+
+
+def substitution_verdicts(determining, solution) -> list[bool]:
+    """Whether each constraint vanishes after every unknown-function atom in
+    it is replaced by the matching derivative of the solution, each formed
+    afresh from the solution expression."""
+    mapping = {}
+    for _, _, constraint in determining.constraints:
+        for a in constraint.atoms():
+            if type(a) is UnknownFunction and a not in mapping:
+                value = solution[a.name]
+                for d in a.index:
+                    value = value.diff(coordinate_atom(d))
+                mapping[a] = value
+    return [c.substitute(mapping).is_zero() for _, _, c in determining.constraints]
+
+
+def one_constraint_verdicts(prolonged, determining, solution) -> list[bool]:
+    return [
+        dataclasses.replace(determining, constraints=[c]).verify_solution(prolonged, solution)
+        for c in determining.constraints
+    ]
+
+
+@pytest.mark.parametrize("name", ["coupled", "prolonged"])
+def test_solution_check_matches_substitution_per_constraint(
+    prolonged, coupled_determining, prolonged_determining, name
+):
+    """The family, the zero solution, and the family with one unknown
+    replaced by a random polynomial in the ansatz arguments (so some
+    constraints hold and some fail), constraint by constraint."""
+    determining = {"coupled": coupled_determining, "prolonged": prolonged_determining}[name]
+    ansatz = determining.ansatz
+    family = coupled_family() if name == "coupled" else prolonged_family()
+    solution = family_as_solution(family, ansatz)
+    atoms = tuple(coordinate_atom(a) for a in ansatz.args) + (Parameter("alpha"),)
+    rng = random.Random(name)
+    solutions = [solution, dict.fromkeys(solution, Expr.ZERO)]
+    for unknown in solution:
+        solutions.append({**solution, unknown: random_expr(rng, atoms=atoms)})
+    mixed = 0
+    for candidate in solutions:
+        want = substitution_verdicts(determining, candidate)
+        assert one_constraint_verdicts(prolonged, determining, candidate) == want
+        assert determining.verify_solution(prolonged, candidate) == all(want)
+        mixed += len(set(want)) == 2
+    assert mixed == len(solution)
+
+
+@pytest.mark.parametrize("term", ["U^2", "U*V", "x*u", "3", "U*X[x]"])
+def test_non_linear_determining_system_is_refused(prolonged, term):
+    args = prolonged_ansatz().args
+    unknowns = {
+        "U": UnknownFunction("U", args),
+        "V": UnknownFunction("V", args),
+        "X[x]": UnknownFunction("X", args, ("x",)),
+    }
+    factors = {
+        "U^2": Expr.atom(unknowns["U"]) ** 2,
+        "U*V": Expr.atom(unknowns["U"]) * Expr.atom(unknowns["V"]),
+        "x*u": parse("x*u"),
+        "3": Expr.from_scalar(3),
+        "U*X[x]": Expr.atom(unknowns["U"]) * Expr.atom(unknowns["X[x]"]),
+    }
+    linear = Expr.atom(unknowns["V"]) * parse("phi")
+    constraint = linear + factors[term]
+    system = DeterminingSystem(prolonged_ansatz(), [(0, (), constraint)])
+    assert not system.is_linear_homogeneous()
+    solution = dict.fromkeys(["X", "T", "U", "V", "P", "Q", "F"], parse("u"))
+    with pytest.raises(ExprError, match="not linear in the unknowns"):
+        system.verify_solution(prolonged, solution)
+    residual = constraint * jet("u", "x")
+    with pytest.raises(ExprError, match="not linear in the unknowns"):
+        _split_by_derivative_monomials(residual)
 
 
 # Constraint count and digest of each ansatz in a fresh interpreter.
