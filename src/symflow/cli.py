@@ -39,9 +39,9 @@ class InputError(Exception):
 
 @contextlib.contextmanager
 def _reading(path: str):
-    """Turn a missing, unreadable or malformed input file into an InputError."""
+    """The text of an input file; a missing, unreadable or malformed one is an InputError."""
     try:
-        yield
+        yield Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise InputError(f"cannot read {path}: {err.strerror}") from err
     except KeyError as err:
@@ -188,8 +188,7 @@ def _potential_density(s, _key):
 
 def _manifest_symmetry(s, _key):
     system = jetsys.builtin_prolonged()
-    with _reading(s.args.manifest):
-        text = Path(s.args.manifest).read_text(encoding="utf-8")
+    with _reading(s.args.manifest) as text:
         sigma = linsym.parse_symmetry_manifest(text, system)
     return _residual_summary(linsym.verify_symmetry(system, sigma).residuals)
 
@@ -227,8 +226,8 @@ def _seed_residual_orders(s, _key):
 
 def _grid(s, _key):
     args = s.args
-    with _reading(args.grid):
-        grid = numcheck.read_grid(Path(args.grid).read_text(encoding="utf-8"))
+    with _reading(args.grid) as text:
+        grid = numcheck.read_grid(text)
         moved = dataclasses.replace(grid, fields=grpflow.map_solution(grid.fields, args.epsilon))
         residual = max(numcheck.pde_residual(moved, which) for which in ("u", "v"))
     notes = []
@@ -279,9 +278,8 @@ def _divergence(s, generator):
 
 
 def _transcription(s, _key):
-    path = s.args.diagnose_transcription
-    with _reading(path):
-        residuals = conslaw.transcription_residual(Path(path).read_text(encoding="utf-8"))
+    with _reading(s.args.diagnose_transcription) as text:
+        residuals = conslaw.transcription_residual(text)
     return [
         (f"transcription-{key}", "matches" if r.is_zero() else f"differs: {to_text(r)[:80]}")
         for key, r in residuals.items()

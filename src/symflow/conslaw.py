@@ -16,15 +16,18 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .expr import (
+    DEFAULT_VOCABULARY,
     Expr,
     ExprError,
     JetCoordinate,
-    parse,
 )
 from .jetsys import (
+    ManifestError,
     SolvedFormClosure,
     builtin_prolonged,
     consistent_assignment,
+    numbered_lines,
+    read_entries,
     solve_for,
 )
 from .liealg import COORDINATES, family_vector_field
@@ -231,20 +234,9 @@ def transcription_residual(text: str) -> dict[str, Expr]:
     grammar (constants c1..c6 allowed).  Mismatches are reported, never
     fatal: transcriptions of long printed expressions are best-effort.
     """
-    entries: dict[str, Expr] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, rhs = line.partition("=")
-        key = key.strip()
-        if not sep or key not in ("T1", "T2"):
-            raise ExprError(f"transcription line must be 'T1 = ...' or 'T2 = ...': {line}")
-        if key in entries:
-            raise ExprError(f"transcription gives {key} twice")
-        entries[key] = parse(rhs.strip())
+    entries = read_entries(numbered_lines(text), {"T1": "T1", "T2": "T2"}.get, DEFAULT_VOCABULARY)
     if set(entries) != {"T1", "T2"}:
-        raise ExprError("transcription needs both T1 and T2")
+        raise ManifestError("transcription needs both T1 and T2")
     ours = conserved_vector(family_vector_field().coeffs)
     closure = combined_closure()
     return {

@@ -13,11 +13,12 @@ prolongations, so that no eliminable jet coordinate remains.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 from collections import Counter
 from functools import cache, cached_property
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .expr import (
     Atom,
@@ -159,12 +160,17 @@ class PdeSystem:
         return Vocabulary(self.independents, self.dependent_names, self.parameters)
 
     def _check_well_formed(self):
+        orders = dict(self.dependents)
+        jets = [(f"equation {i}", a) for i, e in enumerate(self.equations) for a in e.jet_atoms()]
         for key, rhs in self.solved_forms.items():
+            jets.append(("a solved key", key))
             for a in rhs.jet_atoms():
                 if self.closure.base_key(a) is not None:
-                    raise ExprError(
-                        f"solved form for {key} is not resolved: rhs contains {a}"
-                    )
+                    raise ExprError(f"solved form for {key} is not resolved: rhs contains {a}")
+                jets.append((f"the solved form for {key}", a))
+        for where, a in jets:
+            if len(a.index) > orders.get(a.name, -1):
+                raise ExprError(f"{a} in {where} is above the declared order {orders.get(a.name)}")
         for i, equation in enumerate(self.equations):
             if not self.reduce(equation).is_zero():
                 raise ExprError(f"equation {i} does not vanish on its solved forms")
@@ -351,68 +357,92 @@ def consistent_point(
 
 
 # ---------------------------------------------------------------------------
-# manifest format
+# input files: one line reader, and the manifest format
 # ---------------------------------------------------------------------------
 
-_SECTIONS = ("[independents]", "[dependents]", "[parameters]", "[equations]", "[solved]")
+MANIFEST_SECTIONS = ("[independents]", "[dependents]", "[parameters]", "[equations]", "[solved]")
+Line = tuple[int, str]  # a line's number and its stripped text
+
+
+def numbered_lines(text: str) -> list[Line]:
+    """The stripped lines of ``text`` with their numbers, blank lines and
+    ``#`` comments dropped."""
+    lines = ((number, raw.strip()) for number, raw in enumerate(text.splitlines(), start=1))
+    return [(number, line) for number, line in lines if line and not line.startswith("#")]
+
+
+@contextlib.contextmanager
+def at_line(number: int):
+    """Prefix an error raised inside with its line (an ExprError as a ManifestError)."""
+    try:
+        yield
+    except ExprError as err:
+        raise ManifestError(f"line {number}: {err}") from err
+    except ValueError as err:
+        raise ValueError(f"line {number}: {err}") from err
+
+
+def split_sections(text: str, headers: Iterable[str]) -> dict[str, list[Line]]:
+    """The numbered lines under each of ``headers``; another header, or
+    content before the first one, is refused."""
+    sections: dict[str, list[Line]] = {header: [] for header in headers}
+    current = None
+    for number, line in numbered_lines(text):
+        with at_line(number):
+            if line.startswith("["):
+                if line not in sections:
+                    raise ManifestError(f"unknown section header '{line}'")
+                current = sections[line]
+            elif current is None:
+                raise ManifestError(f"content before any section header: '{line}'")
+            else:
+                current.append((number, line))
+    return sections
+
+
+def read_entries(lines: Iterable[Line], key: Callable, vocabulary: Vocabulary) -> dict:
+    """``lhs = expression`` lines as {key(lhs): expression}; ``key`` returns
+    None for an unknown lhs, and each key may appear once."""
+    entries = {}
+    for number, line in lines:
+        lhs, sep, rhs = (part.strip() for part in line.partition("="))
+        with at_line(number):
+            k = key(lhs) if sep else None
+            if k is None:
+                raise ManifestError(f"bad line '{line}' (want 'key = expression' with a known key)")
+            if k in entries:
+                raise ManifestError(f"{lhs} is given twice, again in '{line}'")
+            entries[k] = parse(rhs, vocabulary)
+    return entries
 
 
 def write_manifest(sys: PdeSystem) -> str:
-    lines = ["[independents]"]
-    lines.extend(sys.independents)
-    lines.append("[dependents]")
-    lines.extend(f"{name} {order}" for name, order in sys.dependents)
-    lines.append("[parameters]")
-    lines.extend(sys.parameters)
-    lines.append("[equations]")
-    lines.extend(to_text(e) for e in sys.equations)
-    lines.append("[solved]")
-    for key in sorted(sys.solved_forms, key=lambda k: k.sort_key()):
-        lines.append(f"{key} = {to_text(sys.solved_forms[key])}")
+    solved = sorted(sys.solved_forms.items(), key=lambda item: item[0].sort_key())
+    sections = (
+        sys.independents,
+        [f"{name} {order}" for name, order in sys.dependents],
+        sys.parameters,
+        [to_text(e) for e in sys.equations],
+        [f"{key} = {to_text(rhs)}" for key, rhs in solved],
+    )
+    lines = [line for header, body in zip(MANIFEST_SECTIONS, sections) for line in (header, *body)]
     return "\n".join(lines) + "\n"
 
 
 def parse_manifest(text: str, name: str = "manifest") -> PdeSystem:
-    sections: dict[str, list[str]] = {s: [] for s in _SECTIONS}
-    current: str | None = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("["):
-            if line not in sections:
-                raise ManifestError(f"unknown section header '{line}'")
-            current = line
-            continue
-        if current is None:
-            raise ManifestError(f"content before any section header: '{line}'")
-        sections[current].append(line)
-
-    independents = tuple(sections["[independents]"])
+    sections = split_sections(text, MANIFEST_SECTIONS)
+    independents = tuple(line for _, line in sections["[independents]"])
     dependents = []
-    for line in sections["[dependents]"]:
+    for number, line in sections["[dependents]"]:
         fields = line.split()
         if len(fields) != 2 or not fields[1].isdigit():
-            raise ManifestError(f"bad dependent line '{line}' (want 'name order')")
+            raise ManifestError(f"line {number}: bad dependent line '{line}' (want 'name order')")
         dependents.append((fields[0], int(fields[1])))
-    parameters = tuple(sections["[parameters]"])
+    parameters = tuple(line for _, line in sections["[parameters]"])
     vocabulary = Vocabulary(independents, tuple(n for n, _ in dependents), parameters)
-
-    equations = [parse(line, vocabulary) for line in sections["[equations]"]]
-    solved = {}
-    for line in sections["[solved]"]:
-        lhs, sep, rhs = line.partition("=")
-        if not sep:
-            raise ManifestError(f"bad solved line '{line}' (want 'JetCoord = expr')")
-        key = _solved_key(lhs.strip(), vocabulary)
-        if key in solved:
-            raise ManifestError(f"solved key {key} is given twice, again in '{line}'")
-        solved[key] = parse(rhs.strip(), vocabulary)
-    return PdeSystem(
-        name=name,
-        independents=independents,
-        dependents=dependents,
-        parameters=parameters,
-        equations=equations,
-        solved_forms=solved,
-    )
+    equations = []
+    for number, line in sections["[equations]"]:
+        with at_line(number):
+            equations.append(parse(line, vocabulary))
+    solved = read_entries(sections["[solved]"], lambda k: _solved_key(k, vocabulary), vocabulary)
+    return PdeSystem(name, independents, dependents, parameters, equations, solved)

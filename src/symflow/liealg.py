@@ -487,9 +487,9 @@ def normalize_triple(
     * a2 == 0, a1 != 0: eps = a3/a1 kills the g3 slot, landing on g1;
     * otherwise [g3, g3] = 0, no map: the element already is a multiple of g3.
 
-    ``verified`` checks that the exact representative is reached and that
-    the trace form is kept up to ``scale**2``.  ``maps`` holds at most one
-    map by construction, so it is a record, not part of the check.
+    ``verified`` checks that the exact representative is reached, and that
+    the trace form is kept up to ``scale**2`` and ``killing_sign`` with it.
+    ``maps`` holds at most one map by construction, so it is a record.
     """
     a = tuple(Fraction(x) for x in triple)
     if not any(a):
@@ -514,14 +514,16 @@ def normalize_triple(
         alpha = expected[2] = final[2]
     case = f"a{slot + 1} nonzero" + (" (alpha = 0 boundary)" if alpha == 0 else "")
     killing_final = _trace_form(table, nums, pivot)
-    verified = final == tuple(expected) and killing_final == killing * scale**2
+    sign = _sign(killing)
+    kept = killing_final == killing * scale**2 and sign == _sign(killing_final)
+    verified = final == tuple(expected) and kept
     return NormalizationRecord(
         triple=a,
         maps=maps,
         scale=scale,
         representative=representative,
         alpha=alpha,
-        killing_sign=_sign(killing),
+        killing_sign=sign,
         verified=verified,
         case=case,
     )

@@ -31,7 +31,13 @@ from .expr import (
     monomial_key,
     parse,
 )
-from .jetsys import PdeSystem
+from .jetsys import (
+    MANIFEST_SECTIONS,
+    ManifestError,
+    PdeSystem,
+    read_entries,
+    split_sections,
+)
 from .liealg import (
     COORDINATES, FAMILY_CONSTANTS, coordinate_atom, family_vector_field, localized_generator,
 )
@@ -299,32 +305,12 @@ def localized_characteristic() -> dict[str, Expr]:
 def parse_symmetry_manifest(text: str, system: PdeSystem) -> dict[str, Expr]:
     """The ``[symmetry]`` section of a manifest, one ``sigma_<dep> = expr``
     line per dependent of ``system``, in its vocabulary plus the family
-    constants c1..c6; other sections are skipped."""
-    vocabulary = system.vocabulary.with_parameters(*FAMILY_CONSTANTS)
-    components = {}
-    in_section = False
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("["):
-            in_section = line == "[symmetry]"
-            continue
-        if not in_section:
-            continue
-        key, sep, rhs = line.partition("=")
-        key = key.strip()
-        if not sep or not key.startswith("sigma_"):
-            raise ValueError(f"bad symmetry line '{line}' (want 'sigma_<dep> = expr')")
-        name = key[len("sigma_"):]
-        if name not in system.dependent_names:
-            raise ValueError(f"'{key}' names no dependent of the {system.name} system")
-        if name in components:
-            raise ValueError(f"'{key}' is given twice")
-        components[name] = parse(rhs.strip(), vocabulary)
-    if not components:
-        raise ValueError("manifest has no [symmetry] section")
-    return components
+    constants c1..c6; the system-manifest sections are skipped."""
+    lines = split_sections(text, (*MANIFEST_SECTIONS, "[symmetry]"))["[symmetry]"]
+    if not lines:
+        raise ManifestError("manifest has no [symmetry] section")
+    keys = {f"sigma_{name}": name for name in system.dependent_names}
+    return read_entries(lines, keys.get, system.vocabulary.with_parameters(*FAMILY_CONSTANTS))
 
 
 # ---------------------------------------------------------------------------

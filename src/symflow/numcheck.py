@@ -35,7 +35,7 @@ from .expr import (
     parse,
 )
 from .grpflow import map_solution
-from .jetsys import SolvedFormClosure, builtin_hirota, builtin_prolonged
+from .jetsys import SolvedFormClosure, at_line, builtin_hirota, builtin_prolonged, numbered_lines
 
 if TYPE_CHECKING:
     import numpy as np
@@ -249,19 +249,17 @@ def read_grid(text: str) -> Grid:
     be finite, each header parameter and each field appear once, and each
     row hold nx values; a violation names its line."""
     import numpy as np
-    lines = [
-        (number, line)
-        for number, line in enumerate(text.splitlines(), start=1)
-        if line.strip()
-    ]
+    lines = numbered_lines(text)
     if not lines or not lines[0][1].startswith("grid "):
         raise ValueError("grid file must start with a 'grid' header")
     number, line = lines[0]
     header = line.split()
-    try:
+    with at_line(number):
         if len(header) < 7:
             raise ValueError("want 'grid nx nt x0 dx t0 dt [name=value ...]'")
         nx, nt = int(header[1]), int(header[2])
+        if nx < 1 or nt < 1:
+            raise ValueError(f"nx and nt must be positive, got {nx} and {nt}")
         x0, dx, t0, dt = (float(h) for h in header[3:7])
         if not all(map(math.isfinite, (x0, dx, t0, dt))):
             raise ValueError(f"non-finite number in '{' '.join(header[3:7])}'")
@@ -273,32 +271,25 @@ def read_grid(text: str) -> Grid:
             if name in params:
                 raise ValueError(f"parameter '{name}' appears twice")
             params[name] = _parse_complex(value)
-    except ValueError as err:
-        raise ValueError(f"line {number}: {err}") from err
     fields = {}
-    k = 1
-    while k < len(lines):
+    for k in range(1, len(lines), 1 + nt):
         number, line = lines[k]
-        words = line.split()
-        if len(words) != 2 or words[0] != "field":
-            raise ValueError(f"line {number}: expected 'field <name>'")
-        name = words[1]
-        if name in fields:
-            raise ValueError(f"line {number}: field '{name}' appears twice")
         rows = lines[k + 1 : k + 1 + nt]
-        if len(rows) < nt:
-            raise ValueError(f"line {number}: field '{name}' has {len(rows)} of its {nt} rows")
+        with at_line(number):
+            words = line.split()
+            if len(words) != 2 or words[0] != "field":
+                raise ValueError("expected 'field <name>'")
+            name = words[1]
+            if name in fields:
+                raise ValueError(f"field '{name}' appears twice")
+            if len(rows) < nt:
+                raise ValueError(f"field '{name}' has {len(rows)} of its {nt} rows")
         values = []
-        for row_number, row in rows:
+        for number, row in rows:
             items = row.split(",")
-            if len(items) != nx:
-                raise ValueError(
-                    f"line {row_number}: field '{name}' row has {len(items)} values, want {nx}"
-                )
-            try:
+            with at_line(number):
+                if len(items) != nx:
+                    raise ValueError(f"field '{name}' row has {len(items)} values, want {nx}")
                 values.append([_parse_complex(v) for v in items])
-            except ValueError as err:
-                raise ValueError(f"line {row_number}: {err}") from err
         fields[name] = np.array(values, dtype=complex)
-        k += 1 + nt
     return Grid(x0=x0, dx=dx, nx=nx, t0=t0, dt=dt, nt=nt, fields=fields, params=params)

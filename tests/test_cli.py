@@ -261,12 +261,27 @@ def test_symmetry_manifest_bad_key_exits_two(extra, tmp_path, capsys):
     assert extra.split(" =")[0] in _one_line_error(capsys, manifest)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("sigma_u = nonsense here\n" + LOCALIZED_MANIFEST,
+     "line 1: content before any section header: 'sigma_u = nonsense here'"),
+    (LOCALIZED_MANIFEST.replace("sigma_v", "[symetry]\nsigma_v"),
+     "line 3: unknown section header '[symetry]'"),
+], ids=["before-header", "misspelled-header"])
+def test_symmetry_manifest_stray_line_exits_two(text, message, tmp_path, capsys):
+    # each used to be dropped silently, and the check then failed on a
+    # missing component instead of naming the line
+    manifest = tmp_path / "sigma.txt"
+    manifest.write_text(text)
+    assert run(["verify-symmetry", "--manifest", str(manifest)]) == 2
+    assert message in _one_line_error(capsys, manifest)
+
+
 def test_repeated_transcription_key_exits_two(tmp_path, capsys):
     path = tmp_path / "t.txt"
     path.write_text("T1 = u\nT2 = v\nT1 = v\n")
     assert run(["conservation", "--generator", "g1", "--numeric-points", "1",
                 "--diagnose-transcription", str(path)]) == 2
-    assert "T1 twice" in _one_line_error(capsys, path)
+    assert "line 3: T1 is given twice" in _one_line_error(capsys, path)
 
 
 def test_truncated_grid_exits_two(tmp_path, capsys):

@@ -8,6 +8,7 @@ from symflow.expr import (
 )
 from symflow.jetsys import (
     ManifestError,
+    PdeSystem,
     ReductionError,
     SolvedFormClosure,
     builtin_hirota,
@@ -294,6 +295,29 @@ def test_manifest_unknown_section_header_is_refused(hirota, section):
     text = write_manifest(hirota).replace(f"{section}\n", f"{section}\n[bogus]\n")
     with pytest.raises(ManifestError, match=r"unknown section header '\[bogus\]'"):
         parse_manifest(text)
+
+
+@pytest.mark.parametrize("declared, message", [
+    ("u 1", r"^Diff\(u,x,x\) in equation 0 is above the declared order 1$"),
+    ("v 0", r"^Diff\(v,t\) in equation 1 is above the declared order 0$"),
+])
+def test_manifest_order_above_the_declared_one_is_refused(hirota, declared, message):
+    text = write_manifest(hirota).replace(f"{declared[0]} 3", declared)
+    with pytest.raises(ExprError, match=message):
+        parse_manifest(text)
+
+
+def test_solved_forms_above_the_declared_order_are_refused(hirota):
+    def system(dependents):
+        return PdeSystem("cut", hirota.independents, dependents, hirota.parameters,
+                         (), hirota.solved_forms)
+
+    with pytest.raises(ExprError, match=r"^Diff\(u,t\) in a solved key is above .* order 0$"):
+        system((("u", 0), ("v", 3)))
+    with pytest.raises(ExprError, match=r"^Diff\(u,x,x,x\) in the solved form for Diff\(u,t\) "
+                                        r"is above the declared order 2$"):
+        system((("u", 2), ("v", 3)))
+    assert system(hirota.dependents).dependents == hirota.dependents
 
 
 @pytest.mark.parametrize("key", ["2*Diff(u,t)", "Diff(u,t)^2", "Diff(u,t) + u", "alpha", "Exp(u)"])

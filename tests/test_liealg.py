@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+from symflow import liealg
+from symflow.cli import main
 from symflow.expr import ComplexRational, Expr, ExprError, Parameter, jet, param, parse
 from symflow.liealg import (
     StructureTable,
@@ -255,6 +257,37 @@ def test_normalization_never_reaches_the_kernel(table, monkeypatch):
     assert [len(r.maps) for r in records] == [1, 1, 0]
     assert all(r.verified for r in records)
     assert calls == Counter()
+
+
+@pytest.fixture
+def flipped_sign(monkeypatch):
+    """Make normalize_triple flip the first sign it takes in each call, the
+    sign of the sampled triple's trace form."""
+    real_sign, real_normalize = liealg._sign, liealg.normalize_triple
+
+    def normalize(table, triple):
+        signs = []
+
+        def sign(value):
+            signs.append(real_sign(value))
+            return -signs[-1] if len(signs) == 1 else signs[-1]
+
+        monkeypatch.setattr(liealg, "_sign", sign)
+        try:
+            return real_normalize(table, triple)
+        finally:
+            monkeypatch.setattr(liealg, "_sign", real_sign)
+
+    monkeypatch.setattr(liealg, "normalize_triple", normalize)
+
+
+def test_flipped_killing_sign_fails_verification(table, flipped_sign, capsys):
+    # (1, 2, 3) has trace form 2 - 48 = -46: its recorded sign is now +1
+    record = liealg.normalize_triple(table, (1, 2, 3))
+    assert record.killing_sign == 1
+    assert not record.verified
+    assert main(["optimal-system"]) == 1
+    assert "FAIL normalization-sample" in capsys.readouterr().out
 
 
 def test_killing_form_on_family(table):

@@ -283,6 +283,15 @@ def test_grid_file_rejects_a_repeated_header_parameter():
         read_grid(header + " alpha=7.0+0.0i\n" + rest)
 
 
+@pytest.mark.parametrize("nx, nt", [("9", "0"), ("9", "-1"), ("9", "-2"), ("0", "8")])
+def test_grid_file_rejects_a_size_below_one(nx, nt):
+    header, rest = _vacuum_text().split("\n", 1)
+    assert header.startswith("grid 9 8 ")
+    message = rf"^line 1: nx and nt must be positive, got {nx} and {nt}$"
+    with pytest.raises(ValueError, match=message):
+        read_grid(header.replace("grid 9 8 ", f"grid {nx} {nt} ", 1) + "\n" + rest)
+
+
 @pytest.mark.parametrize("change, count", [(-1, 8), (+1, 10)])
 def test_grid_file_rejects_a_row_of_the_wrong_length(change, count):
     lines = _vacuum_text().splitlines()
