@@ -103,8 +103,8 @@ class Session:
         self.args = args
 
     @cached_property
-    def flow(self) -> dict[str, grpflow.FlowCheck]:
-        return {c.name: c for c in grpflow.verify_flow_properties(seed=self.args.seed)}
+    def flow(self) -> dict[str, tuple[bool, str]]:
+        return grpflow.verify_flow_properties(seed=self.args.seed)
 
     @cached_property
     def optimal(self) -> liealg.OptimalSystemReport:
@@ -272,7 +272,7 @@ def _divergence(s, generator):
         else:
             vf = liealg.standard_generators()[_GENERATOR_NAMES.index(generator)]
         chk = conslaw.verify_divergence(
-            conslaw.conserved_vector(vf.coeffs), numeric_points=s.args.numeric_points
+            conslaw.conserved_vector(vf), numeric_points=s.args.numeric_points
         )
     return chk.holds, f"numeric max {chk.numeric_max:.2e}; {chk.nontrivial}", chk.numeric_max
 
@@ -289,7 +289,7 @@ def _transcription(s, _key):
 def _manifest_roundtrip(s, builtin):
     system = builtin()
     manifest = jetsys.write_manifest(system)
-    if not s.args.quiet_manifest:
+    if s.args.command == "corpus":  # `all` runs the round trip without printing
         print(f"# system {system.name}")
         print(manifest)
     back = jetsys.parse_manifest(manifest, name=system.name)
@@ -376,8 +376,7 @@ STEPS = (
     Step("verify-symmetry", "family-prolonged-6-flipped-rejected", _flipped_family_rejected,
          "prolonged-6-flipped", _by_family),
     *(
-        Step("finite-transform", name,
-             lambda s, key: (s.flow[key].ok, s.flow[key].detail, None), name)
+        Step("finite-transform", name, lambda s, key: (*s.flow[key], None), name)
         for name in (
             "flow-ode-consistency",
             "flow-group-law",
@@ -405,7 +404,7 @@ STEPS = (
          when=lambda args, key: args.json_structure),
     *(
         Step("conservation", f"divergence-{g}", _divergence, g,
-             lambda args, key: args.generator in (None, "all", key))
+             lambda args, key: args.generator in (None, key))
         for g in (*_GENERATOR_NAMES, "family", "flux-pair")
     ),
     Step("conservation", "transcription", _transcription,
@@ -446,10 +445,11 @@ def nonempty_path(text: str) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", type=nonempty_path, metavar="PATH", help="write a JSON report")
-    common.add_argument("--seed", type=int, default=7, help="seed for randomized checks")
-    common.add_argument(
+    # one parent parser per shared flag, given only to the subcommands that read it
+    report, seed, points = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    report.add_argument("--json", type=nonempty_path, metavar="PATH", help="write a JSON report")
+    seed.add_argument("--seed", type=int, default=7, help="seed for randomized checks")
+    points.add_argument(
         "--numeric-points", type=positive_int, default=10,
         help="consistent points per numeric divergence check",
     )
@@ -461,42 +461,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("zero-curvature", parents=[common],
+    sub.add_parser("zero-curvature", parents=[report, points],
                    help="compatibility of the linear problem")
 
-    p = sub.add_parser("verify-symmetry", parents=[common],
+    p = sub.add_parser("verify-symmetry", parents=[report],
                        help="check characteristics and families")
     picked = p.add_mutually_exclusive_group()
     picked.add_argument("--family", choices=[*_SYMMETRIES, "prolonged-6-flipped"])
     picked.add_argument("--manifest", type=nonempty_path,
                         help="file with a [symmetry] section of sigma_<dep> lines")
 
-    p = sub.add_parser("finite-transform", parents=[common],
+    p = sub.add_parser("finite-transform", parents=[report, seed],
                        help="closed-form flow checks and grid mapping")
     p.add_argument("--epsilon", type=finite_float, default=numcheck.DEFAULT_EPSILON)
     p.add_argument("--grid", type=nonempty_path, help="grid file to transform")
     p.add_argument("--out", type=nonempty_path,
                    help="where to write the transformed grid (needs --grid)")
 
-    p = sub.add_parser("optimal-system", parents=[common],
+    p = sub.add_parser("optimal-system", parents=[report, seed],
                        help="structure table and subalgebra classification")
     p.add_argument("--samples", type=positive_int, default=100)
     p.add_argument("--json-structure", action="store_true", help="print structure constants as JSON")
 
-    p = sub.add_parser("conservation", parents=[common],
+    p = sub.add_parser("conservation", parents=[report, points],
                        help="conserved vectors and divergence checks")
-    p.add_argument("--generator", choices=list(_GENERATOR_NAMES) + ["family", "flux-pair", "all"])
+    p.add_argument("--generator", choices=[*_GENERATOR_NAMES, "family", "flux-pair"])
     p.add_argument("--diagnose-transcription", type=nonempty_path, metavar="PATH",
                    help="compare a T1/T2 transcription file against the computed family vector")
 
-    p = sub.add_parser("corpus", parents=[common],
-                       help="emit the built-in system manifests")
-    p.add_argument("--quiet-manifest", action="store_true")
+    sub.add_parser("corpus", parents=[report], help="emit the built-in system manifests")
 
-    # `all` runs with every subcommand's defaults, but prints no manifests.
+    # `all` runs with every subcommand's defaults.
     defaults = {k: v for p in sub.choices.values() for k, v in vars(p.parse_args([])).items()}
-    p = sub.add_parser("all", parents=[common], help="run the full verification suite")
-    p.set_defaults(**{**defaults, "quiet_manifest": True})
+    p = sub.add_parser("all", parents=[report, seed, points], help="run the full verification suite")
+    p.set_defaults(**defaults)
     return parser
 
 

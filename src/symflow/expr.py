@@ -16,6 +16,7 @@ to evaluate an exponential factor, so symbolic work never loads it.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -793,7 +794,13 @@ def exp_of(argument: Expr) -> Expr:
 # vocabulary and parser
 # ---------------------------------------------------------------------------
 
+_IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 _RESERVED = {"I", "Diff", "Exp"}
+
+
+def declarable(name: str) -> bool:
+    """Whether an expression can name ``name``: an identifier, not reserved."""
+    return _IDENTIFIER.fullmatch(name) is not None and name not in _RESERVED
 
 
 @dataclass(frozen=True)
@@ -808,9 +815,9 @@ class Vocabulary:
         names = list(self.independents) + list(self.dependents) + list(self.parameters)
         if len(set(names)) != len(names):
             raise ValueError("vocabulary names must be distinct")
-        bad = _RESERVED.intersection(names)
+        bad = [name for name in names if not declarable(name)]
         if bad:
-            raise ValueError(f"reserved names cannot be declared: {sorted(bad)}")
+            raise ValueError(f"not identifiers, or reserved: {bad}")
 
     def classify(self, name: str) -> str | None:
         if name in self.independents:
@@ -854,12 +861,11 @@ class _Parser:
 
     def _ident(self) -> str:
         self._skip_ws()
-        start = self.pos
-        if self.pos >= len(self.text) or not self.text[self.pos].isalpha():
+        found = _IDENTIFIER.match(self.text, self.pos)
+        if found is None:
             raise ParseError("expected an identifier", self.pos)
-        while self.pos < len(self.text) and self.text[self.pos].isalnum():
-            self.pos += 1
-        return self.text[start : self.pos]
+        self.pos = found.end()
+        return found.group()
 
     # -- grammar ------------------------------------------------------------
     def parse(self) -> Expr:

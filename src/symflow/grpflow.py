@@ -129,10 +129,10 @@ class FlowMap:
 
 
 @functools.cache
-def closed_form_flow(parameter: str = "epsilon") -> FlowMap:
+def closed_form_flow() -> FlowMap:
     """The one statement of the finite flow of g2; every other use of the
     flow, symbolic or numeric, evaluates these rules."""
-    epsilon = Parameter(parameter)
+    epsilon = Parameter("epsilon")
     eps = Expr.atom(epsilon)
     den = Expr.ONE - eps * parse("f")
     nums = {
@@ -145,13 +145,13 @@ def closed_form_flow(parameter: str = "epsilon") -> FlowMap:
     return FlowMap(epsilon, den, nums)
 
 
-def sign_variant_flow(parameter: str = "epsilon") -> FlowMap:
+def sign_variant_flow() -> FlowMap:
     """The flow with denominator eps*f - 1 on phi, psi, f: their numerators
     negated over the same denominator, the u, v rules unchanged.
     Retained as a documented negative control: see
     :func:`verify_flow_properties`.
     """
-    good = closed_form_flow(parameter)
+    good = closed_form_flow()
     nums = {w: -n if w in ("phi", "psi", "f") else n for w, n in good.nums.items()}
     return FlowMap(good.epsilon, good.den, nums)
 
@@ -173,11 +173,11 @@ def flow_satisfies_odes(flow: FlowMap) -> dict[str, bool]:
     return flow.d_epsilon().agrees(_generator(flow.epsilon).after(flow))
 
 
-def flow_group_law(flow_factory=closed_form_flow) -> dict[str, bool]:
-    """flow(eps1) then flow(eps2) must equal flow(eps1 + eps2)."""
-    composed = flow_factory("c2").after(flow_factory("c1"))
-    total = flow_factory("c1").at_parameter(parse("c1 + c2"))
-    return composed.agrees(total)
+def flow_group_law(flow: FlowMap) -> dict[str, bool]:
+    """The map at c1, then the map at c2, must equal the map at c1 + c2."""
+    c1, c2 = parse("c1"), parse("c2")
+    composed = flow.at_parameter(c2).after(flow.at_parameter(c1))
+    return composed.agrees(flow.at_parameter(c1 + c2))
 
 
 def flow_identity_at_zero(flow: FlowMap) -> bool:
@@ -265,42 +265,28 @@ def map_solution(fields: Mapping[str, np.ndarray], epsilon: float) -> dict[str, 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlowCheck:
-    name: str
-    ok: bool
-    detail: str = ""
-
-
-def verify_flow_properties(seed: int = 11) -> list[FlowCheck]:
-    """ODE consistency, group law, oracle agreement, and the negative control."""
-    checks = []
+def verify_flow_properties(seed: int) -> dict[str, tuple[bool, str]]:
+    """ODE consistency, group law, oracle agreement, and the negative
+    control, as {check name: (ok, detail)} in report order."""
     flow = closed_form_flow()
-
     odes = flow_satisfies_odes(flow)
-    checks.append(
-        FlowCheck("flow-ode-consistency", all(odes.values()), str(odes))
-    )
-    law = flow_group_law(closed_form_flow)
-    checks.append(FlowCheck("flow-group-law", all(law.values()), str(law)))
-    checks.append(FlowCheck("flow-identity-at-zero", flow_identity_at_zero(flow)))
+    law = flow_group_law(flow)
     inf = flow_infinitesimal(flow)
-    checks.append(
-        FlowCheck("flow-infinitesimal-generator", all(inf.values()), str(inf))
-    )
+    checks = {
+        "flow-ode-consistency": (all(odes.values()), str(odes)),
+        "flow-group-law": (all(law.values()), str(law)),
+        "flow-identity-at-zero": (flow_identity_at_zero(flow), ""),
+        "flow-infinitesimal-generator": (all(inf.values()), str(inf)),
+    }
 
     variant_odes = flow_satisfies_odes(sign_variant_flow())
-    variant_law = flow_group_law(sign_variant_flow)
+    variant_law = flow_group_law(sign_variant_flow())
     uv_unaffected = variant_odes["u"] and variant_odes["v"]
     rest_fail = not any(variant_odes[n] for n in ("phi", "psi", "f")) and not any(
         variant_law[n] for n in ("phi", "psi", "f")
     )
-    checks.append(
-        FlowCheck(
-            "sign-variant-fails-group-law",
-            uv_unaffected and rest_fail,
-            f"odes={variant_odes} group-law={variant_law}",
-        )
+    checks["sign-variant-fails-group-law"] = (
+        uv_unaffected and rest_fail, f"odes={variant_odes} group-law={variant_law}"
     )
 
     rng = random.Random(seed)
@@ -318,11 +304,7 @@ def verify_flow_properties(seed: int = 11) -> list[FlowCheck]:
         exact = closed_form_at(initial, epsilon)
         numeric = ivp_oracle(initial, epsilon, ORACLE_STEPS)
         worst = max(worst, max(abs(exact[n] - numeric[n]) for n in FLOW_VARIABLES))
-    checks.append(
-        FlowCheck(
-            "flow-matches-ode-oracle",
-            worst < 1e-7,
-            f"max deviation {worst:.3e} over {ORACLE_POINTS} random states",
-        )
+    checks["flow-matches-ode-oracle"] = (
+        worst < 1e-7, f"max deviation {worst:.3e} over {ORACLE_POINTS} random states"
     )
     return checks

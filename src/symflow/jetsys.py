@@ -27,6 +27,7 @@ from .expr import (
     JetCoordinate,
     Parameter,
     Vocabulary,
+    declarable,
     jet,
     param,
     parse,
@@ -429,16 +430,26 @@ def write_manifest(sys: PdeSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _declared(number: int, name: str) -> str:
+    """A name declared on line ``number``, refused if no expression can name it."""
+    if not declarable(name):
+        raise ManifestError(
+            f"line {number}: cannot declare '{name}': want an identifier [A-Za-z][A-Za-z0-9]* "
+            "other than I, Diff, Exp"
+        )
+    return name
+
+
 def parse_manifest(text: str, name: str = "manifest") -> PdeSystem:
     sections = split_sections(text, MANIFEST_SECTIONS)
-    independents = tuple(line for _, line in sections["[independents]"])
+    independents = tuple(_declared(*entry) for entry in sections["[independents]"])
     dependents = []
     for number, line in sections["[dependents]"]:
         fields = line.split()
-        if len(fields) != 2 or not fields[1].isdigit():
+        if len(fields) != 2 or not fields[1].isdecimal():
             raise ManifestError(f"line {number}: bad dependent line '{line}' (want 'name order')")
-        dependents.append((fields[0], int(fields[1])))
-    parameters = tuple(line for _, line in sections["[parameters]"])
+        dependents.append((_declared(number, fields[0]), int(fields[1])))
+    parameters = tuple(_declared(*entry) for entry in sections["[parameters]"])
     vocabulary = Vocabulary(independents, tuple(n for n, _ in dependents), parameters)
     equations = []
     for number, line in sections["[equations]"]:

@@ -529,7 +529,7 @@ def normalize_triple(
     )
 
 
-def verify_optimal_system(samples: int = 100, seed: int = 7) -> OptimalSystemReport:
+def verify_optimal_system(samples: int, seed: int) -> OptimalSystemReport:
     """Structure table plus normalization of seeded random rational triples."""
     basis = standard_generators()
     table = structure_table(basis)

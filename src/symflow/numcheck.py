@@ -183,9 +183,7 @@ def pde_residual(grid: Grid, which: str = "u") -> float:
     return float(np.max(np.abs(equation.eval_numeric(env))))
 
 
-def transformed_residual_orders(
-    epsilon: float = DEFAULT_EPSILON,
-) -> tuple[list[float], list[float]]:
+def transformed_residual_orders(epsilon: float) -> tuple[list[float], list[float]]:
     """Residual of the u and v equations (the larger of the two) for the
     flow-transformed seed under grid refinement.
 

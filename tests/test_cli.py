@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 
 import symflow
 from conftest import fresh_interpreter
-from symflow.cli import _rebuilds_to_itself, main
+from symflow.cli import _rebuilds_to_itself, build_parser, main
 from symflow import conslaw, grpflow, liealg, numcheck
 from symflow.expr import ComplexRational, Expr, JetCoordinate, parse
 
@@ -133,7 +134,7 @@ def test_json_report_deterministic_modulo_timing(tmp_path, capsys):
 
 def test_report_inputs_digest_is_stable(tmp_path):
     path = tmp_path / "r.json"
-    run(["corpus", "--quiet-manifest", "--json", str(path)])
+    run(["corpus", "--json", str(path)])
     payload = json.loads(path.read_text())
     # the prolonged manifest, solved forms derived from the Lax pair, byte for byte
     assert payload["inputs"] == "650eff0897a94ae1"
@@ -176,6 +177,59 @@ def test_nonfinite_epsilon_is_a_usage_error(value, capsys):
 def test_empty_path_is_a_usage_error(argv, capsys):
     # an empty path must not silently run the default checks instead
     assert "must be a nonempty path" in _usage_error(capsys, argv)
+
+
+# The options each subcommand accepts (besides -h): exactly the flags its checks read.
+OPTIONS = {
+    "zero-curvature": ["--json", "--numeric-points"],
+    "verify-symmetry": ["--json", "--family", "--manifest"],
+    "finite-transform": ["--json", "--seed", "--epsilon", "--grid", "--out"],
+    "optimal-system": ["--json", "--seed", "--samples", "--json-structure"],
+    "conservation": ["--json", "--numeric-points", "--generator", "--diagnose-transcription"],
+    "corpus": ["--json"],
+    "all": ["--json", "--seed", "--numeric-points"],
+}
+
+
+def _subcommands():
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_each_subcommand_accepts_exactly_the_options_it_reads():
+    table = {
+        name: [o for a in p._actions if not isinstance(a, argparse._HelpAction)
+               for o in a.option_strings]
+        for name, p in _subcommands().items()
+    }
+    assert table == OPTIONS
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(argv, message, id=" ".join(argv)) for argv, message in (
+        *(([command, "--seed", "3"], "unrecognized arguments: --seed 3")
+          for command in ("zero-curvature", "verify-symmetry", "conservation", "corpus")),
+        *(([command, "--numeric-points", "2"], "unrecognized arguments: --numeric-points 2")
+          for command in ("verify-symmetry", "finite-transform", "optimal-system", "corpus")),
+        (["corpus", "--quiet-manifest"], "unrecognized arguments: --quiet-manifest"),
+        (["conservation", "--generator", "all"], "invalid choice: 'all'"),
+    )
+])
+def test_a_setting_no_check_reads_is_a_usage_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as err:
+        run(argv)
+    assert err.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if ": error: " in line]
+    assert len(errors) == 1 and message in errors[0]
+
+
+def test_every_readme_command_line_parses():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = [line.split("#")[0].split() for line in block.splitlines() if line.startswith("symflow ")]
+    assert len(lines) >= len(OPTIONS)
+    for words in lines:
+        build_parser().parse_args(words[1:])
 
 
 def _one_line_error(capsys, path):

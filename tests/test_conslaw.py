@@ -15,7 +15,7 @@ from symflow.conslaw import (
     transcription_residual,
     verify_divergence,
 )
-from symflow.liealg import family_vector_field, standard_generators
+from symflow.liealg import VectorField, family_vector_field, standard_generators
 from conftest import random_expr
 
 
@@ -128,13 +128,13 @@ def test_adjoint_rules_reduce_their_equations():
 
 
 def test_potential_translation_vector_is_the_multiplier_pair(generators):
-    cv = conserved_vector(generators[2].coeffs)  # d/df
+    cv = conserved_vector(generators[2])  # d/df
     assert cv.Tt == parse("m8")
     assert cv.Tx == parse("m7")
 
 
 def test_time_translation_vector_contains_the_lagrangian(lagrangian, generators):
-    cv = conserved_vector(generators[4].coeffs)  # d/dt
+    cv = conserved_vector(generators[4])  # d/dt
     # T^t = L + sum W dL/dw_t with W = -w_t; the L part must be present
     residual = cv.Tt - lagrangian
     for name in FIELD_DEPENDENTS:
@@ -147,7 +147,7 @@ def test_generator_coefficients_must_be_point_functions():
     from symflow.expr import ExprError
 
     with pytest.raises(ExprError):
-        conserved_vector({"u": jet("u", "x")})
+        conserved_vector(VectorField({"u": jet("u", "x")}))
 
 
 def test_flux_pair_divergence():
@@ -159,13 +159,13 @@ def test_flux_pair_divergence():
 
 def test_each_generator_divergence(generators):
     for g in generators:
-        check = verify_divergence(conserved_vector(g.coeffs), numeric_points=3)
+        check = verify_divergence(conserved_vector(g), numeric_points=3)
         assert check.holds
         assert check.numeric_max < 1e-9
 
 
 def test_family_divergence_identically_in_constants():
-    cv = conserved_vector(family_vector_field().coeffs)
+    cv = conserved_vector(family_vector_field())
     check = verify_divergence(cv, numeric_points=3)
     assert check.holds
     assert check.numeric_max < 1e-9
@@ -173,7 +173,7 @@ def test_family_divergence_identically_in_constants():
 
 def test_multiplier_pair_is_nonzero_on_shell(generators):
     closure = combined_closure()
-    cv = conserved_vector(generators[2].coeffs)
+    cv = conserved_vector(generators[2])
     assert not closure.reduce(cv.Tt).is_zero()
     assert not closure.reduce(cv.Tx).is_zero()
     assert verify_divergence(cv, numeric_points=2).nontrivial == "components nonzero on-shell"
@@ -209,14 +209,14 @@ def test_components_vanishing_on_shell_are_labelled_trivial():
 
 
 def test_transcription_diagnostic_roundtrip():
-    cv = conserved_vector(family_vector_field().coeffs)
+    cv = conserved_vector(family_vector_field())
     text = f"T1 = {to_text(cv.Tt)}\nT2 = {to_text(cv.Tx)}\n"
     residuals = transcription_residual(text)
     assert residuals["T1"].is_zero() and residuals["T2"].is_zero()
 
 
 def test_transcription_diagnostic_flags_mismatch():
-    cv = conserved_vector(family_vector_field().coeffs)
+    cv = conserved_vector(family_vector_field())
     text = f"T1 = {to_text(cv.Tt)} + u\nT2 = {to_text(cv.Tx)}\n"
     residuals = transcription_residual(text)
     assert not residuals["T1"].is_zero()

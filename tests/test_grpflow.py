@@ -129,13 +129,13 @@ def test_flow_satisfies_generating_odes():
 
 
 def test_group_law_holds():
-    assert all(flow_group_law(closed_form_flow).values())
+    assert all(flow_group_law(closed_form_flow()).values())
 
 
 def test_potential_group_law_identity():
     # f/(1-e1 f) pushed through the flow at e2 equals f/(1-(e1+e2) f)
-    flow = closed_form_flow
-    composed = flow("c2").after(flow("c1"))
+    flow = closed_form_flow()
+    composed = flow.at_parameter(parse("c2")).after(flow.at_parameter(parse("c1")))
     f = parse("f")
     target = FlowMap(Parameter("c2"), Expr.ONE - (parse("c1") + parse("c2")) * f, {"f": f})
     assert target.agrees(composed) == {"f": True}
@@ -149,7 +149,7 @@ def test_sign_variant_fails_ode_and_group_law():
     odes = flow_satisfies_odes(sign_variant_flow())
     assert odes["u"] and odes["v"]  # the sign enters squared
     assert not odes["phi"] and not odes["psi"] and not odes["f"]
-    law = flow_group_law(sign_variant_flow)
+    law = flow_group_law(sign_variant_flow())
     assert not law["f"] and not law["phi"] and not law["psi"]
     # u and v fail too: the composed denominator 1 - eps2*f sees the sign of f
     assert not law["u"] and not law["v"]
@@ -245,7 +245,6 @@ def test_map_solution_pole_detection():
 
 
 def test_report_all_green():
-    checks = verify_flow_properties()
-    assert all(c.ok for c in checks)
-    names = {c.name for c in checks}
-    assert "flow-group-law" in names and "sign-variant-fails-group-law" in names
+    checks = verify_flow_properties(seed=11)
+    assert all(ok for ok, _detail in checks.values())
+    assert "flow-group-law" in checks and "sign-variant-fails-group-law" in checks

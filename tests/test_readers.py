@@ -75,14 +75,34 @@ def test_parse_error_names_its_line(read, text, start):
      "solved-form key must be a bare jet"),
     (parse_manifest, hirota_text().replace("u 3", "u three"), "u three",
      "bad dependent line 'u three'"),
+    (parse_manifest, hirota_text().replace("u 3", "u \u00b3"), "u \u00b3",
+     "bad dependent line 'u \u00b3'"),
     (read_symmetry, symmetry_text() + "sigma_u phi^2\n", "sigma_u phi", "bad line 'sigma_u phi^2'"),
     (read_symmetry, symmetry_text() + "sigma_w = 1\n", "sigma_w", "bad line 'sigma_w = 1'"),
     (transcription_residual, "T1 = u\nT3 = v\n", "T3", "bad line 'T3 = v'"),
-], ids=["solved-no-equals", "solved-key", "dependents", "symmetry-no-equals", "symmetry-key",
-        "transcription-key"])
+], ids=["solved-no-equals", "solved-key", "dependents", "dependent-order-superscript",
+        "symmetry-no-equals", "symmetry-key", "transcription-key"])
 def test_bad_line_names_its_line(read, text, start, message):
     with pytest.raises(ManifestError, match=rf"^line {line_of(text, start)}: {re.escape(message)}"):
         read(text)
+
+
+@pytest.mark.parametrize("section, line, name", [
+    ("[independents]", "y-1", "y-1"),
+    ("[independents]", "Diff", "Diff"),
+    ("[dependents]", "w-1 2", "w-1"),
+    ("[dependents]", "I 1", "I"),
+    ("[parameters]", "gamma delta", "gamma delta"),
+    ("[parameters]", "2*x", "2*x"),
+    ("[parameters]", "\u03bb", "\u03bb"),
+    ("[parameters]", "Exp", "Exp"),
+])
+def test_a_name_no_expression_can_name_is_refused(section, line, name):
+    # a declared name is an ASCII identifier other than I, Diff and Exp
+    text = hirota_text().replace(f"{section}\n", f"{section}\n{line}\n")
+    number = text.splitlines().index(section) + 2
+    with pytest.raises(ManifestError, match=rf"^line {number}: cannot declare '{re.escape(name)}'"):
+        parse_manifest(text)
 
 
 @pytest.mark.parametrize("read, text", [
