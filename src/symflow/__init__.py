@@ -38,7 +38,6 @@ from .linsym import (
     PointFamily,
     coupled_ansatz,
     coupled_family,
-    evolutionary_from_point,
     frechet,
     generate_determining,
     localized_characteristic,

@@ -181,9 +181,17 @@ def _flatness(s, _key):
     return ok, detail, None
 
 
+def _divergence_result(chk: conslaw.DivergenceCheck, *notes: str):
+    """``(ok, detail, residual)`` of a divergence check; the detail starts
+    with ``exact and numeric disagree`` when only one stage finds zero."""
+    detail = "; ".join((f"numeric max {chk.numeric_max:.2e}", *notes))
+    if chk.residual.is_zero() != (chk.numeric_max <= conslaw.NUMERIC_TOLERANCE):
+        detail = f"exact and numeric disagree: {detail}"
+    return chk.holds, detail, chk.numeric_max
+
+
 def _potential_density(s, _key):
-    chk = s.flux_pair
-    return chk.holds, f"numeric max {chk.numeric_max:.2e}", chk.numeric_max
+    return _divergence_result(s.flux_pair)
 
 
 def _manifest_symmetry(s, _key):
@@ -274,7 +282,7 @@ def _divergence(s, generator):
         chk = conslaw.verify_divergence(
             conslaw.conserved_vector(vf), numeric_points=s.args.numeric_points
         )
-    return chk.holds, f"numeric max {chk.numeric_max:.2e}; {chk.nontrivial}", chk.numeric_max
+    return _divergence_result(chk, chk.nontrivial)
 
 
 def _transcription(s, _key):

@@ -31,10 +31,12 @@ from .jetsys import (
     solve_for,
 )
 from .liealg import COORDINATES, VectorField, family_vector_field
-from .linsym import evolutionary_from_point
 
 MULTIPLIERS = tuple(f"m{i}" for i in range(1, 9))
 FIELD_DEPENDENTS = COORDINATES[2:]
+#: Largest sampled divergence a check passes with: on-shell points leave only
+#: rounding, below 1e-13 for every built-in vector; off-shell ones give order one.
+NUMERIC_TOLERANCE = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -67,18 +69,11 @@ def formal_lagrangian() -> Expr:
     """L = sum of multiplier times equation over the prolonged corpus.
 
     Every equation is written leading-derivative-minus-rhs, so L vanishes
-    on-shell and contains no mixed (x,t)-derivative of the field variables;
-    the conserved-vector instantiation below relies on both facts.
+    on-shell and is of degree one in the multipliers.
     """
     L = Expr.ZERO
     for name, equation in zip(MULTIPLIERS, builtin_prolonged().equations):
         L = L + Expr.atom(JetCoordinate(name)) * equation
-    for mono, _coeff in L.items():
-        if sum(n for a, n in mono if isinstance(a, JetCoordinate) and a.name in MULTIPLIERS) != 1:
-            raise ExprError("formal Lagrangian is not multiplier-degree one")
-    for a in L.jet_atoms():
-        if a.name in FIELD_DEPENDENTS and "x" in a.index and "t" in a.index:
-            raise ExprError(f"formal Lagrangian contains mixed derivative {a}")
     return L
 
 
@@ -133,42 +128,37 @@ class ConservedVector:
 
 
 def conserved_vector(vf: VectorField) -> ConservedVector:
-    """Instantiate the conserved-vector formula for a point generator.
+    """Instantiate the conserved-vector formula for a point generator
+    (Ibragimov, J. Math. Anal. Appl. 333 (2007) 311).  For d in t, x:
 
-    Specialized to two independent variables, first-order time derivatives,
-    third-order space derivatives, and no mixed derivatives in L:
+        T^d = xi^d L + sum_w sum_(k>=1) sum_(j<k) D_d^j(W^w) (-D_d)^(k-1-j) dL/dw_(d^k)
 
-        T^t = xi^t L + sum_w W^w dL/dw_t
-        T^x = xi^x L
-              + sum_w W^w  [dL/dw_x - D_x(dL/dw_xx) + D_x^2(dL/dw_xxx)]
-              + sum_w D_x(W^w) [dL/dw_xx - D_x(dL/dw_xxx)]
-              + sum_w D_x^2(W^w) dL/dw_xxx
-
-    with W^w = eta^w - xi^t w_t - xi^x w_x = -sigma_w ranging over the
-    field dependents only (multipliers carry no characteristic).
+    with W^w = -sigma_w over the field dependents (multipliers carry no
+    characteristic) and k over the orders of the jets of w in L, summed as
+    sum_j D_d^j(W^w) C_j with C_j = dL/dw_(d^(j+1)) - D_d C_(j+1) and C = 0
+    from the top order on.
+    A mixed (x, t) jet of a field dependent in L raises ``ExprError``.
     """
     L = formal_lagrangian()
-    sigma = evolutionary_from_point(vf.coeffs, builtin_prolonged())
-
-    Tt = vf.coefficient("t") * L
-    Tx = vf.coefficient("x") * L
-    for name in FIELD_DEPENDENTS:
-        W = -sigma[name]
-        dW = W.total_derivative("x")
-        ddW = dW.total_derivative("x")
-        d_t = L.diff(JetCoordinate(name, ("t",)))
-        d_x = L.diff(JetCoordinate(name, ("x",)))
-        d_xx = L.diff(JetCoordinate(name, ("x", "x")))
-        d_xxx = L.diff(JetCoordinate(name, ("x", "x", "x")))
-        d_xxx_x = d_xxx.total_derivative("x")
-        Tt = Tt + W * d_t
-        Tx = (
-            Tx
-            + W * (d_x - d_xx.total_derivative("x") + d_xxx_x.total_derivative("x"))
-            + dW * (d_xx - d_xxx_x)
-            + ddW * d_xxx
-        )
-    return ConservedVector(Tt=Tt, Tx=Tx)
+    partials: dict[tuple[str, str], dict[int, Expr]] = {}
+    for a in L.jet_atoms():
+        if a.name not in FIELD_DEPENDENTS or not a.index:
+            continue
+        if len(set(a.index)) > 1:
+            raise ExprError(f"formal Lagrangian contains mixed derivative {a}")
+        partials.setdefault((a.name, a.index[0]), {})[len(a.index)] = L.diff(a)
+    sigma = vf.characteristic()
+    T = {d: vf.coefficient(d) * L for d in ("t", "x")}
+    for (name, d), by_order in partials.items():
+        top = max(by_order)
+        derivatives = [-sigma[name]]
+        for _ in range(1, top):
+            derivatives.append(derivatives[-1].total_derivative(d))
+        C = Expr.ZERO
+        for j in range(top - 1, -1, -1):
+            C = by_order.get(j + 1, Expr.ZERO) - C.total_derivative(d)
+            T[d] = T[d] + derivatives[j] * C
+    return ConservedVector(Tt=T["t"], Tx=T["x"])
 
 
 def flux_pair() -> ConservedVector:
@@ -199,7 +189,8 @@ def verify_divergence(cv: ConservedVector, numeric_points: int) -> DivergenceChe
     The numeric stage evaluates the *unreduced* divergence at consistent
     points whose multiplier values satisfy the adjoint solved forms, and
     reports the maximum magnitude seen.  Point k is drawn from the fixed
-    seed 2024 * 10007 + k, so every run samples the same points.
+    seed 2024 * 10007 + k, so every run samples the same points.  It holds
+    when the residual is 0 and that maximum is at most ``NUMERIC_TOLERANCE``.
     """
     closure = combined_closure()
     divergence = cv.Tt.total_derivative("t") + cv.Tx.total_derivative("x")
@@ -214,7 +205,7 @@ def verify_divergence(cv: ConservedVector, numeric_points: int) -> DivergenceChe
     else:
         nontrivial = "components nonzero on-shell"
     return DivergenceCheck(
-        holds=residual.is_zero(),
+        holds=residual.is_zero() and numeric_max <= NUMERIC_TOLERANCE,
         residual=residual,
         numeric_max=numeric_max,
         nontrivial=nontrivial,

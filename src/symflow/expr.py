@@ -795,6 +795,7 @@ def exp_of(argument: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 
 _IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9]*")
+_INTEGER = re.compile(r"[0-9]+")  # ASCII digits only, as the grammar states
 _RESERVED = {"I", "Diff", "Exp"}
 
 
@@ -948,11 +949,10 @@ class _Parser:
             e = self._sum()
             self._expect(")")
             return e
-        if ch.isdigit():
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            return Expr.from_scalar(int(self.text[start : self.pos]))
+        integer = _INTEGER.match(self.text, self.pos)
+        if integer is not None:
+            self.pos = integer.end()
+            return Expr.from_scalar(int(integer.group()))
         if ch.isalpha():
             at = self.pos
             name = self._ident()
@@ -1034,33 +1034,26 @@ def _const_text(c: ComplexRational) -> str:
 
 
 def _term_text(mono: Monomial, coeff: ComplexRational) -> str:
+    """The coefficient's ``_const_text`` times the atom powers: a 1 is
+    dropped, a -1 becomes a leading ``-``, and a coefficient with a real and
+    an imaginary part is parenthesised."""
+    text = _const_text(coeff)
     if not mono:
-        return _const_text(coeff)
-    a, b, d = coeff.a, coeff.b, coeff.d
+        return text
     parts = []
-    negate = False
-    if not b:
-        if a == -d:
-            negate = True
-        elif a != d:
-            parts.append(_ratio_text(a, d))
-    elif not a:
-        if b == d:
-            parts.append("I")
-        elif b == -d:
-            negate = True
-            parts.append("I")
-        else:
-            parts.append(f"{_ratio_text(b, d)}*I")
-    else:
-        parts.append(f"({_const_text(coeff)})")
     for atom, n in mono:
         s = atom._text
         if s is None:
             s = atom._text = str(atom)
         parts.append(s if n == 1 else f"{s}^{n}")
     body = "*".join(parts)
-    return f"-{body}" if negate else body
+    if coeff.a and coeff.b:
+        return f"({text})*{body}"
+    if text == "1":
+        return body
+    if text == "-1":
+        return f"-{body}"
+    return f"{text}*{body}"
 
 
 def to_text(e: Expr) -> str:

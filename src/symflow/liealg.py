@@ -76,6 +76,17 @@ class VectorField:
             total = total + coefficient * g.diff(coordinate_atom(name))
         return total
 
+    def characteristic(self) -> dict[str, Expr]:
+        """sigma_w = xi^x w_x + xi^t w_t - eta_w for each dependent w: the minus
+        sign is on the eta part, and both orientations verify by linearity."""
+        xi_x, xi_t = self.coefficient("x"), self.coefficient("t")
+        return {
+            name: xi_x * Expr.atom(JetCoordinate(name, ("x",)))
+            + xi_t * Expr.atom(JetCoordinate(name, ("t",)))
+            - self.coefficient(name)
+            for name in COORDINATES[2:]
+        }
+
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs.values())
 

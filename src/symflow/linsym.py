@@ -1,14 +1,9 @@
 """Linearization, determining equations, and symmetry verification.
 
-Symmetries are handled internally in evolutionary (characteristic) form.
-The sign convention throughout is
-
-    sigma_w = X*w_x + T*w_t - eta_w
-
-so the characteristic obtained from a point generator carries a minus
-sign on the eta part; both orientations of a characteristic verify, by
-linearity of the determining operator.  A characteristic is a plain
-``dict`` from each deformed dependent's name to its component.
+Symmetries are handled internally in evolutionary (characteristic) form,
+with the sign convention of ``liealg.VectorField.characteristic``.  A
+characteristic is a plain ``dict`` from each deformed dependent's name to
+its component.
 """
 
 from __future__ import annotations
@@ -39,7 +34,8 @@ from .jetsys import (
     split_sections,
 )
 from .liealg import (
-    COORDINATES, FAMILY_CONSTANTS, coordinate_atom, family_vector_field, localized_generator,
+    COORDINATES, FAMILY_CONSTANTS, VectorField, coordinate_atom, family_vector_field,
+    localized_generator,
 )
 
 
@@ -208,26 +204,6 @@ def verify_symmetry(
     return SymmetryCheck(all(r.is_zero() for r in residuals), tuple(residuals))
 
 
-def _characteristic(xi_x: Expr, xi_t: Expr, etas: Mapping[str, Expr]) -> dict[str, Expr]:
-    """sigma_w = X*w_x + T*w_t - eta_w for each dependent w named in ``etas``."""
-    return {
-        name: xi_x * Expr.atom(JetCoordinate(name, ("x",)))
-        + xi_t * Expr.atom(JetCoordinate(name, ("t",)))
-        - eta
-        for name, eta in etas.items()
-    }
-
-
-def evolutionary_from_point(coeffs: Mapping[str, Expr], sys: PdeSystem) -> dict[str, Expr]:
-    """Characteristic of a point generator, given as its coefficient mapping:
-    sigma_w = X*w_x + T*w_t - eta_w."""
-    return _characteristic(
-        coeffs.get("x", Expr.ZERO),
-        coeffs.get("t", Expr.ZERO),
-        {name: coeffs.get(name, Expr.ZERO) for name in sys.dependent_names},
-    )
-
-
 # ---------------------------------------------------------------------------
 # point-symmetry families
 # ---------------------------------------------------------------------------
@@ -244,7 +220,7 @@ class PointFamily:
     equations: tuple[int, ...] | None = None
 
     def characteristic(self) -> dict[str, Expr]:
-        return _characteristic(self.xi_x, self.xi_t, self.etas)
+        return VectorField({"x": self.xi_x, "t": self.xi_t, **self.etas}).characteristic()
 
     def verify(self, sys: PdeSystem) -> SymmetryCheck:
         return verify_symmetry(sys, self.characteristic(), self.equations)

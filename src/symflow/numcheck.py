@@ -164,7 +164,7 @@ _CENTRED_DIFFERENCES = {
 }
 
 
-def pde_residual(grid: Grid, which: str = "u") -> float:
+def pde_residual(grid: Grid, which: str) -> float:
     """Max interior residual of the u or the v equation of ``builtin_hirota``,
     each jet it reads replaced by its centred difference."""
     import numpy as np

@@ -1,8 +1,12 @@
+import hashlib
+import json
 import random
 
 import pytest
 
-from symflow.expr import Expr, JetCoordinate, jet, parse, to_text
+from symflow import conslaw
+from symflow.cli import main
+from symflow.expr import Expr, ExprError, JetCoordinate, jet, parse, to_text
 from symflow.conslaw import (
     FIELD_DEPENDENTS,
     MULTIPLIERS,
@@ -144,10 +148,44 @@ def test_time_translation_vector_contains_the_lagrangian(lagrangian, generators)
 
 
 def test_generator_coefficients_must_be_point_functions():
-    from symflow.expr import ExprError
-
     with pytest.raises(ExprError):
         conserved_vector(VectorField({"u": jet("u", "x")}))
+
+
+# sha256 of to_text(T^t), to_text(T^x), recorded before the flux formula
+# was written as one loop over the jet orders of L
+VECTOR_DIGESTS = {
+    "g1": ("4c99e385cf425f4931c4bdebec39b8f8e86163c5a7f2f9f95e6e66a1a94d1f2c",
+           "2f877cb9a9350a4197547809c296fa534c33d2f3fd4b23c834e84aebf1019d88"),
+    "g2": ("d8d46e2cedf26addb6ad7033e9c9f8d0157b0c7fddb535da83313b88659a9618",
+           "66aa8edfe3740e86ce60766eeff48538706032b35cca6ab877ecf2576d4a7651"),
+    "g3": ("59360be607459a4cd3efe15db65685824902e82ac0f7374d648f814d14f1541b",
+           "018c267d72f6381a2ec828ada8fb4995323745e5dce6222890ebac36f5323e68"),
+    "g4": ("45f2efd602b89541718d090fcf0e725deb5de4b5ce8d65297de4b5a09c99f151",
+           "d6f776dda7d73341501deae65ccd3fc435851bf8783b49354a1e02b5778fdb1b"),
+    "g5": ("7d3282346d7dce6854413989678f9b15e64d4996a43a0d5721deaf706a3c57ec",
+           "7792612b3806dd40246d652396b0561c7d175e3ae1a18d6728ddef79be859b4a"),
+    "g6": ("45ea6670db70fafc095a3ce8b3aac3959a3584001ac5e4586e965be1ac363d70",
+           "3e3bf45bc9b8426d42f4c9859e1ecf3085c0037e15cff2d18d2b72fac7634678"),
+    "family": ("3713d9dda16dba859aec93a0b55b9b59ba694d167a0758d17ca8347d9cfaa29c",
+               "84d2032102db20acedc91bed9dfc219bdae241c2935c2ff55ff245202c4e770a"),
+}
+
+
+def test_conserved_vectors_print_as_recorded(generators):
+    names = ("g1", "g2", "g3", "g4", "g5", "g6")
+    fields = dict(zip(names, generators), family=family_vector_field())
+    for name, vf in fields.items():
+        cv = conserved_vector(vf)
+        digests = tuple(hashlib.sha256(to_text(e).encode()).hexdigest() for e in (cv.Tt, cv.Tx))
+        assert digests == VECTOR_DIGESTS[name], name
+
+
+def test_mixed_jet_in_the_lagrangian_is_refused(lagrangian, generators, monkeypatch):
+    mixed = lagrangian + parse("m1*Diff(u,x,t)")
+    monkeypatch.setattr(conslaw, "formal_lagrangian", lambda: mixed)
+    with pytest.raises(ExprError, match="mixed derivative"):
+        conserved_vector(generators[4])
 
 
 def test_flux_pair_divergence():
@@ -169,6 +207,39 @@ def test_family_divergence_identically_in_constants():
     check = verify_divergence(cv, numeric_points=3)
     assert check.holds
     assert check.numeric_max < 1e-9
+
+
+def _off_shell(monkeypatch):
+    """Shift every sampled value by 1/2, so no solved form holds."""
+    on_shell = conslaw.consistent_assignment
+    monkeypatch.setattr(
+        conslaw, "consistent_assignment",
+        lambda *args: {a: value + 0.5 for a, value in on_shell(*args).items()},
+    )
+
+
+def test_off_shell_samples_fail_the_divergence_check(generators, monkeypatch):
+    _off_shell(monkeypatch)
+    for cv in (flux_pair(), conserved_vector(generators[1])):
+        check = verify_divergence(cv, numeric_points=2)
+        assert check.residual.is_zero()
+        assert check.numeric_max > conslaw.NUMERIC_TOLERANCE
+        assert not check.holds
+
+
+def test_off_shell_samples_fail_each_divergence_check_in_the_report(tmp_path, capsys, monkeypatch):
+    _off_shell(monkeypatch)
+    path = tmp_path / "r.json"
+    assert main(["all", "--json", str(path)]) == 1
+    capsys.readouterr()
+    checks = [
+        c for c in json.loads(path.read_text())["checks"]
+        if c["name"].startswith("divergence-") or c["name"] == "potential-density-flux-pair"
+    ]
+    assert len(checks) == 9
+    for c in checks:
+        assert c["status"] == "fail", c["name"]
+        assert c["detail"].startswith("exact and numeric disagree: numeric max "), c["name"]
 
 
 def test_multiplier_pair_is_nonzero_on_shell(generators):

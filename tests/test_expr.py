@@ -58,6 +58,14 @@ def test_parse_syntax_error_offset():
     assert err.value.offset == 4
 
 
+@pytest.mark.parametrize("text, offset", [("\u0663*u", 0), ("u^\u00b2", 2)])
+def test_parse_reads_ascii_digits_only(text, offset):
+    # an Arabic-Indic three and a superscript two are digits to str.isdigit
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.offset == offset
+
+
 def test_parse_rational_exponent_rejected():
     with pytest.raises(ParseError, match="exponent"):
         parse("u^(1/2)")

@@ -47,6 +47,11 @@ def test_point_field_rejects_derivative_coordinates():
         VectorField({"u": jet("u", "x")})
 
 
+def test_characteristic_has_a_component_for_every_dependent():
+    sigma = VectorField({"t": Expr.ONE}).characteristic()
+    assert sigma == {name: jet(name, "t") for name in ("u", "v", "phi", "psi", "f")}
+
+
 def test_translations_commute(basis):
     assert commutator(basis[4], basis[5]).is_zero()
 

@@ -16,7 +16,7 @@ from symflow.expr import (
     parse,
 )
 from symflow.jetsys import PdeSystem, parse_manifest, write_manifest
-from symflow.liealg import coordinate_atom
+from symflow.liealg import VectorField, coordinate_atom
 from symflow.linsym import (
     DeterminingSystem,
     PointAnsatz,
@@ -26,7 +26,6 @@ from symflow.linsym import (
     _split_by_derivative_monomials,
     coupled_ansatz,
     coupled_family,
-    evolutionary_from_point,
     family_as_solution,
     frechet,
     generate_determining,
@@ -185,7 +184,7 @@ def test_invariance_under_on_shell_equivalent_rewriting(prolonged):
 
 
 def test_space_translation_characteristic(prolonged):
-    sigma = evolutionary_from_point({"x": Expr.ONE}, prolonged)
+    sigma = VectorField({"x": Expr.ONE}).characteristic()
     for name in prolonged.dependent_names:
         assert sigma[name] == Expr.atom(JetCoordinate(name, ("x",)))
 
@@ -198,15 +197,15 @@ def test_localized_generator_characteristic_carries_the_sign(prolonged):
         "psi": parse("psi*f"),
         "f": parse("f^2"),
     }
-    sigma = evolutionary_from_point(coeffs, prolonged)
+    sigma = VectorField(coeffs).characteristic()
     for name, eta in coeffs.items():
         assert sigma[name] == -eta
     # both orientations verify, by linearity
     assert verify_symmetry(prolonged, sigma).holds
 
 
-def test_opposite_scaling_characteristic(hirota):
-    sigma = evolutionary_from_point({"u": jet("u"), "v": -jet("v")}, hirota)
+def test_opposite_scaling_characteristic():
+    sigma = VectorField({"u": jet("u"), "v": -jet("v")}).characteristic()
     assert sigma["u"] == -jet("u")
     assert sigma["v"] == jet("v")
 
