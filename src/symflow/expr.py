@@ -796,6 +796,9 @@ def exp_of(argument: Expr) -> Expr:
 
 _IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 _INTEGER = re.compile(r"[0-9]+")  # ASCII digits only, as the grammar states
+# ASCII whitespace only, as the grammar states: every character before an
+# error is then ASCII, so a ParseError's character offset is its byte offset
+_WHITESPACE = frozenset(" \t\r\n")
 _RESERVED = {"I", "Diff", "Exp"}
 
 
@@ -848,7 +851,7 @@ class _Parser:
 
     # -- scanning -----------------------------------------------------------
     def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
+        while self.pos < len(self.text) and self.text[self.pos] in _WHITESPACE:
             self.pos += 1
 
     def _peek(self) -> str:

@@ -9,10 +9,15 @@ brackets live on the first three: [g1,g2] = g2, [g1,g3] = -g3,
 the one statement of that algebra: the six-constant family, the
 localized symmetry g2 and the coordinate names are all read from here.
 
-The classification is exact and builds no ``Expr``: the rational adjoint
-map sums its Krylov series in integer numerators over one denominator,
-and the trace form of a rational triple is :meth:`StructureTable.killing`
-on Gaussian-integer coordinates, divided by the squared denominator once.
+The classification is exact and runs in integers: it builds no ``Expr``
+and no ``ComplexRational`` coordinate.  Each table holds one integer Gram
+(the trace form's Gaussian-integer numerators over one denominator), read
+by :meth:`StructureTable.killing` for every kind of coordinate, and builds
+the integer matrix L ad_g of a generator once, on its first use.  The
+rational adjoint map sums its Krylov series on those rows in integer
+numerators over one denominator, and a normalization checks its landing
+and the kept trace form on numerators.  The only ``Fraction``s are the
+record's: the triple, eps, scale and alpha.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .expr import (
     IndependentVariable,
     JetCoordinate,
     Parameter,
+    _cr,
     exp_of,
     monomial_key,
     parse,
@@ -228,6 +234,9 @@ class StructureTable:
     labels: tuple[str, ...]
     brackets: InitVar[Mapping[tuple[int, int], Mapping[int, ComplexRational]]]
     constants: dict[tuple[int, int], dict[int, ComplexRational]] = field(init=False)
+    _integer_ad: dict[int, tuple] = field(
+        init=False, default_factory=dict, repr=False, compare=False
+    )
 
     def __post_init__(self, brackets):
         self.constants = {}
@@ -252,25 +261,56 @@ class StructureTable:
         return tuple(out)
 
     @functools.cached_property
-    def gram(self) -> dict[tuple[int, int], ComplexRational]:
-        """The nonzero entries of the Gram matrix tr(ad_i ad_j) = sum over
-        r, s of c_is^r c_jr^s of the trace form."""
+    def gram(self) -> tuple[tuple[tuple[int, int, int, int], ...], int]:
+        """The trace form, stored once: ``(entries, D)`` with D the lcm of
+        the denominators of the Gram matrix tr(ad_i ad_j) = sum over r, s of
+        c_is^r c_jr^s, and one ``(i, j, re, im)`` per nonzero entry, the
+        Gaussian integer D tr(ad_i ad_j)."""
         entries = defaultdict(ComplexRational)
         for (i, s), row in self.constants.items():
             for (j, r), other in self.constants.items():
                 if r in row and s in other:
                     entries[i, j] += row[r] * other[s]
-        return {pair: g for pair, g in entries.items() if not g.is_zero()}
+        entries = {pair: g for pair, g in entries.items() if not g.is_zero()}
+        den = lcm(*(g.d for g in entries.values()))
+        return tuple(
+            (i, j, g.a * (den // g.d), g.b * (den // g.d)) for (i, j), g in entries.items()
+        ), den
 
     def killing(self, a: Sequence, b: Sequence):
         """Trace form tr(ad_a ad_b) = sum a_i b_j tr(ad_i ad_j), summed over
-        the nonzero Gram entries only.
+        the nonzero entries of the integer Gram and divided by its
+        denominator once.
 
-        Coordinates are ``ComplexRational`` (the value is one) or ``Expr``
-        (the value is an ``Expr``, for symbolic coordinates).
+        Coordinates are all ``int`` (summed in integers) or all
+        ``ComplexRational``, and the value is a ``ComplexRational``; or they
+        are ``Expr`` and the value is an ``Expr``, for symbolic coordinates.
         """
-        zero = Expr.ZERO if isinstance(a[0], Expr) else ComplexRational(0)
-        return sum((a[i] * b[j] * g for (i, j), g in self.gram.items()), zero)
+        entries, den = self.gram
+        if type(a[0]) is int:
+            re = im = 0
+            for i, j, g_re, g_im in entries:
+                weight = a[i] * b[j]
+                re += weight * g_re
+                im += weight * g_im
+            return _cr(re, im, den)
+        zero = Expr.ZERO if isinstance(a[0], Expr) else CR_ZERO
+        total = sum((a[i] * b[j] * _cr(g_re, g_im, 1) for i, j, g_re, g_im in entries), zero)
+        return total * _cr(1, 0, den)
+
+    def integer_ad(self, generator: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], int]:
+        """``(rows, L)`` for ad_g, built once per generator: L is the lcm of
+        the denominators of g's structure constants and ``rows[j]`` holds the
+        pairs ``(k, L c_gj^k)``, the integer image of e_j under L ad_g."""
+        if generator not in self._integer_ad:
+            rows = [self.constants.get((generator, j), {}) for j in range(len(self.basis))]
+            if any(c.b for row in rows for c in row.values()):
+                raise ExprError("rational normalization met a complex structure constant")
+            clear = lcm(*(c.d for row in rows for c in row.values()))
+            self._integer_ad[generator] = tuple(
+                tuple((k, c.a * (clear // c.d)) for k, c in row.items()) for row in rows
+            ), clear
+        return self._integer_ad[generator]
 
 
 def structure_table(basis: Sequence[VectorField]) -> StructureTable:
@@ -416,21 +456,23 @@ def _cleared(triple: Sequence) -> tuple[list[int], int]:
     return [a.numerator * (q // a.denominator) for a in triple], q
 
 
-def _trace_form(table: StructureTable, nums: Sequence[int], den: int) -> Fraction:
-    """tr(ad_a ad_a) for a = (nums / den) in span{g1,g2,g3}: the trace form
-    on the Gaussian-integer coordinates nums, divided by den^2 once."""
-    coords = [ComplexRational(n) for n in nums] + [CR_ZERO] * (len(table.basis) - 3)
+def _trace_form(table: StructureTable, nums: Sequence[int]) -> tuple[int, int]:
+    """tr(ad_a ad_a) = q / d for the integer element a = nums of
+    span{g1,g2,g3}, as ``(q, d)``; a = nums / den has q / (d den^2)."""
+    coords = [*nums] + [0] * (len(table.basis) - 3)
     value = table.killing(coords, coords)
     if value.b:
         raise ExprError("Killing value of a real triple must be real")
-    return Fraction(value.a, value.d * den * den)
+    return value.a, value.d
 
 
 def _killing_on_span(table: StructureTable, triple: Sequence[Fraction]) -> Fraction:
-    return _trace_form(table, *_cleared(triple))
+    nums, den = _cleared(triple)
+    q, d = _trace_form(table, nums)
+    return Fraction(q, d * den * den)
 
 
-def _sign(value: Fraction) -> int:
+def _sign(value: int | Fraction) -> int:
     return (value > 0) - (value < 0)
 
 
@@ -447,18 +489,15 @@ def _adjoint_numerators(
     last nonzero order the series is the sum of (-p)^k (rL)^(K-k) (K!/k!) V_k
     over the one denominator (rL)^K K! den.
     """
-    rows = [table.constants.get((generator, j), {}) for j in range(len(table.basis))]
-    clear = lcm(*(c.d for row in rows for c in row.values()))
+    rows, clear = table.integer_ad(generator)
     term = {j: n for j, n in enumerate(nums) if n}
     krylov = []
     for _ in range(ADJOINT_MAX_TERMS + 1):
         krylov.append(term)
         image = defaultdict(int)
         for j, n in term.items():
-            for k, c in rows[j].items():
-                if c.b:
-                    raise ExprError("rational normalization met a complex structure constant")
-                image[k] += n * c.a * (clear // c.d)
+            for k, c in rows[j]:
+                image[k] += n * c
         term = {k: n for k, n in image.items() if n}
         if not term:
             break
@@ -500,13 +539,15 @@ def normalize_triple(
 
     ``verified`` checks that the exact representative is reached, and that
     the trace form is kept up to ``scale**2`` and ``killing_sign`` with it.
-    ``maps`` holds at most one map by construction, so it is a record.
+    Both checks run on integer numerators.  ``maps`` holds at most one map
+    by construction, so it is a record.
     """
     a = tuple(Fraction(x) for x in triple)
     if not any(a):
         raise ExprError("cannot normalize the zero element")
     nums, den = _cleared(a)
-    killing = _trace_form(table, nums, den)
+    q, d = _trace_form(table, nums)
+    d *= den * den  # K(a) = q / d
     for slot, representative in NORMAL_FORMS:
         if a[slot]:
             break
@@ -516,18 +557,18 @@ def normalize_triple(
     maps = [(3, eps)] if eps != 0 else []
     if maps:
         nums, den = _adjoint_numerators(table, 2, eps, nums, den)
-    pivot = nums[slot]
+    pivot = nums[slot]  # nums / den = (nums / pivot) / scale
     scale = Fraction(den, pivot)
-    final = tuple(Fraction(n, pivot) for n in nums)
-    expected = [int(k == slot) for k in range(3)]
-    alpha = None
-    if slot == 1:  # the family's g3 slot is free: that is alpha
-        alpha = expected[2] = final[2]
+    # the representative's free slots: its pivot, and alpha's g3 in the family
+    free = (1, 2) if slot == 1 else (slot,)
+    landed = not any(nums[k] for k in range(3) if k not in free)
+    alpha = Fraction(nums[2], pivot) if slot == 1 else None
     case = f"a{slot + 1} nonzero" + (" (alpha = 0 boundary)" if alpha == 0 else "")
-    killing_final = _trace_form(table, nums, pivot)
-    sign = _sign(killing)
-    kept = killing_final == killing * scale**2 and sign == _sign(killing_final)
-    verified = final == tuple(expected) and kept
+    # K(nums / pivot) = q_final / (d_final pivot^2) must be K(a) scale^2
+    q_final, d_final = _trace_form(table, nums)
+    sign = _sign(q)
+    kept = q_final * d == q * d_final * den * den and sign == _sign(q_final)
+    verified = landed and kept
     return NormalizationRecord(
         triple=a,
         maps=maps,

@@ -66,6 +66,15 @@ def test_parse_reads_ascii_digits_only(text, offset):
     assert err.value.offset == offset
 
 
+def test_parse_reads_ascii_whitespace_only():
+    # an ideographic space is whitespace to str.isspace; the offset counts
+    # the one ASCII character before it, so it is also the byte offset
+    with pytest.raises(ParseError) as err:
+        parse("u\u3000+ v")
+    assert err.value.offset == 1
+    assert parse(" u\t+\r\nv ") == jet("u") + jet("v")
+
+
 def test_parse_rational_exponent_rejected():
     with pytest.raises(ParseError, match="exponent"):
         parse("u^(1/2)")

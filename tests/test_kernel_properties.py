@@ -22,6 +22,7 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -36,6 +37,7 @@ from symflow.expr import (  # noqa: E402
     IndependentVariable,
     JetCoordinate,
     Parameter,
+    ParseError,
     _mono_invert,
     _mono_mul,
     exp_of,
@@ -667,6 +669,25 @@ def test_grammar_strings_parse_and_round_trip(drawn):
     assert abs(e.eval_numeric(POINT) - value) <= 1e-9 * (1 + size)
 
 
+# grammar characters mixed with non-ASCII spaces, digits and letters; no
+# '^', so that no drawn string asks for a huge power
+near_grammar = st.lists(
+    st.sampled_from(
+        [*"uvxt+-*/(),I0123456789 \t\n", "Diff", "Exp"]
+        + ["\u3000", "\u00a0", "\u2028", "\u0663", "\u00b2", "\u00e9", "\U0001d465"]
+    ),
+    max_size=20,
+).map("".join)
+
+
+@given(near_grammar)
+def test_parse_error_offset_is_a_byte_offset(text):
+    try:
+        parse(text)
+    except ParseError as err:
+        assert len(text[: err.offset].encode()) == err.offset
+
+
 # ---------------------------------------------------------------------------
 # rational adjoint map and sparse trace form against their references
 # ---------------------------------------------------------------------------
@@ -752,6 +773,68 @@ def test_sparse_trace_form_matches_dense_sum(table, dense_gram, a, b):
     value = table.killing(a, b)
     assert isinstance(value, Expr)
     assert value == dense_killing(dense_gram, a, b)
+
+
+six_ints = st.lists(st.integers(-40, 40), min_size=6, max_size=6)
+
+
+@given(six_ints, six_ints)
+def test_integer_trace_form_matches_dense_sum(table, dense_gram, a, b):
+    """int coordinates are summed in integers over the one Gram: the same
+    value as the dense sum and as the coordinates given as ComplexRationals."""
+    value = table.killing(a, b)
+    assert type(value) is ComplexRational
+    a_cr, b_cr = ([ComplexRational(c) for c in v] for v in (a, b))
+    assert value == dense_killing(dense_gram, a_cr, b_cr)
+    assert value == table.killing(a_cr, b_cr)
+
+
+#: an sl(2) with rational constants, so its Gram has a denominator
+RATIONAL_SL2_BRACKETS = {
+    (0, 1): {1: Fraction(1, 3)},
+    (0, 2): {2: Fraction(-1, 3)},
+    (1, 2): {0: Fraction(-2, 5)},
+}
+
+
+@given(st.lists(st.integers(-40, 40), min_size=3, max_size=3),
+       st.lists(scalars, min_size=3, max_size=3))
+def test_integer_trace_form_divides_by_the_gram_denominator(ints, others):
+    table = hand_table(3, RATIONAL_SL2_BRACKETS)
+    assert table.gram[1] > 1
+    n, zero = range(3), ComplexRational(0)
+    c = [[table.constants.get((i, j), {}) for j in n] for i in n]
+    gram = [
+        [sum((c[i][s].get(r, zero) * c[j][r].get(s, zero) for r in n for s in n), zero)
+         for j in n]
+        for i in n
+    ]
+    as_cr = [ComplexRational(k) for k in ints]
+    assert table.killing(ints, ints) == dense_killing(gram, as_cr, as_cr)
+    assert table.killing(as_cr, others) == dense_killing(gram, as_cr, others)
+
+
+@pytest.mark.parametrize("which", ["g1..g6", "non-integer"])
+def test_integer_ad_rows_are_the_cleared_constants_built_once(which):
+    """Each cached row of L ad_g is L times g's structure constants, with L
+    the lcm of their denominators; later reads return the same rows."""
+    if which == "g1..g6":
+        table, rational = structure_table(standard_generators()), range(1, 6)
+    else:
+        table, rational = hand_table(4, NON_INTEGER_BRACKETS), range(4)
+    n = len(table.basis)
+    first = [table.integer_ad(g) for g in range(n)]
+    for g, (rows, clear) in enumerate(first):
+        constants = [table.constants.get((g, j), {}) for j in range(n)]
+        assert clear == lcm(*(c.d for row in constants for c in row.values()))
+        assert all(type(m) is int for row in rows for _, m in row)
+        assert [{k: ComplexRational(m) for k, m in row} for row in rows] == [
+            {k: c * clear for k, c in row.items()} for row in constants
+        ]
+    for g in rational:
+        for triple in ((1, 2, 3), (Fraction(-3, 4), 0, Fraction(5, 7))):
+            apply_adjoint_rational(table, g, Fraction(2, 3), triple)
+    assert all(table.integer_ad(g) is first[g] for g in range(n))
 
 
 fractions_with_denominators = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 30))

@@ -264,6 +264,28 @@ def test_normalization_never_reaches_the_kernel(table, monkeypatch):
     assert calls == Counter()
 
 
+def test_normalization_builds_only_the_records_fractions(table, monkeypatch):
+    """The triple's three, eps when a map is made, scale, and alpha in the
+    family: every other step of a normalization runs in integers."""
+    counts = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        counts[-1] += 1
+        return new(cls, *args, **kwargs)
+
+    triples = ((1, 2, 3), (2, 0, 5), (0, 0, -4), (Fraction(1, 2), Fraction(-2, 3), 0))
+    records = []
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    for triple in triples:
+        counts.append(0)
+        records.append(normalize_triple(table, triple))
+    monkeypatch.undo()
+    assert all(r.verified for r in records)
+    assert counts == [6, 5, 4, 6]
+    assert counts == [3 + len(r.maps) + 1 + (r.alpha is not None) for r in records]
+
+
 @pytest.fixture
 def flipped_sign(monkeypatch):
     """Make normalize_triple flip the first sign it takes in each call, the
@@ -293,6 +315,16 @@ def test_flipped_killing_sign_fails_verification(table, flipped_sign, capsys):
     assert not record.verified
     assert main(["optimal-system"]) == 1
     assert "FAIL normalization-sample" in capsys.readouterr().out
+
+
+def test_map_that_misses_the_representative_fails_verification(table, monkeypatch):
+    # the identity in place of Ad(exp(eps*g3)) keeps the trace form up to
+    # scale**2 but leaves the slot the map was to clear
+    monkeypatch.setattr(liealg, "_adjoint_numerators", lambda table, g, eps, nums, den: (nums, den))
+    for triple in ((1, 2, 3), (2, 0, 5)):
+        record = normalize_triple(table, triple)
+        assert len(record.maps) == 1 and not record.verified
+    assert normalize_triple(table, (0, 0, -4)).verified
 
 
 def test_killing_form_on_family(table):
