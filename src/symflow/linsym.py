@@ -145,17 +145,58 @@ def frechet(
     return out
 
 
+#: every monomial a cached piece holds, numbered as first cached:
+#: ``_MONOMIALS[_MONOMIAL_IDS[m]] == m``
+_MONOMIAL_IDS: dict[tuple, int] = {}
+_MONOMIALS: list[tuple] = []
+
+
+def _monomial_id(mono: tuple) -> int:
+    found = _MONOMIAL_IDS.get(mono)
+    if found is None:
+        found = _MONOMIAL_IDS[mono] = len(_MONOMIALS)
+        _MONOMIALS.append(mono)
+    return found
+
+
+@cache
+def _equation_reads(sys: PdeSystem, index: int) -> tuple[str, ...]:
+    """The dependents whose jets occur in equation ``index``, in order."""
+    return tuple(dict.fromkeys(a.name for a, _ in _equation_partials(sys, index)))
+
+
 @cache
 def _linearization_piece(sys: PdeSystem, index: int, name: str, mono: tuple) -> tuple:
     """Terms of the on-shell linearization of equation ``index`` along the
     characteristic with the monomial ``mono`` in component ``name`` and 0
-    in every other, in integer form ``(L, ((m, a, b), ...))``: L is the lcm
-    of the coefficient denominators and term m has coefficient (a + b*i)/L."""
+    in every other, in integer form ``(L, ((id, a, b), ...))``: L is the lcm
+    of the coefficient denominators and the term with monomial
+    ``_MONOMIALS[id]`` has coefficient (a + b*i)/L."""
     sigma = dict.fromkeys(sys.dependent_names, Expr.ZERO)
     sigma[name] = Expr(((mono, CR_ONE),))
     terms = sys.reduce(frechet(sys, sigma, (index,))[0]).items()
     common = lcm(*(c.d for _, c in terms))
-    return common, tuple((m, c.a * (common // c.d), c.b * (common // c.d)) for m, c in terms)
+    return common, tuple(
+        (_monomial_id(m), c.a * (common // c.d), c.b * (common // c.d)) for m, c in terms
+    )
+
+
+@cache
+def _factored_piece(sys: PdeSystem, index: int, name: str, mono: tuple) -> tuple:
+    """The piece for a whole monomial p*m of a characteristic, p its
+    ``Parameter`` factors (they sort first) and m the rest: the piece for m
+    with p merged into every term, or that piece itself when p is 1."""
+    split = 0
+    while split < len(mono) and type(mono[split][0]) is Parameter:
+        split += 1
+    piece = _linearization_piece(sys, index, name, mono[split:])
+    if not split:
+        return piece
+    factor = mono[:split]
+    common, terms = piece
+    return common, tuple(
+        (_monomial_id(_mono_mul(factor, _MONOMIALS[m])), a, b) for m, a, b in terms
+    )
 
 
 def verify_symmetry(
@@ -167,40 +208,41 @@ def verify_symmetry(
 
     Each residual equals ``sys.reduce(frechet(sys, sigma, equations)[i])``,
     assembled from cached pieces.  A term c*p*m of sigma_w, with c a
-    coefficient, p its ``Parameter`` factors (they sort first in a monomial)
-    and m the rest, contributes c*p times the piece for m: a parameter's
-    total derivative is 0 and reduction replaces jets only, so both commute
-    with the factor c*p.  The sum runs in Gaussian-integer numerators over
-    one denominator D per equation, the lcm of c.d * L over the terms the
-    equation reads (L a piece's denominator), and each surviving residual
-    coefficient is built and normalised once.
+    coefficient, p its ``Parameter`` factors and m the rest, contributes c
+    times the piece for p*m, which is p times the piece for m: a
+    parameter's total derivative is 0 and reduction replaces jets only, so
+    both commute with the factor p.  Only the piece for m is reduced; p is
+    merged into its terms once, when the piece for p*m is cached.  A cached
+    piece names each monomial by an integer id, so the sum runs over ids in
+    Gaussian-integer numerators over one denominator D per equation, the
+    lcm of c.d * L over the terms the equation reads (L a piece's
+    denominator).  Each surviving residual coefficient is built and
+    normalised once, and its id mapped back to its monomial.
     """
     residuals = []
     for index in range(len(sys.equations)) if equations is None else equations:
         reads = []
         common = 1
-        for name in dict.fromkeys(a.name for a, _ in _equation_partials(sys, index)):
+        for name in _equation_reads(sys, index):
             for mono, coeff in _component(sigma, name).items():
-                split = 0
-                while split < len(mono) and type(mono[split][0]) is Parameter:
-                    split += 1
-                piece_d, piece = _linearization_piece(sys, index, name, mono[split:])
-                reads.append((mono[:split], coeff, piece_d, piece))
+                piece_d, piece = _factored_piece(sys, index, name, mono)
+                reads.append((coeff, piece_d, piece))
                 common = lcm(common, coeff.d * piece_d)
-        acc: dict = {}
-        for factor, coeff, piece_d, piece in reads:
+        acc: dict[int, list[int]] = {}
+        for coeff, piece_d, piece in reads:
             scale = common // (coeff.d * piece_d)
             ca, cb = coeff.a * scale, coeff.b * scale
             for m, a, b in piece:
                 re, im = ca * a - cb * b, ca * b + cb * a
-                m = _mono_mul(factor, m)
                 pair = acc.get(m)
                 if pair is None:
                     acc[m] = [re, im]
                 else:
                     pair[0] += re
                     pair[1] += im
-        residuals.append(Expr({m: _cr(a, b, common) for m, (a, b) in acc.items() if a or b}))
+        residuals.append(
+            Expr({_MONOMIALS[m]: _cr(a, b, common) for m, (a, b) in acc.items() if a or b})
+        )
     return SymmetryCheck(all(r.is_zero() for r in residuals), tuple(residuals))
 
 

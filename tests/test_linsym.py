@@ -14,8 +14,9 @@ from symflow.expr import (
     Parameter,
     jet,
     parse,
+    to_text,
 )
-from symflow.jetsys import PdeSystem, parse_manifest, write_manifest
+from symflow.jetsys import PdeSystem, SolvedFormClosure, parse_manifest, write_manifest
 from symflow.liealg import VectorField, coordinate_atom
 from symflow.linsym import (
     DeterminingSystem,
@@ -296,25 +297,124 @@ LARGE_CONSTANTS = (
 NON_SYMMETRY = {"coupled-5": ("u", "I*alpha*u*x/(9*beta)"), "prolonged-6": ("phi", "phi")}
 
 
-@pytest.mark.parametrize("kick", [Fraction(0), Fraction(-7, 2**127 - 1)])
-@pytest.mark.parametrize("family", [coupled_family(), prolonged_family()], ids=lambda f: f.name)
-def test_large_denominators_match_reducing_frechet(prolonged, family, kick):
-    mapping = {Parameter(f"c{k}"): Expr.from_scalar(q) for k, q in enumerate(LARGE_CONSTANTS, 1)}
+def specialised_characteristic(family, constants, kick):
+    """The family with c1, c2, ... set to ``constants``, plus ``kick`` times
+    its fixed non-symmetry: a symmetry exactly when ``kick`` is 0."""
+    mapping = {Parameter(f"c{k}"): Expr.from_scalar(q) for k, q in enumerate(constants, 1)}
     etas = {n: e.substitute(mapping) for n, e in family.etas.items()}
     dep, extra = NON_SYMMETRY[family.name]
     etas[dep] = etas[dep] + Expr.from_scalar(kick) * parse(extra)
-    sigma = PointFamily(
+    return PointFamily(
         family.name, family.xi_x.substitute(mapping), family.xi_t.substitute(mapping),
         etas, family.equations,
     ).characteristic()
-    equations = family.equations
-    check = verify_symmetry(prolonged, sigma, equations)
-    expected = [prolonged.reduce(r) for r in frechet(prolonged, sigma, equations)]
+
+
+def assert_matches_reducing_frechet(system, sigma, equations):
+    check = verify_symmetry(system, sigma, equations)
+    expected = [system.reduce(r) for r in frechet(system, sigma, equations)]
     assert list(check.residuals) == expected
     assert [r.terms for r in check.residuals] == [r.terms for r in expected]
+    assert [to_text(r) for r in check.residuals] == [to_text(r) for r in expected]
+    assert check.holds == all(r.is_zero() for r in expected)
+    return check
+
+
+@pytest.mark.parametrize("kick", [Fraction(0), Fraction(-7, 2**127 - 1)])
+@pytest.mark.parametrize("family", [coupled_family(), prolonged_family()], ids=lambda f: f.name)
+def test_large_denominators_match_reducing_frechet(prolonged, family, kick):
+    sigma = specialised_characteristic(family, LARGE_CONSTANTS, kick)
+    check = assert_matches_reducing_frechet(prolonged, sigma, family.equations)
     assert check.holds == (kick == 0)
     if kick:
         assert max(c.d for r in check.residuals for _, c in r.terms) > 2**64
+
+
+def stream_case(index):
+    """Seeded specialisation ``index`` of a stream like the benchmark's:
+    the families alternate, constants are in [-9, 9] / [1, 9] with one set
+    to 0 in every fifth case, and every other pair of cases is kicked."""
+    family = (coupled_family(), prolonged_family())[index % 2]
+    rng = random.Random(f"stream:{index}")
+    constants = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(6)]
+    if index % 5 == 0:
+        constants[rng.randrange(6)] = Fraction(0)
+    kick = Fraction(0)
+    if index // 2 % 2:
+        kick = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+    return family, constants, kick
+
+
+@pytest.mark.parametrize("index", range(40))
+def test_candidate_stream_matches_reducing_frechet(prolonged, index):
+    family, constants, kick = stream_case(index)
+    sigma = specialised_characteristic(family, constants, kick)
+    check = assert_matches_reducing_frechet(prolonged, sigma, family.equations)
+    assert check.holds == (kick == 0)
+
+
+def test_parameter_factor_merges_with_a_parameter_free_read(prolonged):
+    # Along sigma_u = m, equation 0 linearizes on shell to
+    # -2*alpha*m*u*v - 6*I*beta*m*Diff(u,x)*v for m = u.  The factor 1/beta
+    # of the term u/beta cancels that beta, and the I*Diff(u,t) of the
+    # equation turns the parameter-free term 6*t*u*Diff(u,x)*v into
+    # 6*I*u*Diff(u,x)*v (plus terms in t), so the two reads cancel there.
+    target = parse("u*Diff(u,x)*v").terms[0][0]
+    halves = {"u": parse("u/beta"), "v": Expr.ZERO}, {"u": parse("6*t*u*Diff(u,x)*v"), "v": Expr.ZERO}
+    for sigma, coefficient in zip(halves, (ComplexRational(0, -6), ComplexRational(0, 6))):
+        (residual,) = assert_matches_reducing_frechet(prolonged, sigma, (0,)).residuals
+        assert dict(residual.items())[target] == coefficient
+    sigma = {"u": halves[0]["u"] + halves[1]["u"], "v": Expr.ZERO}
+    (residual,) = assert_matches_reducing_frechet(prolonged, sigma, (0,)).residuals
+    assert not residual.is_zero()
+    assert target not in dict(residual.items())
+
+
+@pytest.mark.parametrize("kick", [Fraction(0), Fraction(5, 3)])
+@pytest.mark.parametrize("family", [coupled_family(), prolonged_family()], ids=lambda f: f.name)
+def test_specialised_checks_reduce_nothing(prolonged, family, kick, monkeypatch):
+    # Every reduction happens while the symbolic family is checked; a
+    # specialisation, kicked or not, only reads and merges cached pieces.
+    system = parse_manifest(write_manifest(prolonged), name="prolonged-copy")
+    assert family.verify(system).holds
+    calls = Counter()
+    reduce_ = SolvedFormClosure.reduce
+
+    def counted(self, e):
+        calls["reduce"] += 1
+        return reduce_(self, e)
+
+    monkeypatch.setattr(SolvedFormClosure, "reduce", counted)
+    constants = (Fraction(-3, 4), 2, 0, Fraction(7, 9), -5, Fraction(1, 6))
+    check = verify_symmetry(system, specialised_characteristic(family, constants, kick), family.equations)
+    monkeypatch.undo()
+    assert check.holds == (kick == 0)
+    assert calls == Counter()
+
+
+# The first kicked candidate of each family in the benchmark's stream,
+# checked against the benchmark's warm set-up.
+_HASH_ORDER_SCRIPT = """
+from symflow.expr import to_text
+candidates = _worker.Candidates(1)
+kicked = {}
+for index in range(40):
+    spec = _worker.workloads.candidate_spec(1, index)
+    if spec["kick"]:
+        kicked.setdefault(spec["family"], index)
+for family, index in sorted(kicked.items()):
+    sigma, equations = candidates.prepare(index)
+    check = candidates.linsym.verify_symmetry(candidates.system, sigma, equations)
+    print(family, check.holds)
+    for residual in check.residuals:
+        print(to_text(residual))
+"""
+
+
+def test_kicked_candidates_print_the_same_residuals_under_any_hash_seed():
+    outputs = [fresh_interpreter(_HASH_ORDER_SCRIPT, hash_seed=seed) for seed in ("0", "1", "2")]
+    assert "coupled-5 False" in outputs[0] and "prolonged-6 False" in outputs[0]
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 # ---------------------------------------------------------------------------
