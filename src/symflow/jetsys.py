@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Mapping
 from .expr import (
     Atom,
     Expr,
+    ExpFactor,
     ExprError,
     JetCoordinate,
     Parameter,
@@ -317,28 +318,26 @@ def consistent_assignment(
 ) -> dict[Atom, complex]:
     """Random values for free atoms, computed values for solved ones.
 
-    Every atom occurring in ``exprs`` (and in the rules needed to resolve
-    them) receives a value, and the assignment satisfies every solved form
-    to machine precision.
+    Every atom occurring in ``exprs`` receives a value, and the assignment
+    satisfies every solved form to machine precision.  Rules are fully
+    reduced, so one pass suffices: a reducible jet takes its rule, whose
+    atoms are free.  An Exp factor is never drawn: ``Expr.eval_numeric``
+    computes it from its argument.
     """
     reducible: dict[JetCoordinate, Expr] = {}
     free: set[Atom] = set()
-    pending = []
     for e in exprs:
-        pending.extend(e.atoms())
-    while pending:
-        a = pending.pop()
-        if isinstance(a, JetCoordinate) and closure.base_key(a) is not None:
-            if a not in reducible:
-                rule = closure.rule(a)
-                reducible[a] = rule
-                pending.extend(rule.atoms())
-        else:
-            free.add(a)
+        for a in e.atoms():
+            if a in reducible:
+                continue
+            if isinstance(a, JetCoordinate) and closure.base_key(a) is not None:
+                rule = reducible[a] = closure.rule(a)
+                free.update(rule.atoms())
+            else:
+                free.add(a)
     # Draw in atom order, not set order: atoms hash by memory address.
-    assignment: dict[Atom, complex] = {
-        a: _random_complex(rng) for a in sorted(free, key=Atom.sort_key)
-    }
+    drawn = sorted((a for a in free if type(a) is not ExpFactor), key=Atom.sort_key)
+    assignment: dict[Atom, complex] = {a: _random_complex(rng) for a in drawn}
     for a, rule in sorted(reducible.items(), key=lambda item: item[0].sort_key()):
         assignment[a] = rule.eval_numeric(assignment)
     return assignment

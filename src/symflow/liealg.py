@@ -93,9 +93,6 @@ class VectorField:
             for name in COORDINATES[2:]
         }
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs.values())
-
     def __add__(self, other: "VectorField") -> "VectorField":
         return VectorField(
             {

@@ -1,9 +1,9 @@
 """Linearization, determining equations, and symmetry verification.
 
 Symmetries are handled internally in evolutionary (characteristic) form,
-with the sign convention of ``liealg.VectorField.characteristic``.  A
-characteristic is a plain ``dict`` from each deformed dependent's name to
-its component.
+built by ``liealg.VectorField.characteristic``, g2's included, so all have
+one orientation.  A characteristic is a plain ``dict`` from each deformed
+dependent's name to its component.
 """
 
 from __future__ import annotations
@@ -171,31 +171,24 @@ def _linearization_piece(sys: PdeSystem, index: int, name: str, mono: tuple) -> 
     characteristic with the monomial ``mono`` in component ``name`` and 0
     in every other, in integer form ``(L, ((id, a, b), ...))``: L is the lcm
     of the coefficient denominators and the term with monomial
-    ``_MONOMIALS[id]`` has coefficient (a + b*i)/L."""
+    ``_MONOMIALS[id]`` has coefficient (a + b*i)/L.  Only a parameter-free
+    monomial is reduced: for p*m, p the ``Parameter`` factors (they sort
+    first), the entry is m's piece with p merged into every term."""
+    split = 0
+    while split < len(mono) and type(mono[split][0]) is Parameter:
+        split += 1
+    if split:
+        common, terms = _linearization_piece(sys, index, name, mono[split:])
+        factor = mono[:split]
+        return common, tuple(
+            (_monomial_id(_mono_mul(factor, _MONOMIALS[m])), a, b) for m, a, b in terms
+        )
     sigma = dict.fromkeys(sys.dependent_names, Expr.ZERO)
     sigma[name] = Expr(((mono, CR_ONE),))
     terms = sys.reduce(frechet(sys, sigma, (index,))[0]).items()
     common = lcm(*(c.d for _, c in terms))
     return common, tuple(
         (_monomial_id(m), c.a * (common // c.d), c.b * (common // c.d)) for m, c in terms
-    )
-
-
-@cache
-def _factored_piece(sys: PdeSystem, index: int, name: str, mono: tuple) -> tuple:
-    """The piece for a whole monomial p*m of a characteristic, p its
-    ``Parameter`` factors (they sort first) and m the rest: the piece for m
-    with p merged into every term, or that piece itself when p is 1."""
-    split = 0
-    while split < len(mono) and type(mono[split][0]) is Parameter:
-        split += 1
-    piece = _linearization_piece(sys, index, name, mono[split:])
-    if not split:
-        return piece
-    factor = mono[:split]
-    common, terms = piece
-    return common, tuple(
-        (_monomial_id(_mono_mul(factor, _MONOMIALS[m])), a, b) for m, a, b in terms
     )
 
 
@@ -211,8 +204,8 @@ def verify_symmetry(
     coefficient, p its ``Parameter`` factors and m the rest, contributes c
     times the piece for p*m, which is p times the piece for m: a
     parameter's total derivative is 0 and reduction replaces jets only, so
-    both commute with the factor p.  Only the piece for m is reduced; p is
-    merged into its terms once, when the piece for p*m is cached.  A cached
+    both commute with the factor p.  The one piece cache, keyed by p*m,
+    reduces only m's piece and merges p into its terms once.  A cached
     piece names each monomial by an integer id, so the sum runs over ids in
     Gaussian-integer numerators over one denominator D per equation, the
     lcm of c.d * L over the terms the equation reads (L a piece's
@@ -225,7 +218,7 @@ def verify_symmetry(
         common = 1
         for name in _equation_reads(sys, index):
             for mono, coeff in _component(sigma, name).items():
-                piece_d, piece = _factored_piece(sys, index, name, mono)
+                piece_d, piece = _linearization_piece(sys, index, name, mono)
                 reads.append((coeff, piece_d, piece))
                 common = lcm(common, coeff.d * piece_d)
         acc: dict[int, list[int]] = {}
@@ -308,16 +301,15 @@ def prolonged_family(flip_psi_eta: bool = False) -> PointFamily:
 
 def seed_pair() -> dict[str, Expr]:
     """The eigenfunction-squared characteristic of the evolution equations:
-    the u, v part of g2."""
-    g2 = localized_generator()
-    return {name: g2.coefficient(name) for name in ("u", "v")}
+    the u, v part of g2's."""
+    sigma = localized_characteristic()
+    return {name: sigma[name] for name in ("u", "v")}
 
 
 def localized_characteristic() -> dict[str, Expr]:
-    """Five-component characteristic carried by the prolonged system: the
-    coefficients of the localized generator g2."""
-    g2 = localized_generator()
-    return {name: g2.coefficient(name) for name in COORDINATES[2:]}
+    """Five-component characteristic carried by the prolonged system: that
+    of the localized generator g2, -(phi^2, psi^2, phi*f, psi*f, f^2)."""
+    return localized_generator().characteristic()
 
 
 def parse_symmetry_manifest(text: str, system: PdeSystem) -> dict[str, Expr]:

@@ -9,7 +9,6 @@ from symflow.grpflow import (
     FLOW_VARIABLES,
     FlowMap,
     PoleError,
-    closed_form_at,
     closed_form_flow,
     flow_group_law,
     flow_identity_at_zero,
@@ -187,7 +186,7 @@ def test_oracle_is_fourth_order():
 
     def err(steps):
         numeric = ivp_oracle(initial, 0.6, steps)
-        exact = closed_form_at(initial, 0.6)
+        exact = map_solution(initial, 0.6)
         return max(abs(numeric[n] - exact[n]) for n in FLOW_VARIABLES)
 
     ratio = err(20) / err(40)
@@ -209,7 +208,7 @@ def test_oracle_matches_closed_form_at_random_states():
         epsilon = rng.uniform(0.05, 0.25)
         if abs(1 - epsilon * initial["f"]) < 0.3:
             continue
-        exact = closed_form_at(initial, epsilon)
+        exact = map_solution(initial, epsilon)
         numeric = ivp_oracle(initial, epsilon, 200)
         assert max(abs(exact[n] - numeric[n]) for n in FLOW_VARIABLES) < 1e-7
         # the grid path on a 1x1 grid runs the same certified rules
@@ -222,7 +221,7 @@ def test_pole_proximity_raises():
         ivp_oracle({"u": 0, "v": 0, "phi": 0, "psi": 0, "f": 1.0}, 1.0, 100)
     # the closed form refuses a state on the pole as well
     with pytest.raises(PoleError, match="at f = 2"):
-        closed_form_at({"u": 0, "v": 0, "phi": 0, "psi": 0, "f": 2.0}, 0.5)
+        map_solution({"u": 0, "v": 0, "phi": 0, "psi": 0, "f": 2.0}, 0.5)
 
 
 # ---------------------------------------------------------------------------

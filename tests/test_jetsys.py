@@ -1,3 +1,4 @@
+import cmath
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from symflow.jetsys import (
     SolvedFormClosure,
     builtin_hirota,
     builtin_prolonged,
+    consistent_assignment,
     consistent_point,
     cross_derivative_residuals,
     lax_pair,
@@ -178,6 +180,16 @@ def test_consistent_points_differ_between_seeds(prolonged):
     p1 = consistent_point(prolonged, seed=1, max_order=1)
     p2 = consistent_point(prolonged, seed=2, max_order=1)
     assert p1[u] != p2[u]
+
+
+def test_consistent_assignment_evaluates_exp_factors_and_never_draws_them(prolonged):
+    expr = parse("Exp(2*u) + Diff(u,t)*Exp(v)")
+    point = consistent_assignment(prolonged.closure, [expr], random.Random(1))
+    assert not any(type(a) is ExpFactor for a in point)
+    u, v, ut = JetCoordinate("u"), JetCoordinate("v"), JetCoordinate("u", ("t",))
+    expected = cmath.exp(2 * point[u]) + point[ut] * cmath.exp(point[v])
+    assert abs(expr.eval_numeric(point) - expected) < 1e-12
+    assert abs(point[ut] - prolonged.solved_forms[ut].eval_numeric(point)) < 1e-12
 
 
 _POINT_SCRIPT = """

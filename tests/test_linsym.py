@@ -17,7 +17,7 @@ from symflow.expr import (
     to_text,
 )
 from symflow.jetsys import PdeSystem, SolvedFormClosure, parse_manifest, write_manifest
-from symflow.liealg import VectorField, coordinate_atom
+from symflow.liealg import VectorField, coordinate_atom, localized_generator
 from symflow.linsym import (
     DeterminingSystem,
     PointAnsatz,
@@ -107,6 +107,19 @@ def test_localized_characteristic_solves_all_equations(prolonged):
     check = verify_symmetry(prolonged, localized_characteristic())
     assert check.holds
     assert len(check.residuals) == len(prolonged.equations)
+
+
+def test_g2_characteristics_take_the_one_orientation(prolonged):
+    # VectorField.characteristic puts the minus sign on g2's coefficients
+    sigma = localized_generator().characteristic()
+    assert localized_characteristic() == sigma
+    assert seed_pair() == {name: sigma[name] for name in ("u", "v")}
+    assert localized_characteristic()["u"] == -parse("phi^2")
+    # the opposite orientation verifies too: residuals are linear in sigma
+    negated = {name: -e for name, e in localized_characteristic().items()}
+    assert verify_symmetry(prolonged, negated).holds
+    negated_pair = {name: -e for name, e in seed_pair().items()}
+    assert verify_symmetry(prolonged, negated_pair, equations=(0, 1)).holds
 
 
 def test_same_sign_scaling_is_not_a_symmetry(prolonged):
