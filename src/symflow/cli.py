@@ -258,10 +258,9 @@ def _structure(s, _key):
 def _structure_json(s, _key):
     table = s.optimal.table
     n = len(table.basis)
-    units = [[Expr.from_scalar(int(k == i)) for k in range(n)] for i in range(n)]
     payload = {
         f"[{table.labels[i]},{table.labels[j]}]":
-            [str(c) for c in table.bracket(units[i], units[j])]
+            [str(table.constants.get((i, j), {}).get(k, 0)) for k in range(n)]
         for i, j in itertools.combinations(range(n), 2)
     }
     print(json.dumps(payload, indent=2, sort_keys=True))

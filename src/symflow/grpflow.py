@@ -242,9 +242,9 @@ def map_solution(values: Mapping[str, complex | np.ndarray], epsilon: float):
         index = np.unravel_index(np.argmin(np.abs(den)), np.shape(den))
         at = complex(np.asarray(values["f"])[index])
         f_text = f"{at.real:g}" if at.imag == 0 else f"{at.real:g}{at.imag:+g}i"
+        where = f" on grid at index {tuple(int(i) for i in index)}" if index else ""
         raise PoleError(
-            f"flow pole on grid at index {tuple(int(i) for i in index)}: "
-            f"1 - epsilon*f = 0 at f = {f_text} (epsilon = {epsilon:g})"
+            f"flow pole{where}: 1 - epsilon*f = 0 at f = {f_text} (epsilon = {epsilon:g})"
         )
     return {n: flow.nums[n].eval_numeric(assignment) / den for n in FLOW_VARIABLES}
 

@@ -271,9 +271,9 @@ def builtin_prolonged() -> PdeSystem:
     equations += [Expr.atom(k) - rhs for k, rhs in solved.items() if k not in base.solved_forms]
     return PdeSystem(
         name="prolonged",
-        independents=("t", "x"),
-        dependents=(("u", 3), ("v", 3), ("phi", 1), ("psi", 1), ("f", 1)),
-        parameters=("alpha", "beta", "lambda"),
+        independents=base.independents,
+        dependents=(*base.dependents, ("phi", 1), ("psi", 1), ("f", 1)),
+        parameters=(*base.parameters, "lambda"),
         equations=equations,
         solved_forms=solved,
     )

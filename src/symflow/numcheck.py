@@ -3,13 +3,13 @@ difference residuals.
 
 The seed family lives on the zero background: with u = v = 0 the linear
 problem integrates to plane-wave eigenfunctions and a potential f that
-is linear in x and t.  ``vacuum_forms`` is its one statement: it builds
-the closed forms and certifies them once per process (all eight
-equations of the prolonged system reduce to zero modulo the forms,
-identically in the parameters), and ``make_vacuum_grid`` evaluates the
-certified forms on a mesh of the fixed extent ``VACUUM_EXTENT``, so
-every numeric expectation in this module traces back to an exact
-statement.
+is linear in x and t.  ``vacuum_forms`` is its one statement: it reads
+the closed forms from ``lax_pair()`` at u = v = 0 and certifies them
+once per process (all eight equations of the prolonged system reduce to
+zero modulo the forms, identically in the parameters), and
+``make_vacuum_grid`` evaluates the certified forms on a mesh of the fixed
+extent ``VACUUM_EXTENT``, so every numeric expectation in this module
+traces back to an exact statement.
 
 numpy is imported inside the functions that use it: importing this module
 (as ``import symflow`` does) must not load numpy for runs that evaluate no
@@ -26,16 +26,11 @@ import types
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
-from .expr import (
-    Expr,
-    IndependentVariable,
-    JetCoordinate,
-    Parameter,
-    exp_of,
-    parse,
-)
+from .expr import Expr, IndependentVariable, JetCoordinate, Parameter, exp_of, parse
 from .grpflow import map_solution
-from .jetsys import SolvedFormClosure, at_line, builtin_hirota, builtin_prolonged, numbered_lines
+from .jetsys import (
+    SolvedFormClosure, at_line, builtin_hirota, builtin_prolonged, lax_pair, numbered_lines,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -93,28 +88,32 @@ class Grid:
 
 @functools.cache
 def vacuum_forms() -> Mapping[str, Expr]:
-    """Exact solution family on the u = v = 0 background, certified:
+    """Exact solution family read from ``lax_pair()`` at u = v = 0, certified.
+
+    There U and V are diagonal, so phi = Exp(U11 x + V11 t) and
+    psi = Exp(U22 x + V22 t); then phi*psi = 1 and the pair's f_d reduces
+    to I*(M11)_lambda, so f = I*(U11)_lambda x + I*(V11)_lambda t + c1:
 
     phi = Exp(-i lambda x - (4 i beta lambda^3 + 2 i alpha lambda^2) t)
     psi = Exp(+i lambda x + (4 i beta lambda^3 + 2 i alpha lambda^2) t)
     f   = x + (12 beta lambda^2 + 4 alpha lambda) t + c1
 
-    so that phi*psi = 1 and f_x = 1, f_t = 12 beta lambda^2 + 4 alpha lambda.
     All eight equations are reduced modulo the forms, taken as order-zero
     solved forms (each jet u_J becomes D_J of its form); the parameters
     stay symbolic, so the certificate is an identity in lambda, alpha,
     beta and c1.
     """
-    phase = parse("4*I*beta*lambda^3 + 2*I*alpha*lambda^2")
-    x = parse("x")
-    t = parse("t")
-    lam = parse("lambda")
+    x, t, lam = parse("x"), parse("t"), Parameter("lambda")
+    (u11, u22), (v11, v22) = (
+        [e.substitute({a: 0 for a in e.jet_atoms()}) for e in (m[0][0], m[1][1])]
+        for m in lax_pair()
+    )
     forms = {
         "u": Expr.ZERO,
         "v": Expr.ZERO,
-        "phi": exp_of(-Expr.I * lam * x - phase * t),
-        "psi": exp_of(Expr.I * lam * x + phase * t),
-        "f": x + parse("12*beta*lambda^2 + 4*alpha*lambda") * t + parse("c1"),
+        "phi": exp_of(u11 * x + v11 * t),
+        "psi": exp_of(u22 * x + v22 * t),
+        "f": Expr.I * (u11.diff(lam) * x + v11.diff(lam) * t) + parse("c1"),
     }
     closure = SolvedFormClosure({JetCoordinate(n): form for n, form in forms.items()})
     for i, equation in enumerate(builtin_prolonged().equations):
@@ -269,7 +268,7 @@ def read_grid(text: str) -> Grid:
             if name in params:
                 raise ValueError(f"parameter '{name}' appears twice")
             params[name] = _parse_complex(value)
-    fields = {}
+        grid = Grid(x0=x0, dx=dx, nx=nx, t0=t0, dt=dt, nt=nt, params=params)
     for k in range(1, len(lines), 1 + nt):
         number, line = lines[k]
         rows = lines[k + 1 : k + 1 + nt]
@@ -278,7 +277,7 @@ def read_grid(text: str) -> Grid:
             if len(words) != 2 or words[0] != "field":
                 raise ValueError("expected 'field <name>'")
             name = words[1]
-            if name in fields:
+            if name in grid.fields:
                 raise ValueError(f"field '{name}' appears twice")
             if len(rows) < nt:
                 raise ValueError(f"field '{name}' has {len(rows)} of its {nt} rows")
@@ -289,5 +288,5 @@ def read_grid(text: str) -> Grid:
                 if len(items) != nx:
                     raise ValueError(f"field '{name}' row has {len(items)} values, want {nx}")
                 values.append([_parse_complex(v) for v in items])
-        fields[name] = np.array(values, dtype=complex)
-    return Grid(x0=x0, dx=dx, nx=nx, t0=t0, dt=dt, nt=nt, fields=fields, params=params)
+        grid.fields[name] = np.array(values, dtype=complex)
+    return grid

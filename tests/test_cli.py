@@ -346,6 +346,16 @@ def test_truncated_grid_exits_two(tmp_path, capsys):
     assert "of its 8 rows" in _one_line_error(capsys, src)
 
 
+def test_grid_spacing_not_positive_exits_two_naming_the_header_line(tmp_path, capsys):
+    header, rest = numcheck.write_grid(numcheck.make_vacuum_grid(nx=9, nt=8)).split("\n", 1)
+    words = header.split()
+    words[4] = "0"
+    src = tmp_path / "flat.grid"
+    src.write_text("# a comment\n" + " ".join(words) + "\n" + rest)
+    assert run(["finite-transform", "--grid", str(src)]) == 2
+    assert "line 2: grid spacings must be positive" in _one_line_error(capsys, src)
+
+
 def _nan_in_f(lines):
     row = lines.index("field f") + 2
     lines[row] = "nan+0.0i," + lines[row].split(",", 1)[1]
@@ -587,4 +597,18 @@ def test_symbolic_work_never_loads_numpy():
     tracer patches is loaded; the first grid loads it."""
     assert fresh_interpreter(_COLD_SCRIPT).splitlines() == [
         "230 True 0", "False []", "True",
+    ]
+
+
+def test_the_package_binds_only_its_modules_and_verify_symmetry():
+    """Names are imported from their modules; the package binds the seven
+    modules, the verify_symmetry the benchmark's tracer counts, and the
+    version."""
+    script = (
+        "import symflow\n"
+        "print(*sorted(n for n in vars(symflow) if n[0] != '_'), symflow.__version__)"
+    )
+    assert fresh_interpreter(script).split() == [
+        "conslaw", "expr", "grpflow", "jetsys", "liealg", "linsym", "numcheck",
+        "verify_symmetry", "0.1.0",
     ]

@@ -220,8 +220,10 @@ def test_pole_proximity_raises():
     with pytest.raises(PoleError):
         ivp_oracle({"u": 0, "v": 0, "phi": 0, "psi": 0, "f": 1.0}, 1.0, 100)
     # the closed form refuses a state on the pole as well
-    with pytest.raises(PoleError, match="at f = 2"):
+    with pytest.raises(PoleError, match="at f = 2") as raised:
         map_solution({"u": 0, "v": 0, "phi": 0, "psi": 0, "f": 2.0}, 0.5)
+    # a scalar state is on no grid, so the message names no grid index
+    assert "grid" not in str(raised.value) and "index" not in str(raised.value)
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,21 @@ def test_grid_file_rejects_a_size_below_one(nx, nt):
         read_grid(header.replace("grid 9 8 ", f"grid {nx} {nt} ", 1) + "\n" + rest)
 
 
+def _comment_then_spacing(word, value):
+    """A vacuum grid file behind one comment line, with header word
+    ``word`` (4 is dx, 6 is dt) set to ``value``."""
+    header, rest = _vacuum_text().split("\n", 1)
+    words = header.split()
+    words[word] = value
+    return "# a comment\n" + " ".join(words) + "\n" + rest
+
+
+@pytest.mark.parametrize("word, value", [(4, "0"), (4, "-1"), (6, "0.0")])
+def test_grid_file_with_a_spacing_not_positive_names_the_header_line(word, value):
+    with pytest.raises(ValueError, match=r"^line 2: grid spacings must be positive$"):
+        read_grid(_comment_then_spacing(word, value))
+
+
 @pytest.mark.parametrize("change, count", [(-1, 8), (+1, 10)])
 def test_grid_file_rejects_a_row_of_the_wrong_length(change, count):
     lines = _vacuum_text().splitlines()
