@@ -213,7 +213,11 @@ _SYMMETRIES = {
 
 
 def _symmetry(s, key):
-    return _residual_summary(_SYMMETRIES[key](jetsys.builtin_prolonged()).residuals)
+    check = _SYMMETRIES[key](jetsys.builtin_prolonged())
+    ok, detail, residual = _residual_summary(check.residuals)
+    if key == "coupled-5":  # xi_x and eta_u divide by beta
+        detail += " (beta != 0)"
+    return ok, detail, residual
 
 
 def _flipped_family_rejected(s, _key):

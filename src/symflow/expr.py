@@ -41,6 +41,10 @@ class EvaluationError(ExprError):
     """Raised when a numeric evaluation lacks an assignment for an atom."""
 
 
+class DivisionByZero(ExprError, ZeroDivisionError):
+    """Raised when the zero expression is inverted."""
+
+
 # ---------------------------------------------------------------------------
 # exact complex-rational coefficients
 # ---------------------------------------------------------------------------
@@ -577,6 +581,8 @@ class Expr:
         return _power_by_squaring(self, n) if n else Expr.ONE
 
     def _inverted(self) -> "Expr":
+        if not self._map:
+            raise DivisionByZero("division by zero")
         if len(self._map) != 1:
             raise ExprError(
                 "only monomials can be inverted; division by a multi-term "

@@ -9,7 +9,7 @@ dependent's name to its component.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -79,10 +79,27 @@ class UnknownFunction(Atom):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetryCheck:
+    """The verdict of ``verify_symmetry`` and its residuals, one per
+    checked equation.  Each residual is held as its integer sum
+    ``(D, {slot: n})``: slot 2*id holds a and slot 2*id + 1 holds b for
+    the term (a + b*i)/D with monomial ``_MONOMIALS[id]``.  The residual
+    ``Expr``s are built on the first read of ``residuals``."""
+
     holds: bool
-    residuals: tuple[Expr, ...]
+    sums: tuple[tuple[int, dict[int, int]], ...] = field(repr=False)
+
+    @cached_property
+    def residuals(self) -> tuple[Expr, ...]:
+        out = []
+        for common, acc in self.sums:
+            parts: dict[int, list[int]] = {}
+            for slot, n in acc.items():
+                if n:
+                    parts.setdefault(slot >> 1, [0, 0])[slot & 1] = n
+            out.append(Expr({_MONOMIALS[m]: _cr(a, b, common) for m, (a, b) in parts.items()}))
+        return tuple(out)
 
 
 def _component(sigma: Mapping[str, Expr], name: str) -> Expr:
@@ -165,31 +182,70 @@ def _equation_reads(sys: PdeSystem, index: int) -> tuple[str, ...]:
     return tuple(dict.fromkeys(a.name for a, _ in _equation_partials(sys, index)))
 
 
-@cache
-def _linearization_piece(sys: PdeSystem, index: int, name: str, mono: tuple) -> tuple:
+#: the one piece cache: (system, dependent, monomial) -> that monomial's
+#: pieces, one entry per equation, None until a check reads that equation
+_PIECES: dict[tuple[PdeSystem, str, tuple], list] = {}
+
+
+def _pieces(sys: PdeSystem, name: str, mono: tuple) -> list:
+    key = (sys, name, mono)
+    found = _PIECES.get(key)
+    if found is None:
+        found = _PIECES[key] = [None] * len(sys.equations)
+    return found
+
+
+def _piece(sys: PdeSystem, index: int, name: str, mono: tuple, pieces: list) -> tuple:
     """Terms of the on-shell linearization of equation ``index`` along the
     characteristic with the monomial ``mono`` in component ``name`` and 0
-    in every other, in integer form ``(L, ((id, a, b), ...))``: L is the lcm
-    of the coefficient denominators and the term with monomial
-    ``_MONOMIALS[id]`` has coefficient (a + b*i)/L.  Only a parameter-free
-    monomial is reduced: for p*m, p the ``Parameter`` factors (they sort
-    first), the entry is m's piece with p merged into every term."""
+    in every other, in integer form ``(L, ((slot, n), ...))``: L is the lcm
+    of the coefficient denominators, and the term with monomial
+    ``_MONOMIALS[id]`` and coefficient (a + b*i)/L gives ``(2*id, a)`` and
+    ``(2*id + 1, b)``, each only when nonzero.  ``pieces`` is mono's
+    list in ``_PIECES``; the piece is made on first need and kept there.
+    Only a parameter-free monomial is reduced: for p*m, p the ``Parameter``
+    factors (they sort first), the piece is m's with p merged into every
+    term."""
+    found = pieces[index]
+    if found is not None:
+        return found
     split = 0
     while split < len(mono) and type(mono[split][0]) is Parameter:
         split += 1
     if split:
-        common, terms = _linearization_piece(sys, index, name, mono[split:])
+        rest = mono[split:]
+        common, terms = _piece(sys, index, name, rest, _pieces(sys, name, rest))
         factor = mono[:split]
-        return common, tuple(
-            (_monomial_id(_mono_mul(factor, _MONOMIALS[m])), a, b) for m, a, b in terms
+        found = common, tuple(
+            (2 * _monomial_id(_mono_mul(factor, _MONOMIALS[slot >> 1])) + (slot & 1), n)
+            for slot, n in terms
         )
-    sigma = dict.fromkeys(sys.dependent_names, Expr.ZERO)
-    sigma[name] = Expr(((mono, CR_ONE),))
-    terms = sys.reduce(frechet(sys, sigma, (index,))[0]).items()
-    common = lcm(*(c.d for _, c in terms))
-    return common, tuple(
-        (_monomial_id(m), c.a * (common // c.d), c.b * (common // c.d)) for m, c in terms
-    )
+    else:
+        sigma = dict.fromkeys(sys.dependent_names, Expr.ZERO)
+        sigma[name] = Expr(((mono, CR_ONE),))
+        terms = sys.reduce(frechet(sys, sigma, (index,))[0]).items()
+        common = lcm(*(c.d for _, c in terms))
+        found = common, tuple(
+            (2 * _monomial_id(m) + part, n * (common // c.d))
+            for m, c in terms
+            for part, n in enumerate((c.a, c.b))
+            if n
+        )
+    pieces[index] = found
+    return found
+
+
+def _selection(sys: PdeSystem, equations: Sequence[int] | None) -> tuple[int, ...]:
+    count = len(sys.equations)
+    selected = tuple(range(count) if equations is None else equations)
+    if not selected:
+        raise ExprError("the equation selection is empty, so nothing would be checked")
+    for index in selected:
+        if not (isinstance(index, int) and 0 <= index < count):
+            raise ExprError(
+                f"equation {index!r} is not in the system: its equations are 0..{count - 1}"
+            )
+    return selected
 
 
 def verify_symmetry(
@@ -204,39 +260,59 @@ def verify_symmetry(
     coefficient, p its ``Parameter`` factors and m the rest, contributes c
     times the piece for p*m, which is p times the piece for m: a
     parameter's total derivative is 0 and reduction replaces jets only, so
-    both commute with the factor p.  The one piece cache, keyed by p*m,
-    reduces only m's piece and merges p into its terms once.  A cached
-    piece names each monomial by an integer id, so the sum runs over ids in
-    Gaussian-integer numerators over one denominator D per equation, the
-    lcm of c.d * L over the terms the equation reads (L a piece's
-    denominator).  Each surviving residual coefficient is built and
-    normalised once, and its id mapped back to its monomial.
+    both commute with the factor p.  The one piece cache is keyed by
+    (system, dependent, monomial): each monomial of sigma_w is looked up
+    once and its piece read for every selected equation that reads w.  A
+    piece is reduced per equation on first need, and for p*m only m's
+    piece is reduced, with p merged into its terms once.  A cached piece
+    names each monomial by an integer id, so the sum runs over integer
+    slots (2*id for a real part, 2*id + 1 for an imaginary part) in
+    numerators over one denominator D per equation, the lcm of c.d * L over
+    the terms the equation reads (L a piece's denominator), taken only when
+    D is not already a multiple.  ``holds`` is read off the numerators;
+    each residual ``Expr`` is built on the first read of ``residuals``.
+
+    ``equations`` selects and orders the checked equations (all by
+    default); an empty selection or an index that names no equation raises
+    ``ExprError``.
     """
-    residuals = []
-    for index in range(len(sys.equations)) if equations is None else equations:
-        reads = []
-        common = 1
+    selected = _selection(sys, equations)
+    readers: dict[str, list[int]] = {}
+    for position, index in enumerate(selected):
         for name in _equation_reads(sys, index):
-            for mono, coeff in _component(sigma, name).items():
-                piece_d, piece = _linearization_piece(sys, index, name, mono)
-                reads.append((coeff, piece_d, piece))
-                common = lcm(common, coeff.d * piece_d)
-        acc: dict[int, list[int]] = {}
-        for coeff, piece_d, piece in reads:
+            readers.setdefault(name, []).append(position)
+    reads: list[list] = [[] for _ in selected]
+    for name, positions in readers.items():
+        for mono, coeff in _component(sigma, name).items():
+            pieces = _pieces(sys, name, mono)
+            for position in positions:
+                index = selected[position]
+                piece = pieces[index] or _piece(sys, index, name, mono, pieces)
+                reads[position].append((coeff, piece))
+    sums = []
+    for equation_reads in reads:
+        common = 1
+        for coeff, (piece_d, _) in equation_reads:
+            d = coeff.d * piece_d
+            if common % d:
+                common = lcm(common, d)
+        # the real parts of the coefficients times the pieces, then i times
+        # their imaginary parts, folded in slot by slot
+        acc: dict[int, int] = {}
+        imag: dict[int, int] = {}
+        for coeff, (piece_d, piece) in equation_reads:
             scale = common // (coeff.d * piece_d)
-            ca, cb = coeff.a * scale, coeff.b * scale
-            for m, a, b in piece:
-                re, im = ca * a - cb * b, ca * b + cb * a
-                pair = acc.get(m)
-                if pair is None:
-                    acc[m] = [re, im]
-                else:
-                    pair[0] += re
-                    pair[1] += im
-        residuals.append(
-            Expr({_MONOMIALS[m]: _cr(a, b, common) for m, (a, b) in acc.items() if a or b})
-        )
-    return SymmetryCheck(all(r.is_zero() for r in residuals), tuple(residuals))
+            for part, into in ((coeff.a, acc), (coeff.b, imag)):
+                if part:
+                    c = part * scale
+                    for slot, v in piece:
+                        into[slot] = into.get(slot, 0) + c * v
+        for slot, v in imag.items():
+            # i*(v at 2*id) is v at 2*id + 1; i*(v at 2*id + 1) is -v at 2*id
+            acc[slot ^ 1] = acc.get(slot ^ 1, 0) + (-v if slot & 1 else v)
+        sums.append((common, acc))
+    holds = not any(any(acc.values()) for _, acc in sums)
+    return SymmetryCheck(holds, tuple(sums))
 
 
 # ---------------------------------------------------------------------------

@@ -288,6 +288,23 @@ def test_unparsable_symmetry_line_exits_two(tmp_path, capsys):
     _one_line_error(capsys, manifest)
 
 
+def test_symmetry_line_dividing_by_zero_exits_two_saying_so(tmp_path, capsys):
+    manifest = tmp_path / "sigma.txt"
+    manifest.write_text(
+        "[symmetry]\nsigma_u = 1/0\nsigma_v = 0\nsigma_phi = 0\nsigma_psi = 0\nsigma_f = 0\n"
+    )
+    assert run(["verify-symmetry", "--manifest", str(manifest)]) == 2
+    assert "line 2: division by zero (byte offset 1)" in _one_line_error(capsys, manifest)
+
+
+def test_coupled_family_detail_names_beta_nonzero(capsys):
+    assert run(["verify-symmetry", "--family", "coupled-5"]) == 0
+    out = capsys.readouterr().out
+    assert "PASS family-coupled-5  [all residuals reduce to 0 (beta != 0)]" in out
+    assert run(["verify-symmetry", "--family", "prolonged-6"]) == 0
+    assert "beta" not in capsys.readouterr().out
+
+
 LOCALIZED_MANIFEST = (
     "[symmetry]\n"
     "sigma_u = phi^2 + c1*Diff(u,x)\n"

@@ -85,6 +85,17 @@ def test_parse_division_by_sum_rejected():
         parse("u/(u + v)")
 
 
+@pytest.mark.parametrize("text, offset", [("1/0", 1), ("0^-1", 1), ("u/(v-v)", 1)])
+def test_parse_division_by_zero_says_so(text, offset):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.reason, err.value.offset) == ("division by zero", offset)
+    with pytest.raises(ZeroDivisionError, match="division by zero"):
+        Expr.ONE / Expr.ZERO
+    with pytest.raises(ExprError, match="division by zero"):
+        Expr.ZERO ** -1
+
+
 def test_parse_rational_literals_and_precedence():
     assert parse("3/4*u") == Expr.from_scalar(Fraction(3, 4)) * jet("u")
     assert parse("-u^2") == -(jet("u") ** 2)

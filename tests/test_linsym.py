@@ -155,6 +155,53 @@ def test_verify_symmetry_keeps_the_order_of_the_selected_equations(prolonged):
     assert forward[0] != forward[1]
 
 
+@pytest.mark.parametrize(
+    "equations, message",
+    [((), "selection is empty"), ((8,), "equation 8 is not in the system"),
+     ((-1,), "equation -1 is not in the system")],
+)
+def test_verify_symmetry_refuses_a_selection_that_names_no_equation(prolonged, equations, message):
+    with pytest.raises(ExprError, match=message) as err:
+        verify_symmetry(prolonged, localized_characteristic(), equations)
+    assert "\n" not in str(err.value)
+
+
+def test_an_empty_selection_does_not_pass_the_negative_control(prolonged):
+    family = dataclasses.replace(prolonged_family(flip_psi_eta=True), equations=())
+    with pytest.raises(ExprError, match="selection is empty"):
+        family.verify(prolonged)
+
+
+def test_the_verdict_alone_agrees_with_the_residuals_read_later(prolonged):
+    constants = (1, -2, 3, Fraction(1, 2), 0, 7)
+    for kick in (Fraction(0), Fraction(5, 3)):
+        sigma = specialised_characteristic(prolonged_family(), constants, kick)
+        check = verify_symmetry(prolonged, sigma)
+        assert check.holds == (kick == 0)
+        residuals = check.residuals
+        assert check.holds == all(r.is_zero() for r in residuals)
+        assert check.residuals is residuals
+
+
+def test_residuals_do_not_depend_on_which_selection_filled_the_pieces(prolonged):
+    # Pieces are kept per monomial and filled per equation on first need:
+    # a later call that selects more equations must fill the rest.  Kicked
+    # in u and in phi, so that every equation's residual is nonzero and
+    # reads the pieces of u's monomials.
+    sigma = specialised_characteristic(prolonged_family(), (Fraction(2, 3), -1, 0, 4, 5, -6), 3)
+    sigma["u"] = sigma["u"] + parse("2*u*phi")
+    calls = ((0, 1), None, (1,))
+    results = {}
+    for order in (calls, calls[::-1]):
+        system = parse_manifest(write_manifest(prolonged), name="prolonged-copy")
+        results[order] = {eqs: verify_symmetry(system, sigma, eqs).residuals for eqs in order}
+    forward, backward = results[calls], results[calls[::-1]]
+    assert not any(r.is_zero() for r in forward[None])
+    for eqs in calls:
+        assert forward[eqs] == backward[eqs]
+        assert [to_text(r) for r in forward[eqs]] == [to_text(r) for r in backward[eqs]]
+
+
 def test_specialised_family_reuses_the_pieces_of_the_symbolic_check(prolonged, monkeypatch):
     # A system read back from its manifest is a new object with no pieces.
     import symflow.linsym as linsym
