@@ -82,24 +82,33 @@ class UnknownFunction(Atom):
 @dataclass(frozen=True, eq=False)
 class SymmetryCheck:
     """The verdict of ``verify_symmetry`` and its residuals, one per
-    checked equation.  Each residual is held as its integer sum
-    ``(D, {slot: n})``: slot 2*id holds a and slot 2*id + 1 holds b for
-    the term (a + b*i)/D with monomial ``_MONOMIALS[id]``.  The residual
-    ``Expr``s are built on the first read of ``residuals``."""
+    checked equation.  ``reads`` holds, per checked equation, the
+    monomials of its table and the (coefficient, piece) pairs it sums;
+    ``sums`` holds the integer sums taken while deciding ``holds``, in
+    selection order, up to the first nonzero one.  A sum is ``(D, acc)``:
+    ``acc[2*k]`` holds a and ``acc[2*k + 1]`` holds b for the term
+    (a + b*i)/D with the table's k-th monomial.  The sums not yet taken
+    are taken, and every residual ``Expr`` built, on the first read of
+    ``residuals``."""
 
     holds: bool
-    sums: tuple[tuple[int, dict[int, int]], ...] = field(repr=False)
+    reads: tuple[tuple[list[tuple], list], ...] = field(repr=False)
+    sums: tuple[tuple[int, list[int]], ...] = field(repr=False)
 
     @cached_property
     def residuals(self) -> tuple[Expr, ...]:
-        out = []
-        for common, acc in self.sums:
-            parts: dict[int, list[int]] = {}
-            for slot, n in acc.items():
-                if n:
-                    parts.setdefault(slot >> 1, [0, 0])[slot & 1] = n
-            out.append(Expr({_MONOMIALS[m]: _cr(a, b, common) for m, (a, b) in parts.items()}))
-        return tuple(out)
+        sums = self.sums + tuple(
+            _equation_sum(len(monomials), equation_reads)
+            for monomials, equation_reads in self.reads[len(self.sums):]
+        )
+        return tuple(
+            Expr({
+                monomials[slot >> 1]: _cr(acc[slot], acc[slot + 1], common)
+                for slot in range(0, len(acc), 2)
+                if acc[slot] or acc[slot + 1]
+            })
+            for (monomials, _), (common, acc) in zip(self.reads, sums)
+        )
 
 
 def _component(sigma: Mapping[str, Expr], name: str) -> Expr:
@@ -147,14 +156,16 @@ def frechet(
     dF/dw_J * D_J(sigma_w); sigma must cover every dependent that occurs
     in the selected equations.  Each D_J(sigma_w) is formed once per call,
     as D_d of its prefix, in the direction order of
-    ``total_derivative_along``.
+    ``total_derivative_along``.  ``equations`` selects and orders the
+    equations as in ``verify_symmetry``, and is refused the same way.
     """
+    selected = _selection(sys, equations)
     derivative = _by_prefix(
         lambda name: _component(sigma, name),
         lambda prefix, _name, index: prefix.total_derivative(index[-1]),
     )
     out = []
-    for index in range(len(sys.equations)) if equations is None else equations:
+    for index in selected:
         total = Expr.ZERO
         for a, partial in _equation_partials(sys, index):
             total = total + partial * derivative(a.name, a.index)
@@ -162,17 +173,20 @@ def frechet(
     return out
 
 
-#: every monomial a cached piece holds, numbered as first cached:
-#: ``_MONOMIALS[_MONOMIAL_IDS[m]] == m``
-_MONOMIAL_IDS: dict[tuple, int] = {}
-_MONOMIALS: list[tuple] = []
+@cache
+def _monomial_table(sys: PdeSystem, index: int) -> tuple[dict[tuple, int], list[tuple]]:
+    """The monomials that the cached pieces of equation ``index`` hold,
+    numbered as first cached: ``(ids, monomials)`` with
+    ``monomials[ids[m]] == m``.  Append-only, so a number never changes."""
+    return {}, []
 
 
-def _monomial_id(mono: tuple) -> int:
-    found = _MONOMIAL_IDS.get(mono)
+def _monomial_id(table: tuple[dict[tuple, int], list[tuple]], mono: tuple) -> int:
+    ids, monomials = table
+    found = ids.get(mono)
     if found is None:
-        found = _MONOMIAL_IDS[mono] = len(_MONOMIALS)
-        _MONOMIALS.append(mono)
+        found = ids[mono] = len(monomials)
+        monomials.append(mono)
     return found
 
 
@@ -199,25 +213,26 @@ def _piece(sys: PdeSystem, index: int, name: str, mono: tuple, pieces: list) -> 
     """Terms of the on-shell linearization of equation ``index`` along the
     characteristic with the monomial ``mono`` in component ``name`` and 0
     in every other, in integer form ``(L, ((slot, n), ...))``: L is the lcm
-    of the coefficient denominators, and the term with monomial
-    ``_MONOMIALS[id]`` and coefficient (a + b*i)/L gives ``(2*id, a)`` and
-    ``(2*id + 1, b)``, each only when nonzero.  ``pieces`` is mono's
-    list in ``_PIECES``; the piece is made on first need and kept there.
-    Only a parameter-free monomial is reduced: for p*m, p the ``Parameter``
-    factors (they sort first), the piece is m's with p merged into every
-    term."""
+    of the coefficient denominators, and the term with the k-th monomial of
+    the equation's ``_monomial_table`` and coefficient (a + b*i)/L gives
+    ``(2*k, a)`` and ``(2*k + 1, b)``, each only when nonzero.  ``pieces``
+    is mono's list in ``_PIECES``; the piece is made on first need and kept
+    there.  Only a parameter-free monomial is reduced: for p*m, p the
+    ``Parameter`` factors (they sort first), the piece is m's with p merged
+    into every term, each term renumbered through the same table."""
     found = pieces[index]
     if found is not None:
         return found
+    table = _monomial_table(sys, index)
     split = 0
     while split < len(mono) and type(mono[split][0]) is Parameter:
         split += 1
     if split:
         rest = mono[split:]
         common, terms = _piece(sys, index, name, rest, _pieces(sys, name, rest))
-        factor = mono[:split]
+        factor, monomials = mono[:split], table[1]
         found = common, tuple(
-            (2 * _monomial_id(_mono_mul(factor, _MONOMIALS[slot >> 1])) + (slot & 1), n)
+            (2 * _monomial_id(table, _mono_mul(factor, monomials[slot >> 1])) + (slot & 1), n)
             for slot, n in terms
         )
     else:
@@ -226,13 +241,38 @@ def _piece(sys: PdeSystem, index: int, name: str, mono: tuple, pieces: list) -> 
         terms = sys.reduce(frechet(sys, sigma, (index,))[0]).items()
         common = lcm(*(c.d for _, c in terms))
         found = common, tuple(
-            (2 * _monomial_id(m) + part, n * (common // c.d))
+            (2 * _monomial_id(table, m) + part, n * (common // c.d))
             for m, c in terms
             for part, n in enumerate((c.a, c.b))
             if n
         )
     pieces[index] = found
     return found
+
+
+def _equation_sum(size: int, equation_reads: list) -> tuple[int, list[int]]:
+    """One equation's sum ``(D, acc)`` of its (coefficient, piece) reads,
+    ``acc`` dense over the ``size`` monomials of its table: D is the lcm of
+    c.d * L over the reads (L a piece's denominator), taken only when the
+    running one is not already a multiple."""
+    common = 1
+    for coeff, (piece_d, _) in equation_reads:
+        d = coeff.d * piece_d
+        if common % d:
+            common = lcm(common, d)
+    acc = [0] * (2 * size)
+    for coeff, (piece_d, piece) in equation_reads:
+        scale = common // (coeff.d * piece_d)
+        if coeff.a:
+            c = coeff.a * scale
+            for slot, v in piece:
+                acc[slot] += c * v
+        if coeff.b:
+            # i*(v at 2*k) is v at 2*k + 1; i*(v at 2*k + 1) is -v at 2*k
+            c = coeff.b * scale
+            for slot, v in piece:
+                acc[slot ^ 1] += -c * v if slot & 1 else c * v
+    return common, acc
 
 
 def _selection(sys: PdeSystem, equations: Sequence[int] | None) -> tuple[int, ...]:
@@ -265,12 +305,15 @@ def verify_symmetry(
     once and its piece read for every selected equation that reads w.  A
     piece is reduced per equation on first need, and for p*m only m's
     piece is reduced, with p merged into its terms once.  A cached piece
-    names each monomial by an integer id, so the sum runs over integer
-    slots (2*id for a real part, 2*id + 1 for an imaginary part) in
-    numerators over one denominator D per equation, the lcm of c.d * L over
-    the terms the equation reads (L a piece's denominator), taken only when
-    D is not already a multiple.  ``holds`` is read off the numerators;
-    each residual ``Expr`` is built on the first read of ``residuals``.
+    numbers each monomial in its equation's own table, so an equation's
+    sum is a dense integer list over that table (slot 2*k for a real part,
+    2*k + 1 for an imaginary part) over one denominator.
+
+    Every selected equation's reads are gathered first, so every piece is
+    filled and a missing component raises ``ExprError`` whatever the
+    verdict.  The equations are then summed in selection order, and the
+    first nonzero sum decides ``holds`` as False; the sums not taken are
+    taken from the same reads on the first read of ``residuals``.
 
     ``equations`` selects and orders the checked equations (all by
     default); an empty selection or an index that names no equation raises
@@ -289,30 +332,16 @@ def verify_symmetry(
                 index = selected[position]
                 piece = pieces[index] or _piece(sys, index, name, mono, pieces)
                 reads[position].append((coeff, piece))
+    checked = tuple(
+        (_monomial_table(sys, index)[1], equation_reads)
+        for index, equation_reads in zip(selected, reads)
+    )
     sums = []
-    for equation_reads in reads:
-        common = 1
-        for coeff, (piece_d, _) in equation_reads:
-            d = coeff.d * piece_d
-            if common % d:
-                common = lcm(common, d)
-        # the real parts of the coefficients times the pieces, then i times
-        # their imaginary parts, folded in slot by slot
-        acc: dict[int, int] = {}
-        imag: dict[int, int] = {}
-        for coeff, (piece_d, piece) in equation_reads:
-            scale = common // (coeff.d * piece_d)
-            for part, into in ((coeff.a, acc), (coeff.b, imag)):
-                if part:
-                    c = part * scale
-                    for slot, v in piece:
-                        into[slot] = into.get(slot, 0) + c * v
-        for slot, v in imag.items():
-            # i*(v at 2*id) is v at 2*id + 1; i*(v at 2*id + 1) is -v at 2*id
-            acc[slot ^ 1] = acc.get(slot ^ 1, 0) + (-v if slot & 1 else v)
-        sums.append((common, acc))
-    holds = not any(any(acc.values()) for _, acc in sums)
-    return SymmetryCheck(holds, tuple(sums))
+    for monomials, equation_reads in checked:
+        sums.append(_equation_sum(len(monomials), equation_reads))
+        if any(sums[-1][1]):
+            return SymmetryCheck(False, checked, tuple(sums))
+    return SymmetryCheck(True, checked, tuple(sums))
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +581,11 @@ def generate_determining(sys: PdeSystem, ansatz: PointAnsatz) -> DeterminingSyst
     Splitting is by exact monomials in the proper-derivative jets that
     survive reduction (the unknowns depend only on order-zero coordinates,
     so those monomials are functionally independent of the coefficients).
-    A term not linear homogeneous in the unknowns raises ExprError.
+    A term not linear homogeneous in the unknowns raises ExprError.  An
+    empty ``ansatz.equations``, or an index in it that names no equation,
+    raises ExprError before any work, as in ``verify_symmetry``.
     """
+    selected = _selection(sys, ansatz.equations)
     for name in ansatz.args:
         if name not in sys.independents and name not in sys.dependent_names:
             raise ExprError(f"ansatz argument '{name}' is not a system variable")
@@ -579,7 +611,7 @@ def generate_determining(sys: PdeSystem, ansatz: PointAnsatz) -> DeterminingSyst
 
     phi = _by_prefix(lambda name: _component(etas, name), prolonged_step)
     residuals = []
-    for index in range(len(sys.equations)) if ansatz.equations is None else ansatz.equations:
+    for index in selected:
         direction = _unclosed_direction(sys, index)
         if direction is not None:
             raise ExprError(

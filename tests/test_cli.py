@@ -239,6 +239,19 @@ def _one_line_error(capsys, path):
     return err
 
 
+def test_kicked_localized_manifest_names_all_six_failing_equations(tmp_path, capsys):
+    # The verdict stops at equation 0; the report still reads every residual.
+    manifest = tmp_path / "sigma.txt"
+    manifest.write_text(
+        "[symmetry]\nsigma_u = -phi^2 + u\nsigma_v = -psi^2\n"
+        "sigma_phi = -f*phi\nsigma_psi = -f*psi\nsigma_f = -f^2\n"
+    )
+    assert run(["verify-symmetry", "--manifest", str(manifest)]) == 1
+    out = capsys.readouterr().out
+    assert "6 nonzero residuals" in out
+    assert re.findall(r"equation (\d+):", out) == ["0", "1", "2", "4", "5", "7"]
+
+
 def test_missing_manifest_file_exits_two(tmp_path, capsys):
     missing = tmp_path / "nowhere.txt"
     assert run(["verify-symmetry", "--manifest", str(missing)]) == 2

@@ -56,6 +56,21 @@ def test_zero_characteristic(hirota):
     assert all(e.is_zero() for e in lin)
 
 
+#: equation selections of the eight-equation prolonged system that check
+#: nothing, with what the refusal says
+NO_EQUATION_SELECTIONS = [
+    ((), "selection is empty"), ((8,), "equation 8 is not in the system"),
+    ((-1,), "equation -1 is not in the system"),
+]
+
+
+@pytest.mark.parametrize("equations, message", NO_EQUATION_SELECTIONS)
+def test_frechet_refuses_a_selection_that_names_no_equation(prolonged, equations, message):
+    with pytest.raises(ExprError, match=message) as err:
+        frechet(prolonged, localized_characteristic(), equations)
+    assert "\n" not in str(err.value)
+
+
 def test_linearized_first_equation_term_for_term(hirota):
     # generic direction fields s1, s2 standing for the two components
     vocab = dataclasses.replace(
@@ -155,11 +170,7 @@ def test_verify_symmetry_keeps_the_order_of_the_selected_equations(prolonged):
     assert forward[0] != forward[1]
 
 
-@pytest.mark.parametrize(
-    "equations, message",
-    [((), "selection is empty"), ((8,), "equation 8 is not in the system"),
-     ((-1,), "equation -1 is not in the system")],
-)
+@pytest.mark.parametrize("equations, message", NO_EQUATION_SELECTIONS)
 def test_verify_symmetry_refuses_a_selection_that_names_no_equation(prolonged, equations, message):
     with pytest.raises(ExprError, match=message) as err:
         verify_symmetry(prolonged, localized_characteristic(), equations)
@@ -200,6 +211,32 @@ def test_residuals_do_not_depend_on_which_selection_filled_the_pieces(prolonged)
     for eqs in calls:
         assert forward[eqs] == backward[eqs]
         assert [to_text(r) for r in forward[eqs]] == [to_text(r) for r in backward[eqs]]
+
+
+def kicked_localized() -> dict[str, Expr]:
+    """The localized characteristic with u added to sigma_u."""
+    sigma = localized_characteristic()
+    sigma["u"] = sigma["u"] + parse("u")
+    return sigma
+
+
+def test_an_early_stop_still_reports_every_failing_equation(prolonged):
+    # The verdict stops at equation 0; the residuals read later take the
+    # sums of the other seven from the same reads.
+    sigma = kicked_localized()
+    check = verify_symmetry(prolonged, sigma)
+    assert not check.holds
+    assert len(check.sums) == 1
+    assert [i for i, r in enumerate(check.residuals) if not r.is_zero()] == [0, 1, 2, 4, 5, 7]
+    assert list(check.residuals) == [prolonged.reduce(r) for r in frechet(prolonged, sigma)]
+
+
+def test_a_missing_component_is_refused_even_when_an_earlier_equation_fails(prolonged):
+    # Only equations 6 and 7 read f, and equation 0 already fails.
+    sigma = kicked_localized()
+    del sigma["f"]
+    with pytest.raises(ExprError, match="lacks a component for dependent 'f'"):
+        verify_symmetry(prolonged, sigma)
 
 
 def test_specialised_family_reuses_the_pieces_of_the_symbolic_check(prolonged, monkeypatch):
@@ -411,6 +448,10 @@ def test_candidate_stream_matches_reducing_frechet(prolonged, index):
     sigma = specialised_characteristic(family, constants, kick)
     check = assert_matches_reducing_frechet(prolonged, sigma, family.equations)
     assert check.holds == (kick == 0)
+    # a kicked coupled-5 case fails at equation 0 of 2, a kicked
+    # prolonged-6 case (kicked in phi) at equation 2 of 8: the verdict
+    # stopped there, and the residuals above were summed after it
+    assert (len(check.sums) < len(check.reads)) == (kick != 0)
 
 
 def test_parameter_factor_merges_with_a_parameter_free_read(prolonged):
@@ -538,6 +579,21 @@ def test_flipped_family_fails_prolonged_determining(prolonged, prolonged_determi
         prolonged_family(flip_psi_eta=True), prolonged_ansatz()
     )
     assert not prolonged_determining.verify_solution(prolonged, solution)
+
+
+@pytest.mark.parametrize("equations, message", NO_EQUATION_SELECTIONS)
+def test_determining_refuses_a_selection_that_names_no_equation(prolonged, equations, message):
+    # refused before the arguments are read: this ansatz names no variable
+    ansatz = PointAnsatz(args=("nowhere",), eta_names={}, equations=equations)
+    with pytest.raises(ExprError, match=message):
+        generate_determining(prolonged, ansatz)
+
+
+def test_an_empty_ansatz_selection_does_not_pass_the_negative_control(prolonged):
+    ansatz = dataclasses.replace(prolonged_ansatz(), equations=())
+    solution = family_as_solution(prolonged_family(flip_psi_eta=True), ansatz)
+    with pytest.raises(ExprError, match="selection is empty"):
+        generate_determining(prolonged, ansatz).verify_solution(prolonged, solution)
 
 
 def substitution_verdicts(determining, solution) -> list[bool]:
