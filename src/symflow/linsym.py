@@ -83,32 +83,24 @@ class UnknownFunction(Atom):
 class SymmetryCheck:
     """The verdict of ``verify_symmetry`` and its residuals, one per
     checked equation.  ``reads`` holds, per checked equation, the
-    monomials of its table and the (coefficient, piece) pairs it sums;
-    ``sums`` holds the integer sums taken while deciding ``holds``, in
-    selection order, up to the first nonzero one.  A sum is ``(D, acc)``:
-    ``acc[2*k]`` holds a and ``acc[2*k + 1]`` holds b for the term
-    (a + b*i)/D with the table's k-th monomial.  The sums not yet taken
-    are taken, and every residual ``Expr`` built, on the first read of
+    monomials of its table and the (coefficient, piece) pairs it sums.
+    Every residual ``Expr`` is summed from ``reads`` on the first read of
     ``residuals``."""
 
     holds: bool
     reads: tuple[tuple[list[tuple], list], ...] = field(repr=False)
-    sums: tuple[tuple[int, list[int]], ...] = field(repr=False)
 
     @cached_property
     def residuals(self) -> tuple[Expr, ...]:
-        sums = self.sums + tuple(
-            _equation_sum(len(monomials), equation_reads)
-            for monomials, equation_reads in self.reads[len(self.sums):]
-        )
-        return tuple(
-            Expr({
+        residuals = []
+        for monomials, equation_reads in self.reads:
+            common, acc = _equation_sum(len(monomials), equation_reads)
+            residuals.append(Expr({
                 monomials[slot >> 1]: _cr(acc[slot], acc[slot + 1], common)
                 for slot in range(0, len(acc), 2)
                 if acc[slot] or acc[slot + 1]
-            })
-            for (monomials, _), (common, acc) in zip(self.reads, sums)
-        )
+            }))
+        return tuple(residuals)
 
 
 def _component(sigma: Mapping[str, Expr], name: str) -> Expr:
@@ -191,35 +183,35 @@ def _monomial_id(table: tuple[dict[tuple, int], list[tuple]], mono: tuple) -> in
 
 
 @cache
-def _equation_reads(sys: PdeSystem, index: int) -> tuple[str, ...]:
-    """The dependents whose jets occur in equation ``index``, in order."""
-    return tuple(dict.fromkeys(a.name for a, _ in _equation_partials(sys, index)))
+def _readers(sys: PdeSystem, selected: tuple[int, ...]) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """Each dependent whose jets occur in a selected equation, with the
+    positions in ``selected`` of the equations that read it, in order."""
+    readers: dict[str, list[int]] = {}
+    for position, index in enumerate(selected):
+        for name in dict.fromkeys(a.name for a, _ in _equation_partials(sys, index)):
+            readers.setdefault(name, []).append(position)
+    return tuple((name, tuple(positions)) for name, positions in readers.items())
 
 
-#: the one piece cache: (system, dependent, monomial) -> that monomial's
-#: pieces, one entry per equation, None until a check reads that equation
-_PIECES: dict[tuple[PdeSystem, str, tuple], list] = {}
-
-
+@cache
 def _pieces(sys: PdeSystem, name: str, mono: tuple) -> list:
-    key = (sys, name, mono)
-    found = _PIECES.get(key)
-    if found is None:
-        found = _PIECES[key] = [None] * len(sys.equations)
-    return found
+    """The pieces of ``mono`` in component ``name``, one per equation of
+    ``sys``, each None until a check reads that equation."""
+    return [None] * len(sys.equations)
 
 
-def _piece(sys: PdeSystem, index: int, name: str, mono: tuple, pieces: list) -> tuple:
+def _piece(sys: PdeSystem, index: int, name: str, mono: tuple) -> tuple:
     """Terms of the on-shell linearization of equation ``index`` along the
     characteristic with the monomial ``mono`` in component ``name`` and 0
     in every other, in integer form ``(L, ((slot, n), ...))``: L is the lcm
     of the coefficient denominators, and the term with the k-th monomial of
     the equation's ``_monomial_table`` and coefficient (a + b*i)/L gives
-    ``(2*k, a)`` and ``(2*k + 1, b)``, each only when nonzero.  ``pieces``
-    is mono's list in ``_PIECES``; the piece is made on first need and kept
-    there.  Only a parameter-free monomial is reduced: for p*m, p the
-    ``Parameter`` factors (they sort first), the piece is m's with p merged
-    into every term, each term renumbered through the same table."""
+    ``(2*k, a)`` and ``(2*k + 1, b)``, each only when nonzero.  The piece
+    is made on first need and kept in ``_pieces``.  Only a parameter-free
+    monomial is reduced: for p*m, p the ``Parameter`` factors (they sort
+    first), the piece is m's with p merged into every term, each term
+    renumbered through the same table."""
+    pieces = _pieces(sys, name, mono)
     found = pieces[index]
     if found is not None:
         return found
@@ -229,7 +221,7 @@ def _piece(sys: PdeSystem, index: int, name: str, mono: tuple, pieces: list) -> 
         split += 1
     if split:
         rest = mono[split:]
-        common, terms = _piece(sys, index, name, rest, _pieces(sys, name, rest))
+        common, terms = _piece(sys, index, name, rest)
         factor, monomials = mono[:split], table[1]
         found = common, tuple(
             (2 * _monomial_id(table, _mono_mul(factor, monomials[slot >> 1])) + (slot & 1), n)
@@ -300,48 +292,34 @@ def verify_symmetry(
     coefficient, p its ``Parameter`` factors and m the rest, contributes c
     times the piece for p*m, which is p times the piece for m: a
     parameter's total derivative is 0 and reduction replaces jets only, so
-    both commute with the factor p.  The one piece cache is keyed by
-    (system, dependent, monomial): each monomial of sigma_w is looked up
-    once and its piece read for every selected equation that reads w.  A
-    piece is reduced per equation on first need, and for p*m only m's
-    piece is reduced, with p merged into its terms once.  A cached piece
-    numbers each monomial in its equation's own table, so an equation's
-    sum is a dense integer list over that table (slot 2*k for a real part,
-    2*k + 1 for an imaginary part) over one denominator.
+    both commute with the factor p.  Each monomial of sigma_w is looked up
+    once in ``_pieces`` and its piece read for every selected equation
+    that ``_readers`` lists for w.
 
     Every selected equation's reads are gathered first, so every piece is
     filled and a missing component raises ``ExprError`` whatever the
-    verdict.  The equations are then summed in selection order, and the
-    first nonzero sum decides ``holds`` as False; the sums not taken are
-    taken from the same reads on the first read of ``residuals``.
+    verdict.  The equations are then summed in selection order, each into
+    a dense integer list over its monomial table, and the first nonzero
+    sum decides ``holds`` as False.
 
     ``equations`` selects and orders the checked equations (all by
     default); an empty selection or an index that names no equation raises
     ``ExprError``.
     """
     selected = _selection(sys, equations)
-    readers: dict[str, list[int]] = {}
-    for position, index in enumerate(selected):
-        for name in _equation_reads(sys, index):
-            readers.setdefault(name, []).append(position)
     reads: list[list] = [[] for _ in selected]
-    for name, positions in readers.items():
+    for name, positions in _readers(sys, selected):
         for mono, coeff in _component(sigma, name).items():
             pieces = _pieces(sys, name, mono)
             for position in positions:
                 index = selected[position]
-                piece = pieces[index] or _piece(sys, index, name, mono, pieces)
-                reads[position].append((coeff, piece))
+                reads[position].append((coeff, pieces[index] or _piece(sys, index, name, mono)))
     checked = tuple(
         (_monomial_table(sys, index)[1], equation_reads)
         for index, equation_reads in zip(selected, reads)
     )
-    sums = []
-    for monomials, equation_reads in checked:
-        sums.append(_equation_sum(len(monomials), equation_reads))
-        if any(sums[-1][1]):
-            return SymmetryCheck(False, checked, tuple(sums))
-    return SymmetryCheck(True, checked, tuple(sums))
+    holds = not any(any(_equation_sum(len(m), r)[1]) for m, r in checked)
+    return SymmetryCheck(holds, checked)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +403,11 @@ def parse_symmetry_manifest(text: str, system: PdeSystem) -> dict[str, Expr]:
     if not lines:
         raise ManifestError("manifest has no [symmetry] section")
     keys = {f"sigma_{name}": name for name in system.dependent_names}
-    return read_entries(lines, keys.get, system.vocabulary.with_parameters(*FAMILY_CONSTANTS))
+    sigma = read_entries(lines, keys.get, system.vocabulary.with_parameters(*FAMILY_CONSTANTS))
+    missing = [key for key, name in keys.items() if name not in sigma]
+    if missing:
+        raise ManifestError(f"[symmetry] section lacks {', '.join(missing)}")
+    return sigma
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +610,7 @@ def generate_determining(sys: PdeSystem, ansatz: PointAnsatz) -> DeterminingSyst
             total = total + -partial * phi(a.name, a.index)
         residuals.append(sys.reduce(total))
     constraints = []
-    for eq_index, residual in enumerate(residuals):
+    for eq_index, residual in zip(selected, residuals):
         split = _split_by_derivative_monomials(residual)
         for key in sorted(split, key=monomial_key):
             constraints.append((eq_index, key, split[key]))

@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import functools
+import itertools
 import math
 import types
 from dataclasses import dataclass, field
@@ -271,7 +272,9 @@ def read_grid(text: str) -> Grid:
         grid = Grid(x0=x0, dx=dx, nx=nx, t0=t0, dt=dt, nt=nt, params=params)
     for k in range(1, len(lines), 1 + nt):
         number, line = lines[k]
-        rows = lines[k + 1 : k + 1 + nt]
+        rows = list(itertools.takewhile(
+            lambda row: not row[1].startswith("field"), lines[k + 1 : k + 1 + nt]
+        ))
         with at_line(number):
             words = line.split()
             if len(words) != 2 or words[0] != "field":

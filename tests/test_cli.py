@@ -53,10 +53,11 @@ def test_symmetry_manifest_input(tmp_path, capsys):
     assert run(["verify-symmetry", "--manifest", str(manifest)]) == 0
 
 
-def test_bad_symmetry_manifest_fails(tmp_path):
+def test_bad_symmetry_manifest_fails(tmp_path, capsys):
     manifest = tmp_path / "sigma.txt"
     manifest.write_text("[symmetry]\nsigma_u = u\nsigma_v = v\n")
-    assert run(["verify-symmetry", "--manifest", str(manifest)]) == 1
+    assert run(["verify-symmetry", "--manifest", str(manifest)]) == 2
+    assert "lacks sigma_phi, sigma_psi, sigma_f" in capsys.readouterr().err
 
     # A complete characteristic that is no symmetry: the detail says which
     # equations fail and how their residuals start.

@@ -220,13 +220,29 @@ def kicked_localized() -> dict[str, Expr]:
     return sigma
 
 
-def test_an_early_stop_still_reports_every_failing_equation(prolonged):
-    # The verdict stops at equation 0; the residuals read later take the
-    # sums of the other seven from the same reads.
+def counted_sums(monkeypatch) -> Counter:
+    """Count the equation sums that ``linsym`` takes from here on."""
+    import symflow.linsym as linsym
+
+    calls = Counter()
+    equation_sum = linsym._equation_sum
+
+    def counted(*args):
+        calls["sums"] += 1
+        return equation_sum(*args)
+
+    monkeypatch.setattr(linsym, "_equation_sum", counted)
+    return calls
+
+
+def test_an_early_stop_still_reports_every_failing_equation(prolonged, monkeypatch):
+    # The verdict stops at equation 0; the residuals read later sum all
+    # eight equations from the same reads.
     sigma = kicked_localized()
+    calls = counted_sums(monkeypatch)
     check = verify_symmetry(prolonged, sigma)
     assert not check.holds
-    assert len(check.sums) == 1
+    assert calls["sums"] == 1
     assert [i for i, r in enumerate(check.residuals) if not r.is_zero()] == [0, 1, 2, 4, 5, 7]
     assert list(check.residuals) == [prolonged.reduce(r) for r in frechet(prolonged, sigma)]
 
@@ -443,15 +459,17 @@ def stream_case(index):
 
 
 @pytest.mark.parametrize("index", range(40))
-def test_candidate_stream_matches_reducing_frechet(prolonged, index):
+def test_candidate_stream_matches_reducing_frechet(prolonged, index, monkeypatch):
     family, constants, kick = stream_case(index)
     sigma = specialised_characteristic(family, constants, kick)
+    calls = counted_sums(monkeypatch)
     check = assert_matches_reducing_frechet(prolonged, sigma, family.equations)
     assert check.holds == (kick == 0)
     # a kicked coupled-5 case fails at equation 0 of 2, a kicked
     # prolonged-6 case (kicked in phi) at equation 2 of 8: the verdict
-    # stopped there, and the residuals above were summed after it
-    assert (len(check.sums) < len(check.reads)) == (kick != 0)
+    # stopped there, and the residuals above summed every equation after it
+    verdict_sums = calls["sums"] - len(check.reads)
+    assert (verdict_sums < len(check.reads)) == (kick != 0)
 
 
 def test_parameter_factor_merges_with_a_parameter_free_read(prolonged):
@@ -594,6 +612,12 @@ def test_an_empty_ansatz_selection_does_not_pass_the_negative_control(prolonged)
     solution = family_as_solution(prolonged_family(flip_psi_eta=True), ansatz)
     with pytest.raises(ExprError, match="selection is empty"):
         generate_determining(prolonged, ansatz).verify_solution(prolonged, solution)
+
+
+def test_constraints_are_labelled_with_the_index_of_their_equation(prolonged):
+    ansatz = dataclasses.replace(prolonged_ansatz(), equations=(7, 2))
+    labels = {index for index, _, _ in generate_determining(prolonged, ansatz).constraints}
+    assert labels == {2, 7}
 
 
 def substitution_verdicts(determining, solution) -> list[bool]:

@@ -242,6 +242,14 @@ def test_truncated_grid_file_names_the_line():
         read_grid(truncated)
 
 
+def test_a_short_field_before_another_is_named_at_its_header():
+    lines = write_grid(make_vacuum_grid(nx=9, nt=8)).splitlines()
+    header = lines.index("field u")
+    del lines[header + 1]
+    with pytest.raises(ValueError, match=rf"^line {header + 1}: field 'u' has 7 of its 8 rows$"):
+        read_grid("\n".join(lines) + "\n")
+
+
 def _vacuum_text():
     return write_grid(make_vacuum_grid(nx=9, nt=8))
 
