@@ -29,7 +29,7 @@ import random
 from collections import defaultdict
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from typing import Mapping, Sequence
 
 from .expr import (
@@ -42,8 +42,8 @@ from .expr import (
     JetCoordinate,
     Parameter,
     _cr,
+    _gaussian_sum,
     exp_of,
-    monomial_key,
     parse,
 )
 
@@ -167,54 +167,119 @@ def family_vector_field() -> VectorField:
 # ---------------------------------------------------------------------------
 
 
-def _solve_linear(rows: list[list[ComplexRational]], rhs: list[ComplexRational]):
-    """Exact Gaussian elimination; returns None when inconsistent."""
-    n_unknowns = len(rows[0]) if rows else 0
-    matrix = [row[:] + [value] for row, value in zip(rows, rhs)]
-    pivot_cols = []
-    r = 0
-    for col in range(n_unknowns):
-        pivot = next(
-            (i for i in range(r, len(matrix)) if not matrix[i][col].is_zero()), None
-        )
-        if pivot is None:
-            continue
-        matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
-        inv = matrix[r][col].inverse()
-        matrix[r] = [value * inv for value in matrix[r]]
-        for i in range(len(matrix)):
-            if i != r and not matrix[i][col].is_zero():
-                factor = matrix[i][col]
-                matrix[i] = [
-                    a - factor * b for a, b in zip(matrix[i], matrix[r])
-                ]
-        pivot_cols.append(col)
-        r += 1
-        if r == len(matrix):
-            break
-    for i in range(r, len(matrix)):
-        if not matrix[i][-1].is_zero():
+def _combine(n: int, row: dict, x: int, y: int, other: dict) -> dict:
+    """n*row - (x + y*i)*other, Gaussian integers keyed by column, no zeros."""
+    out = dict(row) if n == 1 else {c: (n * a, n * b) for c, (a, b) in row.items()}
+    for c, (a, b) in other.items():
+        u, v = out.pop(c, (0, 0))
+        u, v = u - x * a + y * b, v - x * b - y * a
+        if u or v:
+            out[c] = (u, v)
+    return out
+
+
+class Echelon:
+    """Incremental row echelon over Q(i) on sparse rows keyed by column.
+
+    A row is given as ``(D, {column: (a, b)})``, its nonzero entries
+    (a + b*i)/D in columns c >= 0.  Rows are numbered as inserted, M is the
+    matrix of the rows so far, and row j is reduced with 1 in column -1 - j,
+    so a reduced row carries its combination of the inserted rows.
+
+    A new row is reduced against the pivot rows in the order they were
+    found, fraction free on Gaussian integers.  A remainder nonzero in a
+    column c >= 0 adds one pivot column, the first such; it is kept, made
+    real and positive there and divided by its content, as a pivot row.
+    A pivot row is 0 on every pivot column found before its own, so the
+    pivot rows restricted to the pivot columns P are triangular with
+    nonzero diagonal, and they span the rows of M: rank M[:, P] = rank M.
+    The columns P therefore span the column space of M, and of M
+    restricted to any subset of its rows, so c M = 0 exactly when
+    c M[:, P] = 0, for every c (``annihilates``).  That holds whichever
+    pivots were chosen and in whatever order the rows came.
+    """
+
+    def __init__(self):
+        self.pivots: list[int] = []
+        # per pivot: (N, row), the row real N > 0 on its pivot
+        self._pivot_rows: list[tuple[int, dict]] = []
+        # per inserted row: the row, and (D, its numerators on P as (2*k, a), (2*k + 1, b))
+        self._rows: list[dict] = []
+        self._on_pivots: list[tuple[int, list]] = []
+
+    def _reduce(self, row: dict) -> tuple[dict, int]:
+        """``(r, s)``: r = s*row + sum t_j (D_j (row j) + e_{-1-j}), 0 on P."""
+        scale = 1
+        for p, (norm, pivot_row) in zip(self.pivots, self._pivot_rows):
+            if p in row:
+                g = gcd(norm, *row[p])
+                row = _combine(norm // g, row, row[p][0] // g, row[p][1] // g, pivot_row)
+                scale *= norm // g
+        return row, scale
+
+    def insert(self, denominator: int, row: dict[int, tuple[int, int]]) -> int:
+        """Add a row; returns its number."""
+        number = len(self._rows)
+        self._rows.append(row)
+        self._on_pivots.append((denominator, [
+            (2 * k + part, n) for k, p in enumerate(self.pivots) if p in row
+            for part, n in enumerate(row[p]) if n
+        ]))
+        remainder, _ = self._reduce({**row, -1 - number: (1, 0)})
+        p = next((c for c in remainder if c >= 0), None)
+        if p is not None:
+            x, y = remainder[p]
+            remainder = _combine(0, {}, -x, y, remainder)  # times x - y*i
+            g = gcd(*(n for v in remainder.values() for n in v))
+            self._pivot_rows.append(
+                ((x * x + y * y) // g, {c: (a // g, b // g) for c, (a, b) in remainder.items()})
+            )
+            for entries, (_, known) in zip(self._rows, self._on_pivots):
+                if p in entries:
+                    known += [(2 * len(self.pivots) + i, n) for i, n in enumerate(entries[p]) if n]
+            self.pivots.append(p)
+        return number
+
+    def annihilates(self, combination: Sequence[tuple[ComplexRational, int]]) -> bool:
+        """Whether the sum of c * (row j) over the (c, j) given is 0 on P."""
+        reads = [(c, self._on_pivots[j]) for c, j in combination]
+        return not any(_gaussian_sum(len(self.pivots), reads)[1])
+
+    def express(self, denominator: int, row: dict) -> list[ComplexRational] | None:
+        """Coordinates of a row, given as in ``insert``, in the inserted rows
+        (the unique ones when those are independent), or None when it lies
+        outside their span: scale * D * row = -sum t_j D_j (row j)."""
+        remainder, scale = self._reduce(row)
+        if any(c >= 0 for c in remainder):
             return None
-    solution = [ComplexRational(0)] * n_unknowns
-    for row_index, col in enumerate(pivot_cols):
-        solution[col] = matrix[row_index][-1]
-    return solution
+        return [
+            _cr(-a * d, -b * d, scale * denominator)
+            for j, (d, _) in enumerate(self._on_pivots)
+            for a, b in [remainder.get(-1 - j, (0, 0))]
+        ]
 
 
 def express_in_basis(
-    vf: VectorField, basis: Sequence[VectorField]
-) -> list[ComplexRational] | None:
-    """Exact coordinates of ``vf`` in the basis span, or None if outside:
-    one linear equation per coordinate and monomial."""
-    # coefficient of each (coordinate, monomial) in each field; vf is last
-    terms = [
-        {(name, mono): c for name in COORDINATES for mono, c in field.coefficient(name).items()}
-        for field in (*basis, vf)
-    ]
-    keys = sorted(set().union(*terms), key=lambda item: (item[0], monomial_key(item[1])))
-    zero = ComplexRational(0)
-    rows = [[t.get(key, zero) for t in terms] for key in keys]
-    return _solve_linear([row[:-1] for row in rows], [row[-1] for row in rows])
+    fields: Sequence[VectorField], basis: Sequence[VectorField]
+) -> list[list[ComplexRational] | None]:
+    """Exact coordinates of each of ``fields`` in the basis span, or None
+    for one outside it.  The basis goes into one ``Echelon``, one column
+    per (coordinate, monomial), and each field is reduced there; an element
+    in the span of those before it raises ``ExprError``."""
+    echelon, columns = Echelon(), {}
+
+    def row(vf: VectorField) -> tuple[int, dict[int, tuple[int, int]]]:
+        common = lcm(*(c.d for coefficient in vf.coeffs.values() for _, c in coefficient.items()))
+        return common, {
+            columns.setdefault((name, mono), len(columns)): (c.a * (common // c.d), c.b * (common // c.d))
+            for name, coefficient in vf.coeffs.items() for mono, c in coefficient.items()
+        }
+
+    for j, element in enumerate(basis):
+        echelon.insert(*row(element))
+        if len(echelon.pivots) == j:
+            raise ExprError(f"basis element g{j + 1} lies in the span of the elements before it")
+    return [echelon.express(*row(vf)) for vf in fields]
 
 
 @dataclass
@@ -312,12 +377,13 @@ class StructureTable:
 
 def structure_table(basis: Sequence[VectorField]) -> StructureTable:
     """All pairwise brackets in basis coordinates, labelled g1, g2, ...;
-    checks closure and Jacobi."""
+    checks closure and Jacobi, and refuses a dependent basis."""
     basis = tuple(basis)
     labels = tuple(f"g{i+1}" for i in range(len(basis)))
+    pairs = list(itertools.combinations(range(len(basis)), 2))
     brackets = {}
-    for i, j in itertools.combinations(range(len(basis)), 2):
-        coords = express_in_basis(commutator(basis[i], basis[j]), basis)
+    images = express_in_basis([commutator(basis[i], basis[j]) for i, j in pairs], basis)
+    for (i, j), coords in zip(pairs, images):
         if coords is None:
             raise ExprError(
                 f"[{labels[i]},{labels[j]}] lies outside the span of the basis"

@@ -22,6 +22,7 @@ from .expr import (
     Parameter,
     _acc_products,
     _cr,
+    _gaussian_sum,
     _mono_mul,
     monomial_key,
     parse,
@@ -34,7 +35,7 @@ from .jetsys import (
     split_sections,
 )
 from .liealg import (
-    COORDINATES, FAMILY_CONSTANTS, VectorField, coordinate_atom, family_vector_field,
+    COORDINATES, FAMILY_CONSTANTS, Echelon, VectorField, coordinate_atom, family_vector_field,
     localized_generator,
 )
 
@@ -82,25 +83,24 @@ class UnknownFunction(Atom):
 @dataclass(frozen=True, eq=False)
 class SymmetryCheck:
     """The verdict of ``verify_symmetry`` and its residuals, one per
-    checked equation.  ``reads`` holds, per checked equation, the
-    monomials of its table and the (coefficient, piece) pairs it sums.
-    Every residual ``Expr`` is summed from ``reads`` on the first read of
-    ``residuals``."""
+    checked equation, summed on first read from the cached pieces of the
+    ``sources``: per dependent w that a checked equation reads, w, the
+    positions in ``equations`` of those that read it, and sigma_w."""
 
     holds: bool
-    reads: tuple[tuple[list[tuple], list], ...] = field(repr=False)
+    system: PdeSystem = field(repr=False)
+    equations: tuple[int, ...] = field(repr=False)
+    sources: tuple[tuple[str, tuple[int, ...], Expr], ...] = field(repr=False)
 
     @cached_property
     def residuals(self) -> tuple[Expr, ...]:
-        residuals = []
-        for monomials, equation_reads in self.reads:
-            common, acc = _equation_sum(len(monomials), equation_reads)
-            residuals.append(Expr({
-                monomials[slot >> 1]: _cr(acc[slot], acc[slot + 1], common)
-                for slot in range(0, len(acc), 2)
-                if acc[slot] or acc[slot + 1]
-            }))
-        return tuple(residuals)
+        reads: list[list] = [[] for _ in self.equations]
+        for name, positions, component in self.sources:
+            for mono, coeff in component.items():
+                pieces = _pieces(self.system, name, mono)
+                for position in positions:
+                    reads[position].append((coeff, pieces[self.equations[position]]))
+        return tuple(_equation_sum(self.system, i, r) for i, r in zip(self.equations, reads))
 
 
 def _component(sigma: Mapping[str, Expr], name: str) -> Expr:
@@ -183,21 +183,24 @@ def _monomial_id(table: tuple[dict[tuple, int], list[tuple]], mono: tuple) -> in
 
 
 @cache
-def _readers(sys: PdeSystem, selected: tuple[int, ...]) -> tuple[tuple[str, tuple[int, ...]], ...]:
-    """Each dependent whose jets occur in a selected equation, with the
-    positions in ``selected`` of the equations that read it, in order."""
-    readers: dict[str, list[int]] = {}
-    for position, index in enumerate(selected):
-        for name in dict.fromkeys(a.name for a, _ in _equation_partials(sys, index)):
-            readers.setdefault(name, []).append(position)
-    return tuple((name, tuple(positions)) for name, positions in readers.items())
-
-
-@cache
 def _pieces(sys: PdeSystem, name: str, mono: tuple) -> list:
     """The pieces of ``mono`` in component ``name``, one per equation of
     ``sys``, each None until a check reads that equation."""
     return [None] * len(sys.equations)
+
+
+@cache
+def _echelon(sys: PdeSystem, selected: tuple[int, ...]) -> tuple[Echelon, tuple]:
+    """The echelon the checks of ``selected`` share, and each dependent w
+    whose jets occur in a selected equation, with the positions in
+    ``selected`` of those that read it and the row of each monomial of
+    sigma_w met so far: its pieces of those equations, the k-th monomial of
+    equation e's table in column ``k * len(sys.equations) + e``."""
+    readers: dict[str, list[int]] = {}
+    for position, index in enumerate(selected):
+        for name in dict.fromkeys(a.name for a, _ in _equation_partials(sys, index)):
+            readers.setdefault(name, []).append(position)
+    return Echelon(), tuple((name, tuple(positions), {}) for name, positions in readers.items())
 
 
 def _piece(sys: PdeSystem, index: int, name: str, mono: tuple) -> tuple:
@@ -210,7 +213,8 @@ def _piece(sys: PdeSystem, index: int, name: str, mono: tuple) -> tuple:
     is made on first need and kept in ``_pieces``.  Only a parameter-free
     monomial is reduced: for p*m, p the ``Parameter`` factors (they sort
     first), the piece is m's with p merged into every term, each term
-    renumbered through the same table."""
+    renumbered through the same table: a parameter's total derivative is 0
+    and reduction replaces jets only, so both commute with p."""
     pieces = _pieces(sys, name, mono)
     found = pieces[index]
     if found is not None:
@@ -242,29 +246,16 @@ def _piece(sys: PdeSystem, index: int, name: str, mono: tuple) -> tuple:
     return found
 
 
-def _equation_sum(size: int, equation_reads: list) -> tuple[int, list[int]]:
-    """One equation's sum ``(D, acc)`` of its (coefficient, piece) reads,
-    ``acc`` dense over the ``size`` monomials of its table: D is the lcm of
-    c.d * L over the reads (L a piece's denominator), taken only when the
-    running one is not already a multiple."""
-    common = 1
-    for coeff, (piece_d, _) in equation_reads:
-        d = coeff.d * piece_d
-        if common % d:
-            common = lcm(common, d)
-    acc = [0] * (2 * size)
-    for coeff, (piece_d, piece) in equation_reads:
-        scale = common // (coeff.d * piece_d)
-        if coeff.a:
-            c = coeff.a * scale
-            for slot, v in piece:
-                acc[slot] += c * v
-        if coeff.b:
-            # i*(v at 2*k) is v at 2*k + 1; i*(v at 2*k + 1) is -v at 2*k
-            c = coeff.b * scale
-            for slot, v in piece:
-                acc[slot ^ 1] += -c * v if slot & 1 else c * v
-    return common, acc
+def _equation_sum(sys: PdeSystem, index: int, equation_reads: list) -> Expr:
+    """Equation ``index``'s residual, summed in integers from its
+    (coefficient, piece) reads over the monomials of its table."""
+    monomials = _monomial_table(sys, index)[1]
+    common, acc = _gaussian_sum(len(monomials), equation_reads)
+    return Expr({
+        monomials[slot >> 1]: _cr(acc[slot], acc[slot + 1], common)
+        for slot in range(0, len(acc), 2)
+        if acc[slot] or acc[slot + 1]
+    })
 
 
 def _selection(sys: PdeSystem, equations: Sequence[int] | None) -> tuple[int, ...]:
@@ -287,39 +278,43 @@ def verify_symmetry(
 ) -> SymmetryCheck:
     """On-shell reduce the linearized equations along sigma; zero means symmetry.
 
-    Each residual equals ``sys.reduce(frechet(sys, sigma, equations)[i])``,
-    assembled from cached pieces.  A term c*p*m of sigma_w, with c a
-    coefficient, p its ``Parameter`` factors and m the rest, contributes c
-    times the piece for p*m, which is p times the piece for m: a
-    parameter's total derivative is 0 and reduction replaces jets only, so
-    both commute with the factor p.  Each monomial of sigma_w is looked up
-    once in ``_pieces`` and its piece read for every selected equation
-    that ``_readers`` lists for w.
-
-    Every selected equation's reads are gathered first, so every piece is
-    filled and a missing component raises ``ExprError`` whatever the
-    verdict.  The equations are then summed in selection order, each into
-    a dense integer list over its monomial table, and the first nonzero
-    sum decides ``holds`` as False.
+    Each residual equals ``sys.reduce(frechet(sys, sigma, equations)[i])``.
+    The residuals are c M, c sigma's coefficients and M the matrix whose
+    rows are its monomials' pieces (``_piece``), concatenated over the
+    selected equations that read their component (``_echelon``).  A row
+    is inserted when first met, so every piece is filled and a missing
+    component raises ``ExprError`` whatever the verdict.  ``holds`` is
+    c M[:, P] = 0 on the pivot columns P alone, which is exact: rank
+    M[:, P] = rank M, so every column of M is a combination of them.  The
+    verdict sums no equation; ``SymmetryCheck.residuals`` does.
 
     ``equations`` selects and orders the checked equations (all by
     default); an empty selection or an index that names no equation raises
     ``ExprError``.
     """
     selected = _selection(sys, equations)
-    reads: list[list] = [[] for _ in selected]
-    for name, positions in _readers(sys, selected):
-        for mono, coeff in _component(sigma, name).items():
-            pieces = _pieces(sys, name, mono)
-            for position in positions:
-                index = selected[position]
-                reads[position].append((coeff, pieces[index] or _piece(sys, index, name, mono)))
-    checked = tuple(
-        (_monomial_table(sys, index)[1], equation_reads)
-        for index, equation_reads in zip(selected, reads)
-    )
-    holds = not any(any(_equation_sum(len(m), r)[1]) for m, r in checked)
-    return SymmetryCheck(holds, checked)
+    echelon, readers = _echelon(sys, selected)
+    combination, sources = [], []
+    for name, positions, rows in readers:
+        component = _component(sigma, name)
+        for mono, coeff in component.items():
+            row = rows.get(mono)
+            if row is None:
+                row = rows[mono] = _insert_row(sys, echelon, [selected[p] for p in positions], name, mono)
+            combination.append((coeff, row))
+        sources.append((name, positions, component))
+    return SymmetryCheck(echelon.annihilates(combination), sys, selected, tuple(sources))
+
+
+def _insert_row(sys: PdeSystem, echelon: Echelon, indices: list[int], name: str, mono: tuple) -> int:
+    """Insert the row of ``mono`` in component ``name`` over the equations ``indices``."""
+    count, pieces, row = len(sys.equations), _pieces(sys, name, mono), {}
+    read = {index: pieces[index] or _piece(sys, index, name, mono) for index in indices}
+    common = lcm(*(piece_d for piece_d, _ in read.values()))
+    for index, (piece_d, piece) in read.items():
+        for slot, n in piece:
+            row.setdefault((slot >> 1) * count + index, [0, 0])[slot & 1] = n * (common // piece_d)
+    return echelon.insert(common, row)
 
 
 # ---------------------------------------------------------------------------

@@ -748,7 +748,8 @@ def dense_gram(table):
     from the table under test."""
     basis = table.basis
     n = range(len(basis))
-    c = [[express_in_basis(commutator(basis[i], basis[j]), basis) for j in n] for i in n]
+    images = iter(express_in_basis([commutator(basis[i], basis[j]) for i in n for j in n], basis))
+    c = [[next(images) for _ in n] for _ in n]
     return [
         [sum((c[i][s][r] * c[j][r][s] for r in n for s in n), ComplexRational(0)) for j in n]
         for i in n

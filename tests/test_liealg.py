@@ -117,7 +117,7 @@ def test_bracket_matches_the_commutator_of_combinations(table, basis):
             [ComplexRational(Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for _ in basis]
             for _ in range(2)
         )
-        expected = express_in_basis(commutator(combination(a), combination(b)), basis)
+        (expected,) = express_in_basis([commutator(combination(a), combination(b))], basis)
         assert list(table.bracket(a, b)) == expected
 
 
@@ -155,9 +155,21 @@ def test_express_in_basis_exact(basis):
     combo = basis[0].scaled(Expr.from_scalar(Fraction(1, 2))) + basis[3].scaled(
         Expr.from_scalar(-3)
     )
-    coords = express_in_basis(combo, basis)
-    assert coords is not None
-    assert coords[0] == Fraction(1, 2) and coords[3] == -3
+    coords, outside, zero = express_in_basis([combo, vector_field(u="u^2"), VectorField({})], basis)
+    assert coords == [Fraction(1, 2), 0, 0, -3, 0, 0]
+    assert outside is None
+    assert zero == [0] * len(basis)
+
+
+def test_a_dependent_basis_is_refused_and_named(basis):
+    g1, g2, g3 = basis[:3]
+    with pytest.raises(ExprError, match="basis element g4 lies in the span") as err:
+        structure_table([g1, g2, g3, g1 + g2])
+    assert "\n" not in str(err.value)
+    with pytest.raises(ExprError, match="basis element g2 lies in the span"):
+        express_in_basis([g1], [g1, g1])
+    with pytest.raises(ExprError, match="basis element g1 lies in the span"):
+        express_in_basis([g1], [VectorField({})])
 
 
 # ---------------------------------------------------------------------------

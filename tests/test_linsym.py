@@ -235,15 +235,16 @@ def counted_sums(monkeypatch) -> Counter:
     return calls
 
 
-def test_an_early_stop_still_reports_every_failing_equation(prolonged, monkeypatch):
-    # The verdict stops at equation 0; the residuals read later sum all
-    # eight equations from the same reads.
+def test_a_failing_verdict_sums_no_equation_and_reports_every_failing_one(prolonged, monkeypatch):
+    # The verdict is read on the echelon's pivot columns; the residuals
+    # read later sum all eight equations from the check's reads.
     sigma = kicked_localized()
     calls = counted_sums(monkeypatch)
     check = verify_symmetry(prolonged, sigma)
     assert not check.holds
-    assert calls["sums"] == 1
+    assert calls["sums"] == 0
     assert [i for i, r in enumerate(check.residuals) if not r.is_zero()] == [0, 1, 2, 4, 5, 7]
+    assert calls["sums"] == 8
     assert list(check.residuals) == [prolonged.reduce(r) for r in frechet(prolonged, sigma)]
 
 
@@ -463,13 +464,12 @@ def test_candidate_stream_matches_reducing_frechet(prolonged, index, monkeypatch
     family, constants, kick = stream_case(index)
     sigma = specialised_characteristic(family, constants, kick)
     calls = counted_sums(monkeypatch)
-    check = assert_matches_reducing_frechet(prolonged, sigma, family.equations)
+    check = verify_symmetry(prolonged, sigma, family.equations)
+    # the verdict sums no equation; a check's residuals sum each one once
+    assert calls["sums"] == 0
     assert check.holds == (kick == 0)
-    # a kicked coupled-5 case fails at equation 0 of 2, a kicked
-    # prolonged-6 case (kicked in phi) at equation 2 of 8: the verdict
-    # stopped there, and the residuals above summed every equation after it
-    verdict_sums = calls["sums"] - len(check.reads)
-    assert (verdict_sums < len(check.reads)) == (kick != 0)
+    assert_matches_reducing_frechet(prolonged, sigma, family.equations)
+    assert calls["sums"] == len(check.residuals)
 
 
 def test_parameter_factor_merges_with_a_parameter_free_read(prolonged):
