@@ -161,13 +161,27 @@ def _run(step: Step, session: Session, report: Report):
 # ---------------------------------------------------------------------------
 
 
+def _leading_terms(e: Expr, width: int) -> str:
+    """The text of ``e``'s leading whole terms, as many as fit in ``width``
+    characters but at least one, and how many terms it leaves out."""
+    terms = e.terms
+    kept, text = 1, to_text(Expr(terms[:1]))
+    while kept < len(terms):
+        longer = to_text(Expr(terms[: kept + 1]))
+        if len(longer) > width:
+            break
+        kept, text = kept + 1, longer
+    left = len(terms) - kept
+    return f"{text} ... ({left} more term{'s' * (left > 1)})" if left else text
+
+
 def _residual_summary(residuals) -> tuple[bool, str, None]:
     """Pass iff every residual is 0; otherwise name each failing equation
     (its position among the checked equations) and its leading terms."""
     bad = [(i, r) for i, r in enumerate(residuals) if not r.is_zero()]
     if not bad:
         return True, "all residuals reduce to 0", None
-    leads = "; ".join(f"equation {i}: {to_text(r)[:60]}" for i, r in bad)
+    leads = "; ".join(f"equation {i}: {_leading_terms(r, 60)}" for i, r in bad)
     return False, f"{len(bad)} nonzero residuals: {leads}", None
 
 
@@ -175,7 +189,7 @@ def _flatness(s, _key):
     residuals = jetsys.cross_derivative_residuals(jetsys.builtin_prolonged())
     ok = all(r.is_zero() for r in residuals.values())
     detail = ", ".join(
-        f"{name}: {'0' if r.is_zero() else to_text(r)[:40]}"
+        f"{name}: {'0' if r.is_zero() else _leading_terms(r, 40)}"
         for name, r in sorted(residuals.items())
     )
     return ok, detail, None
@@ -292,7 +306,7 @@ def _transcription(s, _key):
     with _reading(s.args.diagnose_transcription) as text:
         residuals = conslaw.transcription_residual(text)
     return [
-        (f"transcription-{key}", "matches" if r.is_zero() else f"differs: {to_text(r)[:80]}")
+        (f"transcription-{key}", "matches" if r.is_zero() else f"differs: {_leading_terms(r, 80)}")
         for key, r in residuals.items()
     ]
 

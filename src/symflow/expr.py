@@ -19,7 +19,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Union
 
 if TYPE_CHECKING:
@@ -175,25 +175,6 @@ def _cr(a: int, b: int, d: int) -> ComplexRational:
     c.b = b
     c.d = d
     return c
-
-
-def _gaussian_sum(size: int, reads: list) -> tuple[int, list[int]]:
-    """The sum ``(D, acc)`` of ``(c, (L, terms))`` reads, terms ``(2*k, a)``, ``(2*k + 1, b)``
-    for (a + b*i)/L with k < ``size``: D is the lcm of c.d * L, ``acc`` the numerators over D."""
-    common = lcm(*[coeff.d * piece_d for coeff, (piece_d, _) in reads])
-    acc = [0] * (2 * size)
-    for coeff, (piece_d, piece) in reads:
-        scale = common // (coeff.d * piece_d)
-        if coeff.a:
-            c = coeff.a * scale
-            for slot, v in piece:
-                acc[slot] += c * v
-        if coeff.b:
-            # i*(v at 2*k) is v at 2*k + 1; i*(v at 2*k + 1) is -v at 2*k
-            c = coeff.b * scale
-            for slot, v in piece:
-                acc[slot ^ 1] += -c * v if slot & 1 else c * v
-    return common, acc
 
 
 def _part(n: int, d: int) -> int | Fraction:

@@ -42,7 +42,6 @@ from .expr import (
     JetCoordinate,
     Parameter,
     _cr,
-    _gaussian_sum,
     exp_of,
     parse,
 )
@@ -181,29 +180,32 @@ def _combine(n: int, row: dict, x: int, y: int, other: dict) -> dict:
 class Echelon:
     """Incremental row echelon over Q(i) on sparse rows keyed by column.
 
-    A row is given as ``(D, {column: (a, b)})``, its nonzero entries
-    (a + b*i)/D in columns c >= 0.  Rows are numbered as inserted, M is the
-    matrix of the rows so far, and row j is reduced with 1 in column -1 - j,
-    so a reduced row carries its combination of the inserted rows.
+    A row is given as ``{column: entry}``, its nonzero ``ComplexRational``
+    entries in columns c >= 0; the integer form below is private to this
+    class.  Rows are numbered as inserted, M is the matrix of the rows so
+    far, and row j is reduced with 1 in column -1 - j, so a reduced row
+    carries its combination of the inserted rows.
 
-    A new row is reduced against the pivot rows in the order they were
-    found, fraction free on Gaussian integers.  A remainder nonzero in a
-    column c >= 0 adds one pivot column, the first such; it is kept, made
-    real and positive there and divided by its content, as a pivot row.
-    A pivot row is 0 on every pivot column found before its own, so the
-    pivot rows restricted to the pivot columns P are triangular with
-    nonzero diagonal, and they span the rows of M: rank M[:, P] = rank M.
-    The columns P therefore span the column space of M, and of M
-    restricted to any subset of its rows, so c M = 0 exactly when
-    c M[:, P] = 0, for every c (``annihilates``).  That holds whichever
-    pivots were chosen and in whatever order the rows came.
+    A row is stored as Gaussian-integer numerators over its own
+    denominator D, the lcm of its entries' (``_integer_row``).  It is
+    reduced against the pivot rows in the order they were found, fraction
+    free on Gaussian integers.  A remainder nonzero in a column c >= 0 adds
+    one pivot column, the first such; it is kept, made real and positive
+    there and divided by its content, as a pivot row.  A pivot row is 0 on
+    every pivot column found before its own, so the pivot rows restricted
+    to the pivot columns P are triangular with nonzero diagonal, and they
+    span the rows of M: rank M[:, P] = rank M.  The columns P therefore
+    span the column space of M, and of M restricted to any subset of its
+    rows, so c M = 0 exactly when c M[:, P] = 0, for every c
+    (``annihilates``).  That holds whichever pivots were chosen and in
+    whatever order the rows came.
     """
 
     def __init__(self):
         self.pivots: list[int] = []
         # per pivot: (N, row), the row real N > 0 on its pivot
         self._pivot_rows: list[tuple[int, dict]] = []
-        # per inserted row: the row, and (D, its numerators on P as (2*k, a), (2*k + 1, b))
+        # per inserted row: its numerators, and (D, those on P as (2*k, a), (2*k + 1, b))
         self._rows: list[dict] = []
         self._on_pivots: list[tuple[int, list]] = []
 
@@ -217,9 +219,10 @@ class Echelon:
                 scale *= norm // g
         return row, scale
 
-    def insert(self, denominator: int, row: dict[int, tuple[int, int]]) -> int:
+    def insert(self, row: Mapping[int, ComplexRational]) -> int:
         """Add a row; returns its number."""
         number = len(self._rows)
+        denominator, row = _integer_row(row)
         self._rows.append(row)
         self._on_pivots.append((denominator, [
             (2 * k + part, n) for k, p in enumerate(self.pivots) if p in row
@@ -245,10 +248,25 @@ class Echelon:
         reads = [(c, self._on_pivots[j]) for c, j in combination]
         return not any(_gaussian_sum(len(self.pivots), reads)[1])
 
-    def express(self, denominator: int, row: dict) -> list[ComplexRational] | None:
+    def combine(self, combination: Sequence[tuple[ComplexRational, int]]) -> dict[int, ComplexRational]:
+        """The sum of c * (row j) over the (c, j) given, on every column, as
+        ``{column: entry}`` without zeros; rows are read as inserted."""
+        common = lcm(*[c.d * self._on_pivots[j][0] for c, j in combination])
+        acc: dict[int, list[int]] = {}
+        for c, j in combination:
+            scale = common // (c.d * self._on_pivots[j][0])
+            x, y = c.a * scale, c.b * scale
+            for column, (a, b) in self._rows[j].items():
+                entry = acc.setdefault(column, [0, 0])
+                entry[0] += x * a - y * b
+                entry[1] += x * b + y * a
+        return {column: _cr(a, b, common) for column, (a, b) in acc.items() if a or b}
+
+    def express(self, row: Mapping[int, ComplexRational]) -> list[ComplexRational] | None:
         """Coordinates of a row, given as in ``insert``, in the inserted rows
         (the unique ones when those are independent), or None when it lies
         outside their span: scale * D * row = -sum t_j D_j (row j)."""
+        denominator, row = _integer_row(row)
         remainder, scale = self._reduce(row)
         if any(c >= 0 for c in remainder):
             return None
@@ -257,6 +275,32 @@ class Echelon:
             for j, (d, _) in enumerate(self._on_pivots)
             for a, b in [remainder.get(-1 - j, (0, 0))]
         ]
+
+
+def _integer_row(row: Mapping[int, ComplexRational]) -> tuple[int, dict[int, tuple[int, int]]]:
+    """``(D, {column: (a, b)})`` with each entry (a + b*i)/D, D the lcm of
+    the entries' denominators."""
+    common = lcm(*(c.d for c in row.values()))
+    return common, {column: (c.a * (common // c.d), c.b * (common // c.d)) for column, c in row.items()}
+
+
+def _gaussian_sum(size: int, reads: list) -> tuple[int, list[int]]:
+    """The sum ``(D, acc)`` of ``(c, (L, terms))`` reads, terms ``(2*k, a)``, ``(2*k + 1, b)``
+    for (a + b*i)/L with k < ``size``: D is the lcm of c.d * L, ``acc`` the numerators over D."""
+    common = lcm(*[coeff.d * piece_d for coeff, (piece_d, _) in reads])
+    acc = [0] * (2 * size)
+    for coeff, (piece_d, piece) in reads:
+        scale = common // (coeff.d * piece_d)
+        if coeff.a:
+            c = coeff.a * scale
+            for slot, v in piece:
+                acc[slot] += c * v
+        if coeff.b:
+            # i*(v at 2*k) is v at 2*k + 1; i*(v at 2*k + 1) is -v at 2*k
+            c = coeff.b * scale
+            for slot, v in piece:
+                acc[slot ^ 1] += -c * v if slot & 1 else c * v
+    return common, acc
 
 
 def express_in_basis(
@@ -268,18 +312,17 @@ def express_in_basis(
     in the span of those before it raises ``ExprError``."""
     echelon, columns = Echelon(), {}
 
-    def row(vf: VectorField) -> tuple[int, dict[int, tuple[int, int]]]:
-        common = lcm(*(c.d for coefficient in vf.coeffs.values() for _, c in coefficient.items()))
-        return common, {
-            columns.setdefault((name, mono), len(columns)): (c.a * (common // c.d), c.b * (common // c.d))
+    def row(vf: VectorField) -> dict[int, ComplexRational]:
+        return {
+            columns.setdefault((name, mono), len(columns)): c
             for name, coefficient in vf.coeffs.items() for mono, c in coefficient.items()
         }
 
     for j, element in enumerate(basis):
-        echelon.insert(*row(element))
+        echelon.insert(row(element))
         if len(echelon.pivots) == j:
             raise ExprError(f"basis element g{j + 1} lies in the span of the elements before it")
-    return [echelon.express(*row(vf)) for vf in fields]
+    return [echelon.express(row(vf)) for vf in fields]
 
 
 @dataclass

@@ -10,19 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .expr import (
     CR_ONE,
     Atom,
+    ComplexRational,
     Expr,
     ExprError,
     JetCoordinate,
     Parameter,
     _acc_products,
-    _cr,
-    _gaussian_sum,
     _mono_mul,
     monomial_key,
     parse,
@@ -83,24 +81,24 @@ class UnknownFunction(Atom):
 @dataclass(frozen=True, eq=False)
 class SymmetryCheck:
     """The verdict of ``verify_symmetry`` and its residuals, one per
-    checked equation, summed on first read from the cached pieces of the
-    ``sources``: per dependent w that a checked equation reads, w, the
-    positions in ``equations`` of those that read it, and sigma_w."""
+    checked equation, read on first use off the echelon: c M, for the
+    ``combination`` of (coefficient, row number) pairs c, grouped by the
+    equation of each column."""
 
     holds: bool
     system: PdeSystem = field(repr=False)
     equations: tuple[int, ...] = field(repr=False)
-    sources: tuple[tuple[str, tuple[int, ...], Expr], ...] = field(repr=False)
+    echelon: Echelon = field(repr=False)
+    combination: list[tuple[ComplexRational, int]] = field(repr=False)
 
     @cached_property
     def residuals(self) -> tuple[Expr, ...]:
-        reads: list[list] = [[] for _ in self.equations]
-        for name, positions, component in self.sources:
-            for mono, coeff in component.items():
-                pieces = _pieces(self.system, name, mono)
-                for position in positions:
-                    reads[position].append((coeff, pieces[self.equations[position]]))
-        return tuple(_equation_sum(self.system, i, r) for i, r in zip(self.equations, reads))
+        columns = _columns(self.system)[1]
+        terms: dict[int, dict] = {index: {} for index in self.equations}
+        for column, c in self.echelon.combine(self.combination).items():
+            index, mono = columns[column]
+            terms[index][mono] = c
+        return tuple(Expr(terms[index]) for index in self.equations)
 
 
 def _component(sigma: Mapping[str, Expr], name: str) -> Expr:
@@ -166,96 +164,57 @@ def frechet(
 
 
 @cache
-def _monomial_table(sys: PdeSystem, index: int) -> tuple[dict[tuple, int], list[tuple]]:
-    """The monomials that the cached pieces of equation ``index`` hold,
-    numbered as first cached: ``(ids, monomials)`` with
-    ``monomials[ids[m]] == m``.  Append-only, so a number never changes."""
+def _columns(sys: PdeSystem) -> tuple[dict[tuple[int, tuple], int], list[tuple[int, tuple]]]:
+    """The echelon columns of ``sys``, one per (equation, monomial) that a
+    piece holds, numbered as first met: ``(numbers, columns)`` with
+    ``numbers[columns[c]] == c``.  Append-only, so a number never changes."""
     return {}, []
 
 
-def _monomial_id(table: tuple[dict[tuple, int], list[tuple]], mono: tuple) -> int:
-    ids, monomials = table
-    found = ids.get(mono)
+def _column(sys: PdeSystem, index: int, mono: tuple) -> int:
+    numbers, columns = _columns(sys)
+    found = numbers.get((index, mono))
     if found is None:
-        found = ids[mono] = len(monomials)
-        monomials.append(mono)
+        found = numbers[(index, mono)] = len(columns)
+        columns.append((index, mono))
     return found
-
-
-@cache
-def _pieces(sys: PdeSystem, name: str, mono: tuple) -> list:
-    """The pieces of ``mono`` in component ``name``, one per equation of
-    ``sys``, each None until a check reads that equation."""
-    return [None] * len(sys.equations)
 
 
 @cache
 def _echelon(sys: PdeSystem, selected: tuple[int, ...]) -> tuple[Echelon, tuple]:
     """The echelon the checks of ``selected`` share, and each dependent w
-    whose jets occur in a selected equation, with the positions in
-    ``selected`` of those that read it and the row of each monomial of
-    sigma_w met so far: its pieces of those equations, the k-th monomial of
-    equation e's table in column ``k * len(sys.equations) + e``."""
+    whose jets occur in a selected equation, with the selected equations
+    that read it and the row of each monomial of sigma_w met so far: its
+    pieces of those equations."""
     readers: dict[str, list[int]] = {}
-    for position, index in enumerate(selected):
+    for index in selected:
         for name in dict.fromkeys(a.name for a, _ in _equation_partials(sys, index)):
-            readers.setdefault(name, []).append(position)
-    return Echelon(), tuple((name, tuple(positions), {}) for name, positions in readers.items())
+            readers.setdefault(name, []).append(index)
+    return Echelon(), tuple((name, tuple(indices), {}) for name, indices in readers.items())
 
 
-def _piece(sys: PdeSystem, index: int, name: str, mono: tuple) -> tuple:
-    """Terms of the on-shell linearization of equation ``index`` along the
+@cache
+def _piece(sys: PdeSystem, index: int, name: str, mono: tuple) -> dict[int, ComplexRational]:
+    """The on-shell linearization of equation ``index`` along the
     characteristic with the monomial ``mono`` in component ``name`` and 0
-    in every other, in integer form ``(L, ((slot, n), ...))``: L is the lcm
-    of the coefficient denominators, and the term with the k-th monomial of
-    the equation's ``_monomial_table`` and coefficient (a + b*i)/L gives
-    ``(2*k, a)`` and ``(2*k + 1, b)``, each only when nonzero.  The piece
-    is made on first need and kept in ``_pieces``.  Only a parameter-free
-    monomial is reduced: for p*m, p the ``Parameter`` factors (they sort
-    first), the piece is m's with p merged into every term, each term
-    renumbered through the same table: a parameter's total derivative is 0
-    and reduction replaces jets only, so both commute with p."""
-    pieces = _pieces(sys, name, mono)
-    found = pieces[index]
-    if found is not None:
-        return found
-    table = _monomial_table(sys, index)
+    in every other, as ``{column: coefficient}`` over the ``_columns`` of
+    ``sys``.  Only a parameter-free monomial is reduced: for p*m, p the
+    ``Parameter`` factors (they sort first), the piece is m's with p merged
+    into every term: a parameter's total derivative is 0 and reduction
+    replaces jets only, so both commute with p."""
     split = 0
     while split < len(mono) and type(mono[split][0]) is Parameter:
         split += 1
     if split:
-        rest = mono[split:]
-        common, terms = _piece(sys, index, name, rest)
-        factor, monomials = mono[:split], table[1]
-        found = common, tuple(
-            (2 * _monomial_id(table, _mono_mul(factor, monomials[slot >> 1])) + (slot & 1), n)
-            for slot, n in terms
-        )
-    else:
-        sigma = dict.fromkeys(sys.dependent_names, Expr.ZERO)
-        sigma[name] = Expr(((mono, CR_ONE),))
-        terms = sys.reduce(frechet(sys, sigma, (index,))[0]).items()
-        common = lcm(*(c.d for _, c in terms))
-        found = common, tuple(
-            (2 * _monomial_id(table, m) + part, n * (common // c.d))
-            for m, c in terms
-            for part, n in enumerate((c.a, c.b))
-            if n
-        )
-    pieces[index] = found
-    return found
-
-
-def _equation_sum(sys: PdeSystem, index: int, equation_reads: list) -> Expr:
-    """Equation ``index``'s residual, summed in integers from its
-    (coefficient, piece) reads over the monomials of its table."""
-    monomials = _monomial_table(sys, index)[1]
-    common, acc = _gaussian_sum(len(monomials), equation_reads)
-    return Expr({
-        monomials[slot >> 1]: _cr(acc[slot], acc[slot + 1], common)
-        for slot in range(0, len(acc), 2)
-        if acc[slot] or acc[slot + 1]
-    })
+        factor, columns = mono[:split], _columns(sys)[1]
+        return {
+            _column(sys, index, _mono_mul(factor, columns[column][1])): c
+            for column, c in _piece(sys, index, name, mono[split:]).items()
+        }
+    sigma = dict.fromkeys(sys.dependent_names, Expr.ZERO)
+    sigma[name] = Expr(((mono, CR_ONE),))
+    reduced = sys.reduce(frechet(sys, sigma, (index,))[0])
+    return {_column(sys, index, m): c for m, c in reduced.items()}
 
 
 def _selection(sys: PdeSystem, equations: Sequence[int] | None) -> tuple[int, ...]:
@@ -280,13 +239,15 @@ def verify_symmetry(
 
     Each residual equals ``sys.reduce(frechet(sys, sigma, equations)[i])``.
     The residuals are c M, c sigma's coefficients and M the matrix whose
-    rows are its monomials' pieces (``_piece``), concatenated over the
-    selected equations that read their component (``_echelon``).  A row
-    is inserted when first met, so every piece is filled and a missing
-    component raises ``ExprError`` whatever the verdict.  ``holds`` is
-    c M[:, P] = 0 on the pivot columns P alone, which is exact: rank
-    M[:, P] = rank M, so every column of M is a combination of them.  The
-    verdict sums no equation; ``SymmetryCheck.residuals`` does.
+    rows are its monomials' pieces (``_piece``), merged over the selected
+    equations that read their component (``_echelon``); a column is one
+    (equation, monomial) pair (``_columns``), so those pieces hold
+    disjoint columns.  A row is inserted when first met, so every piece is
+    made and a missing component raises ``ExprError`` whatever the
+    verdict.  ``holds`` is c M[:, P] = 0 on the pivot columns P alone,
+    which is exact: rank M[:, P] = rank M, so every column of M is a
+    combination of them.  The verdict sums no equation;
+    ``SymmetryCheck.residuals`` reads c M off the echelon.
 
     ``equations`` selects and orders the checked equations (all by
     default); an empty selection or an index that names no equation raises
@@ -294,27 +255,15 @@ def verify_symmetry(
     """
     selected = _selection(sys, equations)
     echelon, readers = _echelon(sys, selected)
-    combination, sources = [], []
-    for name, positions, rows in readers:
-        component = _component(sigma, name)
-        for mono, coeff in component.items():
+    combination = []
+    for name, indices, rows in readers:
+        for mono, coeff in _component(sigma, name).items():
             row = rows.get(mono)
             if row is None:
-                row = rows[mono] = _insert_row(sys, echelon, [selected[p] for p in positions], name, mono)
+                pieces = [_piece(sys, index, name, mono) for index in indices]
+                row = rows[mono] = echelon.insert({k: c for piece in pieces for k, c in piece.items()})
             combination.append((coeff, row))
-        sources.append((name, positions, component))
-    return SymmetryCheck(echelon.annihilates(combination), sys, selected, tuple(sources))
-
-
-def _insert_row(sys: PdeSystem, echelon: Echelon, indices: list[int], name: str, mono: tuple) -> int:
-    """Insert the row of ``mono`` in component ``name`` over the equations ``indices``."""
-    count, pieces, row = len(sys.equations), _pieces(sys, name, mono), {}
-    read = {index: pieces[index] or _piece(sys, index, name, mono) for index in indices}
-    common = lcm(*(piece_d for piece_d, _ in read.values()))
-    for index, (piece_d, piece) in read.items():
-        for slot, n in piece:
-            row.setdefault((slot >> 1) * count + index, [0, 0])[slot & 1] = n * (common // piece_d)
-    return echelon.insert(common, row)
+    return SymmetryCheck(echelon.annihilates(combination), sys, selected, echelon, combination)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 import symflow
 from conftest import fresh_interpreter
 from symflow.cli import _rebuilds_to_itself, build_parser, main
-from symflow import conslaw, grpflow, liealg, numcheck
+from symflow import conslaw, grpflow, jetsys, liealg, linsym, numcheck
 from symflow.expr import ComplexRational, Expr, JetCoordinate, parse
 
 
@@ -69,6 +69,29 @@ def test_bad_symmetry_manifest_fails(tmp_path, capsys):
     (check,) = json.loads(path.read_text())["checks"]
     assert check["status"] == "fail"
     assert re.search(r"nonzero residuals: equation 0: \S", check["detail"])
+
+
+def test_residual_details_print_whole_terms(tmp_path, capsys):
+    # Along sigma_u = Exp(u), equation 0's residual has 6 terms and its
+    # third, alpha*Diff(u,x)^2*Exp(u), does not fit the detail's width.
+    text = "[symmetry]\nsigma_u = Exp(u)\nsigma_v = 0\nsigma_phi = 0\nsigma_psi = 0\nsigma_f = 0\n"
+    manifest, path = tmp_path / "sigma.txt", tmp_path / "r.json"
+    manifest.write_text(text)
+    assert run(["verify-symmetry", "--manifest", str(manifest), "--json", str(path)]) == 1
+    (check,) = json.loads(path.read_text())["checks"]
+    assert re.search(r"nonzero residuals: equation 0: \S", check["detail"])
+    assert "6 nonzero residuals" in check["detail"]
+    system = jetsys.builtin_prolonged()
+    residuals = linsym.verify_symmetry(system, linsym.parse_symmetry_manifest(text, system)).residuals
+    leads = check["detail"].split(": ", 1)[1].split("; ")
+    failing = [(i, r) for i, r in enumerate(residuals) if not r.is_zero()]
+    assert len(leads) == len(failing)
+    for lead, (index, residual) in zip(leads, failing):
+        shown, left = re.fullmatch(rf"equation {index}: (.+?)(?: \.\.\. \((\d+) more terms?\))?", lead).groups()
+        printed, terms = parse(shown, system.vocabulary), dict(residual.items())
+        assert printed.terms and all(terms.get(mono) == c for mono, c in printed.items())
+        assert len(printed.terms) + int(left or 0) == len(terms)
+    assert "(4 more terms)" in leads[0]
 
 
 def test_conservation_single_generator(capsys):

@@ -5,11 +5,12 @@ columns go into an ``Echelon`` in a drawn order.  A dense elimination over
 Q(i) on pairs of ``Fraction``s, written here, is the reference: the rank of
 the pivot-column submatrix must be the rank of the whole matrix, and the
 verdict read on the pivot columns must be the dense c M == 0, for random
-coefficient vectors and for vectors of the reference's left kernel, and
+coefficient vectors and for vectors of the reference's left kernel;
 ``express`` must give coordinates that rebuild a row in the span and None
-for one outside it.  On the engine, a candidate stream must get the same
-verdicts whichever order its rows went in.  The examples are derandomised, so every run draws the
-same ones.
+for one outside it; and ``combine`` must give the dense c M, unchanged by
+rows inserted later.  On the engine, a candidate stream must get the same
+verdicts whichever order its rows went in.  The examples are derandomised,
+so every run draws the same ones.
 """
 
 from fractions import Fraction
@@ -134,8 +135,11 @@ def sparse_rows(draw):
 
 
 def integer_form(entries, denominator):
-    """``(D, row)`` for the core: the nonzero entries (a + b*i)/D."""
-    return denominator, {column: value for column, value in entries.items() if value != (0, 0)}
+    """The row for the core: the nonzero entries (a + b*i)/D as ``ComplexRational``."""
+    return {
+        column: ComplexRational(Fraction(a, denominator), Fraction(b, denominator))
+        for column, (a, b) in entries.items() if (a, b) != (0, 0)
+    }
 
 
 def dense(entries, denominator):
@@ -150,7 +154,7 @@ def filled(rows, order):
     insertion order, so row j of both is the j-th inserted."""
     echelon = Echelon()
     for i in order:
-        echelon.insert(*integer_form(*rows[i]))
+        echelon.insert(integer_form(*rows[i]))
     return echelon, [dense(*rows[i]) for i in order]
 
 
@@ -194,6 +198,25 @@ def test_the_pivot_verdict_is_the_dense_product(rows, rng, drawn):
 
 
 @PROPERTY
+@given(sparse_rows(), st.randoms(use_true_random=False), st.lists(weights, min_size=9, max_size=9))
+def test_combine_is_the_dense_product_and_later_rows_leave_it(rows, rng, drawn):
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    echelon, matrix = filled(rows, order)
+    c = drawn[: len(matrix)]
+    combination = [(as_scalar(w), j) for j, w in enumerate(c) if w != ZERO]
+    combined = echelon.combine(combination)
+    product = [ZERO] * COLUMNS
+    for j, v in combined.items():
+        assert v.a or v.b
+        product[j] = (Fraction(v.re), Fraction(v.im))
+    assert product == times_matrix(c, matrix)
+    for i in order:
+        echelon.insert(integer_form(*rows[i]))
+    assert echelon.combine(combination) == combined
+
+
+@PROPERTY
 @given(sparse_rows(), st.randoms(use_true_random=False), st.lists(gaussian, min_size=9, max_size=9),
        st.dictionaries(st.integers(0, COLUMNS - 1), gaussian, max_size=3))
 def test_express_gives_coordinates_that_rebuild_the_row(rows, rng, drawn, kick):
@@ -206,7 +229,7 @@ def test_express_gives_coordinates_that_rebuild_the_row(rows, rng, drawn, kick):
     kicked = sub_rows(target, dense(kick, 1))
     for vector, in_span in ((target, True), (kicked, rank(matrix + [kicked]) == rank(matrix))):
         entries = {j: (int(re * common), int(im * common)) for j, (re, im) in enumerate(vector)}
-        coords = echelon.express(*integer_form(entries, common))
+        coords = echelon.express(integer_form(entries, common))
         assert (coords is not None) == in_span
         if coords is not None:
             rebuilt = times_matrix([(Fraction(x.re), Fraction(x.im)) for x in coords], matrix)

@@ -17,13 +17,14 @@ from symflow.expr import (
     to_text,
 )
 from symflow.jetsys import PdeSystem, SolvedFormClosure, parse_manifest, write_manifest
-from symflow.liealg import VectorField, coordinate_atom, localized_generator
+from symflow.liealg import Echelon, VectorField, coordinate_atom, localized_generator
 from symflow.linsym import (
     DeterminingSystem,
     PointAnsatz,
     PointFamily,
     UnknownFunction,
     _closed_by_construction,
+    _echelon,
     _split_by_derivative_monomials,
     coupled_ansatz,
     coupled_family,
@@ -195,8 +196,8 @@ def test_the_verdict_alone_agrees_with_the_residuals_read_later(prolonged):
 
 
 def test_residuals_do_not_depend_on_which_selection_filled_the_pieces(prolonged):
-    # Pieces are kept per monomial and filled per equation on first need:
-    # a later call that selects more equations must fill the rest.  Kicked
+    # Pieces are kept per equation and monomial and made on first need:
+    # a later call that selects more equations must make the rest.  Kicked
     # in u and in phi, so that every equation's residual is nonzero and
     # reads the pieces of u's monomials.
     sigma = specialised_characteristic(prolonged_family(), (Fraction(2, 3), -1, 0, 4, 5, -6), 3)
@@ -221,30 +222,29 @@ def kicked_localized() -> dict[str, Expr]:
 
 
 def counted_sums(monkeypatch) -> Counter:
-    """Count the equation sums that ``linsym`` takes from here on."""
-    import symflow.linsym as linsym
-
+    """Count the sums c M over every column, ``Echelon.combine``, taken
+    from here on; one gives the residuals of every checked equation."""
     calls = Counter()
-    equation_sum = linsym._equation_sum
+    combine = Echelon.combine
 
     def counted(*args):
         calls["sums"] += 1
-        return equation_sum(*args)
+        return combine(*args)
 
-    monkeypatch.setattr(linsym, "_equation_sum", counted)
+    monkeypatch.setattr(Echelon, "combine", counted)
     return calls
 
 
 def test_a_failing_verdict_sums_no_equation_and_reports_every_failing_one(prolonged, monkeypatch):
     # The verdict is read on the echelon's pivot columns; the residuals
-    # read later sum all eight equations from the check's reads.
+    # read later come from one sum over every column of all eight equations.
     sigma = kicked_localized()
     calls = counted_sums(monkeypatch)
     check = verify_symmetry(prolonged, sigma)
     assert not check.holds
     assert calls["sums"] == 0
     assert [i for i, r in enumerate(check.residuals) if not r.is_zero()] == [0, 1, 2, 4, 5, 7]
-    assert calls["sums"] == 8
+    assert calls["sums"] == 1
     assert list(check.residuals) == [prolonged.reduce(r) for r in frechet(prolonged, sigma)]
 
 
@@ -465,11 +465,30 @@ def test_candidate_stream_matches_reducing_frechet(prolonged, index, monkeypatch
     sigma = specialised_characteristic(family, constants, kick)
     calls = counted_sums(monkeypatch)
     check = verify_symmetry(prolonged, sigma, family.equations)
-    # the verdict sums no equation; a check's residuals sum each one once
+    # the verdict sums no equation; a check's residuals take one sum
     assert calls["sums"] == 0
     assert check.holds == (kick == 0)
     assert_matches_reducing_frechet(prolonged, sigma, family.equations)
-    assert calls["sums"] == len(check.residuals)
+    assert calls["sums"] == 1
+
+
+def test_residuals_read_after_later_checks_grew_the_shared_echelon(prolonged):
+    # A check holds row numbers into the echelon that every later check of
+    # its selection extends; the rows those insert leave its residuals as
+    # they were.
+    system = parse_manifest(write_manifest(prolonged), name="prolonged-copy")
+    sigma = kicked_localized()
+    check = verify_symmetry(system, sigma)
+    _, readers = _echelon(system, tuple(range(len(system.equations))))
+    inserted = sum(len(rows) for _, _, rows in readers)
+    for index in range(20):
+        family, constants, kick = stream_case(index)
+        verify_symmetry(system, specialised_characteristic(family, constants, kick), family.equations)
+    assert sum(len(rows) for _, _, rows in readers) > inserted
+    expected = [system.reduce(r) for r in frechet(system, sigma)]
+    assert list(check.residuals) == expected
+    assert [r.terms for r in check.residuals] == [r.terms for r in expected]
+    assert not check.holds
 
 
 def test_parameter_factor_merges_with_a_parameter_free_read(prolonged):
