@@ -528,6 +528,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "out", None) and not args.grid:
         parser.error("finite-transform: --out needs --grid, the grid to transform")
+    if args.command == "finite-transform" and args.epsilon == 0 and not args.grid:
+        parser.error("finite-transform: --epsilon 0 leaves the seed unmoved, so its residual "
+                     "orders are 0/0; it needs --grid, a grid to map by the identity")
     try:
         report = Report(command=args.command, inputs=_inputs_digest())
         session = Session(args)

@@ -9,8 +9,9 @@ dependent's name to its component.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
+from weakref import WeakKeyDictionary
 
 from .expr import (
     CR_ONE,
@@ -79,26 +80,169 @@ class UnknownFunction(Atom):
 
 
 @dataclass(frozen=True, eq=False)
+class Selection:
+    """One validated equation selection of a system: the ``equations`` it
+    names in order, the echelon the checks of it share, and its
+    ``readers``: each dependent w whose jets occur in a selected equation,
+    with the selected equations that read it and the row of each monomial
+    of sigma_w met so far (its pieces of those equations)."""
+
+    equations: tuple[int, ...]
+    readers: tuple[tuple[str, tuple[int, ...], dict[tuple, int]], ...]
+    echelon: Echelon = field(default_factory=Echelon)
+
+
+class Linearization:
+    """What ``linsym`` derives from one system: per equation, ``partials``,
+    (w_J, dF/dw_J) for every jet of a dependent in it in the order of
+    ``jet_atoms``, and its ``unclosed_direction``; the echelon ``columns``,
+    one (equation, monomial) pair per column that a piece holds, numbered
+    as first met (``numbers`` inverts it; append-only, so a number never
+    changes); the ``pieces``; and each ``Selection``, stored under the
+    argument as passed and as validated, so that None and the tuple of
+    every index share one.
+
+    ``linearization`` keeps one per system in a weak map.  No value here
+    refers to the system, so it is dropped with the system; a
+    ``PdeSystem`` is immutable, so nothing here goes stale."""
+
+    def __init__(self, sys: PdeSystem):
+        dependent_names = set(sys.dependent_names)
+        self.partials = tuple(
+            tuple((a, equation.diff(a)) for a in equation.jet_atoms() if a.name in dependent_names)
+            for equation in sys.equations
+        )
+        self.unclosed: dict[int, str | None] = {}
+        self.numbers: dict[tuple[int, tuple], int] = {}
+        self.columns: list[tuple[int, tuple]] = []
+        self.pieces: dict[tuple[int, str, tuple], dict[int, ComplexRational]] = {}
+        self.selections: dict[tuple[int, ...] | None, Selection] = {}
+
+    def selection(self, equations: Sequence[int] | None) -> Selection:
+        """The selection ``equations`` names (every equation for None),
+        validated on first use.  A tuple other than the one validated is
+        checked again, since ``(True,) == (1,)``; an empty selection, an
+        index that names no equation (a bool included) and a repeated one
+        raise ``ExprError``."""
+        key = equations if equations is None or type(equations) is tuple else tuple(equations)
+        try:
+            found = self.selections.get(key)
+        except TypeError:  # an unhashable index, refused below
+            found = None
+        if found is not None and (key is None or key is found.equations):
+            return found
+        selected = self._validated(key)
+        found = self.selections.get(selected)
+        if found is None:
+            readers: dict[str, list[int]] = {}
+            for index in selected:
+                for name in dict.fromkeys(a.name for a, _ in self.partials[index]):
+                    readers.setdefault(name, []).append(index)
+            found = Selection(selected, tuple((n, tuple(i), {}) for n, i in readers.items()))
+        self.selections[key] = self.selections[selected] = found
+        return found
+
+    def _validated(self, key: tuple | None) -> tuple[int, ...]:
+        count = len(self.partials)
+        selected = tuple(range(count)) if key is None else key
+        if not selected:
+            raise ExprError("the equation selection is empty, so nothing would be checked")
+        seen = set()
+        for index in selected:
+            if type(index) is bool or not (isinstance(index, int) and 0 <= index < count):
+                raise ExprError(
+                    f"equation {index!r} is not in the system: its equations are 0..{count - 1}"
+                )
+            if index in seen:
+                raise ExprError(f"equation {index} is selected twice")
+            seen.add(index)
+        return selected
+
+    def column(self, index: int, mono: tuple) -> int:
+        found = self.numbers.get((index, mono))
+        if found is None:
+            found = self.numbers[(index, mono)] = len(self.columns)
+            self.columns.append((index, mono))
+        return found
+
+    def piece(self, sys: PdeSystem, index: int, name: str, mono: tuple) -> dict[int, ComplexRational]:
+        """The on-shell linearization of equation ``index`` along the
+        characteristic with the monomial ``mono`` in component ``name`` and 0
+        in every other, as ``{column: coefficient}``, made on first use.
+        Only a parameter-free monomial is reduced: for p*m, p the
+        ``Parameter`` factors (they sort first), the piece is m's with p
+        merged into every term: a parameter's total derivative is 0 and
+        reduction replaces jets only, so both commute with p."""
+        key = (index, name, mono)
+        found = self.pieces.get(key)
+        if found is not None:
+            return found
+        split = 0
+        while split < len(mono) and type(mono[split][0]) is Parameter:
+            split += 1
+        if split:
+            factor = mono[:split]
+            found = {
+                self.column(index, _mono_mul(factor, self.columns[column][1])): c
+                for column, c in self.piece(sys, index, name, mono[split:]).items()
+            }
+        else:
+            sigma = dict.fromkeys(sys.dependent_names, Expr.ZERO)
+            sigma[name] = Expr(((mono, CR_ONE),))
+            reduced = sys.reduce(frechet(sys, sigma, (index,))[0])
+            found = {self.column(index, m): c for m, c in reduced.items()}
+        self.pieces[key] = found
+        return found
+
+    def unclosed_direction(self, sys: PdeSystem, index: int) -> str | None:
+        """The first of x, t along which equation ``index``'s total
+        derivative does not reduce to 0, or None when both do."""
+        if index not in self.unclosed:
+            equation = sys.equations[index]
+            self.unclosed[index] = next(
+                (
+                    direction for direction in ("x", "t")
+                    if not _closed_by_construction(sys, equation, direction)
+                    and not sys.reduce(equation.total_derivative(direction)).is_zero()
+                ),
+                None,
+            )
+        return self.unclosed[index]
+
+
+_LINEARIZATIONS: WeakKeyDictionary[PdeSystem, Linearization] = WeakKeyDictionary()
+
+
+def linearization(sys: PdeSystem) -> Linearization:
+    """The ``Linearization`` of ``sys``: made on first use, dropped with it."""
+    found = _LINEARIZATIONS.get(sys)
+    if found is None:
+        found = _LINEARIZATIONS[sys] = Linearization(sys)
+    return found
+
+
+@dataclass(frozen=True, eq=False)
 class SymmetryCheck:
     """The verdict of ``verify_symmetry`` and its residuals, one per
-    checked equation, read on first use off the echelon: c M, for the
-    ``combination`` of (coefficient, row number) pairs c, grouped by the
-    equation of each column."""
+    checked equation, read on first use off the selection's echelon: c M,
+    for the ``combination`` of (coefficient, row number) pairs c, grouped
+    by the equation of each column.  It holds the system's
+    ``Linearization``, not the system, so the residuals can be read after
+    the system is dropped."""
 
     holds: bool
-    system: PdeSystem = field(repr=False)
-    equations: tuple[int, ...] = field(repr=False)
-    echelon: Echelon = field(repr=False)
+    linearization: Linearization = field(repr=False)
+    selection: Selection = field(repr=False)
     combination: list[tuple[ComplexRational, int]] = field(repr=False)
 
     @cached_property
     def residuals(self) -> tuple[Expr, ...]:
-        columns = _columns(self.system)[1]
-        terms: dict[int, dict] = {index: {} for index in self.equations}
-        for column, c in self.echelon.combine(self.combination).items():
+        columns = self.linearization.columns
+        terms: dict[int, dict] = {index: {} for index in self.selection.equations}
+        for column, c in self.selection.echelon.combine(self.combination).items():
             index, mono = columns[column]
             terms[index][mono] = c
-        return tuple(Expr(terms[index]) for index in self.equations)
+        return tuple(Expr(terms[index]) for index in self.selection.equations)
 
 
 def _component(sigma: Mapping[str, Expr], name: str) -> Expr:
@@ -106,15 +250,6 @@ def _component(sigma: Mapping[str, Expr], name: str) -> Expr:
     if component is None:
         raise ExprError(f"characteristic lacks a component for dependent '{name}'")
     return component
-
-
-@cache
-def _equation_partials(sys: PdeSystem, index: int) -> tuple[tuple[JetCoordinate, Expr], ...]:
-    """(w_J, dF/dw_J) for every jet of a dependent occurring in equation
-    ``index``, in the order of ``jet_atoms``."""
-    equation = sys.equations[index]
-    dependent_names = set(sys.dependent_names)
-    return tuple((a, equation.diff(a)) for a in equation.jet_atoms() if a.name in dependent_names)
 
 
 def _by_prefix(
@@ -149,85 +284,18 @@ def frechet(
     ``total_derivative_along``.  ``equations`` selects and orders the
     equations as in ``verify_symmetry``, and is refused the same way.
     """
-    selected = _selection(sys, equations)
+    state = linearization(sys)
     derivative = _by_prefix(
         lambda name: _component(sigma, name),
         lambda prefix, _name, index: prefix.total_derivative(index[-1]),
     )
     out = []
-    for index in selected:
+    for index in state.selection(equations).equations:
         total = Expr.ZERO
-        for a, partial in _equation_partials(sys, index):
+        for a, partial in state.partials[index]:
             total = total + partial * derivative(a.name, a.index)
         out.append(total)
     return out
-
-
-@cache
-def _columns(sys: PdeSystem) -> tuple[dict[tuple[int, tuple], int], list[tuple[int, tuple]]]:
-    """The echelon columns of ``sys``, one per (equation, monomial) that a
-    piece holds, numbered as first met: ``(numbers, columns)`` with
-    ``numbers[columns[c]] == c``.  Append-only, so a number never changes."""
-    return {}, []
-
-
-def _column(sys: PdeSystem, index: int, mono: tuple) -> int:
-    numbers, columns = _columns(sys)
-    found = numbers.get((index, mono))
-    if found is None:
-        found = numbers[(index, mono)] = len(columns)
-        columns.append((index, mono))
-    return found
-
-
-@cache
-def _echelon(sys: PdeSystem, selected: tuple[int, ...]) -> tuple[Echelon, tuple]:
-    """The echelon the checks of ``selected`` share, and each dependent w
-    whose jets occur in a selected equation, with the selected equations
-    that read it and the row of each monomial of sigma_w met so far: its
-    pieces of those equations."""
-    readers: dict[str, list[int]] = {}
-    for index in selected:
-        for name in dict.fromkeys(a.name for a, _ in _equation_partials(sys, index)):
-            readers.setdefault(name, []).append(index)
-    return Echelon(), tuple((name, tuple(indices), {}) for name, indices in readers.items())
-
-
-@cache
-def _piece(sys: PdeSystem, index: int, name: str, mono: tuple) -> dict[int, ComplexRational]:
-    """The on-shell linearization of equation ``index`` along the
-    characteristic with the monomial ``mono`` in component ``name`` and 0
-    in every other, as ``{column: coefficient}`` over the ``_columns`` of
-    ``sys``.  Only a parameter-free monomial is reduced: for p*m, p the
-    ``Parameter`` factors (they sort first), the piece is m's with p merged
-    into every term: a parameter's total derivative is 0 and reduction
-    replaces jets only, so both commute with p."""
-    split = 0
-    while split < len(mono) and type(mono[split][0]) is Parameter:
-        split += 1
-    if split:
-        factor, columns = mono[:split], _columns(sys)[1]
-        return {
-            _column(sys, index, _mono_mul(factor, columns[column][1])): c
-            for column, c in _piece(sys, index, name, mono[split:]).items()
-        }
-    sigma = dict.fromkeys(sys.dependent_names, Expr.ZERO)
-    sigma[name] = Expr(((mono, CR_ONE),))
-    reduced = sys.reduce(frechet(sys, sigma, (index,))[0])
-    return {_column(sys, index, m): c for m, c in reduced.items()}
-
-
-def _selection(sys: PdeSystem, equations: Sequence[int] | None) -> tuple[int, ...]:
-    count = len(sys.equations)
-    selected = tuple(range(count) if equations is None else equations)
-    if not selected:
-        raise ExprError("the equation selection is empty, so nothing would be checked")
-    for index in selected:
-        if not (isinstance(index, int) and 0 <= index < count):
-            raise ExprError(
-                f"equation {index!r} is not in the system: its equations are 0..{count - 1}"
-            )
-    return selected
 
 
 def verify_symmetry(
@@ -239,10 +307,12 @@ def verify_symmetry(
 
     Each residual equals ``sys.reduce(frechet(sys, sigma, equations)[i])``.
     The residuals are c M, c sigma's coefficients and M the matrix whose
-    rows are its monomials' pieces (``_piece``), merged over the selected
-    equations that read their component (``_echelon``); a column is one
-    (equation, monomial) pair (``_columns``), so those pieces hold
-    disjoint columns.  A row is inserted when first met, so every piece is
+    rows are its monomials' pieces (``Linearization.piece``), merged over
+    the selected equations that read their component; a column is one
+    (equation, monomial) pair, so those pieces hold disjoint columns.  The
+    system's ``Linearization`` holds the pieces and columns, and one
+    ``Selection`` per equation selection with its echelon, and is dropped
+    with the system.  A row is inserted when first met, so every piece is
     made and a missing component raises ``ExprError`` whatever the
     verdict.  ``holds`` is c M[:, P] = 0 on the pivot columns P alone,
     which is exact: rank M[:, P] = rank M, so every column of M is a
@@ -250,20 +320,21 @@ def verify_symmetry(
     ``SymmetryCheck.residuals`` reads c M off the echelon.
 
     ``equations`` selects and orders the checked equations (all by
-    default); an empty selection or an index that names no equation raises
-    ``ExprError``.
+    default); an empty selection, an index that names no equation and a
+    repeated index raise ``ExprError``.
     """
-    selected = _selection(sys, equations)
-    echelon, readers = _echelon(sys, selected)
+    state = linearization(sys)
+    selection = state.selection(equations)
+    echelon = selection.echelon
     combination = []
-    for name, indices, rows in readers:
+    for name, indices, rows in selection.readers:
         for mono, coeff in _component(sigma, name).items():
             row = rows.get(mono)
             if row is None:
-                pieces = [_piece(sys, index, name, mono) for index in indices]
+                pieces = [state.piece(sys, index, name, mono) for index in indices]
                 row = rows[mono] = echelon.insert({k: c for piece in pieces for k, c in piece.items()})
             combination.append((coeff, row))
-    return SymmetryCheck(echelon.annihilates(combination), sys, selected, echelon, combination)
+    return SymmetryCheck(echelon.annihilates(combination), state, selection, combination)
 
 
 # ---------------------------------------------------------------------------
@@ -468,19 +539,6 @@ def _closed_by_construction(sys: PdeSystem, equation: Expr, direction: str) -> b
     return False
 
 
-@cache
-def _unclosed_direction(sys: PdeSystem, index: int) -> str | None:
-    """The first of x, t along which equation ``index``'s total derivative
-    does not reduce to 0, or None when both do."""
-    equation = sys.equations[index]
-    for direction in ("x", "t"):
-        if _closed_by_construction(sys, equation, direction):
-            continue
-        if not sys.reduce(equation.total_derivative(direction)).is_zero():
-            return direction
-    return None
-
-
 def generate_determining(sys: PdeSystem, ansatz: PointAnsatz) -> DeterminingSystem:
     """Apply the prolonged ansatz generator, reduce on-shell, and split.
 
@@ -511,7 +569,8 @@ def generate_determining(sys: PdeSystem, ansatz: PointAnsatz) -> DeterminingSyst
     empty ``ansatz.equations``, or an index in it that names no equation,
     raises ExprError before any work, as in ``verify_symmetry``.
     """
-    selected = _selection(sys, ansatz.equations)
+    state = linearization(sys)
+    selected = state.selection(ansatz.equations).equations
     for name in ansatz.args:
         if name not in sys.independents and name not in sys.dependent_names:
             raise ExprError(f"ansatz argument '{name}' is not a system variable")
@@ -538,7 +597,7 @@ def generate_determining(sys: PdeSystem, ansatz: PointAnsatz) -> DeterminingSyst
     phi = _by_prefix(lambda name: _component(etas, name), prolonged_step)
     residuals = []
     for index in selected:
-        direction = _unclosed_direction(sys, index)
+        direction = state.unclosed_direction(sys, index)
         if direction is not None:
             raise ExprError(
                 f"equation {index} is not closed under D_{direction} on its solved "
@@ -550,7 +609,7 @@ def generate_determining(sys: PdeSystem, ansatz: PointAnsatz) -> DeterminingSyst
         total = Expr.ZERO
         for direction, x in xi.items():
             total = total + x * -equation.diff(coordinate_atom(direction))
-        for a, partial in _equation_partials(sys, index):
+        for a, partial in state.partials[index]:
             total = total + -partial * phi(a.name, a.index)
         residuals.append(sys.reduce(total))
     constraints = []

@@ -309,6 +309,16 @@ def test_grid_output_without_grid_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-0.0"])
+def test_zero_epsilon_without_grid_is_a_usage_error(value, capsys):
+    # the unmoved vacuum seed has residual 0 at every level: no order to read
+    with pytest.raises(SystemExit) as err:
+        run(["finite-transform", f"--epsilon={value}"])
+    assert err.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if ": error: " in line]
+    assert len(errors) == 1 and "--epsilon 0" in errors[0] and "needs --grid" in errors[0]
+
+
 def test_manifest_and_family_are_mutually_exclusive(tmp_path, capsys):
     manifest = tmp_path / "sigma.txt"
     manifest.write_text("[symmetry]\nsigma_u = phi^2\nsigma_v = psi^2\n")

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from symflow.expr import ComplexRational  # noqa: E402
 from symflow.jetsys import parse_manifest, write_manifest  # noqa: E402
 from symflow.liealg import Echelon  # noqa: E402
-from symflow.linsym import _echelon, verify_symmetry  # noqa: E402
+from symflow.linsym import linearization, verify_symmetry  # noqa: E402
 from test_linsym import specialised_characteristic, stream_case  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -252,7 +252,7 @@ def test_stream_verdicts_do_not_depend_on_the_row_order(prolonged):
             sigma = specialised_characteristic(family, constants, kick)
             holds[index] = verify_symmetry(system, sigma, family.equations).holds
         verdicts.append(holds)
-        echelons.append([_echelon(system, selection)[0] for selection in ((0, 1), tuple(range(8)))])
+        echelons.append([linearization(system).selection(s).echelon for s in ((0, 1), tuple(range(8)))])
     forward, backward = verdicts
     assert forward == backward
     assert forward == {index: stream_case(index)[2] == 0 for index in indices}

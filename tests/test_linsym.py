@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -16,7 +18,9 @@ from symflow.expr import (
     parse,
     to_text,
 )
-from symflow.jetsys import PdeSystem, SolvedFormClosure, parse_manifest, write_manifest
+from symflow.jetsys import (
+    PdeSystem, SolvedFormClosure, builtin_prolonged, parse_manifest, write_manifest,
+)
 from symflow.liealg import Echelon, VectorField, coordinate_atom, localized_generator
 from symflow.linsym import (
     DeterminingSystem,
@@ -24,13 +28,13 @@ from symflow.linsym import (
     PointFamily,
     UnknownFunction,
     _closed_by_construction,
-    _echelon,
     _split_by_derivative_monomials,
     coupled_ansatz,
     coupled_family,
     family_as_solution,
     frechet,
     generate_determining,
+    linearization,
     localized_characteristic,
     prolonged_ansatz,
     prolonged_family,
@@ -57,11 +61,13 @@ def test_zero_characteristic(hirota):
     assert all(e.is_zero() for e in lin)
 
 
-#: equation selections of the eight-equation prolonged system that check
-#: nothing, with what the refusal says
+#: equation selections of the eight-equation prolonged system that are
+#: refused, with what the refusal says
 NO_EQUATION_SELECTIONS = [
     ((), "selection is empty"), ((8,), "equation 8 is not in the system"),
     ((-1,), "equation -1 is not in the system"),
+    ((True,), "equation True is not in the system"), ((0, 0), "equation 0 is selected twice"),
+    ((0, [1]), r"equation \[1\] is not in the system"),
 ]
 
 
@@ -283,6 +289,42 @@ def test_specialised_family_reuses_the_pieces_of_the_symbolic_check(prolonged, m
     assert calls == Counter()
 
 
+def test_a_bool_is_refused_after_its_integer_was_validated(prolonged):
+    # (True,) == (1,), so the selection validated for (1,) must not serve it
+    sigma = localized_characteristic()
+    assert verify_symmetry(prolonged, sigma, (1,)).holds
+    with pytest.raises(ExprError, match="equation True is not in the system"):
+        verify_symmetry(prolonged, sigma, (True,))
+
+
+def test_a_list_selection_checks_what_its_tuple_checks(prolonged):
+    sigma = kicked_localized()
+    as_tuple, as_list = verify_symmetry(prolonged, sigma, (0, 1)), verify_symmetry(prolonged, sigma, [0, 1])
+    assert as_list.holds == as_tuple.holds is False
+    assert as_list.residuals == as_tuple.residuals
+    assert as_list.selection.echelon is linearization(prolonged).selection((0, 1)).echelon
+    assert frechet(prolonged, sigma, [0, 1]) == frechet(prolonged, sigma, (0, 1))
+
+
+def test_a_dropped_system_is_freed_with_its_linearization():
+    # a specialised prolonged system, built here so that nothing else holds it
+    prolonged = builtin_prolonged()
+    values = {"alpha": Fraction(3, 7), "beta": Fraction(-5, 11), "lambda": Fraction(2, 13)}
+    mapping = {Parameter(name): Expr.from_scalar(q) for name, q in values.items()}
+    system = PdeSystem(
+        "prolonged-specialised", prolonged.independents, prolonged.dependents, (),
+        [e.substitute(mapping) for e in prolonged.equations],
+        {key: rhs.substitute(mapping) for key, rhs in prolonged.solved_forms.items()},
+    )
+    check = verify_symmetry(system, localized_characteristic())
+    assert check.holds
+    dropped = weakref.ref(system)
+    del system
+    gc.collect()
+    assert dropped() is None
+    assert all(r.is_zero() for r in check.residuals)
+
+
 def test_invariance_under_on_shell_equivalent_rewriting(prolonged):
     sigma = localized_characteristic()
     ut = JetCoordinate("u", ("t",))
@@ -479,7 +521,7 @@ def test_residuals_read_after_later_checks_grew_the_shared_echelon(prolonged):
     system = parse_manifest(write_manifest(prolonged), name="prolonged-copy")
     sigma = kicked_localized()
     check = verify_symmetry(system, sigma)
-    _, readers = _echelon(system, tuple(range(len(system.equations))))
+    readers = linearization(system).selection(tuple(range(len(system.equations)))).readers
     inserted = sum(len(rows) for _, _, rows in readers)
     for index in range(20):
         family, constants, kick = stream_case(index)
