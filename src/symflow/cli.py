@@ -195,17 +195,28 @@ def _flatness(s, _key):
     return ok, detail, None
 
 
+#: the note of both checks that read ``Session.flux_pair``
+_FLUX_PAIR_NOTE = "one computation for potential-density-flux-pair and divergence-flux-pair"
+
+
 def _divergence_result(chk: conslaw.DivergenceCheck, *notes: str):
-    """``(ok, detail, residual)`` of a divergence check; the detail starts
-    with ``exact and numeric disagree`` when only one stage finds zero."""
-    detail = "; ".join((f"numeric max {chk.numeric_max:.2e}", *notes))
+    """``(ok, detail, residual)`` of a divergence check: the detail states
+    the exact stage (with the leading terms of a residual that does not
+    reduce to 0), then the numeric max and ``notes``; it starts with
+    ``exact and numeric disagree`` when only one stage finds zero."""
+    closure = "modulo the prolonged system and its adjoint"
+    if chk.residual.is_zero():
+        exact = f"reduces to 0 {closure}"
+    else:
+        exact = f"does not reduce to 0 {closure}: {_leading_terms(chk.residual, 60)}"
+    detail = "; ".join((exact, f"numeric max {chk.numeric_max:.2e}", *notes))
     if chk.residual.is_zero() != (chk.numeric_max <= conslaw.NUMERIC_TOLERANCE):
         detail = f"exact and numeric disagree: {detail}"
     return chk.holds, detail, chk.numeric_max
 
 
 def _potential_density(s, _key):
-    return _divergence_result(s.flux_pair)
+    return _divergence_result(s.flux_pair, _FLUX_PAIR_NOTE)
 
 
 def _manifest_symmetry(s, _key):
@@ -255,7 +266,7 @@ def _grid(s, _key):
     with _reading(args.grid) as text:
         grid = numcheck.read_grid(text)
         moved = dataclasses.replace(grid, fields=grpflow.map_solution(grid.fields, args.epsilon))
-        residual = max(numcheck.pde_residual(moved, which) for which in ("u", "v"))
+        residual = numcheck.pde_residual(moved)
     notes = []
     if args.out:
         _write(args.out, numcheck.write_grid(moved))
@@ -290,15 +301,14 @@ _GENERATOR_NAMES = ("g1", "g2", "g3", "g4", "g5", "g6")
 
 def _divergence(s, generator):
     if generator == "flux-pair":
-        chk = s.flux_pair
+        return _divergence_result(s.flux_pair, _FLUX_PAIR_NOTE, s.flux_pair.nontrivial)
+    if generator == "family":
+        vf = liealg.family_vector_field()
     else:
-        if generator == "family":
-            vf = liealg.family_vector_field()
-        else:
-            vf = liealg.standard_generators()[_GENERATOR_NAMES.index(generator)]
-        chk = conslaw.verify_divergence(
-            conslaw.conserved_vector(vf), numeric_points=s.args.numeric_points
-        )
+        vf = liealg.standard_generators()[_GENERATOR_NAMES.index(generator)]
+    chk = conslaw.verify_divergence(
+        conslaw.conserved_vector(vf), numeric_points=s.args.numeric_points
+    )
     return _divergence_result(chk, chk.nontrivial)
 
 

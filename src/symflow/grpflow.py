@@ -232,21 +232,26 @@ def ivp_oracle(
 def map_solution(values: Mapping[str, complex | np.ndarray], epsilon: float):
     """The rules of :func:`closed_form_flow` evaluated at parameter
     ``epsilon`` on scalar states or on gridded fields, arrays that
-    broadcast together; a state on the pole 1 - eps*f = 0 is an error."""
+    broadcast together; a state on the pole 1 - eps*f = 0 is an error, and
+    so is an image that overflows to a value that is not finite."""
     import numpy as np
     flow = closed_form_flow()
     assignment = {flow.epsilon: epsilon}
     assignment.update({JetCoordinate(n): values[n] for n in FLOW_VARIABLES})
-    den = flow.den.eval_numeric(assignment)
-    if np.min(np.abs(den)) < POLE_TOLERANCE:
-        index = np.unravel_index(np.argmin(np.abs(den)), np.shape(den))
-        at = complex(np.asarray(values["f"])[index])
-        f_text = f"{at.real:g}" if at.imag == 0 else f"{at.real:g}{at.imag:+g}i"
-        where = f" on grid at index {tuple(int(i) for i in index)}" if index else ""
-        raise PoleError(
-            f"flow pole{where}: 1 - epsilon*f = 0 at f = {f_text} (epsilon = {epsilon:g})"
-        )
-    return {n: flow.nums[n].eval_numeric(assignment) / den for n in FLOW_VARIABLES}
+    with np.errstate(all="ignore"):  # an overflow is refused below, not warned of
+        den = flow.den.eval_numeric(assignment)
+        if np.min(np.abs(den)) < POLE_TOLERANCE:
+            index = np.unravel_index(np.argmin(np.abs(den)), np.shape(den))
+            at = complex(np.asarray(values["f"])[index])
+            f_text = f"{at.real:g}" if at.imag == 0 else f"{at.real:g}{at.imag:+g}i"
+            where = f" on grid at index {tuple(int(i) for i in index)}" if index else ""
+            raise PoleError(
+                f"flow pole{where}: 1 - epsilon*f = 0 at f = {f_text} (epsilon = {epsilon:g})"
+            )
+        image = {n: flow.nums[n].eval_numeric(assignment) / den for n in FLOW_VARIABLES}
+    if not all(np.all(np.isfinite(w)) for w in image.values()):
+        raise ExprError(f"the flow at epsilon = {epsilon:g} overflows: its image is not finite")
+    return image
 
 
 # ---------------------------------------------------------------------------

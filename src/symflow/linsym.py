@@ -95,12 +95,11 @@ class Selection:
 class Linearization:
     """What ``linsym`` derives from one system: per equation, ``partials``,
     (w_J, dF/dw_J) for every jet of a dependent in it in the order of
-    ``jet_atoms``, and its ``unclosed_direction``; the echelon ``columns``,
-    one (equation, monomial) pair per column that a piece holds, numbered
-    as first met (``numbers`` inverts it; append-only, so a number never
-    changes); the ``pieces``; and each ``Selection``, stored under the
-    argument as passed and as validated, so that None and the tuple of
-    every index share one.
+    ``jet_atoms``; the echelon ``columns``, one (equation, monomial) pair
+    per column that a piece holds, numbered as first met (``numbers``
+    inverts it; append-only, so a number never changes); the ``pieces``;
+    and each ``Selection``, stored under the argument as passed and as
+    validated, so that None and the tuple of every index share one.
 
     ``linearization`` keeps one per system in a weak map.  No value here
     refers to the system, so it is dropped with the system; a
@@ -112,7 +111,6 @@ class Linearization:
             tuple((a, equation.diff(a)) for a in equation.jet_atoms() if a.name in dependent_names)
             for equation in sys.equations
         )
-        self.unclosed: dict[int, str | None] = {}
         self.numbers: dict[tuple[int, tuple], int] = {}
         self.columns: list[tuple[int, tuple]] = []
         self.pieces: dict[tuple[int, str, tuple], dict[int, ComplexRational]] = {}
@@ -193,21 +191,6 @@ class Linearization:
             found = {self.column(index, m): c for m, c in reduced.items()}
         self.pieces[key] = found
         return found
-
-    def unclosed_direction(self, sys: PdeSystem, index: int) -> str | None:
-        """The first of x, t along which equation ``index``'s total
-        derivative does not reduce to 0, or None when both do."""
-        if index not in self.unclosed:
-            equation = sys.equations[index]
-            self.unclosed[index] = next(
-                (
-                    direction for direction in ("x", "t")
-                    if not _closed_by_construction(sys, equation, direction)
-                    and not sys.reduce(equation.total_derivative(direction)).is_zero()
-                ),
-                None,
-            )
-        return self.unclosed[index]
 
 
 _LINEARIZATIONS: WeakKeyDictionary[PdeSystem, Linearization] = WeakKeyDictionary()
@@ -527,40 +510,16 @@ def _split_by_derivative_monomials(residual: Expr) -> dict[tuple, Expr]:
     return {key: Expr(bucket) for key, bucket in groups.items()}
 
 
-def _closed_by_construction(sys: PdeSystem, equation: Expr, direction: str) -> bool:
-    """Whether reduce(D_d F) = 0 holds with no reduction: F is c*(w_K - rhs_K)
-    for a solved key K and a constant c, and the closure prolongs w_K along
-    d from K itself.  The rule for w_{K+d} is then reduce(D_d rhs_K) (a
-    solved rhs holds no reducible jet), which is what D_d F reduces to."""
-    for key, rhs in sys.solved_forms.items():
-        c = equation.diff(key)
-        if c.is_constant() and not c.is_zero() and equation == c * (Expr.atom(key) - rhs):
-            return sys.closure.base_key(key.extended(direction)) is key
-    return False
-
-
 def generate_determining(sys: PdeSystem, ansatz: PointAnsatz) -> DeterminingSystem:
-    """Apply the prolonged ansatz generator, reduce on-shell, and split.
+    """Reduce the linearization along the ansatz characteristic, and split.
 
-    The generator is v = X d_x + T d_t + sum_w eta_w d_w.  Each residual is
-    -reduce(pr v(F_i)), with
-
-        pr v(F) = X dF/dx + T dF/dt + sum_(w_J in F) phi_w^J dF/dw_J,
-        phi_w^() = eta_w,
-        phi_w^(J,d) = D_d phi_w^J - w_(J,x) D_d X - w_(J,t) D_d T,
-
-    the general prolongation formula (Olver, Applications of Lie Groups to
-    Differential Equations, section 2.3).  With the characteristic
-    sigma_w = X w_x + T w_t - eta_w the identity
-
-        frechet(F)[sigma] = -pr v(F) + X D_x F + T D_t F
-
-    holds exactly, so the residual equals reduce(frechet(F)[sigma])
-    whenever reduce(D_x F_i) and reduce(D_t F_i) vanish.  That condition
-    is checked once per system and equation (and skipped where the solved
-    forms make it hold); a system that fails it raises ExprError.  The
-    prolongation never forms the top-order jets whose terms sum to
-    X D_x F + T D_t F, nor the rules that would reduce them.
+    The ansatz generator is v = X d_x + T d_t + sum_w eta_w d_w, its
+    coefficients unknown functions of ``ansatz.args``, and sigma is its
+    ``VectorField.characteristic`` on the dependents of
+    ``ansatz.eta_names``, sigma_w = X w_x + T w_t - eta_w.  Each residual
+    is reduce(frechet(F_i)[sigma]), the condition ``verify_symmetry``
+    checks.  A selected equation that reads a dependent the ansatz does
+    not name is refused as in ``frechet``.
 
     Splitting is by exact monomials in the proper-derivative jets that
     survive reduction (the unknowns depend only on order-zero coordinates,
@@ -569,49 +528,17 @@ def generate_determining(sys: PdeSystem, ansatz: PointAnsatz) -> DeterminingSyst
     empty ``ansatz.equations``, or an index in it that names no equation,
     raises ExprError before any work, as in ``verify_symmetry``.
     """
-    state = linearization(sys)
-    selected = state.selection(ansatz.equations).equations
+    selected = linearization(sys).selection(ansatz.equations).equations
     for name in ansatz.args:
         if name not in sys.independents and name not in sys.dependent_names:
             raise ExprError(f"ansatz argument '{name}' is not a system variable")
-    xi = {
-        direction: Expr.atom(UnknownFunction(name, ansatz.args))
-        for direction, name in zip(("x", "t"), XI_NAMES)
-    }
-    etas = {
-        dep: Expr.atom(UnknownFunction(name, ansatz.args))
-        for dep, name in ansatz.eta_names.items()
-    }
-    xi_derivatives = {
-        (direction, d): x.total_derivative(d) for direction, x in xi.items() for d in xi
-    }
-
-    def prolonged_step(prefix: Expr, name: str, index: tuple[str, ...]) -> Expr:
-        d = index[-1]
-        out = prefix.total_derivative(d)
-        for direction in xi:
-            jet = Expr.atom(JetCoordinate(name, index[:-1] + (direction,)))
-            out = out - jet * xi_derivatives[(direction, d)]
-        return out
-
-    phi = _by_prefix(lambda name: _component(etas, name), prolonged_step)
-    residuals = []
-    for index in selected:
-        direction = state.unclosed_direction(sys, index)
-        if direction is not None:
-            raise ExprError(
-                f"equation {index} is not closed under D_{direction} on its solved "
-                "forms, so the prolongation formula does not give its determining "
-                "equations"
-            )
-        # -pr v(F), negated through the small factors dF/dw_J and dF/dx
-        equation = sys.equations[index]
-        total = Expr.ZERO
-        for direction, x in xi.items():
-            total = total + x * -equation.diff(coordinate_atom(direction))
-        for a, partial in state.partials[index]:
-            total = total + -partial * phi(a.name, a.index)
-        residuals.append(sys.reduce(total))
+    names = {**dict(zip(("x", "t"), XI_NAMES)), **ansatz.eta_names}
+    generator = VectorField(
+        {w: Expr.atom(UnknownFunction(name, ansatz.args)) for w, name in names.items()}
+    )
+    characteristic = generator.characteristic()
+    sigma = {dep: characteristic[dep] for dep in ansatz.eta_names}
+    residuals = [sys.reduce(r) for r in frechet(sys, sigma, selected)]
     constraints = []
     for eq_index, residual in zip(selected, residuals):
         split = _split_by_derivative_monomials(residual)

@@ -239,7 +239,30 @@ def test_off_shell_samples_fail_each_divergence_check_in_the_report(tmp_path, ca
     assert len(checks) == 9
     for c in checks:
         assert c["status"] == "fail", c["name"]
-        assert c["detail"].startswith("exact and numeric disagree: numeric max "), c["name"]
+        assert c["detail"].startswith(
+            "exact and numeric disagree: reduces to 0 modulo the prolonged system and its "
+            "adjoint; numeric max "
+        ), c["name"]
+
+
+def test_a_divergence_that_does_not_reduce_is_reported_with_its_leading_terms(
+    tmp_path, capsys, monkeypatch
+):
+    pair = flux_pair()
+    monkeypatch.setattr(
+        conslaw, "flux_pair", lambda: conslaw.ConservedVector(pair.Tt + jet("u"), pair.Tx)
+    )
+    path = tmp_path / "r.json"
+    assert main(["conservation", "--generator", "flux-pair", "--json", str(path)]) == 1
+    capsys.readouterr()
+    (check,) = json.loads(path.read_text())["checks"]
+    residual = combined_closure().reduce(jet("u").total_derivative("t"))
+    lead = to_text(Expr(residual.terms[:1]))
+    assert check["status"] == "fail"
+    assert check["detail"].startswith(
+        f"does not reduce to 0 modulo the prolonged system and its adjoint: {lead}"
+    )
+    assert "; numeric max " in check["detail"]
 
 
 def test_multiplier_pair_is_nonzero_on_shell(generators):

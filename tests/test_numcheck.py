@@ -74,15 +74,14 @@ def test_potential_is_linear_in_x(vacuum):
 
 
 def test_vacuum_residual_is_exactly_zero(vacuum):
-    assert pde_residual(vacuum, "u") < 1e-12
-    assert pde_residual(vacuum, "v") < 1e-12
+    assert pde_residual(vacuum) < 1e-12
 
 
 def test_grid_too_small_raises():
     g = Grid(x0=0, dx=0.1, nx=5, t0=0, dt=0.1, nt=5,
              fields={"u": np.zeros((5, 5), complex), "v": np.zeros((5, 5), complex)})
     with pytest.raises(ValueError, match="stencil"):
-        pde_residual(g, "u")
+        pde_residual(g)
 
 
 def test_transformed_grid_residual_converges_at_second_order():
@@ -97,7 +96,7 @@ def test_randomly_perturbed_grid_does_not_converge():
     for nx, nt in ((51, 26), (101, 51)):
         grid = make_vacuum_grid(nx=nx, nt=nt)
         grid.fields["u"] = grid.fields["u"] + 0.05 * rng.standard_normal((nt, nx))
-        maxima.append(pde_residual(grid, "u"))
+        maxima.append(pde_residual(grid))
     assert maxima[1] > maxima[0]  # refinement amplifies a non-solution
 
 
@@ -220,8 +219,8 @@ def test_grid_file_carries_the_physical_parameters():
     back = read_grid(write_grid(grid))
     assert back.params == grid.params == {"lambda": 0.3, "alpha": 2.0, "beta": 1.5}
     moved = map_solution(grid.fields, DEFAULT_EPSILON)
-    in_memory = pde_residual(dataclasses.replace(grid, fields=moved), "u")
-    round_trip = pde_residual(dataclasses.replace(back, fields=moved), "u")
+    in_memory = pde_residual(dataclasses.replace(grid, fields=moved))
+    round_trip = pde_residual(dataclasses.replace(back, fields=moved))
     assert round_trip == in_memory < 1e-3
 
 
@@ -232,7 +231,7 @@ def test_old_grid_header_reads_without_parameters():
     grid = read_grid(old)
     assert grid.params == {}
     with pytest.raises(ValueError, match="alpha, beta"):
-        pde_residual(grid, "u")
+        pde_residual(grid)
 
 
 def test_truncated_grid_file_names_the_line():
