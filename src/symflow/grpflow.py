@@ -39,7 +39,12 @@ if TYPE_CHECKING:
 
 
 class PoleError(ExprError):
-    """The flow parameter reached the blow-up locus 1 - eps*f = 0."""
+    """The flow parameter reached the blow-up locus 1 - eps*f = 0;
+    ``distance`` is |1 - eps*f| where it was found."""
+
+    def __init__(self, message: str, distance: float):
+        super().__init__(message)
+        self.distance = distance
 
 
 #: the transported variables: the dependents of the prolonged system
@@ -212,10 +217,10 @@ def ivp_oracle(
     h = epsilon / steps
     s = 0.0
     for _ in range(steps):
-        remaining = epsilon - s
-        if abs(1.0 - remaining * state["f"]) < POLE_TOLERANCE:
+        gap = abs(1.0 - (epsilon - s) * state["f"])
+        if gap < POLE_TOLERANCE:
             raise PoleError(
-                f"flow pole: |1 - (eps - s)*f| < {POLE_TOLERANCE:g} at s = {s:.6g}"
+                f"flow pole: |1 - (eps - s)*f| < {POLE_TOLERANCE:g} at s = {s:.6g}", gap
             )
         k1 = _ode_rhs(state)
         k2 = _ode_rhs({n: state[n] + 0.5 * h * k1[n] for n in FLOW_VARIABLES})
@@ -229,24 +234,31 @@ def ivp_oracle(
     return state
 
 
-def map_solution(values: Mapping[str, complex | np.ndarray], epsilon: float):
+def map_solution(
+    values: Mapping[str, complex | np.ndarray], epsilon: float, first_row: int = 0
+):
     """The rules of :func:`closed_form_flow` evaluated at parameter
     ``epsilon`` on scalar states or on gridded fields, arrays that
     broadcast together; a state on the pole 1 - eps*f = 0 is an error, and
-    so is an image that overflows to a value that is not finite."""
+    so is an image that overflows to a value that is not finite.  Fields
+    that hold a block of a grid's t-rows pass the grid row of their first
+    row as ``first_row``, so a pole is named at its grid index."""
     import numpy as np
     flow = closed_form_flow()
     assignment = {flow.epsilon: epsilon}
     assignment.update({JetCoordinate(n): values[n] for n in FLOW_VARIABLES})
     with np.errstate(all="ignore"):  # an overflow is refused below, not warned of
         den = flow.den.eval_numeric(assignment)
-        if np.min(np.abs(den)) < POLE_TOLERANCE:
+        distance = np.min(np.abs(den))
+        if distance < POLE_TOLERANCE:
             index = np.unravel_index(np.argmin(np.abs(den)), np.shape(den))
             at = complex(np.asarray(values["f"])[index])
             f_text = f"{at.real:g}" if at.imag == 0 else f"{at.real:g}{at.imag:+g}i"
-            where = f" on grid at index {tuple(int(i) for i in index)}" if index else ""
+            cell = tuple(int(i) + (first_row if k == 0 else 0) for k, i in enumerate(index))
+            where = f" on grid at index {cell}" if index else ""
             raise PoleError(
-                f"flow pole{where}: 1 - epsilon*f = 0 at f = {f_text} (epsilon = {epsilon:g})"
+                f"flow pole{where}: 1 - epsilon*f = 0 at f = {f_text} (epsilon = {epsilon:g})",
+                float(distance),
             )
         image = {n: flow.nums[n].eval_numeric(assignment) / den for n in FLOW_VARIABLES}
     if not all(np.all(np.isfinite(w)) for w in image.values()):

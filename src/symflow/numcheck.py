@@ -6,10 +6,12 @@ problem integrates to plane-wave eigenfunctions and a potential f that
 is linear in x and t.  ``vacuum_forms`` is its one statement: it reads
 the closed forms from ``lax_pair()`` at u = v = 0 and certifies them
 once per process (all eight equations of the prolonged system reduce to
-zero modulo the forms, identically in the parameters), and
-``make_vacuum_grid`` evaluates the certified forms on a mesh of the fixed
-extent ``VACUUM_EXTENT``, so every numeric expectation in this module
-traces back to an exact statement.
+zero modulo the forms, identically in the parameters), and one function
+evaluates the certified forms on t-rows of a mesh of the fixed extent
+``VACUUM_EXTENT``: all rows for ``make_vacuum_grid``, one block of rows at
+a time for the refinement study.  So every numeric expectation in this
+module traces back to an exact statement, and the residual study's memory
+does not grow with the number of t-rows.
 
 numpy is imported inside the functions that use it: importing this module
 (as ``import symflow`` does) must not load numpy for runs that evaluate no
@@ -19,7 +21,6 @@ grid.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import functools
 import itertools
 import math
@@ -27,8 +28,8 @@ import types
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
-from .expr import Expr, IndependentVariable, JetCoordinate, Parameter, exp_of, parse
-from .grpflow import map_solution
+from .expr import Expr, ExprError, IndependentVariable, JetCoordinate, Parameter, exp_of, parse
+from .grpflow import PoleError, map_solution
 from .jetsys import (
     SolvedFormClosure, at_line, builtin_hirota, builtin_prolonged, lax_pair, numbered_lines,
 )
@@ -72,10 +73,11 @@ class Grid:
                     f"field '{name}' has shape {array.shape}, want {(self.nt, self.nx)}"
                 )
 
-    def mesh(self) -> tuple[np.ndarray, np.ndarray]:
+    def mesh(self, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """t and x at the mesh points of the t-rows ``rows``."""
         import numpy as np
         t, x = np.meshgrid(
-            self.t0 + self.dt * np.arange(self.nt),
+            self.t0 + self.dt * np.arange(self.nt)[rows],
             self.x0 + self.dx * np.arange(self.nx),
             indexing="ij",
         )
@@ -124,26 +126,41 @@ def vacuum_forms() -> Mapping[str, Expr]:
     return types.MappingProxyType(forms)
 
 
-def make_vacuum_grid(
-    params: Mapping[str, float] | None = None, nx: int = 201, nt: int = 101
-) -> Grid:
-    """The certified vacuum seed on an nx by nt mesh of ``VACUUM_EXTENT``;
-    ``params`` overrides ``DEFAULT_PARAMS`` by symbol name."""
-    import numpy as np
+def _vacuum_mesh(params: Mapping[str, float] | None, nx: int, nt: int) -> tuple[Grid, dict]:
+    """The field-less nx by nt grid of ``VACUUM_EXTENT`` with the seed's
+    physical parameters, and every seed parameter keyed by its symbol
+    (``params`` overrides ``DEFAULT_PARAMS`` by symbol name)."""
     for name in params or {}:
         if name not in DEFAULT_PARAMS:
             raise ValueError(f"unknown seed parameter '{name}' (want {', '.join(DEFAULT_PARAMS)})")
     x0, x1, t0, t1 = VACUUM_EXTENT
     grid = Grid(x0=x0, dx=(x1 - x0) / (nx - 1), nx=nx, t0=t0, dt=(t1 - t0) / (nt - 1), nt=nt)
-    t, x = grid.mesh()
-    env = {IndependentVariable("x"): x, IndependentVariable("t"): t}
-    for name, value in {**DEFAULT_PARAMS, **(params or {})}.items():
-        env[Parameter(name)] = complex(value)
-    grid.fields = {
+    values = {**DEFAULT_PARAMS, **(params or {})}
+    seed = {Parameter(name): complex(value) for name, value in values.items()}
+    grid.params = {name: seed[Parameter(name)] for name in ("lambda", "alpha", "beta")}
+    return grid, seed
+
+
+def _vacuum_fields(
+    grid: Grid, seed: Mapping[Parameter, complex], rows: slice
+) -> dict[str, np.ndarray]:
+    """The certified vacuum forms on the t-rows ``rows`` of ``grid``'s mesh."""
+    import numpy as np
+    t, x = grid.mesh(rows)
+    env = {**seed, IndependentVariable("x"): x, IndependentVariable("t"): t}
+    return {
         name: np.broadcast_to(form.eval_numeric(env), t.shape).astype(complex)
         for name, form in vacuum_forms().items()
     }
-    grid.params = {name: env[Parameter(name)] for name in ("lambda", "alpha", "beta")}
+
+
+def make_vacuum_grid(
+    params: Mapping[str, float] | None = None, nx: int = 201, nt: int = 101
+) -> Grid:
+    """The certified vacuum seed on an nx by nt mesh of ``VACUUM_EXTENT``;
+    ``params`` overrides ``DEFAULT_PARAMS`` by symbol name."""
+    grid, seed = _vacuum_mesh(params, nx, nt)
+    grid.fields = _vacuum_fields(grid, seed, slice(None))
     return grid
 
 
@@ -151,36 +168,60 @@ def make_vacuum_grid(
 # finite-difference residuals
 # ---------------------------------------------------------------------------
 
+#: interior t-rows of a residual block; its arrays hold one halo row more
+#: on either side, so the residual's memory does not grow with nt
+BLOCK_ROWS = 16
+
+
+def _row_blocks(nt: int) -> list[slice]:
+    """The t-rows of each block: ``BLOCK_ROWS`` interior rows (the last
+    block fewer) and their halo, so the blocks' interiors tile rows 1..nt-2."""
+    return [slice(r - 1, min(r + BLOCK_ROWS, nt - 1) + 1) for r in range(1, nt - 1, BLOCK_ROWS)]
+
+
 # jet index -> its second-order centred difference on the interior points
-# (t-rows 1..nt-2, x-columns 2..nx-3, inside the width-5 stencil of w_xxx)
+# (t-rows 1..nt-2, x-columns 2..nx-3, inside the width-5 stencil of w_xxx),
+# sliced before differencing so no full-width temporary is formed
 _CENTRED_DIFFERENCES = {
     (): lambda w, dx, dt: w[1:-1, 2:-2],
-    ("t",): lambda w, dx, dt: ((w[2:, :] - w[:-2, :]) / (2 * dt))[:, 2:-2],
-    ("x",): lambda w, dx, dt: ((w[:, 2:] - w[:, :-2]) / (2 * dx))[1:-1, 1:-1],
-    ("x", "x"): lambda w, dx, dt: ((w[:, 2:] - 2 * w[:, 1:-1] + w[:, :-2]) / dx**2)[1:-1, 1:-1],
+    ("t",): lambda w, dx, dt: (w[2:, 2:-2] - w[:-2, 2:-2]) / (2 * dt),
+    ("x",): lambda w, dx, dt: (w[1:-1, 3:-1] - w[1:-1, 1:-3]) / (2 * dx),
+    ("x", "x"): lambda w, dx, dt: (
+        (w[1:-1, 3:-1] - 2 * w[1:-1, 2:-2] + w[1:-1, 1:-3]) / dx**2
+    ),
     ("x", "x", "x"): lambda w, dx, dt: (
-        (w[:, 4:] - 2 * w[:, 3:-1] + 2 * w[:, 1:-3] - w[:, :-4]) / (2 * dx**3)
-    )[1:-1, :],
+        (w[1:-1, 4:] - 2 * w[1:-1, 3:-1] + 2 * w[1:-1, 1:-3] - w[1:-1, :-4]) / (2 * dx**3)
+    ),
 }
 
 
-def pde_residual(grid: Grid) -> float:
-    """Max interior residual over both equations of ``builtin_hirota``,
-    each jet they read replaced by its centred difference."""
+def _block_residual(grid: Grid, fields: Mapping[str, np.ndarray]) -> float:
+    """Max residual over both equations of ``builtin_hirota`` on the
+    interior of ``fields``, one block of ``grid``'s t-rows."""
     import numpy as np
-    if grid.nx < 7 or grid.nt < 7:
-        raise ValueError("grid too small for the residual stencils (need >= 7)")
     system = builtin_hirota()
-    missing = [p for p in system.parameters if p not in grid.params]
-    if missing:
-        raise ValueError(f"grid lacks the parameter(s) {', '.join(missing)}")
     worst = 0.0
     for equation in system.equations:  # one equation's differences alive at a time
         env = {Parameter(p): grid.params[p] for p in system.parameters}
         for a in equation.jet_atoms():
-            env[a] = _CENTRED_DIFFERENCES[a.index](grid.fields[a.name], grid.dx, grid.dt)
+            env[a] = _CENTRED_DIFFERENCES[a.index](fields[a.name], grid.dx, grid.dt)
         worst = max(worst, float(np.max(np.abs(equation.eval_numeric(env)))))
     return worst
+
+
+def pde_residual(grid: Grid) -> float:
+    """Max interior residual over both equations of ``builtin_hirota``,
+    each jet they read replaced by its centred difference, computed block
+    by block over views of the grid's fields."""
+    if grid.nx < 7 or grid.nt < 7:
+        raise ValueError("grid too small for the residual stencils (need >= 7)")
+    missing = [p for p in builtin_hirota().parameters if p not in grid.params]
+    if missing:
+        raise ValueError(f"grid lacks the parameter(s) {', '.join(missing)}")
+    return max(
+        _block_residual(grid, {name: w[rows] for name, w in grid.fields.items()})
+        for rows in _row_blocks(grid.nt)
+    )
 
 
 def transformed_residual_orders(epsilon: float) -> tuple[list[float], list[float]]:
@@ -190,12 +231,25 @@ def transformed_residual_orders(epsilon: float) -> tuple[list[float], list[float
     Returns the per-level residuals and the observed convergence orders
     log2(r_k / r_{k+1}); the transformed fields solve the system exactly,
     so the residual is pure truncation error and the orders sit near 2.
+    Each level is evaluated, mapped and differenced one block of t-rows at
+    a time.  A failure waits for the level's last block: a pole anywhere
+    outranks an overflow, and the pole nearest 1 - epsilon*f = 0 is the
+    one reported, at its grid index.
     """
     values = []
     for nx, nt in REFINEMENT_LEVELS:
-        grid = make_vacuum_grid(nx=nx, nt=nt)
-        moved = dataclasses.replace(grid, fields=map_solution(grid.fields, epsilon))
-        values.append(pde_residual(moved))
+        grid, seed = _vacuum_mesh(None, nx, nt)
+        worst, errors = 0.0, []
+        for rows in _row_blocks(nt):
+            try:
+                moved = map_solution(_vacuum_fields(grid, seed, rows), epsilon, rows.start)
+            except ExprError as error:
+                errors.append(error)
+            else:
+                worst = max(worst, _block_residual(grid, moved))
+        if errors:
+            raise min(errors, key=lambda e: e.distance if isinstance(e, PoleError) else math.inf)
+        values.append(worst)
     orders = [math.log2(values[k] / values[k + 1]) for k in range(len(values) - 1)]
     return values, orders
 
@@ -284,12 +338,16 @@ def read_grid(text: str) -> Grid:
                 raise ValueError(f"field '{name}' appears twice")
             if len(rows) < nt:
                 raise ValueError(f"field '{name}' has {len(rows)} of its {nt} rows")
-        values = []
-        for number, row in rows:
-            items = row.split(",")
+        # the array is allocated only once every row holds nx values, so a
+        # header that overstates nx or nt fails at a row, not in numpy
+        counts = [row.count(",") + 1 for _, row in rows]
+        array = np.empty((nt, nx), dtype=complex) if set(counts) == {nx} else None
+        for i, (number, row) in enumerate(rows):
             with at_line(number):
-                if len(items) != nx:
-                    raise ValueError(f"field '{name}' row has {len(items)} values, want {nx}")
-                values.append([_parse_complex(v) for v in items])
-        grid.fields[name] = np.array(values, dtype=complex)
+                if counts[i] != nx:
+                    raise ValueError(f"field '{name}' row has {counts[i]} values, want {nx}")
+                values = [_parse_complex(v) for v in row.split(",")]
+            if array is not None:  # else a later row fails its count
+                array[i] = values
+        grid.fields[name] = array
     return grid

@@ -638,6 +638,16 @@ def test_an_overflowing_flow_fails_the_seed_check(tmp_path, capsys):
     assert check["detail"].startswith("error: ") and "epsilon = 1e+308" in check["detail"]
 
 
+def test_a_pole_in_a_later_block_of_t_rows_is_named_at_its_grid_index(capsys):
+    # the pole sits on t-row 20 of the coarsest level, past its first block
+    assert numcheck.BLOCK_ROWS < 20
+    assert run(["finite-transform", "--epsilon", "0.17556179775280898"]) == 1
+    assert (
+        "FAIL transformed-seed-residual-order  [error: flow pole on grid at index (20, 50): "
+        "1 - epsilon*f = 0 at f = 5.696 (epsilon = 0.175562)]"
+    ) in capsys.readouterr().out.splitlines()
+
+
 def test_closed_pipe_exits_one_without_traceback():
     # as in `symflow all | head -1`: the reader leaves after the first line
     env = {**os.environ, "PYTHONPATH": str(Path(symflow.__file__).resolve().parents[1])}

@@ -1,13 +1,16 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from symflow.expr import Expr, JetCoordinate, parse
-from symflow.grpflow import map_solution
-from symflow.jetsys import SolvedFormClosure
+from symflow import numcheck
+from symflow.expr import Expr, ExprError, JetCoordinate, Parameter, parse
+from symflow.grpflow import PoleError, map_solution
+from symflow.jetsys import SolvedFormClosure, builtin_hirota
 from symflow.numcheck import (
+    BLOCK_ROWS,
     DEFAULT_EPSILON,
     Grid,
     REFINEMENT_LEVELS,
@@ -98,6 +101,83 @@ def test_randomly_perturbed_grid_does_not_converge():
         grid.fields["u"] = grid.fields["u"] + 0.05 * rng.standard_normal((nt, nx))
         maxima.append(pde_residual(grid))
     assert maxima[1] > maxima[0]  # refinement amplifies a non-solution
+
+
+# the residual as one whole-array evaluation, each difference formed on
+# the full width and then cut to the interior: the reference the blockwise
+# residual must reproduce bit for bit
+_WHOLE_ARRAY_DIFFERENCES = {
+    (): lambda w, dx, dt: w[1:-1, 2:-2],
+    ("t",): lambda w, dx, dt: ((w[2:, :] - w[:-2, :]) / (2 * dt))[:, 2:-2],
+    ("x",): lambda w, dx, dt: ((w[:, 2:] - w[:, :-2]) / (2 * dx))[1:-1, 1:-1],
+    ("x", "x"): lambda w, dx, dt: ((w[:, 2:] - 2 * w[:, 1:-1] + w[:, :-2]) / dx**2)[1:-1, 1:-1],
+    ("x", "x", "x"): lambda w, dx, dt: (
+        (w[:, 4:] - 2 * w[:, 3:-1] + 2 * w[:, 1:-3] - w[:, :-4]) / (2 * dx**3)
+    )[1:-1, :],
+}
+
+
+def whole_array_residual(grid: Grid) -> float:
+    system = builtin_hirota()
+    worst = 0.0
+    for equation in system.equations:
+        env = {Parameter(p): grid.params[p] for p in system.parameters}
+        for a in equation.jet_atoms():
+            env[a] = _WHOLE_ARRAY_DIFFERENCES[a.index](grid.fields[a.name], grid.dx, grid.dt)
+        worst = max(worst, float(np.max(np.abs(equation.eval_numeric(env)))))
+    return worst
+
+
+def _moved(grid: Grid) -> Grid:
+    return dataclasses.replace(grid, fields=map_solution(grid.fields, DEFAULT_EPSILON))
+
+
+# 7 rows, one block's interior exactly, one block and one or two rows more,
+# two blocks and three rows more, the default grid
+@pytest.mark.parametrize("nt", [7, BLOCK_ROWS + 2, BLOCK_ROWS + 3, BLOCK_ROWS + 4,
+                                2 * BLOCK_ROWS + 5, 101])
+def test_blockwise_residual_equals_the_whole_array_formula_bit_for_bit(nt):
+    moved = _moved(make_vacuum_grid({"alpha": 2.0, "beta": 1.5}, nx=41, nt=nt))
+    assert pde_residual(moved) == whole_array_residual(moved) > 0
+
+
+def test_the_study_equals_whole_grids_mapped_at_once_bit_for_bit():
+    residuals, _orders = transformed_residual_orders(DEFAULT_EPSILON)
+    assert residuals == [
+        whole_array_residual(_moved(make_vacuum_grid(nx=nx, nt=nt)))
+        for nx, nt in REFINEMENT_LEVELS
+    ]
+
+
+def test_the_study_holds_one_block_of_t_rows_in_memory():
+    transformed_residual_orders(DEFAULT_EPSILON)  # warm the certified forms and rules
+    tracemalloc.start()
+    try:
+        transformed_residual_orders(DEFAULT_EPSILON)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000  # three whole 201 x 101 levels at once reach 5.6 MB
+
+
+def test_the_study_reports_the_nearest_pole_over_an_earlier_overflow(monkeypatch):
+    # block failures are held to the level's end: on the second level, whose
+    # 51 t-rows make four blocks, the overflow of the first block yields to
+    # the poles, and the nearer pole wins
+    failures = {
+        0: ExprError("overflow"),
+        BLOCK_ROWS: PoleError("far pole", 1e-7),
+        2 * BLOCK_ROWS: PoleError("near pole", 1e-9),
+    }
+
+    def failing(values, epsilon, first_row):
+        if values["f"].shape[1] == REFINEMENT_LEVELS[1][0] and first_row in failures:
+            raise failures[first_row]
+        return map_solution(values, epsilon, first_row)
+
+    monkeypatch.setattr(numcheck, "map_solution", failing)
+    with pytest.raises(PoleError, match="^near pole$"):
+        transformed_residual_orders(DEFAULT_EPSILON)
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +404,15 @@ def test_grid_file_rejects_a_row_of_the_wrong_length(change, count):
         ValueError, match=rf"^line {row + 1}: field 'u' row has {count} values, want 9$"
     ):
         read_grid("\n".join(lines) + "\n")
+
+
+def test_a_header_that_overstates_nx_fails_at_its_row_before_any_allocation():
+    header, rest = _vacuum_text().split("\n", 1)
+    words = header.split()
+    words[1:3] = ["1000000000000", "1"]
+    message = r"^line 3: field 'f' row has 9 values, want 1000000000000$"
+    with pytest.raises(ValueError, match=message):
+        read_grid(" ".join(words) + "\n" + rest)
 
 
 def test_unknown_seed_parameter_is_named():
