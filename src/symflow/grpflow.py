@@ -39,12 +39,7 @@ if TYPE_CHECKING:
 
 
 class PoleError(ExprError):
-    """The flow parameter reached the blow-up locus 1 - eps*f = 0;
-    ``distance`` is |1 - eps*f| where it was found."""
-
-    def __init__(self, message: str, distance: float):
-        super().__init__(message)
-        self.distance = distance
+    """The flow parameter reached the blow-up locus 1 - eps*f = 0."""
 
 
 #: the transported variables: the dependents of the prolonged system
@@ -217,11 +212,8 @@ def ivp_oracle(
     h = epsilon / steps
     s = 0.0
     for _ in range(steps):
-        gap = abs(1.0 - (epsilon - s) * state["f"])
-        if gap < POLE_TOLERANCE:
-            raise PoleError(
-                f"flow pole: |1 - (eps - s)*f| < {POLE_TOLERANCE:g} at s = {s:.6g}", gap
-            )
+        if abs(1.0 - (epsilon - s) * state["f"]) < POLE_TOLERANCE:
+            raise PoleError(f"flow pole: |1 - (eps - s)*f| < {POLE_TOLERANCE:g} at s = {s:.6g}")
         k1 = _ode_rhs(state)
         k2 = _ode_rhs({n: state[n] + 0.5 * h * k1[n] for n in FLOW_VARIABLES})
         k3 = _ode_rhs({n: state[n] + 0.5 * h * k2[n] for n in FLOW_VARIABLES})
@@ -249,16 +241,14 @@ def map_solution(
     assignment.update({JetCoordinate(n): values[n] for n in FLOW_VARIABLES})
     with np.errstate(all="ignore"):  # an overflow is refused below, not warned of
         den = flow.den.eval_numeric(assignment)
-        distance = np.min(np.abs(den))
-        if distance < POLE_TOLERANCE:
+        if np.min(np.abs(den)) < POLE_TOLERANCE:
             index = np.unravel_index(np.argmin(np.abs(den)), np.shape(den))
             at = complex(np.asarray(values["f"])[index])
             f_text = f"{at.real:g}" if at.imag == 0 else f"{at.real:g}{at.imag:+g}i"
             cell = tuple(int(i) + (first_row if k == 0 else 0) for k, i in enumerate(index))
             where = f" on grid at index {cell}" if index else ""
             raise PoleError(
-                f"flow pole{where}: 1 - epsilon*f = 0 at f = {f_text} (epsilon = {epsilon:g})",
-                float(distance),
+                f"flow pole{where}: 1 - epsilon*f = 0 at f = {f_text} (epsilon = {epsilon:g})"
             )
         image = {n: flow.nums[n].eval_numeric(assignment) / den for n in FLOW_VARIABLES}
     if not all(np.all(np.isfinite(w)) for w in image.values()):

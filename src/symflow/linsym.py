@@ -93,20 +93,23 @@ class Selection:
 
 
 class Linearization:
-    """What ``linsym`` derives from one system: per equation, ``partials``,
-    (w_J, dF/dw_J) for every jet of a dependent in it in the order of
-    ``jet_atoms``; the echelon ``columns``, one (equation, monomial) pair
-    per column that a piece holds, numbered as first met (``numbers``
-    inverts it; append-only, so a number never changes); the ``pieces``;
-    and each ``Selection``, stored under the argument as passed and as
-    validated, so that None and the tuple of every index share one.
+    """What ``linsym`` derives from one system: its solved-form ``closure``,
+    which reduces the pieces; per equation, ``partials``, (w_J, dF/dw_J)
+    for every jet of a dependent in it in the order of ``jet_atoms``; the
+    echelon ``columns``, one (equation, monomial) pair per column that a
+    piece holds, numbered as first met (``numbers`` inverts it;
+    append-only, so a number never changes); the ``pieces``; and each
+    ``Selection``, stored under the argument as passed and as validated,
+    so that None and the tuple of every index share one.
 
     ``linearization`` keeps one per system in a weak map.  No value here
-    refers to the system, so it is dropped with the system; a
-    ``PdeSystem`` is immutable, so nothing here goes stale."""
+    refers to the system (a ``SolvedFormClosure`` holds only solved forms
+    and rules), so it is dropped with the system; a ``PdeSystem`` is
+    immutable, so nothing here goes stale."""
 
     def __init__(self, sys: PdeSystem):
         dependent_names = set(sys.dependent_names)
+        self.closure = sys.closure
         self.partials = tuple(
             tuple((a, equation.diff(a)) for a in equation.jet_atoms() if a.name in dependent_names)
             for equation in sys.equations
@@ -163,14 +166,16 @@ class Linearization:
             self.columns.append((index, mono))
         return found
 
-    def piece(self, sys: PdeSystem, index: int, name: str, mono: tuple) -> dict[int, ComplexRational]:
+    def piece(self, index: int, name: str, mono: tuple) -> dict[int, ComplexRational]:
         """The on-shell linearization of equation ``index`` along the
         characteristic with the monomial ``mono`` in component ``name`` and 0
-        in every other, as ``{column: coefficient}``, made on first use.
-        Only a parameter-free monomial is reduced: for p*m, p the
-        ``Parameter`` factors (they sort first), the piece is m's with p
-        merged into every term: a parameter's total derivative is 0 and
-        reduction replaces jets only, so both commute with p."""
+        in every other, as ``{column: coefficient}``, made on first use:
+        the reduction of the sum of dF/dw_J * D_J(mono) over the equation's
+        partials of the dependent ``name``.  Only a parameter-free monomial
+        is reduced: for p*m, p the ``Parameter`` factors (they sort first),
+        the piece is m's with p merged into every term: a parameter's total
+        derivative is 0 and reduction replaces jets only, so both commute
+        with p."""
         key = (index, name, mono)
         found = self.pieces.get(key)
         if found is not None:
@@ -182,13 +187,18 @@ class Linearization:
             factor = mono[:split]
             found = {
                 self.column(index, _mono_mul(factor, self.columns[column][1])): c
-                for column, c in self.piece(sys, index, name, mono[split:]).items()
+                for column, c in self.piece(index, name, mono[split:]).items()
             }
         else:
-            sigma = dict.fromkeys(sys.dependent_names, Expr.ZERO)
-            sigma[name] = Expr(((mono, CR_ONE),))
-            reduced = sys.reduce(frechet(sys, sigma, (index,))[0])
-            found = {self.column(index, m): c for m, c in reduced.items()}
+            derivative = _by_prefix(
+                lambda _name: Expr(((mono, CR_ONE),)),
+                lambda prefix, _name, jet: prefix.total_derivative(jet[-1]),
+            )
+            total = Expr.ZERO
+            for a, partial in self.partials[index]:
+                if a.name == name:
+                    total = total + partial * derivative(name, a.index)
+            found = {self.column(index, m): c for m, c in self.closure.reduce(total).items()}
         self.pieces[key] = found
         return found
 
@@ -314,7 +324,7 @@ def verify_symmetry(
         for mono, coeff in _component(sigma, name).items():
             row = rows.get(mono)
             if row is None:
-                pieces = [state.piece(sys, index, name, mono) for index in indices]
+                pieces = [state.piece(index, name, mono) for index in indices]
                 row = rows[mono] = echelon.insert({k: c for piece in pieces for k, c in piece.items()})
             combination.append((coeff, row))
     return SymmetryCheck(echelon.annihilates(combination), state, selection, combination)
@@ -424,14 +434,6 @@ class PointAnsatz:
 
 #: the unknown-function names of the x- and t-coefficients in every ansatz
 XI_NAMES = ("X", "T")
-
-
-def coupled_ansatz() -> PointAnsatz:
-    return PointAnsatz(
-        args=("x", "t", "u", "v", "phi", "psi"),
-        eta_names={"u": "U", "v": "V"},
-        equations=(0, 1),
-    )
 
 
 def prolonged_ansatz() -> PointAnsatz:

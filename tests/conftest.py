@@ -1,3 +1,4 @@
+import inspect
 import os
 import random
 import subprocess
@@ -11,6 +12,7 @@ from symflow.expr import (
     ComplexRational, Expr, IndependentVariable, JetCoordinate, Parameter, exp_of,
 )
 from symflow.liealg import StructureTable, _adjoint_numerators, _cleared, standard_generators
+from symflow.linsym import PointAnsatz
 
 
 ATOM_POOL = (
@@ -84,20 +86,35 @@ def prolonged():
 
 ROOT = Path(__file__).resolve().parent.parent
 
+
+def coupled_ansatz() -> PointAnsatz:
+    """The point ansatz of the coupled pair, equations 0 and 1 of the
+    prolonged system, with coefficients on x, t, u, v, phi, psi.  Only the
+    tests build its determining system, whose digest they pin."""
+    return PointAnsatz(
+        args=("x", "t", "u", "v", "phi", "psi"),
+        eta_names={"u": "U", "v": "V"},
+        equations=(0, 1),
+    )
+
+
 # Defines ``constraint_digest``, the digest the benchmark's worker reports
-# for the determining workload, in a script run by ``fresh_interpreter``.
+# for the determining workload, and ``coupled_ansatz`` in a script run by
+# ``fresh_interpreter``.
 _DIGEST_PRELUDE = """
 import importlib.util, sys
+from symflow.linsym import PointAnsatz
 _spec = importlib.util.spec_from_file_location("perfbench_worker", sys.argv[1])
 _worker = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(_worker)
 constraint_digest = _worker.constraint_digest
-"""
+""" + inspect.getsource(coupled_ansatz)
 
 
 def fresh_interpreter(script: str, hash_seed: str = "0") -> str:
     """Standard output of ``script`` run in a new interpreter, with
-    ``symflow`` importable and ``constraint_digest`` defined."""
+    ``symflow`` importable and ``constraint_digest`` and ``coupled_ansatz``
+    defined."""
     env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(ROOT / "src"))
     run = subprocess.run(
         [sys.executable, "-c", _DIGEST_PRELUDE + script, str(ROOT / "perfbench" / "worker.py")],

@@ -648,6 +648,18 @@ def test_a_pole_in_a_later_block_of_t_rows_is_named_at_its_grid_index(capsys):
     ) in capsys.readouterr().out.splitlines()
 
 
+def test_a_subnormal_epsilon_measures_no_order(capsys):
+    # the residuals fall below the smallest normal float: their ratios are
+    # rounding, not truncation error, so no order is read off them
+    assert run(["finite-transform", "--epsilon", "1e-320"]) == 1
+    (line,) = [
+        line for line in capsys.readouterr().out.splitlines()
+        if "transformed-seed-residual-order" in line
+    ]
+    assert line.startswith("FAIL transformed-seed-residual-order  [u and v equations: residuals [")
+    assert line.endswith("] are subnormal: no order measured]") and "orders" not in line
+
+
 def test_closed_pipe_exits_one_without_traceback():
     # as in `symflow all | head -1`: the reader leaves after the first line
     env = {**os.environ, "PYTHONPATH": str(Path(symflow.__file__).resolve().parents[1])}

@@ -24,7 +24,6 @@ ALLOWED = {
     "adjoint": "symbolic reference the exact classification is tested against; "
     "perfbench traces it by name",
     "consistent_point": "the fresh-interpreter determinism scripts of the tests import it",
-    "coupled_ansatz": "its determining digest is pinned; the completeness check will use it",
     "make_vacuum_grid": "the whole vacuum grid, written to grid files by users and CI; the "
     "refinement study evaluates the same forms one block of t-rows at a time",
 }

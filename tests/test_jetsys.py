@@ -194,7 +194,7 @@ def test_consistent_assignment_evaluates_exp_factors_and_never_draws_them(prolon
 
 _POINT_SCRIPT = """
 from symflow.jetsys import builtin_prolonged, consistent_point
-from symflow.linsym import coupled_ansatz, generate_determining, prolonged_ansatz
+from symflow.linsym import generate_determining, prolonged_ansatz
 point = consistent_point(builtin_prolonged(), 5)
 for atom in sorted(point, key=lambda a: a.sort_key()):
     print(atom, repr(point[atom]))

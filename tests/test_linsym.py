@@ -28,7 +28,6 @@ from symflow.linsym import (
     PointFamily,
     UnknownFunction,
     _split_by_derivative_monomials,
-    coupled_ansatz,
     coupled_family,
     family_as_solution,
     frechet,
@@ -40,7 +39,7 @@ from symflow.linsym import (
     seed_pair,
     verify_symmetry,
 )
-from conftest import fresh_interpreter, random_expr
+from conftest import coupled_ansatz, fresh_interpreter, random_expr
 
 
 # ---------------------------------------------------------------------------
@@ -263,20 +262,18 @@ def test_a_missing_component_is_refused_even_when_an_earlier_equation_fails(prol
 
 def test_specialised_family_reuses_the_pieces_of_the_symbolic_check(prolonged, monkeypatch):
     # A system read back from its manifest is a new object with no pieces.
-    import symflow.linsym as linsym
-
     system = parse_manifest(write_manifest(prolonged), name="prolonged-copy")
     calls = Counter()
-    frechet_ = linsym.frechet
+    reduce = SolvedFormClosure.reduce
 
     def counted(*args, **kwargs):
-        calls["frechet"] += 1
-        return frechet_(*args, **kwargs)
+        calls["reduce"] += 1
+        return reduce(*args, **kwargs)
 
-    monkeypatch.setattr(linsym, "frechet", counted)
+    monkeypatch.setattr(SolvedFormClosure, "reduce", counted)
     family = coupled_family()
     assert family.verify(system).holds
-    assert calls["frechet"] > 0
+    assert calls["reduce"] > 0
     calls.clear()
     for constants in ((3, -2, 5, Fraction(1, 7), -4), (Fraction(-5, 9), 1, 0, 2, Fraction(8, 3))):
         mapping = {Parameter(f"c{k}"): Expr.from_scalar(q) for k, q in enumerate(constants, 1)}
@@ -286,6 +283,18 @@ def test_specialised_family_reuses_the_pieces_of_the_symbolic_check(prolonged, m
         )
         assert specialised.verify(system).holds
     assert calls == Counter()
+
+
+def test_pieces_keep_no_selection_that_no_check_filled(prolonged):
+    # A piece is reduced from the state's partials and closure: making one
+    # validates no one-equation selection of its own, so every selection
+    # the state keeps is one that a check inserted rows into.
+    system = parse_manifest(write_manifest(prolonged), name="prolonged-copy")
+    for family in (prolonged_family(), coupled_family()):
+        assert family.verify(system).holds
+    selections = linearization(system).selections.values()
+    assert all(any(rows for *_, rows in s.readers) for s in selections)
+    assert all(s.echelon.pivots for s in selections)
 
 
 def test_a_bool_is_refused_after_its_integer_was_validated(prolonged):
@@ -759,9 +768,9 @@ FRESH_DETERMINING = {"prolonged": "230 327004d4aebe966f", "coupled": "124 6cafbd
 _ORDER_SCRIPT = """
 from symflow import linsym
 from symflow.jetsys import builtin_prolonged
+ansatzes = {{"prolonged": linsym.prolonged_ansatz, "coupled": coupled_ansatz}}
 for name in {order}:
-    ansatz = getattr(linsym, name + "_ansatz")()
-    constraints = linsym.generate_determining(builtin_prolonged(), ansatz).constraints
+    constraints = linsym.generate_determining(builtin_prolonged(), ansatzes[name]()).constraints
     print(name, len(constraints), constraint_digest(constraints))
 """
 

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from symflow import numcheck
-from symflow.expr import Expr, ExprError, JetCoordinate, Parameter, parse
-from symflow.grpflow import PoleError, map_solution
+from symflow.expr import Expr, JetCoordinate, Parameter, parse
+from symflow.grpflow import POLE_TOLERANCE, map_solution
 from symflow.jetsys import SolvedFormClosure, builtin_hirota
 from symflow.numcheck import (
     BLOCK_ROWS,
     DEFAULT_EPSILON,
+    DEFAULT_PARAMS,
     Grid,
     REFINEMENT_LEVELS,
     make_vacuum_grid,
@@ -160,24 +161,25 @@ def test_the_study_holds_one_block_of_t_rows_in_memory():
     assert peak < 2_000_000  # three whole 201 x 101 levels at once reach 5.6 MB
 
 
-def test_the_study_reports_the_nearest_pole_over_an_earlier_overflow(monkeypatch):
-    # block failures are held to the level's end: on the second level, whose
-    # 51 t-rows make four blocks, the overflow of the first block yields to
-    # the poles, and the nearer pole wins
-    failures = {
-        0: ExprError("overflow"),
-        BLOCK_ROWS: PoleError("far pole", 1e-7),
-        2 * BLOCK_ROWS: PoleError("near pole", 1e-9),
-    }
-
-    def failing(values, epsilon, first_row):
-        if values["f"].shape[1] == REFINEMENT_LEVELS[1][0] and first_row in failures:
-            raise failures[first_row]
-        return map_solution(values, epsilon, first_row)
-
-    monkeypatch.setattr(numcheck, "map_solution", failing)
-    with pytest.raises(PoleError, match="^near pole$"):
-        transformed_residual_orders(DEFAULT_EPSILON)
+def test_no_two_blocks_of_the_study_can_fail_together():
+    # The first block that fails to map ends the study, which is the one
+    # failure there is: a pole needs |1 - epsilon*f| < POLE_TOLERANCE, so
+    # two poles in different t-rows (so possibly different blocks) need f
+    # values within a relative 2*tol/(1 - tol) of each other; and an image
+    # overflows only for |epsilon| > 1.8e302 (|phi| = |psi| = 1), where a
+    # pole needs 0 < |f| < 6e-303.
+    bound = 2 * POLE_TOLERANCE / (1 - POLE_TOLERANCE)
+    for nx, nt in REFINEMENT_LEVELS:
+        f = make_vacuum_grid(DEFAULT_PARAMS, nx=nx, nt=nt).fields["f"]
+        assert not f.imag.any()
+        order = np.argsort(f.real, axis=None)
+        values = f.real.ravel()[order]
+        rows = np.repeat(np.arange(nt), nx)[order]
+        assert np.abs(values[values != 0]).min() > 1e-300
+        # sorted, the closest pair of one sign in different t-rows is adjacent
+        a, b = values[:-1], values[1:]
+        across = (rows[:-1] != rows[1:]) & (a * b > 0)
+        assert ((b - a)[across] / np.maximum(abs(a), abs(b))[across]).min() > bound
 
 
 # ---------------------------------------------------------------------------
