@@ -191,14 +191,17 @@ def verify_divergence(cv: ConservedVector, numeric_points: int) -> DivergenceChe
     reports the maximum magnitude seen.  Point k is drawn from the fixed
     seed 2024 * 10007 + k, so every run samples the same points.  It holds
     when the residual is 0 and that maximum is at most ``NUMERIC_TOLERANCE``.
+    A count below 1 is refused: a numeric stage that samples nothing
+    would pass with a maximum of 0.
     """
+    if numeric_points < 1:
+        raise ExprError(f"numeric_points must be >= 1, not {numeric_points}")
     closure = combined_closure()
     divergence = cv.Tt.total_derivative("t") + cv.Tx.total_derivative("x")
     residual = closure.reduce(divergence)
+    rngs = [random.Random(2024 * 10007 + k) for k in range(numeric_points)]
     numeric_max = 0.0
-    for k in range(numeric_points):
-        rng = random.Random(2024 * 10007 + k)
-        point = consistent_assignment(closure, [divergence], rng)
+    for point in consistent_assignment(closure, [divergence], rngs):
         numeric_max = max(numeric_max, abs(divergence.eval_numeric(point)))
     if closure.reduce(cv.Tt).is_zero() and closure.reduce(cv.Tx).is_zero():
         nontrivial = "trivial (both components vanish on-shell)"

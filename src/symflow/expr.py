@@ -429,7 +429,7 @@ class Expr:
     view.  Equality compares the maps.
     """
 
-    __slots__ = ("_map", "_terms", "_sort_key", "_hash")
+    __slots__ = ("_map", "_terms", "_numeric", "_sort_key", "_hash")
 
     ZERO: "Expr"
     ONE: "Expr"
@@ -440,6 +440,7 @@ class Expr:
         # coefficient) pairs, canonical and in any order.
         self._map = terms if type(terms) is dict else dict(terms)
         self._terms = None
+        self._numeric = None
         self._sort_key = None
         self._hash = None
 
@@ -701,11 +702,14 @@ class Expr:
         Values may be Python scalars or numpy arrays, which broadcast
         together; the result is a complex scalar or a complex array.  The
         terms are summed in monomial order, so the result is the same in
-        every run.
+        every run.  Each coefficient is converted to ``complex`` once per
+        expression.
         """
+        numeric = self._numeric
+        if numeric is None:
+            numeric = self._numeric = tuple((m, c.to_complex()) for m, c in self.terms)
         total = 0j
-        for mono, coeff in self.terms:
-            value = coeff.to_complex()
+        for mono, value in numeric:
             for a, n in mono:
                 v = assignment.get(a)
                 if v is None:

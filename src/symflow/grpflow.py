@@ -197,33 +197,37 @@ def flow_infinitesimal(flow: FlowMap) -> dict[str, bool]:
 # ---------------------------------------------------------------------------
 
 
-def _ode_rhs(state: dict[str, complex]) -> dict[str, complex]:
-    u, v, phi, psi, f = (state[n] for n in FLOW_VARIABLES)
-    return {"u": phi * phi, "v": psi * psi, "phi": phi * f, "psi": psi * f, "f": f * f}
-
-
 def ivp_oracle(
     initial: Mapping[str, complex], epsilon: float, steps: int
 ) -> dict[str, complex]:
-    """Classical fixed-step fourth-order integration of the flow ODEs."""
+    """Classical fixed-step fourth-order integration of the flow ODEs
+    u' = phi^2, v' = psi^2, phi' = phi*f, psi' = psi*f, f' = f^2.
+
+    No slope reads u or v, so only phi, psi and f take stage values.
+    """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    state = {n: complex(initial[n]) for n in FLOW_VARIABLES}
+    u, v, phi, psi, f = (complex(initial[n]) for n in FLOW_VARIABLES)
     h = epsilon / steps
+    half = 0.5 * h
     s = 0.0
     for _ in range(steps):
-        if abs(1.0 - (epsilon - s) * state["f"]) < POLE_TOLERANCE:
+        if abs(1.0 - (epsilon - s) * f) < POLE_TOLERANCE:
             raise PoleError(f"flow pole: |1 - (eps - s)*f| < {POLE_TOLERANCE:g} at s = {s:.6g}")
-        k1 = _ode_rhs(state)
-        k2 = _ode_rhs({n: state[n] + 0.5 * h * k1[n] for n in FLOW_VARIABLES})
-        k3 = _ode_rhs({n: state[n] + 0.5 * h * k2[n] for n in FLOW_VARIABLES})
-        k4 = _ode_rhs({n: state[n] + h * k3[n] for n in FLOW_VARIABLES})
-        state = {
-            n: state[n] + h * (k1[n] + 2 * k2[n] + 2 * k3[n] + k4[n]) / 6.0
-            for n in FLOW_VARIABLES
-        }
+        u1, v1, phi1, psi1, f1 = phi * phi, psi * psi, phi * f, psi * f, f * f
+        p, q, g = phi + half * phi1, psi + half * psi1, f + half * f1
+        u2, v2, phi2, psi2, f2 = p * p, q * q, p * g, q * g, g * g
+        p, q, g = phi + half * phi2, psi + half * psi2, f + half * f2
+        u3, v3, phi3, psi3, f3 = p * p, q * q, p * g, q * g, g * g
+        p, q, g = phi + h * phi3, psi + h * psi3, f + h * f3
+        u4, v4, phi4, psi4, f4 = p * p, q * q, p * g, q * g, g * g
+        u = u + h * (u1 + 2 * u2 + 2 * u3 + u4) / 6.0
+        v = v + h * (v1 + 2 * v2 + 2 * v3 + v4) / 6.0
+        phi = phi + h * (phi1 + 2 * phi2 + 2 * phi3 + phi4) / 6.0
+        psi = psi + h * (psi1 + 2 * psi2 + 2 * psi3 + psi4) / 6.0
+        f = f + h * (f1 + 2 * f2 + 2 * f3 + f4) / 6.0
         s += h
-    return state
+    return dict(zip(FLOW_VARIABLES, (u, v, phi, psi, f)))
 
 
 def map_solution(

@@ -314,15 +314,18 @@ def _random_complex(rng: random.Random) -> complex:
 def consistent_assignment(
     closure: SolvedFormClosure,
     exprs: Iterable[Expr],
-    rng: random.Random,
-) -> dict[Atom, complex]:
-    """Random values for free atoms, computed values for solved ones.
+    rngs: Iterable[random.Random],
+) -> list[dict[Atom, complex]]:
+    """One assignment per generator in ``rngs``: random values for free
+    atoms, computed values for solved ones.
 
     Every atom occurring in ``exprs`` receives a value, and the assignment
     satisfies every solved form to machine precision.  Rules are fully
     reduced, so one pass suffices: a reducible jet takes its rule, whose
     atoms are free.  An Exp factor is never drawn: ``Expr.eval_numeric``
-    computes it from its argument.
+    computes it from its argument.  The atoms are walked, their rules
+    looked up and sorted once; each generator then draws its point in that
+    order, so a point does not depend on the other generators.
     """
     reducible: dict[JetCoordinate, Expr] = {}
     free: set[Atom] = set()
@@ -337,23 +340,27 @@ def consistent_assignment(
                 free.add(a)
     # Draw in atom order, not set order: atoms hash by memory address.
     drawn = sorted((a for a in free if type(a) is not ExpFactor), key=Atom.sort_key)
-    assignment: dict[Atom, complex] = {a: _random_complex(rng) for a in drawn}
-    for a, rule in sorted(reducible.items(), key=lambda item: item[0].sort_key()):
-        assignment[a] = rule.eval_numeric(assignment)
-    return assignment
+    solved = sorted(reducible.items(), key=lambda item: item[0].sort_key())
+    points = []
+    for rng in rngs:
+        assignment: dict[Atom, complex] = {a: _random_complex(rng) for a in drawn}
+        for a, rule in solved:
+            assignment[a] = rule.eval_numeric(assignment)
+        points.append(assignment)
+    return points
 
 
 def consistent_point(
     sys: PdeSystem, seed: int, max_order: int = 2
 ) -> dict[Atom, complex]:
     """On-shell numeric sample covering all jets up to ``max_order``."""
-    rng = random.Random(seed)
     exprs = list(sys.equations)
     for name, _order in sys.dependents:
         for nx in range(max_order + 1):
             for nt in range(max_order + 1 - nx):
                 exprs.append(Expr.atom(JetCoordinate(name, ("x",) * nx + ("t",) * nt)))
-    return consistent_assignment(sys.closure, exprs, rng)
+    (point,) = consistent_assignment(sys.closure, exprs, [random.Random(seed)])
+    return point
 
 
 # ---------------------------------------------------------------------------

@@ -209,12 +209,32 @@ def test_family_divergence_identically_in_constants():
     assert check.numeric_max < 1e-9
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_a_divergence_check_that_samples_no_point_is_refused(count):
+    with pytest.raises(ExprError, match=f"numeric_points must be >= 1, not {count}"):
+        verify_divergence(flux_pair(), numeric_points=count)
+
+
+def test_one_sampling_pass_draws_every_point_of_a_vector(monkeypatch):
+    calls = []
+    sample = conslaw.consistent_assignment
+
+    def counted(closure, exprs, rngs):
+        rngs = list(rngs)
+        calls.append(len(rngs))
+        return sample(closure, exprs, rngs)
+
+    monkeypatch.setattr(conslaw, "consistent_assignment", counted)
+    assert verify_divergence(flux_pair(), numeric_points=5).holds
+    assert calls == [5]
+
+
 def _off_shell(monkeypatch):
     """Shift every sampled value by 1/2, so no solved form holds."""
     on_shell = conslaw.consistent_assignment
     monkeypatch.setattr(
         conslaw, "consistent_assignment",
-        lambda *args: {a: value + 0.5 for a, value in on_shell(*args).items()},
+        lambda *args: [{a: value + 0.5 for a, value in p.items()} for p in on_shell(*args)],
     )
 
 

@@ -1,13 +1,16 @@
 import random
+import re
 
 import numpy as np
 import pytest
 from conftest import random_expr
+from hypothesis import given, settings, strategies as st
 
 from symflow.expr import Expr, ExprError, JetCoordinate, Parameter, parse
 from symflow.grpflow import (
     FLOW_VARIABLES,
     FlowMap,
+    POLE_TOLERANCE,
     PoleError,
     closed_form_flow,
     flow_group_law,
@@ -214,6 +217,87 @@ def test_oracle_matches_closed_form_at_random_states():
         # the grid path on a 1x1 grid runs the same certified rules
         gridded = map_solution({n: np.full((1, 1), initial[n]) for n in FLOW_VARIABLES}, epsilon)
         assert max(abs(gridded[n][0, 0] - numeric[n]) for n in FLOW_VARIABLES) < 1e-7
+
+
+def _ode_rhs(state):
+    u, v, phi, psi, f = (state[n] for n in FLOW_VARIABLES)
+    return {"u": phi * phi, "v": psi * psi, "phi": phi * f, "psi": psi * f, "f": f * f}
+
+
+def reference_oracle(initial, epsilon, steps):
+    """The dict-based integrator ``ivp_oracle`` replaced, kept as its
+    reference: every variable takes every stage value."""
+    state = {n: complex(initial[n]) for n in FLOW_VARIABLES}
+    h = epsilon / steps
+    s = 0.0
+    for _ in range(steps):
+        if abs(1.0 - (epsilon - s) * state["f"]) < POLE_TOLERANCE:
+            raise PoleError(f"flow pole: |1 - (eps - s)*f| < {POLE_TOLERANCE:g} at s = {s:.6g}")
+        k1 = _ode_rhs(state)
+        k2 = _ode_rhs({n: state[n] + 0.5 * h * k1[n] for n in FLOW_VARIABLES})
+        k3 = _ode_rhs({n: state[n] + 0.5 * h * k2[n] for n in FLOW_VARIABLES})
+        k4 = _ode_rhs({n: state[n] + h * k3[n] for n in FLOW_VARIABLES})
+        state = {
+            n: state[n] + h * (k1[n] + 2 * k2[n] + 2 * k3[n] + k4[n]) / 6.0
+            for n in FLOW_VARIABLES
+        }
+        s += h
+    return state
+
+
+def _outcome(oracle, initial, epsilon, steps):
+    """The state an oracle returns, each value by its repr so that -0.0 and
+    0.0 differ, or the message of the pole it refuses."""
+    try:
+        out = oracle(initial, epsilon, steps)
+    except PoleError as error:
+        return str(error)
+    return [(n, repr(w)) for n, w in out.items()]
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+part = st.floats(-0.8, 0.8)
+states = st.fixed_dictionaries({n: st.builds(complex, part, part) for n in FLOW_VARIABLES})
+epsilons = st.floats(-1.5, 1.5)
+step_counts = st.integers(1, 60)
+
+
+@PROPERTY
+@given(states, epsilons, step_counts)
+def test_oracle_equals_the_dict_based_integrator(initial, epsilon, steps):
+    assert _outcome(ivp_oracle, initial, epsilon, steps) == _outcome(
+        reference_oracle, initial, epsilon, steps
+    )
+
+
+@st.composite
+def near_pole(draw):
+    """A state whose f puts 1 - epsilon*f within a few millionths of 0: the
+    oracle refuses some at s = 0 and some part way along the flow."""
+    epsilon = draw(st.floats(0.02, 1.5)) * draw(st.sampled_from((-1, 1)))
+    offset = 10 ** draw(st.floats(-8, -3)) * draw(st.sampled_from((-1, 1)))
+    kick = complex(draw(part), draw(part)) * 10 ** draw(st.floats(-7, -4))
+    initial = draw(states)
+    initial["f"] = (1 + offset) / epsilon + kick
+    return initial, epsilon
+
+
+@PROPERTY
+@given(near_pole(), step_counts)
+def test_oracle_refuses_a_pole_at_the_same_s_as_the_dict_based_integrator(case, steps):
+    initial, epsilon = case
+    assert _outcome(ivp_oracle, initial, epsilon, steps) == _outcome(
+        reference_oracle, initial, epsilon, steps
+    )
+
+
+def test_pole_cases_reach_a_pole_part_way_along_the_flow():
+    # the case the pole property must reach: a refusal at some s > 0
+    f = 0.9741478256469591 - 2.608338682687047e-07j
+    initial, epsilon = {"u": 0, "v": 0, "phi": 0.1, "psi": 0.2, "f": f}, 1.02654118228803
+    message = _outcome(ivp_oracle, initial, epsilon, 13)
+    assert re.fullmatch(r"flow pole: .* at s = 0\.\d+", message)
+    assert message == _outcome(reference_oracle, initial, epsilon, 13)
 
 
 def test_pole_proximity_raises():

@@ -2,6 +2,7 @@ import cmath
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symflow import conslaw, linsym
 from symflow.expr import (
@@ -184,12 +185,44 @@ def test_consistent_points_differ_between_seeds(prolonged):
 
 def test_consistent_assignment_evaluates_exp_factors_and_never_draws_them(prolonged):
     expr = parse("Exp(2*u) + Diff(u,t)*Exp(v)")
-    point = consistent_assignment(prolonged.closure, [expr], random.Random(1))
+    (point,) = consistent_assignment(prolonged.closure, [expr], [random.Random(1)])
     assert not any(type(a) is ExpFactor for a in point)
     u, v, ut = JetCoordinate("u"), JetCoordinate("v"), JetCoordinate("u", ("t",))
     expected = cmath.exp(2 * point[u]) + point[ut] * cmath.exp(point[v])
     assert abs(expr.eval_numeric(point) - expected) < 1e-12
     assert abs(point[ut] - prolonged.solved_forms[ut].eval_numeric(point)) < 1e-12
+
+
+#: jets the combined closure solves (a multiplier's among them), jets it
+#: leaves free, and atoms that are no jet
+SAMPLE_POOL = (
+    Parameter("alpha"),
+    JetCoordinate("u"),
+    JetCoordinate("u", ("t",)),
+    JetCoordinate("phi", ("x", "t")),
+    JetCoordinate("f", ("x", "x")),
+    JetCoordinate("v", ("x",)),
+    JetCoordinate("psi"),
+    JetCoordinate("m1", ("t",)),
+    JetCoordinate("m3", ("x",)),
+    JetCoordinate("m5"),
+)
+
+
+def _bits(point):
+    """A point's atoms in assignment order, each value by its repr."""
+    return [(a, repr(value)) for a, value in point.items()]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.integers(0, 2**32), st.lists(st.integers(0, 2**64), min_size=1, max_size=5))
+def test_one_sampling_pass_equals_a_call_per_generator(expr_seed, seeds):
+    closure = conslaw.combined_closure()
+    rng = random.Random(expr_seed)
+    exprs = [random_expr(rng, atoms=SAMPLE_POOL, allow_exp=True) for _ in range(2)]
+    together = consistent_assignment(closure, exprs, [random.Random(s) for s in seeds])
+    apart = [consistent_assignment(closure, exprs, [random.Random(s)]) for s in seeds]
+    assert [_bits(p) for p in together] == [_bits(p) for (p,) in apart]
 
 
 _POINT_SCRIPT = """
