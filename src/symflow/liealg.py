@@ -12,11 +12,12 @@ localized symmetry g2 and the coordinate names are all read from here.
 The classification is exact and runs in integers: it builds no ``Expr``
 and no ``ComplexRational`` coordinate.  Each table holds one integer Gram
 (the trace form's Gaussian-integer numerators over one denominator), read
-by :meth:`StructureTable.killing` for every kind of coordinate, and builds
-the integer matrix L ad_g of a generator once, on its first use.  The
-rational adjoint map sums its Krylov series on those rows in integer
-numerators over one denominator, and a normalization checks its landing
-and the kept trace form on numerators.  The only ``Fraction``s are the
+by :meth:`StructureTable.killing` for every kind of coordinate.  The
+sl(2) is identified once with traceless 2x2 matrices
+(:data:`SL2_MATRICES`), checked against each table's brackets, so the
+adjoint map is conjugation by a rational matrix, taken on integer
+numerators over one denominator; a normalization checks its landing and
+the kept trace form on numerators.  The only ``Fraction``s are the
 record's: the triple, eps, scale and alpha.
 """
 
@@ -29,7 +30,7 @@ import random
 from collections import defaultdict
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .expr import (
@@ -339,9 +340,6 @@ class StructureTable:
     labels: tuple[str, ...]
     brackets: InitVar[Mapping[tuple[int, int], Mapping[int, ComplexRational]]]
     constants: dict[tuple[int, int], dict[int, ComplexRational]] = field(init=False)
-    _integer_ad: dict[int, tuple] = field(
-        init=False, default_factory=dict, repr=False, compare=False
-    )
 
     def __post_init__(self, brackets):
         self.constants = {}
@@ -403,19 +401,32 @@ class StructureTable:
         total = sum((a[i] * b[j] * _cr(g_re, g_im, 1) for i, j, g_re, g_im in entries), zero)
         return total * _cr(1, 0, den)
 
-    def integer_ad(self, generator: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], int]:
-        """``(rows, L)`` for ad_g, built once per generator: L is the lcm of
-        the denominators of g's structure constants and ``rows[j]`` holds the
-        pairs ``(k, L c_gj^k)``, the integer image of e_j under L ad_g."""
-        if generator not in self._integer_ad:
-            rows = [self.constants.get((generator, j), {}) for j in range(len(self.basis))]
-            if any(c.b for row in rows for c in row.values()):
-                raise ExprError("rational normalization met a complex structure constant")
-            clear = lcm(*(c.d for row in rows for c in row.values()))
-            self._integer_ad[generator] = tuple(
-                tuple((k, c.a * (clear // c.d)) for k, c in row.items()) for row in rows
-            ), clear
-        return self._integer_ad[generator]
+    @functools.cached_property
+    def sl2(self) -> tuple:
+        """:data:`SL2_MATRICES`, checked once per table against its brackets
+        among g1, g2, g3: each must be the commutator of their matrices, or
+        ``ExprError`` names the first that is not.  For the doubled matrices
+        D_k, [D_i, D_j] = 4 [g_i, g_j] = 2 sum c_ij^k D_k."""
+        for i, j in itertools.combinations(range(3), 2):
+            g, h, row = SL2_MATRICES[i], SL2_MATRICES[j], self.constants.get((i, j), {})
+            image = [sum((c * 2 * SL2_MATRICES[k][e] for k, c in row.items() if k < 3), CR_ZERO)
+                     for e in range(4)]
+            want = [ComplexRational(x - y) for x, y in zip(_matrix_product(g, h), _matrix_product(h, g))]
+            if any(k >= 3 for k in row) or image != want:
+                raise ExprError(f"[{self.labels[i]},{self.labels[j]}] is not the sl(2) bracket")
+        return SL2_MATRICES
+
+
+#: g1, g2, g3 as traceless 2x2 matrices (m11, m12, m21, m22), each doubled
+#: to stay in integers: g1 = diag(1/2, -1/2), g2 = [[0, 1], [0, 0]] and
+#: g3 = [[0, 0], [-1, 0]]
+SL2_MATRICES = ((1, 0, 0, -1), (0, 2, 0, 0), (0, 0, -2, 0))
+
+
+def _matrix_product(g, h):
+    """gh for 2x2 matrices given as (m11, m12, m21, m22)."""
+    return (g[0] * h[0] + g[1] * h[2], g[0] * h[1] + g[1] * h[3],
+            g[2] * h[0] + g[3] * h[2], g[2] * h[1] + g[3] * h[3])
 
 
 def structure_table(basis: Sequence[VectorField]) -> StructureTable:
@@ -475,7 +486,8 @@ def adjoint(
     epsilon: Parameter,
 ) -> tuple[Expr, ...]:
     """Ad(exp(eps*v)) w as the series w - eps [v,w] + eps^2/2 [v,[v,w]] - ...,
-    in basis coordinates that may depend on epsilon.
+    in basis coordinates that may depend on epsilon.  It is the reference
+    the tests hold the rational conjugation of :func:`normalize_triple` to.
 
     Computed by linearity over basis components: for each one the Krylov
     sequence either terminates (nilpotent action, polynomial in eps) or is
@@ -582,44 +594,18 @@ def _sign(value: int | Fraction) -> int:
     return (value > 0) - (value < 0)
 
 
-def _adjoint_numerators(
-    table: StructureTable, generator: int, eps: Fraction, nums: Sequence[int], den: int
-) -> tuple[list[int], int]:
-    """Exact action of Ad(exp(eps*g)) on the element (nums / den) of
-    span{g1,g2,g3}, as integer numerators over one denominator: the Krylov
-    series sum over k of (-eps)^k/k! ad_g^k w, rational only when it
-    terminates.  The symbolic :func:`adjoint` is its reference.
-
-    With L the lcm of the denominators of g's structure constants, the
-    vectors V_k = (L ad_g)^k nums are integer, and with eps = p/r and K the
-    last nonzero order the series is the sum of (-p)^k (rL)^(K-k) (K!/k!) V_k
-    over the one denominator (rL)^K K! den.
-    """
-    rows, clear = table.integer_ad(generator)
-    term = {j: n for j, n in enumerate(nums) if n}
-    krylov = []
-    for _ in range(ADJOINT_MAX_TERMS + 1):
-        krylov.append(term)
-        image = defaultdict(int)
-        for j, n in term.items():
-            for k, c in rows[j]:
-                image[k] += n * c
-        term = {k: n for k, n in image.items() if n}
-        if not term:
-            break
-    else:
-        raise ExprError(f"adjoint series of {table.labels[generator]} is not rational in epsilon")
-    p, r = eps.numerator, eps.denominator * clear
-    weight = r ** (len(krylov) - 1) * factorial(len(krylov) - 1)
-    den *= weight
-    total = [0] * len(table.basis)
-    for order, term in enumerate(krylov):
-        for j, n in term.items():
-            total[j] += weight * n
-        weight = weight * -p // (r * (order + 1))
-    if any(total[3:]):
-        raise ExprError("normalization left the g1,g2,g3 span")
-    return total[:3], den
+def _conjugate(matrix, nums: Sequence[int], den: int) -> tuple[list[int], int]:
+    """M X M^-1 = M X adj(M) / det M for X = nums / den in span{g1,g2,g3},
+    read as a matrix by :data:`SL2_MATRICES`, as integer numerators over one
+    denominator.  M = [[p, q], [r, s]] is given as integer numerators
+    (p, q, r, s) over any common denominator, which cancels; det M != 0."""
+    p, q, r, s = matrix
+    n1, n2, n3 = nums
+    # M (2 den X), with 2 den X = sum n_k D_k = [[n1, 2 n2], [-2 n3, -n1]]
+    y11, y12 = p * n1 - 2 * q * n3, 2 * p * n2 - q * n1
+    y21, y22 = r * n1 - 2 * s * n3, 2 * r * n2 - s * n1
+    # times adj(M) = [[s, -q], [-r, p]] is 2 den det(M) M X M^-1
+    return [2 * (y11 * s - y12 * r), y12 * p - y11 * q, y22 * r - y21 * s], 2 * den * (p * s - q * r)
 
 
 #: the normal forms in decision order: the slot of span{g1,g2,g3} a triple
@@ -643,11 +629,18 @@ def normalize_triple(
     * a2 == 0, a1 != 0: eps = a3/a1 kills the g3 slot, landing on g1;
     * otherwise [g3, g3] = 0, no map: the element already is a multiple of g3.
 
+    The map is conjugation by exp(-eps G3), G3 = [[0, 0], [-1, 0]] the
+    matrix of g3 (:data:`SL2_MATRICES`); a table whose g1, g2, g3 are not
+    that sl(2) is refused.  The symbolic series :func:`adjoint` is the reference the
+    conjugation is tested against.  ``eps``, ``scale`` and ``alpha`` are
+    rational, so the normal forms are taken over Q.
+
     ``verified`` checks that the exact representative is reached, and that
-    the trace form is kept up to ``scale**2`` and ``killing_sign`` with it.
-    Both checks run on integer numerators.  ``maps`` holds at most one map
-    by construction, so it is a record.
+    the trace form, read from the table's Gram, is kept up to ``scale**2``
+    and ``killing_sign`` with it.  Both checks run on integer numerators.
+    ``maps`` holds at most one map by construction, so it is a record.
     """
+    table.sl2  # checked once per table
     a = tuple(Fraction(x) for x in triple)
     if not any(a):
         raise ExprError("cannot normalize the zero element")
@@ -662,7 +655,9 @@ def normalize_triple(
         eps = Fraction(nums[k], nums[slot] * c.re)
     maps = [(3, eps)] if eps != 0 else []
     if maps:
-        nums, den = _adjoint_numerators(table, 2, eps, nums, den)
+        # Ad(exp(eps g3)) is conjugation by exp(-eps G3) = [[1, 0], [eps, 1]]
+        p, r = eps.numerator, eps.denominator
+        nums, den = _conjugate((r, 0, p, r), nums, den)
     pivot = nums[slot]  # nums / den = (nums / pivot) / scale
     scale = Fraction(den, pivot)
     # the representative's free slots: its pivot, and alpha's g3 in the family

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from symflow.expr import (
     ComplexRational, Expr, IndependentVariable, JetCoordinate, Parameter, exp_of,
 )
-from symflow.liealg import StructureTable, _adjoint_numerators, _cleared, standard_generators
+from symflow.liealg import StructureTable, _cleared, _conjugate, standard_generators
 from symflow.linsym import PointAnsatz
 
 
@@ -63,10 +64,12 @@ def hand_table(n, brackets):
     )
 
 
-def apply_adjoint_rational(table, generator, eps, triple):
-    """Ad(exp(eps*g)) on span{g1,g2,g3} in ``Fraction`` coordinates: the
-    engine's integer numerators, each over their one denominator."""
-    nums, den = _adjoint_numerators(table, generator, eps, *_cleared(triple))
+def conjugate_rational(matrix, triple):
+    """M X M^-1 on span{g1,g2,g3} in ``Fraction`` coordinates, for a
+    rational M = (m11, m12, m21, m22): the engine's integer numerators, each
+    over their one denominator."""
+    clear = lcm(*(Fraction(m).denominator for m in matrix))
+    nums, den = _conjugate([int(m * clear) for m in matrix], *_cleared(triple))
     return tuple(Fraction(n, den) for n in nums)
 
 

@@ -21,8 +21,8 @@ CALLERS = ENGINE + sorted((ROOT / "perfbench").glob("*.py"))
 
 # name -> why it may lack a caller in the engine and the benchmark
 ALLOWED = {
-    "adjoint": "symbolic reference the exact classification is tested against; "
-    "perfbench traces it by name",
+    "adjoint": "symbolic series, the reference the tests hold the classification's "
+    "rational conjugation to; perfbench traces it by name",
     "consistent_point": "the fresh-interpreter determinism scripts of the tests import it",
     "make_vacuum_grid": "the whole vacuum grid, written to grid files by users and CI; the "
     "refinement study evaluates the same forms one block of t-rows at a time",

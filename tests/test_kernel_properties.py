@@ -7,10 +7,11 @@ and its one-denominator fields against their canonical form,
 ``total_derivative`` against the Leibniz and chain rules, and the parser
 against strings drawn from its own grammar.  Atoms are interned, so equal
 constructions must give one object.  The rational adjoint map of the
-subalgebra classification is checked against the symbolic adjoint series,
-also on a table with non-integer constants, the sparse trace form against
-the dense sum over all Gram entries, also on rational triples, and the
-normalisation of a triple against its closed form.
+subalgebra classification, conjugation by a 2x2 matrix, is checked against
+the symbolic adjoint series, and conjugation by SL(2, Q) against the trace
+form and the normalisation; the sparse trace form against the dense sum
+over all Gram entries, also on rational triples, and the normalisation of
+a triple against its closed form.
 Symmetry verification from cached per-monomial pieces is checked against
 reducing ``frechet``, and ``frechet`` against D_J formed afresh per jet.
 Expressions summed in any order must be equal and print, hash and
@@ -22,7 +23,6 @@ import cmath
 import math
 import random
 from fractions import Fraction
-from math import lcm
 
 import pytest
 
@@ -49,7 +49,9 @@ from symflow.expr import (  # noqa: E402
 )
 from symflow.liealg import (  # noqa: E402
     COORDINATES,
+    SL2_MATRICES,
     _killing_on_span,
+    _matrix_product,
     adjoint,
     commutator,
     express_in_basis,
@@ -58,7 +60,7 @@ from symflow.liealg import (  # noqa: E402
     structure_table,
 )
 from symflow.linsym import UnknownFunction  # noqa: E402
-from conftest import apply_adjoint_rational, hand_table  # noqa: E402
+from conftest import conjugate_rational, hand_table  # noqa: E402
 
 settings.register_profile(
     "kernel", derandomize=True, database=None, deadline=None, max_examples=100
@@ -689,7 +691,7 @@ def test_parse_error_offset_is_a_byte_offset(text):
 
 
 # ---------------------------------------------------------------------------
-# rational adjoint map and sparse trace form against their references
+# rational conjugation and sparse trace form against their references
 # ---------------------------------------------------------------------------
 
 
@@ -701,44 +703,62 @@ def table():
 triples = st.tuples(rationals, rationals, rationals)
 
 
-@given(st.integers(1, 5), triples, rationals)
+def unipotent(generator, eps):
+    """exp(-eps G) = 1 - eps G for the nilpotent matrix G of g2 or g3, the
+    matrix Ad(exp(eps g)) conjugates by; ``SL2_MATRICES`` holds 2 G."""
+    return tuple(i - Fraction(eps) * m / 2 for i, m in zip((1, 0, 0, 1), SL2_MATRICES[generator]))
+
+
+@given(st.integers(1, 2), triples, rationals)
 def test_rational_adjoint_matches_the_symbolic_series(table, generator, triple, eps):
-    """Ad(exp(eps*g)) for g2..g6 at a rational eps, against the symbolic
-    series with eps substituted."""
+    """Ad(exp(eps*g)) for g2 and g3 at a rational eps, as conjugation by
+    exp(-eps G), against the symbolic series with eps substituted."""
     epsilon = Parameter("epsilon")
     coords = [Expr.from_scalar(a) for a in triple] + [Expr.ZERO] * 3
     series = adjoint(table, generator, coords, epsilon)
     expected = [c.substitute({epsilon: Expr.from_scalar(eps)}) for c in series]
-    image = apply_adjoint_rational(table, generator, eps, triple)
+    image = conjugate_rational(unipotent(generator, eps), triple)
     assert all(type(a) is Fraction for a in image)
     assert expected == [Expr.from_scalar(a) for a in image] + [Expr.ZERO] * 3
 
 
-#: a nilpotent algebra whose constants are not integers: ad_g4 walks
-#: g1 -> g2 -> g3 with denominators 3 and 4, and [g1, g2] = (7/5) g3
-NON_INTEGER_BRACKETS = {
-    (0, 1): {2: Fraction(7, 5)},
-    (0, 3): {1: Fraction(-2, 3)},
-    (1, 3): {2: Fraction(-5, 4)},
-}
-
-
-@given(st.integers(0, 3), triples, rationals)
-def test_rational_adjoint_keeps_non_integer_constants_exact(generator, triple, eps):
-    table = hand_table(4, NON_INTEGER_BRACKETS)
+@given(triples, rationals.filter(bool))
+def test_diagonal_conjugation_matches_the_eigen_series(table, triple, s):
+    """Ad(exp(eps*g1)) is conjugation by exp(-eps G1) = diag(s, 1/s) with
+    s^2 = e^-eps: the series scales g2 by Exp(-eps) = s^2 and g3 by
+    Exp(eps) = s^-2."""
     epsilon = Parameter("epsilon")
-    coords = [Expr.from_scalar(a) for a in triple] + [Expr.ZERO]
-    series = adjoint(table, generator, coords, epsilon)
-    expected = [c.substitute({epsilon: Expr.from_scalar(eps)}) for c in series]
-    image = apply_adjoint_rational(table, generator, eps, triple)
-    assert expected == [Expr.from_scalar(a) for a in image] + [Expr.ZERO]
+    eps, s = Expr.atom(epsilon), Fraction(s)
+    coords = [Expr.from_scalar(a) for a in triple] + [Expr.ZERO] * 3
+    series = adjoint(table, 0, coords, epsilon)
+    at_s = {ExpFactor(-eps): Expr.from_scalar(s**2), ExpFactor(eps): Expr.from_scalar(s**-2)}
+    expected = [c.substitute(at_s) for c in series]
+    image = conjugate_rational((s, 0, 0, 1 / s), triple)
+    assert expected == [Expr.from_scalar(a) for a in image] + [Expr.ZERO] * 3
 
 
-@given(triples.filter(lambda t: t[1] != 0 or t[2] != 0), rationals.filter(bool))
-def test_rational_adjoint_of_g1_is_refused(table, triple, eps):
-    """Ad(exp(eps*g1)) scales g2 and g3 by exp(-/+eps), irrational at eps != 0."""
-    with pytest.raises(ExprError, match="not rational in epsilon"):
-        apply_adjoint_rational(table, 0, eps, triple)
+@st.composite
+def sl2_rational(draw):
+    """M in SL(2, Q): a product of upper and lower unipotent matrices and
+    diag(s, 1/s), each with a drawn rational parameter."""
+    m = (1, 0, 0, 1)
+    for kind, t in draw(st.lists(st.tuples(st.sampled_from("uld"), rationals.filter(bool)), max_size=4)):
+        t = Fraction(t)
+        m = _matrix_product(m, {"u": (1, t, 0, 1), "l": (1, 0, t, 1), "d": (t, 0, 0, 1 / t)}[kind])
+    return m
+
+
+@given(triples.filter(any), sl2_rational())
+def test_conjugation_keeps_the_trace_form_and_the_class(table, triple, m):
+    """A conjugate of a triple has its trace form, and normalizes, verified,
+    with the same trace-form sign."""
+    assert m[0] * m[3] - m[1] * m[2] == 1
+    image = conjugate_rational(m, triple)
+    before, after = ([ComplexRational(a) for a in t] + [ComplexRational(0)] * 3 for t in (triple, image))
+    assert table.killing(after, after) == table.killing(before, before)
+    record = normalize_triple(table, image)
+    assert record.verified
+    assert record.killing_sign == normalize_triple(table, triple).killing_sign
 
 
 @pytest.fixture(scope="module")
@@ -813,29 +833,6 @@ def test_integer_trace_form_divides_by_the_gram_denominator(ints, others):
     as_cr = [ComplexRational(k) for k in ints]
     assert table.killing(ints, ints) == dense_killing(gram, as_cr, as_cr)
     assert table.killing(as_cr, others) == dense_killing(gram, as_cr, others)
-
-
-@pytest.mark.parametrize("which", ["g1..g6", "non-integer"])
-def test_integer_ad_rows_are_the_cleared_constants_built_once(which):
-    """Each cached row of L ad_g is L times g's structure constants, with L
-    the lcm of their denominators; later reads return the same rows."""
-    if which == "g1..g6":
-        table, rational = structure_table(standard_generators()), range(1, 6)
-    else:
-        table, rational = hand_table(4, NON_INTEGER_BRACKETS), range(4)
-    n = len(table.basis)
-    first = [table.integer_ad(g) for g in range(n)]
-    for g, (rows, clear) in enumerate(first):
-        constants = [table.constants.get((g, j), {}) for j in range(n)]
-        assert clear == lcm(*(c.d for row in constants for c in row.values()))
-        assert all(type(m) is int for row in rows for _, m in row)
-        assert [{k: ComplexRational(m) for k, m in row} for row in rows] == [
-            {k: c * clear for k, c in row.items()} for row in constants
-        ]
-    for g in rational:
-        for triple in ((1, 2, 3), (Fraction(-3, 4), 0, Fraction(5, 7))):
-            apply_adjoint_rational(table, g, Fraction(2, 3), triple)
-    assert all(table.integer_ad(g) is first[g] for g in range(n))
 
 
 fractions_with_denominators = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 30))

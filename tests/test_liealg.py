@@ -2,6 +2,7 @@ import functools
 import itertools
 import operator
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from symflow.liealg import (
     vector_field,
     verify_optimal_system,
 )
-from conftest import apply_adjoint_rational, hand_table, random_expr
+from conftest import hand_table, random_expr
 
 
 @pytest.fixture(scope="module")
@@ -213,13 +214,26 @@ def test_adjoint_series_error_on_rotational_action():
         adjoint(rotation_table, 0, [0, 1, 0], Parameter("epsilon"))
 
 
-@pytest.mark.parametrize("brackets, n, match", [
-    ({(0, 1): {1: ComplexRational(0, 1)}}, 3, "complex structure constant"),
-    ({(0, 1): {3: 1}}, 4, "left the g1,g2,g3 span"),
-])
-def test_rational_adjoint_refuses_what_is_not_a_rational_map(brackets, n, match):
-    with pytest.raises(ExprError, match=match):
-        apply_adjoint_rational(hand_table(n, brackets), 0, Fraction(1, 2), (0, 1, 0))
+#: the brackets of g1, g2, g3 as the sl(2) the classification takes them to be
+SL2_BRACKETS = {(0, 1): {1: 1}, (0, 2): {2: -1}, (1, 2): {0: -2}}
+
+
+@pytest.mark.parametrize("bracket, row, n", [
+    ((0, 1), {1: ComplexRational(0, 1)}, 3),
+    ((1, 2), {0: -2, 3: 1}, 4),
+    ((0, 2), {2: 1}, 3),
+], ids=["complex constant", "leaves the span", "flipped sign"])
+def test_a_table_that_is_not_this_sl2_is_refused(bracket, row, n):
+    table = hand_table(n, {**SL2_BRACKETS, bracket: row})
+    label = "[g{},g{}]".format(*(i + 1 for i in bracket))
+    with pytest.raises(ExprError, match=re.escape(label)):
+        normalize_triple(table, (0, 1, 0))
+
+
+def test_the_sl2_matrices_are_checked_once_per_table(table):
+    assert table.sl2 is liealg.SL2_MATRICES
+    assert table.__dict__["sl2"] is liealg.SL2_MATRICES
+    assert hand_table(3, SL2_BRACKETS).sl2 is liealg.SL2_MATRICES
 
 
 def test_adjoint_is_an_algebra_automorphism(table):
@@ -332,7 +346,7 @@ def test_flipped_killing_sign_fails_verification(table, flipped_sign, capsys):
 def test_map_that_misses_the_representative_fails_verification(table, monkeypatch):
     # the identity in place of Ad(exp(eps*g3)) keeps the trace form up to
     # scale**2 but leaves the slot the map was to clear
-    monkeypatch.setattr(liealg, "_adjoint_numerators", lambda table, g, eps, nums, den: (nums, den))
+    monkeypatch.setattr(liealg, "_conjugate", lambda matrix, nums, den: (nums, den))
     for triple in ((1, 2, 3), (2, 0, 5)):
         record = normalize_triple(table, triple)
         assert len(record.maps) == 1 and not record.verified
