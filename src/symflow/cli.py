@@ -279,9 +279,9 @@ def _grid(s, _key):
 
 def _structure(s, _key):
     table = s.optimal.table
-    expected = {(0, 1): {1: 1}, (0, 2): {2: -1}, (1, 2): {0: -2}}
+    table.sl2  # g1, g2, g3 bracket as sl(2), or ExprError names the first that does not
     for i, j in itertools.combinations(range(len(table.basis)), 2):
-        if table.constants.get((i, j), {}) != expected.get((i, j), {}):
+        if j >= 3 and (i, j) in table.constants:
             return False, f"unexpected bracket [{table.labels[i]},{table.labels[j]}]", None
     return True, "brackets: [g1,g2]=g2, [g1,g3]=-g3, [g2,g3]=-2g1, rest 0", None
 

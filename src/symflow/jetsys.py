@@ -1,10 +1,12 @@
 """Evolution PDE systems with solved forms and on-shell reduction.
 
-Ships the built-in corpus.  Two statements are typed: the coupled
-Hirota equations, and their Lax pair U = [[-I*lambda, u], [v, I*lambda]],
-V = [[A, B], [C, -A]].  The prolonged system's auxiliary solved forms
-are derived from the pair: for M = [[a, b], [c, -a]], U along x and V
-along t, (phi, psi)_d = M (phi, psi) and the potential f has
+Ships the built-in corpus from one typed statement, the Lax pair
+U = [[-I*lambda, u], [v, I*lambda]], V = [[A, B], [C, -A]] of the coupled
+Hirota system.  The two evolution equations are its zero curvature,
+F0 = I*Z12 and F1 = I*Z21 with Z = U_t - V_x + [U, V].  The prolonged
+system's auxiliary solved forms are derived from the pair too: for
+M = [[a, b], [c, -a]], U along x and V along t, (phi, psi)_d = M (phi, psi)
+and the potential f has
 f_d = I*a_lambda*phi*psi + (I/2)*b_lambda*psi^2 - (I/2)*c_lambda*phi^2,
 with _lambda the partial derivative in lambda (so f_x = phi*psi).
 Reduction rewrites an expression modulo the solved forms and their
@@ -28,6 +30,7 @@ from .expr import (
     JetCoordinate,
     Parameter,
     Vocabulary,
+    _INTEGER,
     declarable,
     jet,
     param,
@@ -188,11 +191,6 @@ class PdeSystem:
 # built-in corpus
 # ---------------------------------------------------------------------------
 
-_EVOLUTION_EQUATIONS = (
-    "I*Diff(u,t) + alpha*(Diff(u,x,x) - 2*u^2*v) + I*beta*(Diff(u,x,x,x) - 6*u*v*Diff(u,x))",
-    "I*Diff(v,t) - alpha*(Diff(v,x,x) - 2*v^2*u) + I*beta*(Diff(v,x,x,x) - 6*u*v*Diff(v,x))",
-)
-
 Matrix = tuple[tuple[Expr, Expr], tuple[Expr, Expr]]  # a tuple of two rows
 
 
@@ -200,7 +198,8 @@ Matrix = tuple[tuple[Expr, Expr], tuple[Expr, Expr]]  # a tuple of two rows
 def lax_pair() -> tuple[Matrix, Matrix]:
     """The Lax pair (U, V) of the Hirota system: (phi, psi)_x = U (phi, psi)
     and (phi, psi)_t = V (phi, psi), with U = [[-I*lambda, u], [v, I*lambda]]
-    and V = [[A, B], [C, -A]].  Their zero curvature is the system."""
+    and V = [[A, B], [C, -A]].  The one typed statement of the system:
+    ``zero_curvature_equations`` derives its two equations from it."""
     a, b, c = (parse(text) for text in (
         "-4*beta*I*lambda^3 - 2*alpha*I*lambda^2 - 2*beta*I*u*v*lambda"
         " - alpha*I*u*v + beta*(v*Diff(u,x) - u*Diff(v,x))",
@@ -211,6 +210,32 @@ def lax_pair() -> tuple[Matrix, Matrix]:
     ))
     i_lambda = Expr.I * param("lambda")
     return ((-i_lambda, jet("u")), (jet("v"), i_lambda)), ((a, b), (c, -a))
+
+
+def zero_curvature_equations(u_matrix: Matrix, v_matrix: Matrix) -> tuple[Expr, Expr]:
+    """The evolution equations (F0, F1) = (I*Z12, I*Z21) of a Lax pair,
+    Z = U_t - V_x + [U, V] with no jet reduced.  A pair whose Z has a
+    nonzero diagonal entry, or keeps lambda off the diagonal, states no
+    evolution system: ``ExprError`` names the entry, or the highest power
+    of lambda left."""
+    lam = Parameter("lambda")
+    z = [
+        [
+            u_matrix[i][j].total_derivative("t") - v_matrix[i][j].total_derivative("x")
+            + sum((u_matrix[i][k] * v_matrix[k][j] - v_matrix[i][k] * u_matrix[k][j]
+                   for k in range(2)), Expr.ZERO)
+            for j in range(2)
+        ]
+        for i in range(2)
+    ]
+    for i in range(2):
+        if not z[i][i].is_zero():
+            raise ExprError(f"zero curvature has diagonal entry ({i + 1},{i + 1}) = {z[i][i]}")
+    entries = (z[0][1], z[1][0])
+    power = max((n for e in entries for m, _ in e.items() for a, n in m if a is lam), default=0)
+    if power:
+        raise ExprError(f"zero curvature keeps {Expr.atom(lam) ** power} off the diagonal")
+    return tuple(Expr.I * e for e in entries)
 
 
 def _solved_key(text: str, vocabulary: Vocabulary) -> JetCoordinate:
@@ -235,9 +260,9 @@ def solve_for(equation: Expr, target: JetCoordinate) -> Expr:
 
 @cache
 def builtin_hirota() -> PdeSystem:
-    """The coupled third-order evolution system with dependents u, v,
-    solved for u_t and v_t."""
-    equations = [parse(s) for s in _EVOLUTION_EQUATIONS]
+    """The coupled third-order evolution system with dependents u, v: the
+    zero curvature of ``lax_pair()``, solved for u_t and v_t."""
+    equations = zero_curvature_equations(*lax_pair())
     targets = (JetCoordinate("u", ("t",)), JetCoordinate("v", ("t",)))
     return PdeSystem(
         name="hirota",
@@ -452,7 +477,7 @@ def parse_manifest(text: str, name: str = "manifest") -> PdeSystem:
     dependents = []
     for number, line in sections["[dependents]"]:
         fields = line.split()
-        if len(fields) != 2 or not fields[1].isdecimal():
+        if len(fields) != 2 or not _INTEGER.fullmatch(fields[1]):
             raise ManifestError(f"line {number}: bad dependent line '{line}' (want 'name order')")
         dependents.append((_declared(number, fields[0]), int(fields[1])))
     parameters = tuple(_declared(*entry) for entry in sections["[parameters]"])

@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 import symflow
-from conftest import fresh_interpreter
-from symflow.cli import _rebuilds_to_itself, build_parser, main
+from conftest import fresh_interpreter, hand_table
+from symflow.cli import STEPS, Report, _rebuilds_to_itself, _run, build_parser, main
 from symflow import conslaw, grpflow, jetsys, liealg, linsym, numcheck
 from symflow.expr import ComplexRational, Expr, JetCoordinate, parse
 
@@ -117,6 +117,24 @@ def test_optimal_system_subcommand(capsys):
     assert run(["optimal-system", "--samples", "20"]) == 0
     out = capsys.readouterr().out
     assert "structure-table" in out and "central-elements" in out
+
+
+SL2_BRACKETS = {(0, 1): {1: 1}, (0, 2): {2: -1}, (1, 2): {0: -2}}
+
+
+@pytest.mark.parametrize("extra, detail", [
+    ({(0, 3): {3: 1}}, "unexpected bracket [g1,g4]"),
+    ({(4, 5): {0: 1}}, "unexpected bracket [g5,g6]"),
+    ({(1, 2): {0: -2, 3: 1}}, "error: [g2,g3] is not the sl(2) bracket"),
+])
+def test_structure_table_names_a_bracket_it_does_not_expect(extra, detail):
+    (step,) = (step for step in STEPS if step.name == "structure-table")
+    table = hand_table(6, {**SL2_BRACKETS, **extra})
+    session = argparse.Namespace(optimal=argparse.Namespace(table=table))
+    report = Report("optimal-system", "")
+    _run(step, session, report)
+    (check,) = report.checks
+    assert (check.status, check.detail) == ("fail", detail)
 
 
 def test_corpus_emits_reparseable_manifests(capsys):

@@ -22,6 +22,7 @@ from symflow.jetsys import (
     parse_manifest,
     solve_for,
     write_manifest,
+    zero_curvature_equations,
 )
 from conftest import fresh_interpreter, random_expr
 
@@ -65,32 +66,43 @@ def test_linear_problem_entry_a_at_zero_spectral_parameter():
     assert at_zero == parse("-alpha*I*u*v + beta*(v*Diff(u,x) - u*Diff(v,x))")
 
 
-def _zero_curvature(u_matrix, v_matrix):
-    """U_t - V_x + [U, V], with no jet reduced: u_t and v_t stay free."""
-    return tuple(
-        tuple(
-            u_matrix[i][j].total_derivative("t") - v_matrix[i][j].total_derivative("x")
-            + sum((u_matrix[i][k] * v_matrix[k][j] - v_matrix[i][k] * u_matrix[k][j]
-                   for k in range(2)), Expr.ZERO)
-            for j in range(2)
-        )
-        for i in range(2)
-    )
+#: the coupled Hirota equations as the paper states them
+PAPER_EQUATIONS = (
+    "I*Diff(u,t) + alpha*(Diff(u,x,x) - 2*u^2*v) + I*beta*(Diff(u,x,x,x) - 6*u*v*Diff(u,x))",
+    "I*Diff(v,t) - alpha*(Diff(v,x,x) - 2*v^2*u) + I*beta*(Diff(v,x,x,x) - 6*u*v*Diff(v,x))",
+)
 
 
 def test_zero_curvature_of_the_lax_pair_is_the_system(hirota):
-    # the converse of flatness: U_t - V_x + [U, V] = 0 states exactly F0 = F1 = 0
-    f0, f1 = hirota.equations
-    assert _zero_curvature(*lax_pair()) == ((Expr.ZERO, -Expr.I * f0), (-Expr.I * f1, Expr.ZERO))
+    # the system is derived from the Lax pair; it must be the paper's
+    assert hirota.equations == tuple(parse(text) for text in PAPER_EQUATIONS)
 
 
-def test_zero_curvature_breaks_when_a_term_of_b_is_doubled(hirota):
+def test_zero_curvature_breaks_when_a_term_of_b_is_doubled():
     u_matrix, ((a, b), (c, minus_a)) = lax_pair()
-    f0, f1 = hirota.equations
-    expected = ((Expr.ZERO, -Expr.I * f0), (-Expr.I * f1, Expr.ZERO))
     for term in b.items():
         v_matrix = ((a, b + Expr([term])), (c, minus_a))
-        assert _zero_curvature(u_matrix, v_matrix) != expected, term
+        with pytest.raises(ExprError, match="diagonal entry"):
+            zero_curvature_equations(u_matrix, v_matrix)
+
+
+def test_zero_curvature_refuses_a_pair_that_keeps_lambda_cubed():
+    # -4*beta*I*lambda^3 in A changed to -3*...: the diagonal stays 0, and
+    # lambda^3 is left in both off-diagonal entries
+    u_matrix, ((a, b), (c, _)) = lax_pair()
+    a = a + parse("beta*I*lambda^3")
+    with pytest.raises(ExprError, match=r"keeps lambda\^3 off the diagonal"):
+        zero_curvature_equations(u_matrix, ((a, b), (c, -a)))
+
+
+def test_zero_curvature_refuses_a_nonzero_diagonal():
+    # A + u*v leaves the off-diagonal entries free of lambda, and the
+    # diagonal -(u*v)_x
+    u_matrix, ((a, b), (c, _)) = lax_pair()
+    a = a + parse("u*v")
+    with pytest.raises(ExprError) as refusal:
+        zero_curvature_equations(u_matrix, ((a, b), (c, -a)))
+    assert str(refusal.value).endswith("diagonal entry (1,1) = -u*Diff(v,x) - Diff(u,x)*v")
 
 
 def test_potential_rule_self_consistency(prolonged):

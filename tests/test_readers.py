@@ -77,10 +77,13 @@ def test_parse_error_names_its_line(read, text, start):
      "bad dependent line 'u three'"),
     (parse_manifest, hirota_text().replace("u 3", "u \u00b3"), "u \u00b3",
      "bad dependent line 'u \u00b3'"),
+    (parse_manifest, hirota_text().replace("u 3", "u \u0663"), "u \u0663",
+     "bad dependent line 'u \u0663'"),
     (read_symmetry, symmetry_text() + "sigma_u phi^2\n", "sigma_u phi", "bad line 'sigma_u phi^2'"),
     (read_symmetry, symmetry_text() + "sigma_w = 1\n", "sigma_w", "bad line 'sigma_w = 1'"),
     (transcription_residual, "T1 = u\nT3 = v\n", "T3", "bad line 'T3 = v'"),
 ], ids=["solved-no-equals", "solved-key", "dependents", "dependent-order-superscript",
+        "dependent-order-arabic-indic",
         "symmetry-no-equals", "symmetry-key", "transcription-key"])
 def test_bad_line_names_its_line(read, text, start, message):
     with pytest.raises(ManifestError, match=rf"^line {line_of(text, start)}: {re.escape(message)}"):
